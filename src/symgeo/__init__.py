@@ -6,14 +6,14 @@ from .linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
 from .witt import (WittComplex, WittReal, ideal_power_member_real,
                    witt_of_form_complex, witt_of_form_real, witt_of_signature)
 from .symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
-                         UnitaryRep, classify_subspace, det_squared,
-                         eigen_angles, graph_lagrangian, intersect_frames,
+                         classify_subspace, det_squared, eigen_angles,
+                         graph_lagrangian, intersect_frames,
                          lagrangian_from_angles, line_lagrangian, loop_degree,
                          random_lagrangian, random_symplectic, standard_gram,
-                         symplectic_complement, unitary_from_lagrangian)
+                         symplectic_complement)
 from .maslov import (LagrangianTuple, LerayLift, QuadraticSpace,
-                     arnold_index_pair, arnold_index_single,
-                     arnold_index_triple, arnold_triple_lines, kashiwara_index,
+                     arnold_index_pair, arnold_index_triple,
+                     arnold_triple_lines, kashiwara_index,
                      kashiwara_space, leray_cyclic_sum, leray_m, tuple_reduce,
                      wall_invariant)
 from .metaplectic import (Mp1Context, Mp1Element, mp1_central_check,

@@ -26,20 +26,20 @@ from .jets import (JetSignature, jet_dim, lagrangian_pde_dims,
 from .jets.metasymplectic import lambda_dim, model_dim
 from .jsonio import (ValidationError, dumps, matrix_from_json, matrix_to_json,
                      parse_angle, parse_angle_list, to_jsonable)
-from .linalg import APPROX, EXACT, Matrix, rank
+from .linalg import APPROX, EXACT, Matrix
 from .maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
-                     arnold_triple_lines, kashiwara_index, kashiwara_space,
-                     leray_cyclic_sum, leray_m, wall_invariant)
+                     arnold_triple_lines, kashiwara_space, leray_cyclic_sum,
+                     leray_m, wall_invariant)
 from .metaplectic import Mp1Context, Mp1Element, mp1_inverse, mp1_mul
 from .scan import (ChiSpec, DEFAULT_SCAN_TOL, SampledImmersion,
                    check_lagrangian, check_legendrian, corank_profile,
                    immersion_from_csv, immersion_from_json, loop_maslov,
                    reeb_field)
-from .selftest import run_selftest
+from .selftest import _rand_full_rank, run_selftest
 from .symplectic import (LagrangianFrame, SymplecticSpace,
                          lagrangian_from_angles, line_lagrangian)
-from .witt import (WittComplex, WittReal, ideal_power_member_real,
-                   witt_of_form_complex, witt_of_form_real)
+from .witt import (WittReal, ideal_power_member_real, witt_of_form_complex,
+                   witt_of_form_real)
 
 ALGEBRAIC_TOL = 1e-9
 
@@ -339,12 +339,7 @@ def _cmd_jet_max_isotropic(args) -> int:
         if xi.cols != args.p or xi.rows != sig.n:
             raise ValidationError(f"xi must be {sig.n} x {args.p}")
     else:
-        rng = Random(args.seed)
-        while True:
-            xi = Matrix.exact([[Fraction(rng.randint(-3, 3))
-                                for _ in range(args.p)] for _ in range(sig.n)])
-            if rank(xi) == min(args.p, sig.n):
-                break
+        xi = _rand_full_rank(Random(args.seed), sig.n, args.p)
     plane = max_isotropic(sig, xi)
     expected = sig.m * comb(args.p + sig.k - 1, sig.k) + sig.n - args.p
     payload = {
@@ -469,9 +464,7 @@ def _witt_form(args) -> Matrix:
                 entries.append(Fraction(tok))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"bad diagonal entry {tok!r}") from exc
-        size = len(entries)
-        return Matrix.exact([[entries[r] if r == c else Fraction(0)
-                              for c in range(size)] for r in range(size)])
+        return Matrix.diagonal(entries)
     if args.form:
         return matrix_from_json(_read_json(args.form), mode=EXACT)
     raise ValidationError("give --diag or --form")
@@ -504,6 +497,124 @@ def _cmd_selftest(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+_INT_REQUIRED = {"type": int, "required": True}
+_SIGNATURE = [(flag, _INT_REQUIRED) for flag in ("--n", "--m", "--k")]
+_SEED = ("--seed", {"type": int, "default": 0})
+
+
+def _scan_args(need_space: bool) -> list:
+    space = [("--space", {"required": True, "help": "std:n"})] if need_space else []
+    return space + [
+        ("--samples", {"nargs": "+", "required": True,
+                       "help": "JSON or CSV sample files"}),
+        ("--topology", {"default": "line", "choices": ("line", "loop", "grid"),
+                        "help": "CSV only; JSON files carry their own"}),
+        ("--grid", {"help": "rows,cols for CSV grids"}),
+    ]
+
+
+# noun -> (help, {verb -> (handler, argument specs)}), or (help, (handler,
+# argument specs)) for a noun without verbs; an argument spec is
+# (flag, add_argument keywords).  Order here is order in --help.
+_COMMANDS = {
+    "maslov": ("Lagrangian tuple indices", {
+        "kashiwara": (_cmd_maslov_kashiwara, [
+            ("--space", {"help": "std:n"}),
+            ("--angles", {"help": "semicolon-separated groups of "
+                                  "comma-separated angles"}),
+            ("--directions", {"help": "n=1 lines as 'p,q;p,q;...' rational "
+                                      "directions (exact)"}),
+            ("--tuple", {"help": "JSON file with 'frames'"}),
+        ]),
+        "arnold": (_cmd_maslov_arnold, [
+            ("--space", {"help": "std:n"}), ("--angles", {}), ("--directions", {}),
+        ]),
+        "wall": (_cmd_maslov_wall, [
+            ("--space", {"help": "std:n"}),
+            ("--tuple", {"required": True, "help": "JSON file with 3 frames"}),
+        ]),
+        "leray": (_cmd_maslov_leray, [
+            ("--lifts", {"required": True,
+                         "help": "comma-separated lifted angles; 'p/qpi' stays exact"}),
+        ]),
+    }),
+    "mp1": ("metaplectic group elements", {
+        "mul": (_cmd_mp1_mul, [
+            ("--context", {"required": True, "help": "JSON with n/omega and base"}),
+            ("--a", {"required": True}), ("--b", {"required": True}),
+        ]),
+        "inverse": (_cmd_mp1_inverse, [
+            ("--context", {"required": True}), ("--a", {"required": True}),
+        ]),
+    }),
+    "jet": ("jet space dimension calculus", {
+        "dims": (_cmd_jet_dims, _SIGNATURE),
+        "spencer-audit": (_cmd_jet_spencer_audit, _SIGNATURE),
+        "lagrangian-pde": (_cmd_jet_lagrangian_pde, [("--n", _INT_REQUIRED), _SEED]),
+        "legendrian-pde": (_cmd_jet_legendrian_pde, [("--n", _INT_REQUIRED), _SEED]),
+        "max-isotropic": (_cmd_jet_max_isotropic, _SIGNATURE + [
+            ("--p", _INT_REQUIRED),
+            ("--xi", {"help": "JSON matrix, n x p, exact"}),
+            _SEED,
+        ]),
+    }),
+    "scan": ("sampled immersion checks", {
+        "lagrangian": (_cmd_scan_lagrangian, _scan_args(True)),
+        "corank": (_cmd_scan_corank, _scan_args(False) + [
+            ("--fiber-slots", {"help": "comma-separated ambient coordinates "
+                                       "to project out"}),
+        ]),
+        "loop-maslov": (_cmd_scan_loop_maslov, _scan_args(True)),
+        "legendrian": (_cmd_scan_legendrian, _scan_args(False) + [
+            ("--chi-scale", {"type": float, "default": 1.0}),
+            ("--chi-coeffs", {"help": "comma-separated coefficients of the "
+                                      "contact form"}),
+            ("--reeb", {"action": "store_true",
+                        "help": "include the Reeb field samples in the report"}),
+        ]),
+    }),
+    "bordism": ("bordism group arithmetic", {
+        "weak": (_cmd_bordism_weak, [
+            ("--betti", {"required": True, "help": "comma-separated mod-2 betti"}),
+            ("--n", _INT_REQUIRED),
+            ("--omega-table", {"help": "JSON object of extra bordism ranks "
+                                       "for degrees > 3"}),
+            ("--label", {"default": "lagrangian",
+                         "choices": ("lagrangian", "legendrian")}),
+        ]),
+        "gsingular": (_cmd_bordism_gsingular, [
+            ("--homology", {"required": True,
+                            "help": "comma-separated ranks of H_d(W; G)"}),
+            ("--degree", _INT_REQUIRED),
+            ("--coefficients", {"default": "Z2"}),
+        ]),
+        "split-check": (_cmd_bordism_split_check, [
+            ("--closed", _INT_REQUIRED), ("--bor", _INT_REQUIRED),
+            ("--cyc", _INT_REQUIRED),
+        ]),
+    }),
+    "witt": ("Witt classes of symmetric forms", {
+        "class": (_cmd_witt_class, [
+            ("--diag", {"help": "comma-separated diagonal"}),
+            ("--form", {"help": "JSON matrix file"}),
+            ("--field", {"default": "R", "choices": ("R", "C")}),
+        ]),
+        "ideal": (_cmd_witt_ideal, [
+            ("--value", _INT_REQUIRED), ("--k", _INT_REQUIRED),
+        ]),
+    }),
+    "selftest": ("run the built-in invariant suites", (_cmd_selftest, [
+        _SEED, ("--quick", {"action": "store_true"}),
+    ])),
+}
+
+
+def _add_command(parser, fn, specs) -> None:
+    for flag, kwargs in specs:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     out = common.add_mutually_exclusive_group()
@@ -520,146 +631,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tolerance (default 1e-9 algebraic, 1e-6 scan)")
 
     parser = _Parser(prog="symgeo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="noun", required=True, parser_class=_Parser)
-
-    maslov = sub.add_parser("maslov", help="Lagrangian tuple indices",
-                            parents=[common])
-    msub = maslov.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    mk = msub.add_parser("kashiwara", parents=[common])
-    mk.add_argument("--space", default=None, help="std:n")
-    mk.add_argument("--angles", default=None,
-                    help="semicolon-separated groups of comma-separated angles")
-    mk.add_argument("--directions", default=None,
-                    help="n=1 lines as 'p,q;p,q;...' rational directions (exact)")
-    mk.add_argument("--tuple", default=None, help="JSON file with 'frames'")
-    mk.set_defaults(fn=_cmd_maslov_kashiwara)
-    ma = msub.add_parser("arnold", parents=[common])
-    ma.add_argument("--space", default=None, help="std:n")
-    ma.add_argument("--angles", default=None)
-    ma.add_argument("--directions", default=None)
-    ma.set_defaults(fn=_cmd_maslov_arnold)
-    mw = msub.add_parser("wall", parents=[common])
-    mw.add_argument("--space", default=None, help="std:n")
-    mw.add_argument("--tuple", required=True, help="JSON file with 3 frames")
-    mw.set_defaults(fn=_cmd_maslov_wall)
-    ml = msub.add_parser("leray", parents=[common])
-    ml.add_argument("--lifts", required=True,
-                    help="comma-separated lifted angles; 'p/qpi' stays exact")
-    ml.set_defaults(fn=_cmd_maslov_leray)
-
-    mp1 = sub.add_parser("mp1", help="metaplectic group elements", parents=[common])
-    psub = mp1.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    pm = psub.add_parser("mul", parents=[common])
-    pm.add_argument("--context", required=True, help="JSON with n/omega and base")
-    pm.add_argument("--a", required=True)
-    pm.add_argument("--b", required=True)
-    pm.set_defaults(fn=_cmd_mp1_mul)
-    pi = psub.add_parser("inverse", parents=[common])
-    pi.add_argument("--context", required=True)
-    pi.add_argument("--a", required=True)
-    pi.set_defaults(fn=_cmd_mp1_inverse)
-
-    jet = sub.add_parser("jet", help="jet space dimension calculus",
-                         parents=[common])
-    jsub = jet.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    jd = jsub.add_parser("dims", parents=[common])
-    for flag in ("--n", "--m", "--k"):
-        jd.add_argument(flag, type=int, required=True)
-    jd.set_defaults(fn=_cmd_jet_dims)
-    js = jsub.add_parser("spencer-audit", parents=[common])
-    for flag in ("--n", "--m", "--k"):
-        js.add_argument(flag, type=int, required=True)
-    js.set_defaults(fn=_cmd_jet_spencer_audit)
-    jl = jsub.add_parser("lagrangian-pde", parents=[common])
-    jl.add_argument("--n", type=int, required=True)
-    jl.add_argument("--seed", type=int, default=0)
-    jl.set_defaults(fn=_cmd_jet_lagrangian_pde)
-    jg = jsub.add_parser("legendrian-pde", parents=[common])
-    jg.add_argument("--n", type=int, required=True)
-    jg.add_argument("--seed", type=int, default=0)
-    jg.set_defaults(fn=_cmd_jet_legendrian_pde)
-    jm = jsub.add_parser("max-isotropic", parents=[common])
-    for flag in ("--n", "--m", "--k", "--p"):
-        jm.add_argument(flag, type=int, required=True)
-    jm.add_argument("--xi", default=None, help="JSON matrix, n x p, exact")
-    jm.add_argument("--seed", type=int, default=0)
-    jm.set_defaults(fn=_cmd_jet_max_isotropic)
-
-    scan = sub.add_parser("scan", help="sampled immersion checks", parents=[common])
-    ssub = scan.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-
-    def _scan_common(p, need_space):
-        if need_space:
-            p.add_argument("--space", required=True, help="std:n")
-        p.add_argument("--samples", nargs="+", required=True,
-                       help="JSON or CSV sample files")
-        p.add_argument("--topology", default="line",
-                       choices=("line", "loop", "grid"),
-                       help="CSV only; JSON files carry their own")
-        p.add_argument("--grid", default=None, help="rows,cols for CSV grids")
-
-    sl = ssub.add_parser("lagrangian", parents=[common])
-    _scan_common(sl, True)
-    sl.set_defaults(fn=_cmd_scan_lagrangian)
-    sc = ssub.add_parser("corank", parents=[common])
-    _scan_common(sc, False)
-    sc.add_argument("--fiber-slots", default=None,
-                    help="comma-separated ambient coordinates to project out")
-    sc.set_defaults(fn=_cmd_scan_corank)
-    sm = ssub.add_parser("loop-maslov", parents=[common])
-    _scan_common(sm, True)
-    sm.set_defaults(fn=_cmd_scan_loop_maslov)
-    sg = ssub.add_parser("legendrian", parents=[common])
-    _scan_common(sg, False)
-    sg.add_argument("--chi-scale", type=float, default=1.0)
-    sg.add_argument("--chi-coeffs", default=None,
-                    help="comma-separated coefficients of the contact form")
-    sg.add_argument("--reeb", action="store_true",
-                    help="include the Reeb field samples in the report")
-    sg.set_defaults(fn=_cmd_scan_legendrian)
-
-    bor = sub.add_parser("bordism", help="bordism group arithmetic",
-                         parents=[common])
-    bsub = bor.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    bw = bsub.add_parser("weak", parents=[common])
-    bw.add_argument("--betti", required=True, help="comma-separated mod-2 betti")
-    bw.add_argument("--n", type=int, required=True)
-    bw.add_argument("--omega-table", default=None,
-                    help="JSON object of extra bordism ranks for degrees > 3")
-    bw.add_argument("--label", default="lagrangian",
-                    choices=("lagrangian", "legendrian"))
-    bw.set_defaults(fn=_cmd_bordism_weak)
-    bg = bsub.add_parser("gsingular", parents=[common])
-    bg.add_argument("--homology", required=True,
-                    help="comma-separated ranks of H_d(W; G)")
-    bg.add_argument("--degree", type=int, required=True)
-    bg.add_argument("--coefficients", default="Z2")
-    bg.set_defaults(fn=_cmd_bordism_gsingular)
-    bs = bsub.add_parser("split-check", parents=[common])
-    bs.add_argument("--closed", type=int, required=True)
-    bs.add_argument("--bor", type=int, required=True)
-    bs.add_argument("--cyc", type=int, required=True)
-    bs.set_defaults(fn=_cmd_bordism_split_check)
-
-    witt = sub.add_parser("witt", help="Witt classes of symmetric forms",
-                          parents=[common])
-    wsub = witt.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    wc = wsub.add_parser("class", parents=[common])
-    wc.add_argument("--diag", default=None, help="comma-separated diagonal")
-    wc.add_argument("--form", default=None, help="JSON matrix file")
-    wc.add_argument("--field", default="R", choices=("R", "C"))
-    wc.set_defaults(fn=_cmd_witt_class)
-    wi = wsub.add_parser("ideal", parents=[common])
-    wi.add_argument("--value", type=int, required=True)
-    wi.add_argument("--k", type=int, required=True)
-    wi.set_defaults(fn=_cmd_witt_ideal)
-
-    st = sub.add_parser("selftest", help="run the built-in invariant suites",
-                        parents=[common])
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--quick", action="store_true")
-    st.set_defaults(fn=_cmd_selftest)
-
+    nouns = parser.add_subparsers(dest="noun", required=True, parser_class=_Parser)
+    for noun, (help_text, body) in _COMMANDS.items():
+        noun_parser = nouns.add_parser(noun, help=help_text, parents=[common])
+        if isinstance(body, tuple):
+            _add_command(noun_parser, *body)
+            continue
+        verbs = noun_parser.add_subparsers(dest="verb", required=True,
+                                           parser_class=_Parser)
+        for verb, (fn, specs) in body.items():
+            _add_command(verbs.add_parser(verb, parents=[common]), fn, specs)
     return parser
 
 

@@ -27,13 +27,9 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
-from ..linalg import Matrix, kernel_basis, rank
+from ..linalg import Matrix, _rand_fraction, kernel_basis, rank
 
 _MAX_ATTEMPTS = 25
-
-
-def _rand_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def _rand_block(rng: Random, n: int) -> list[list[Fraction]]:

@@ -105,12 +105,6 @@ class SymTensor:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
 
-    def basis_keys(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.coeffs.keys())
-
-    def flat(self) -> list[Fraction]:
-        return [self.coeffs[key] for key in self.basis_keys()]
-
 
 def delta_spencer(t: SymTensor) -> dict[int, SymTensor]:
     """Polarization: slot i carries (alpha_i + 1) t[alpha + e_i, j]."""

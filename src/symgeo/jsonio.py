@@ -74,22 +74,21 @@ def matrix_from_json(obj: dict, mode: str | None = None,
 def parse_angle(text: str) -> tuple[float, Fraction | None]:
     """Parse one angle; returns (value in radians, exact pi-multiple or None)."""
     s = text.strip().replace("·", "").replace("*", "").replace(" ", "")
-    if s.endswith("pi"):
-        head = s[:-2]
-        if head in ("", "+"):
-            frac = Fraction(1)
-        elif head == "-":
-            frac = Fraction(-1)
-        else:
-            try:
-                frac = Fraction(head)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"bad angle {text!r}") from exc
-        return (float(frac) * math.pi, frac)
     try:
-        return (float(Fraction(s)), None) if "/" in s else (float(s), None)
-    except ValueError as exc:
+        if s.endswith("pi"):
+            head = s[:-2]
+            frac = Fraction({"": 1, "+": 1, "-": -1}.get(head, head))
+            value = float(frac) * math.pi
+        else:
+            frac = None
+            value = float(Fraction(s)) if "/" in s else float(s)
+    except OverflowError:
+        value = math.inf
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad angle {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"angle {text!r} is not finite")
+    return value, frac
 
 
 def parse_angle_list(text: str) -> list[list[tuple[float, Fraction | None]]]:
@@ -113,10 +112,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return obj
-    if hasattr(obj, "as_report"):
-        return to_jsonable(obj.as_report())
     return obj
 
 

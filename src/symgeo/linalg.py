@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +37,11 @@ def _to_exact(x) -> Fraction:
 
 def _to_approx(x) -> float:
     return float(x)
+
+
+def _rand_fraction(rng: Random) -> Fraction:
+    """Seeded rational entry: numerator in [-4, 4], denominator in [1, 3]."""
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,13 @@ class Matrix:
         zero = Fraction(0) if mode == EXACT else 0.0
         return Matrix(r, c, tuple(tuple(zero for _ in range(c)) for _ in range(r)),
                       mode, tol)
+
+    @staticmethod
+    def diagonal(entries: Sequence) -> "Matrix":
+        """Exact square matrix with ``entries`` on the diagonal."""
+        size = len(entries)
+        return Matrix.exact([[entries[r] if r == c else 0 for c in range(size)]
+                             for r in range(size)])
 
     @staticmethod
     def from_numpy(arr: np.ndarray, tol: float = DEFAULT_TOL) -> "Matrix":
@@ -309,18 +322,6 @@ class SymmetricForm:
 
     dim: int
     gram: Matrix
-
-    @staticmethod
-    def from_matrix(gram: Matrix) -> "SymmetricForm":
-        if gram.rows != gram.cols:
-            raise ValueError("Gram matrix must be square")
-        if gram.mode == EXACT:
-            if gram.T.entries != gram.entries:
-                raise ValueError("Gram matrix is not symmetric")
-        else:
-            if (gram - gram.T).max_abs() > gram.threshold():
-                raise ValueError("Gram matrix is not symmetric within tolerance")
-        return SymmetricForm(gram.rows, gram)
 
 
 def _sym_signature_exact(g: Matrix) -> Signature:

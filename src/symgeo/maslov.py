@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (APPROX, EXACT, Matrix, Signature, SymmetricForm,
-                     kernel_basis, rank, sym_signature)
-from .symplectic import (LagrangianFrame, SymplecticSpace, eigen_angles,
-                         line_lagrangian)
+from .linalg import (EXACT, Matrix, Signature, SymmetricForm, kernel_basis,
+                     rank, sym_signature)
+from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
+                         eigen_angles, line_lagrangian)
 from .witt import WittReal, witt_of_signature
-
-ANGLE_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,6 @@ class LagrangianTuple:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def reversed(self) -> "LagrangianTuple":
-        return LagrangianTuple(self.space, tuple(reversed(self.members)))
 
     def rotated(self, k: int = 1) -> "LagrangianTuple":
         mem = self.members
@@ -217,15 +212,6 @@ def _pair_value(t1: float, t2: float, snap: float = ANGLE_SNAP) -> float:
     return -(1.0 - 2.0 * (t1 - t2) / math.pi)
 
 
-def arnold_index_single(lag: LagrangianFrame) -> float:
-    """Sum over eigen-angles of 1 - 2 theta / pi, with angle 0 contributing 0."""
-    total = 0.0
-    for th in eigen_angles(lag):
-        if th > 0.0:
-            total += 1.0 - 2.0 * th / math.pi
-    return total
-
-
 def arnold_index_pair(l1: LagrangianFrame, l2: LagrangianFrame) -> float:
     """Componentwise two-argument index; antisymmetric, diagonal inputs only."""
     a1, a2 = eigen_angles(l1), eigen_angles(l2)
@@ -257,14 +243,6 @@ class LerayLift:
 
     theta_tilde: float | Fraction
     direction: tuple[Fraction, Fraction, int] | None = None
-
-    @staticmethod
-    def from_angle(theta_tilde: float) -> "LerayLift":
-        return LerayLift(float(theta_tilde))
-
-    @staticmethod
-    def from_pi_units(t: Fraction | int) -> "LerayLift":
-        return LerayLift(Fraction(t))
 
     @staticmethod
     def from_direction(p, q, k: int = 0) -> "LerayLift":

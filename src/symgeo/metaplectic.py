@@ -37,8 +37,9 @@ class Mp1Context:
 
     @staticmethod
     def standard(n: int) -> "Mp1Context":
+        """The standard space with the vertical base Lagrangian 0 + R^n."""
         space = SymplecticSpace.standard(n)
-        frame = Matrix.identity(n).vstack(Matrix.zeros(n, n))
+        frame = Matrix.zeros(n, n).vstack(Matrix.identity(n))
         return Mp1Context(space, LagrangianFrame(space, frame))
 
 

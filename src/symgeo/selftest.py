@@ -6,6 +6,11 @@ is meaningful for any seed; the per-suite generators are seeded from the
 top-level seed by suite name, which keeps reports byte-identical for
 identical (seed, quick) inputs.  Details deliberately carry integers
 only, never timings.
+
+Every suite takes its counts and instance lists as keyword parameters and
+returns ``{"cases", "passed", "detail"}``; the first failing case ends the
+suite and its detail names it.  ``_SUITES`` holds the quick and full
+parameters, and the acceptance tests run the same suites at their own.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from .maslov import (LerayLift, arnold_triple_lines, kashiwara_index,
                      leray_cyclic_sum, wall_invariant)
 from .metaplectic import Mp1Context, mp1_inverse, mp1_mul, random_mp1
 from .scan import SampledImmersion, check_lagrangian, corank_profile, loop_maslov
-from .symplectic import (LagrangianFrame, SymplecticSpace,
+from .symplectic import (LagrangianFrame, SymplecticSpace, intersect_frames,
                          lagrangian_from_angles, line_lagrangian, loop_degree,
                          random_lagrangian, random_symplectic)
-from .witt import WittReal, ideal_power_member_real, witt_of_form_real
+from .witt import ideal_power_member_real, witt_of_form_real
 
 
 def _suite_rng(seed: int, name: str) -> Random:
@@ -43,8 +48,7 @@ def _rand_line_dir(rng: Random) -> tuple:
             return Fraction(p), Fraction(q)
 
 
-def _suite_kashiwara_cocycle(rng: Random, quick: bool) -> dict:
-    per_dim = 8 if quick else 40
+def _suite_kashiwara_cocycle(rng: Random, per_dim: int) -> dict:
     cases = 0
     for n in (1, 2, 3):
         sp = SymplecticSpace.standard(n)
@@ -61,8 +65,7 @@ def _suite_kashiwara_cocycle(rng: Random, quick: bool) -> dict:
     return {"cases": cases, "passed": True, "detail": "alternating sum zero"}
 
 
-def _suite_wall_kashiwara(rng: Random, quick: bool) -> dict:
-    per_dim = 8 if quick else 30
+def _suite_wall_kashiwara(rng: Random, per_dim: int) -> dict:
     cases = 0
     for n in (1, 2, 3):
         sp = SymplecticSpace.standard(n)
@@ -77,8 +80,7 @@ def _suite_wall_kashiwara(rng: Random, quick: bool) -> dict:
     return {"cases": cases, "passed": True, "detail": "invariants agree"}
 
 
-def _suite_arnold_kashiwara(rng: Random, quick: bool) -> dict:
-    total = 10 if quick else 40
+def _suite_arnold_kashiwara(rng: Random, total: int) -> dict:
     sp = SymplecticSpace.standard(1)
     for i in range(total):
         ds = [_rand_line_dir(rng) for _ in range(3)]
@@ -90,11 +92,10 @@ def _suite_arnold_kashiwara(rng: Random, quick: bool) -> dict:
     return {"cases": total, "passed": True, "detail": "line triples agree"}
 
 
-def _suite_transvection_invariance(rng: Random, quick: bool) -> dict:
-    tuples = 3 if quick else 6
-    moves = 3 if quick else 8
+def _suite_transvection_invariance(rng: Random, tuples: int, moves: int,
+                                   dims=(1, 2)) -> dict:
     cases = 0
-    for n in (1, 2):
+    for n in dims:
         sp = SymplecticSpace.standard(n)
         for _ in range(tuples):
             ls = [random_lagrangian(sp, rng) for _ in range(rng.randint(3, 5))]
@@ -110,8 +111,7 @@ def _suite_transvection_invariance(rng: Random, quick: bool) -> dict:
     return {"cases": cases, "passed": True, "detail": "index is invariant"}
 
 
-def _suite_leray_sum(rng: Random, quick: bool) -> dict:
-    total = 12 if quick else 50
+def _suite_leray_sum(rng: Random, total: int) -> dict:
     sp = SymplecticSpace.standard(1)
     for i in range(total):
         r = rng.randint(3, 6)
@@ -125,12 +125,10 @@ def _suite_leray_sum(rng: Random, quick: bool) -> dict:
     return {"cases": total, "passed": True, "detail": "lift sums match indices"}
 
 
-def _suite_mp1_associativity(rng: Random, quick: bool) -> dict:
-    per_ctx = 5 if quick else 15
+def _suite_mp1_associativity(rng: Random, per_ctx: int) -> dict:
     cases = 0
     for n in (1, 2):
-        sp = SymplecticSpace.standard(n)
-        ctx = Mp1Context(sp, _vertical_base(sp))
+        ctx = Mp1Context.standard(n)
         for _ in range(per_ctx):
             a, b, c = (random_mp1(ctx, rng) for _ in range(3))
             lhs = mp1_mul(mp1_mul(a, b), c)
@@ -146,13 +144,7 @@ def _suite_mp1_associativity(rng: Random, quick: bool) -> dict:
     return {"cases": cases, "passed": True, "detail": "group laws hold"}
 
 
-def _vertical_base(sp: SymplecticSpace) -> LagrangianFrame:
-    cols = [[Fraction(1) if r == sp.n + c else Fraction(0)
-             for c in range(sp.n)] for r in range(2 * sp.n)]
-    return LagrangianFrame(sp, Matrix.exact(cols))
-
-
-def _suite_loop_degree(rng: Random, quick: bool) -> dict:
+def _suite_loop_degree(rng: Random) -> dict:
     sp = SymplecticSpace.standard(1)
     m = 64
     path1 = [lagrangian_from_angles(sp, [(math.pi * i / m) % math.pi])
@@ -164,9 +156,7 @@ def _suite_loop_degree(rng: Random, quick: bool) -> dict:
     return {"cases": 2, "passed": ok, "detail": f"degrees {d1}, {d2}"}
 
 
-def _suite_spencer_exact(rng: Random, quick: bool) -> dict:
-    sigs = [(2, 1, 2), (1, 1, 3)] if quick else \
-        [(1, 1, 2), (2, 1, 2), (1, 1, 3), (3, 1, 2), (2, 2, 2)]
+def _suite_spencer_exact(rng: Random, sigs) -> dict:
     for s in sigs:
         audit = spencer_sequence_audit(JetSignature(*s))
         if not audit["exact"]:
@@ -175,8 +165,7 @@ def _suite_spencer_exact(rng: Random, quick: bool) -> dict:
     return {"cases": len(sigs), "passed": True, "detail": "all sequences exact"}
 
 
-def _suite_pde_dims(rng: Random, quick: bool) -> dict:
-    ns = (2,) if quick else (2, 3)
+def _suite_pde_dims(rng: Random, ns) -> dict:
     for n in ns:
         seed = rng.randint(0, 10 ** 6)
         lag = lagrangian_pde_dims(n, seed=seed)
@@ -203,11 +192,11 @@ def _rand_full_rank(rng: Random, rows: int, cols: int) -> Matrix:
             return m
 
 
-def _suite_max_isotropic(rng: Random, quick: bool) -> dict:
-    sigs = [(2, 1, 2)] if quick else [(2, 1, 2), (2, 2, 2), (3, 1, 2)]
+def _suite_max_isotropic(rng: Random, sigs) -> dict:
     cases = 0
     for s in sigs:
         sig = JetSignature(*s)
+        lams = lambda_basis(sig)
         for p in range(sig.n + 1):
             xi = _rand_full_rank(rng, sig.n, p) if p else Matrix.zeros(sig.n, 0)
             plane = max_isotropic(sig, xi)
@@ -216,7 +205,7 @@ def _suite_max_isotropic(rng: Random, quick: bool) -> dict:
                 return {"cases": cases, "passed": False,
                         "detail": f"dim {plane.dim} != {want} at {s}, p={p}"}
             vecs = plane.vectors()
-            for lam in lambda_basis(sig):
+            for lam in lams:
                 for i, v in enumerate(vecs):
                     for w in vecs[i:]:
                         if metasymplectic_eval(lam, v, w) != 0:
@@ -232,11 +221,7 @@ def _rand_span(rng: Random, sig: JetSignature) -> Matrix:
     return _rand_full_rank(rng, dim, cols)
 
 
-def _suite_orthogonal_laws(rng: Random, quick: bool) -> dict:
-    sigs = [(2, 1, 1), (1, 1, 2)] if quick else \
-        [(2, 1, 1), (3, 1, 1), (1, 1, 2), (1, 1, 3)]
-    pairs = 4 if quick else 10
-    from .symplectic import intersect_frames
+def _suite_orthogonal_laws(rng: Random, sigs, pairs: int) -> dict:
     cases = 0
     for s in sigs:
         sig = JetSignature(*s)
@@ -257,20 +242,14 @@ def _suite_orthogonal_laws(rng: Random, quick: bool) -> dict:
     return {"cases": cases, "passed": True, "detail": "duality laws hold"}
 
 
-def _diag_form(entries) -> Matrix:
-    size = len(entries)
-    return Matrix.exact([[Fraction(entries[r]) if r == c else Fraction(0)
-                          for c in range(size)] for r in range(size)])
-
-
-def _suite_witt_ring(rng: Random, quick: bool) -> dict:
-    total = 8 if quick else 25
+def _suite_witt_ring(rng: Random, total: int) -> dict:
     for i in range(total):
         diag1 = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))]
         diag2 = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))]
-        w1 = witt_of_form_real(_diag_form(diag1))
-        w2 = witt_of_form_real(_diag_form(diag2))
-        if int(witt_of_form_real(_diag_form(diag1 + diag2))) != int(w1) + int(w2):
+        w1 = witt_of_form_real(Matrix.diagonal(diag1))
+        w2 = witt_of_form_real(Matrix.diagonal(diag2))
+        w12 = witt_of_form_real(Matrix.diagonal(diag1 + diag2))
+        if int(w12) != int(w1) + int(w2):
             return {"cases": i, "passed": False, "detail": "additivity failed"}
         for k in range(4):
             want = int(w1) % (2 ** k) == 0
@@ -280,14 +259,13 @@ def _suite_witt_ring(rng: Random, quick: bool) -> dict:
     return {"cases": total, "passed": True, "detail": "ring laws hold"}
 
 
-def _suite_bordism_table(rng: Random, quick: bool) -> dict:
+def _suite_bordism_table(rng: Random, reps: int) -> dict:
     want = {1: 1, 2: 0, 3: 1, 4: 0}
     for n, r in want.items():
         got = weak_bordism_group([1], n).group.z2_rank
         if got != r:
             return {"cases": 4, "passed": False,
                     "detail": f"contractible rank {got} != {r} at n={n}"}
-    reps = 5 if quick else 20
     for _ in range(reps):
         n = rng.randint(1, 4)
         b1 = [rng.randint(0, 3) for _ in range(n)]
@@ -302,7 +280,7 @@ def _suite_bordism_table(rng: Random, quick: bool) -> dict:
     return {"cases": 4 + reps + 3, "passed": ok, "detail": "table and additivity"}
 
 
-def _suite_scan_circle(rng: Random, quick: bool) -> dict:
+def _suite_scan_circle(rng: Random) -> dict:
     sp = SymplecticSpace.standard(1)
     m = 64
     ts = [2 * math.pi * i / m for i in range(m)]
@@ -330,30 +308,43 @@ def _suite_scan_circle(rng: Random, quick: bool) -> dict:
             "detail": f"degree {deg}, strata {sorted(strata)}"}
 
 
-_SUITES = (
-    ("kashiwara_cocycle", _suite_kashiwara_cocycle),
-    ("wall_kashiwara", _suite_wall_kashiwara),
-    ("arnold_kashiwara", _suite_arnold_kashiwara),
-    ("transvection_invariance", _suite_transvection_invariance),
-    ("leray_sum", _suite_leray_sum),
-    ("mp1_associativity", _suite_mp1_associativity),
-    ("loop_degree", _suite_loop_degree),
-    ("spencer_exact", _suite_spencer_exact),
-    ("pde_dims", _suite_pde_dims),
-    ("max_isotropic", _suite_max_isotropic),
-    ("orthogonal_laws", _suite_orthogonal_laws),
-    ("witt_ring", _suite_witt_ring),
-    ("bordism_table", _suite_bordism_table),
-    ("scan_circle", _suite_scan_circle),
-)
+# name -> (suite, quick parameters, full parameters), in report order
+_SUITES = {
+    "kashiwara_cocycle": (_suite_kashiwara_cocycle,
+                          {"per_dim": 8}, {"per_dim": 40}),
+    "wall_kashiwara": (_suite_wall_kashiwara, {"per_dim": 8}, {"per_dim": 30}),
+    "arnold_kashiwara": (_suite_arnold_kashiwara, {"total": 10}, {"total": 40}),
+    "transvection_invariance": (_suite_transvection_invariance,
+                                {"tuples": 3, "moves": 3},
+                                {"tuples": 6, "moves": 8}),
+    "leray_sum": (_suite_leray_sum, {"total": 12}, {"total": 50}),
+    "mp1_associativity": (_suite_mp1_associativity,
+                          {"per_ctx": 5}, {"per_ctx": 15}),
+    "loop_degree": (_suite_loop_degree, {}, {}),
+    "spencer_exact": (_suite_spencer_exact,
+                      {"sigs": [(2, 1, 2), (1, 1, 3)]},
+                      {"sigs": [(1, 1, 2), (2, 1, 2), (1, 1, 3), (3, 1, 2),
+                                (2, 2, 2)]}),
+    "pde_dims": (_suite_pde_dims, {"ns": (2,)}, {"ns": (2, 3)}),
+    "max_isotropic": (_suite_max_isotropic,
+                      {"sigs": [(2, 1, 2)]},
+                      {"sigs": [(2, 1, 2), (2, 2, 2), (3, 1, 2)]}),
+    "orthogonal_laws": (_suite_orthogonal_laws,
+                        {"sigs": [(2, 1, 1), (1, 1, 2)], "pairs": 4},
+                        {"sigs": [(2, 1, 1), (3, 1, 1), (1, 1, 2), (1, 1, 3)],
+                         "pairs": 10}),
+    "witt_ring": (_suite_witt_ring, {"total": 8}, {"total": 25}),
+    "bordism_table": (_suite_bordism_table, {"reps": 5}, {"reps": 20}),
+    "scan_circle": (_suite_scan_circle, {}, {}),
+}
 
 
 def run_selftest(seed: int = 0, quick: bool = False) -> dict:
     """Run every suite; the report is a plain dict, stable under repetition."""
     suites = []
     failures = []
-    for name, fn in _SUITES:
-        out = fn(_suite_rng(seed, name), quick)
+    for name, (fn, quick_params, full_params) in _SUITES.items():
+        out = fn(_suite_rng(seed, name), **(quick_params if quick else full_params))
         entry = {"name": name, "cases": out["cases"], "passed": out["passed"],
                  "detail": out["detail"]}
         suites.append(entry)

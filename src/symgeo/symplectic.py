@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, ModeMixError,
-                     inverse, kernel_basis, rank, spans_equal)
+from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
+                     kernel_basis, rank, span_contains, spans_equal)
 
 ANGLE_SNAP = 1e-9
 
@@ -155,8 +155,8 @@ def symplectic_complement(sub: Subspace) -> Subspace:
 def classify_subspace(sub: Subspace) -> str:
     """One of isotropic / coisotropic / lagrangian / symplectic / generic."""
     perp = symplectic_complement(sub)
-    inside = _span_contains(perp.frame, sub.frame)
-    contains = _span_contains(sub.frame, perp.frame)
+    inside = span_contains(perp.frame, sub.frame)
+    contains = span_contains(sub.frame, perp.frame)
     if inside and contains:
         return "lagrangian"
     if inside:
@@ -167,11 +167,6 @@ def classify_subspace(sub: Subspace) -> str:
     if meet.cols == 0:
         return "symplectic"
     return "generic"
-
-
-def _span_contains(big: Matrix, small: Matrix) -> bool:
-    from .linalg import span_contains
-    return span_contains(big, small)
 
 
 def intersect_frames(f: Matrix, g: Matrix) -> Matrix:
@@ -268,34 +263,6 @@ def _polar_unitary(lag: LagrangianFrame) -> np.ndarray:
     return u @ vh
 
 
-@dataclass(frozen=True)
-class UnitaryRep:
-    """Unitary A with A(i R^n) = L, stored as two real matrices."""
-
-    n: int
-    a_re: Matrix
-    a_im: Matrix
-
-    def as_complex(self) -> np.ndarray:
-        return self.a_re.to_numpy() + 1j * self.a_im.to_numpy()
-
-
-def unitary_from_lagrangian(lag: LagrangianFrame) -> UnitaryRep:
-    zu = _polar_unitary(lag)
-    a = -1j * zu
-    rep = UnitaryRep(lag.space.n, Matrix.from_numpy(a.real, lag.frame.tol),
-                     Matrix.from_numpy(a.imag, lag.frame.tol))
-    # postcondition: A(i e_j) lands in L
-    n = lag.space.n
-    for j in range(n):
-        img = 1j * a[:, j]
-        col = Matrix.from_numpy(np.concatenate([img.real, img.imag]).reshape(-1, 1),
-                                lag.frame.tol)
-        if not _span_contains(lag.frame.to_approx(), col):
-            raise ValueError("unitary representative failed the span check")
-    return rep
-
-
 def det_squared(lag: LagrangianFrame) -> complex:
     """Coset-invariant squared determinant; e^{2 i theta} on L(theta)."""
     zu = _polar_unitary(lag)
@@ -354,10 +321,6 @@ def loop_degree(path: Sequence[LagrangianFrame | Matrix],
 
 
 # -- seeded random generators ----------------------------------------------
-
-
-def _rand_fraction(rng: Random, lo: int = -4, hi: int = 4, den: int = 3) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
 def random_symplectic(space: SymplecticSpace, rng: Random,

@@ -3,32 +3,29 @@ pass/fail line each (run with -s to see the lines).
 
 Each criterion states its own sample counts, tolerances, and, where
 bounded, wall-clock limits; randomized criteria use process-independent
-string seeds so reruns are identical.
+string seeds so reruns are identical.  Criteria that share a workload with
+a selftest suite run that suite on their own seed and counts.
 """
 
 import math
 import time
-from fractions import Fraction
-from math import comb
 from random import Random
 
 from symgeo.bordism import weak_bordism_group
-from symgeo.jets import (JetSignature, lagrangian_pde_dims, lambda_basis,
-                         lambda_dim, legendrian_pde_dims, max_isotropic,
-                         metasymplectic_eval, spencer_sequence_audit)
-from symgeo.jets.metasymplectic import meta_orthogonal_frame, model_dim
+from symgeo.jets import (JetSignature, lagrangian_pde_dims, lambda_dim,
+                         legendrian_pde_dims)
 from symgeo.jsonio import dumps
-from symgeo.linalg import Matrix, rank, spans_equal
-from symgeo.maslov import (LerayLift, arnold_triple_lines, kashiwara_index,
-                           leray_cyclic_sum, wall_invariant)
-from symgeo.metaplectic import Mp1Context, mp1_mul, random_mp1
+from symgeo.maslov import kashiwara_index
 from symgeo.scan import SampledImmersion, check_lagrangian, corank_profile, \
     loop_maslov
-from symgeo.selftest import run_selftest
-from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
-                               intersect_frames, lagrangian_from_angles,
-                               line_lagrangian, loop_degree,
-                               random_lagrangian, random_symplectic)
+from symgeo.selftest import (_suite_arnold_kashiwara,
+                             _suite_kashiwara_cocycle, _suite_leray_sum,
+                             _suite_loop_degree, _suite_max_isotropic,
+                             _suite_mp1_associativity, _suite_orthogonal_laws,
+                             _suite_spencer_exact,
+                             _suite_transvection_invariance,
+                             _suite_wall_kashiwara, run_selftest)
+from symgeo.symplectic import SymplecticSpace, lagrangian_from_angles
 
 
 def _report(num, name, ok, note=""):
@@ -42,17 +39,11 @@ def _rng(num):
     return Random(f"acceptance:{num}")
 
 
-def _rand_dir(rng):
-    while True:
-        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-        if p or q:
-            return Fraction(p), Fraction(q)
-
-
-def _vertical_base(sp):
-    cols = [[Fraction(1) if r == sp.n + c else Fraction(0)
-             for c in range(sp.n)] for r in range(2 * sp.n)]
-    return LagrangianFrame(sp, Matrix.exact(cols))
+def _timed_suite(num, suite, **params):
+    """Run one selftest suite on criterion ``num``'s generator."""
+    start = time.monotonic()
+    out = suite(_rng(num), **params)
+    return out, time.monotonic() - start
 
 
 def test_criterion_01_triple_index_anchor():
@@ -69,120 +60,49 @@ def test_criterion_01_triple_index_anchor():
 
 
 def test_criterion_02_cocycle_identity():
-    start = time.monotonic()
-    rng = _rng(2)
-    per_dim = 350
-    checked = 0
-    worst = 0
-    for n in (1, 2, 3):
-        sp = SymplecticSpace.standard(n)
-        for _ in range(per_dim):
-            ls = [random_lagrangian(sp, rng) for _ in range(4)]
-            s = (int(kashiwara_index(ls[1:]))
-                 - int(kashiwara_index([ls[0], ls[2], ls[3]]))
-                 + int(kashiwara_index([ls[0], ls[1], ls[3]]))
-                 - int(kashiwara_index(ls[:3])))
-            worst = max(worst, abs(s))
-            checked += 1
-    elapsed = time.monotonic() - start
-    ok = checked >= 1000 and worst == 0 and elapsed < 60.0
+    out, elapsed = _timed_suite(2, _suite_kashiwara_cocycle, per_dim=350)
+    ok = out["passed"] and out["cases"] >= 1000 and elapsed < 60.0
     _report(2, "cocycle identity", ok,
-            f"{checked} quadruples, max defect {worst}, {elapsed:.1f}s")
+            f"{out['cases']} quadruples, {out['detail']}, {elapsed:.1f}s")
 
 
 def test_criterion_03_wall_equals_kashiwara():
-    start = time.monotonic()
-    rng = _rng(3)
-    per_dim = 170
-    checked = 0
-    agree = True
-    for n in (1, 2, 3):
-        sp = SymplecticSpace.standard(n)
-        for _ in range(per_dim):
-            l1, l2, l3 = (random_lagrangian(sp, rng) for _ in range(3))
-            agree = agree and \
-                int(wall_invariant(l1, l2, l3)) == int(kashiwara_index([l1, l2, l3]))
-            checked += 1
-    elapsed = time.monotonic() - start
-    ok = checked >= 500 and agree and elapsed < 60.0
-    _report(3, "wall equals kashiwara", ok, f"{checked} triples, {elapsed:.1f}s")
+    out, elapsed = _timed_suite(3, _suite_wall_kashiwara, per_dim=170)
+    ok = out["passed"] and out["cases"] >= 500 and elapsed < 60.0
+    _report(3, "wall equals kashiwara", ok,
+            f"{out['cases']} triples, {out['detail']}, {elapsed:.1f}s")
 
 
 def test_criterion_04_arnold_equals_kashiwara():
-    start = time.monotonic()
-    rng = _rng(4)
-    sp = SymplecticSpace.standard(1)
-    agree = True
-    for _ in range(100):
-        ds = [_rand_dir(rng) for _ in range(3)]
-        a = arnold_triple_lines(*ds)
-        t = int(kashiwara_index([line_lagrangian(sp, d) for d in ds]))
-        agree = agree and a == t
-    elapsed = time.monotonic() - start
-    ok = agree and elapsed < 10.0
-    _report(4, "arnold equals kashiwara", ok, f"100 triples, {elapsed:.1f}s")
+    out, elapsed = _timed_suite(4, _suite_arnold_kashiwara, total=100)
+    ok = out["passed"] and elapsed < 10.0
+    _report(4, "arnold equals kashiwara", ok,
+            f"{out['cases']} triples, {elapsed:.1f}s")
 
 
 def test_criterion_05_symplectic_invariance():
-    rng = _rng(5)
-    moved_ok = True
-    moves = 0
-    for n in (1, 2, 3):
-        sp = SymplecticSpace.standard(n)
-        for _ in range(2):
-            ls = [random_lagrangian(sp, rng) for _ in range(rng.randint(3, 5))]
-            t0 = int(kashiwara_index(ls))
-            for _ in range(100):
-                g = random_symplectic(sp, rng)
-                t1 = int(kashiwara_index(
-                    [LagrangianFrame(sp, g @ l.frame) for l in ls]))
-                moved_ok = moved_ok and t1 == t0
-                moves += 1
-    _report(5, "index invariance under transvection products", moved_ok,
-            f"{moves} transformed tuples")
+    out, _ = _timed_suite(5, _suite_transvection_invariance, tuples=2,
+                          moves=100, dims=(1, 2, 3))
+    _report(5, "index invariance under transvection products", out["passed"],
+            f"{out['cases']} transformed tuples")
 
 
 def test_criterion_06_leray_lift_sums():
-    rng = _rng(6)
-    sp = SymplecticSpace.standard(1)
-    agree = True
-    for _ in range(10_000):
-        r = rng.randint(3, 6)
-        lifts = [LerayLift.from_direction(*_rand_dir(rng), rng.randint(-2, 2))
-                 for _ in range(r)]
-        agree = agree and \
-            leray_cyclic_sum(lifts) == int(kashiwara_index(
-                [lf.line(sp) for lf in lifts]))
-    _report(6, "leray lift sums", agree, "10000 lift tuples, r up to 6")
+    out, _ = _timed_suite(6, _suite_leray_sum, total=10_000)
+    _report(6, "leray lift sums", out["passed"],
+            f"{out['cases']} lift tuples, r up to 6")
 
 
 def test_criterion_07_mp1_associativity():
-    rng = _rng(7)
-    checked = 0
-    laws = True
-    for n in (1, 2):
-        sp = SymplecticSpace.standard(n)
-        ctx = Mp1Context(sp, _vertical_base(sp))
-        for _ in range(250):
-            a, b, c = (random_mp1(ctx, rng) for _ in range(3))
-            lhs = mp1_mul(mp1_mul(a, b), c)
-            rhs = mp1_mul(a, mp1_mul(b, c))
-            laws = laws and int(lhs.w) == int(rhs.w) and (lhs.g - rhs.g).is_zero()
-            checked += 1
-    ok = checked >= 500 and laws
-    _report(7, "metaplectic associativity", ok, f"{checked} triples")
+    out, _ = _timed_suite(7, _suite_mp1_associativity, per_ctx=250)
+    ok = out["passed"] and out["cases"] >= 500
+    _report(7, "metaplectic associativity", ok,
+            f"{out['cases']} triples, {out['detail']}")
 
 
 def test_criterion_08_loop_degree():
-    sp = SymplecticSpace.standard(1)
-    m = 64
-    single = [lagrangian_from_angles(sp, [(math.pi * i / m) % math.pi])
-              for i in range(m + 1)]
-    double = [lagrangian_from_angles(sp, [(2 * math.pi * i / m) % math.pi])
-              for i in range(m + 1)]
-    d1, d2 = loop_degree(single), loop_degree(double)
-    ok = d1 == 1 and d2 == 2
-    _report(8, "loop degree", ok, f"degrees {d1} and {d2}")
+    out, _ = _timed_suite(8, _suite_loop_degree)
+    _report(8, "loop degree", out["passed"], out["detail"])
 
 
 def test_criterion_09_lagrangian_pde_dims():
@@ -217,73 +137,26 @@ def test_criterion_10_legendrian_pde_dims():
 
 
 def test_criterion_11_max_isotropic_planes():
-    rng = _rng(11)
-    planes = 0
-    ok = True
-    for n in range(1, 5):
-        for m in (1, 2):
-            for k in (1, 2, 3):
-                sig = JetSignature(n, m, k)
-                lams = lambda_basis(sig)
-                for p in range(n + 1):
-                    xi = _full_rank(rng, n, p) if p else Matrix.zeros(n, 0)
-                    plane = max_isotropic(sig, xi)
-                    ok = ok and plane.dim == m * comb(p + k - 1, k) + n - p
-                    vecs = plane.vectors()
-                    for lam in lams:
-                        for i, v in enumerate(vecs):
-                            for w in vecs[i:]:
-                                ok = ok and metasymplectic_eval(lam, v, w) == 0
-                    planes += 1
-    _report(11, "maximal isotropic planes", ok,
-            f"{planes} planes, isotropy under every slot")
-
-
-def _full_rank(rng, rows, cols):
-    while True:
-        m = Matrix.exact([[Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-                          for _ in range(rows)])
-        if rank(m) == min(rows, cols):
-            return m
+    sigs = [(n, m, k) for n in range(1, 5) for m in (1, 2) for k in (1, 2, 3)]
+    out, _ = _timed_suite(11, _suite_max_isotropic, sigs=sigs)
+    _report(11, "maximal isotropic planes", out["passed"],
+            f"{out['cases']} planes, isotropy under every slot")
 
 
 def test_criterion_12_orthogonal_duality_laws():
-    rng = _rng(12)
-    pairs = 0
-    ok = True
-    for s in ((2, 1, 1), (3, 1, 1), (1, 1, 2), (1, 1, 3)):
-        sig = JetSignature(*s)
-        assert lambda_dim(sig) == 1
-        dim = model_dim(sig)
-        for _ in range(25):
-            p1 = _full_rank(rng, dim, rng.randint(1, dim - 1))
-            p2 = _full_rank(rng, dim, rng.randint(1, dim - 1))
-            o1 = meta_orthogonal_frame(sig, p1)
-            o2 = meta_orthogonal_frame(sig, p2)
-            law_a = spans_equal(meta_orthogonal_frame(sig, o1), p1)
-            law_b = spans_equal(intersect_frames(o1, o2),
-                                meta_orthogonal_frame(sig, Matrix.hstack(p1, p2)))
-            law_c = spans_equal(
-                meta_orthogonal_frame(sig, intersect_frames(p1, p2)),
-                Matrix.hstack(o1, o2))
-            ok = ok and law_a and law_b and law_c
-            pairs += 1
-    _report(12, "orthogonal duality laws", ok, f"{pairs} subspace pairs")
+    sigs = [(2, 1, 1), (3, 1, 1), (1, 1, 2), (1, 1, 3)]
+    assert all(lambda_dim(JetSignature(*s)) == 1 for s in sigs)
+    out, _ = _timed_suite(12, _suite_orthogonal_laws, sigs=sigs, pairs=25)
+    _report(12, "orthogonal duality laws", out["passed"],
+            f"{out['cases']} subspace pairs")
 
 
 def test_criterion_13_spencer_exactness():
-    start = time.monotonic()
-    audited = 0
-    ok = True
-    for n in (1, 2, 3):
-        for m in (1, 2):
-            for k in (1, 2, 3):
-                ok = ok and spencer_sequence_audit(JetSignature(n, m, k))["exact"]
-                audited += 1
-    elapsed = time.monotonic() - start
-    ok = ok and elapsed < 120.0
+    sigs = [(n, m, k) for n in (1, 2, 3) for m in (1, 2) for k in (1, 2, 3)]
+    out, elapsed = _timed_suite(13, _suite_spencer_exact, sigs=sigs)
+    ok = out["passed"] and elapsed < 120.0
     _report(13, "spencer exactness", ok,
-            f"{audited} signatures, {elapsed:.1f}s")
+            f"{out['cases']} signatures, {elapsed:.1f}s")
 
 
 def test_criterion_14_contractible_bordism_ranks():
@@ -326,8 +199,8 @@ def test_criterion_15_circle_scan():
             f"degree {deg}, two corank-1 loci, graph regular")
 
 
-def test_criterion_16_selftest_determinism():
-    a = run_selftest(seed=0, quick=False)
+def test_criterion_16_selftest_determinism(full_selftest_seed0):
+    a = full_selftest_seed0
     b = run_selftest(seed=0, quick=False)
     identical = dumps(a).encode() == dumps(b).encode()
     ok = identical and a["all_passed"]

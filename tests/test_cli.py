@@ -118,6 +118,14 @@ def test_leray_lifts(capsys):
     assert len(out["m_values"]) == 3
 
 
+@pytest.mark.parametrize("lifts", ["1e400,1,2", "nan,1,2"])
+def test_leray_rejects_non_finite_lifts(capsys, lifts):
+    code = main(["maslov", "leray", "--lifts", lifts])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: angle {lifts.split(',')[0]!r} is not finite\n"
+
+
 # -- mp1 ----------------------------------------------------------------------------
 
 

@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import Matrix
 from symgeo.maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
                            kashiwara_space, leray_cyclic_sum, leray_m,
@@ -14,13 +13,7 @@ from symgeo.maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                lagrangian_from_angles, line_lagrangian,
                                random_lagrangian, random_symplectic)
-
-
-def _rand_dir(rng):
-    while True:
-        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-        if p or q:
-            return F(p), F(q)
+from symgeo.selftest import _rand_line_dir
 
 
 def test_triple_anchor_exact_directions():
@@ -122,7 +115,7 @@ def test_arnold_triple_lines_properties():
     assert arnold_triple_lines((1, 0), (1, 1), (0, 1)) == 1
     assert arnold_triple_lines((1, 2), (-2, -4), (0, 1)) == 0
     for _ in range(60):
-        ds = [_rand_dir(rng) for _ in range(3)]
+        ds = [_rand_line_dir(rng) for _ in range(3)]
         a = arnold_triple_lines(*ds)
         assert arnold_triple_lines(ds[1], ds[0], ds[2]) == -a
         assert arnold_triple_lines(ds[1], ds[2], ds[0]) == a
@@ -146,8 +139,8 @@ def test_arnold_float_agrees_on_separated_angles():
 def test_leray_m_antisymmetric():
     rng = Random(8)
     for _ in range(40):
-        l1 = LerayLift.from_direction(*_rand_dir(rng), rng.randint(-2, 2))
-        l2 = LerayLift.from_direction(*_rand_dir(rng), rng.randint(-2, 2))
+        l1 = LerayLift.from_direction(*_rand_line_dir(rng), rng.randint(-2, 2))
+        l2 = LerayLift.from_direction(*_rand_line_dir(rng), rng.randint(-2, 2))
         assert leray_m(l1, l2) + leray_m(l2, l1) == 0
 
 
@@ -165,7 +158,7 @@ def test_leray_sum_matches_index():
     sp = SymplecticSpace.standard(1)
     for _ in range(60):
         r = rng.randint(3, 6)
-        lifts = [LerayLift.from_direction(*_rand_dir(rng), rng.randint(-2, 2))
+        lifts = [LerayLift.from_direction(*_rand_line_dir(rng), rng.randint(-2, 2))
                  for _ in range(r)]
         assert leray_cyclic_sum(lifts) == \
             int(kashiwara_index([lf.line(sp) for lf in lifts]))

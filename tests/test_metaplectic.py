@@ -1,6 +1,5 @@
 """Metaplectic extension Mp1: group laws, center, and the index-two subgroup."""
 
-from fractions import Fraction as F
 from random import Random
 
 import pytest
@@ -10,18 +9,7 @@ from symgeo.maslov import LerayLift
 from symgeo.metaplectic import (Mp1Context, Mp1Element, is_symplectic,
                                 mp1_central_check, mp1_identity, mp1_inverse,
                                 mp1_mul, mp2_member, random_mp1)
-from symgeo.symplectic import LagrangianFrame, SymplecticSpace
-
-
-def _vertical(sp):
-    cols = [[F(1) if r == sp.n + c else F(0) for c in range(sp.n)]
-            for r in range(2 * sp.n)]
-    return LagrangianFrame(sp, Matrix.exact(cols))
-
-
-def _ctx(n):
-    sp = SymplecticSpace.standard(n)
-    return Mp1Context(sp, _vertical(sp))
+from symgeo.symplectic import SymplecticSpace
 
 
 def _eq(a, b):
@@ -29,7 +17,7 @@ def _eq(a, b):
 
 
 def test_element_rejects_non_symplectic():
-    ctx = _ctx(1)
+    ctx = Mp1Context.standard(1)
     with pytest.raises(ValueError):
         Mp1Element.of(ctx, 0, Matrix.exact([[1, 1], [1, 1]]))
 
@@ -43,7 +31,7 @@ def test_is_symplectic_guard():
 def test_identity_and_inverse():
     rng = Random(0)
     for n in (1, 2):
-        ctx = _ctx(n)
+        ctx = Mp1Context.standard(n)
         e = mp1_identity(ctx)
         for _ in range(10):
             a = random_mp1(ctx, rng)
@@ -56,7 +44,7 @@ def test_identity_and_inverse():
 def test_associativity_seeded():
     rng = Random(1)
     for n in (1, 2):
-        ctx = _ctx(n)
+        ctx = Mp1Context.standard(n)
         for _ in range(25):
             a, b, c = (random_mp1(ctx, rng) for _ in range(3))
             assert _eq(mp1_mul(mp1_mul(a, b), c), mp1_mul(a, mp1_mul(b, c)))
@@ -64,7 +52,7 @@ def test_associativity_seeded():
 
 def test_projection_is_homomorphism():
     rng = Random(2)
-    ctx = _ctx(2)
+    ctx = Mp1Context.standard(2)
     for _ in range(15):
         a, b = random_mp1(ctx, rng), random_mp1(ctx, rng)
         assert ((mp1_mul(a, b).g) - (a.g @ b.g)).is_zero()
@@ -72,14 +60,14 @@ def test_projection_is_homomorphism():
 
 def test_center_contains_witt_summands():
     rng = Random(3)
-    ctx = _ctx(1)
+    ctx = Mp1Context.standard(1)
     others = [random_mp1(ctx, rng) for _ in range(8)]
     for w in (-2, 0, 1, 3):
         assert mp1_central_check(ctx, w, others)
 
 
 def test_mp2_membership_by_witt_square():
-    ctx = _ctx(1)
+    ctx = Mp1Context.standard(1)
     lift = LerayLift.from_direction(1, 0, 0)
     for w, want in ((0, True), (1, False), (2, False), (4, True), (-4, True)):
         el = Mp1Element.of(ctx, w, Matrix.identity(2))
@@ -87,7 +75,7 @@ def test_mp2_membership_by_witt_square():
 
 
 def test_mp2_membership_lift_shift_invariant():
-    ctx = _ctx(1)
+    ctx = Mp1Context.standard(1)
     el = Mp1Element.of(ctx, 0, Matrix.identity(2))
     base = LerayLift.from_direction(1, 0, 0)
     shifted = LerayLift.from_direction(1, 0, 2)   # same line, +2 pi
@@ -95,7 +83,7 @@ def test_mp2_membership_lift_shift_invariant():
 
 
 def test_mp2_rejects_higher_rank():
-    ctx = _ctx(2)
+    ctx = Mp1Context.standard(2)
     el = mp1_identity(ctx)
     lift = LerayLift.from_direction(1, 0, 0)
     with pytest.raises(ValueError):
