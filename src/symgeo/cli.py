@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from random import Random
 
 from .bordism import g_singular_bordism, split_check, weak_bordism_group
@@ -400,6 +400,13 @@ def _cmd_scan_loop_maslov(args) -> int:
     return _scan_batch(args, lambda s: {"degree": loop_maslov(s, space, tol=tol)})
 
 
+def _chi_coeff(text: str) -> float:
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad --chi-coeffs entry {text!r}") from exc
+
+
 def _cmd_scan_legendrian(args) -> int:
     tol = _scan_tol(args)
 
@@ -410,7 +417,7 @@ def _cmd_scan_legendrian(args) -> int:
         n = (s.ambient_dim - 1) // 2
         coeffs = None
         if args.chi_coeffs:
-            coeffs = tuple(float(Fraction(x)) for x in args.chi_coeffs.split(","))
+            coeffs = tuple(_chi_coeff(x) for x in args.chi_coeffs.split(","))
         chi = ChiSpec(n=n, scale=args.chi_scale, y_coeffs=coeffs)
         report = check_legendrian(s, chi=chi, tol=tol)
         if args.reeb:
@@ -644,10 +651,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_positive_flags(args) -> None:
+    for flag in ("tol", "chi_scale"):
+        value = getattr(args, flag, None)
+        if value is not None and not (isfinite(value) and value > 0):
+            raise ValidationError(f"--{flag.replace('_', '-')} must be finite "
+                                  f"and positive, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive_flags(args)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

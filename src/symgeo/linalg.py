@@ -2,8 +2,9 @@
 
 Two scalar modes exist and are never mixed silently:
 
-* ``exact``  -- entries are :class:`fractions.Fraction`; rank, kernel and
-  signature come from rational Gaussian elimination and are exact.
+* ``exact``  -- entries are :class:`fractions.Fraction`; rank and kernel
+  come from rational Gaussian elimination, the signature from fraction-free
+  integer elimination after clearing denominators; all are exact.
 * ``approx`` -- entries are floats governed by a per-matrix tolerance;
   rank uses singular values, signature uses symmetric eigenvalues.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -324,55 +326,71 @@ class SymmetricForm:
     gram: Matrix
 
 
-def _sym_signature_exact(g: Matrix) -> Signature:
-    # symmetric congruence diagonalization; pivot = largest-|.| diagonal entry,
-    # hyperbolic 2x2 split (contributing (1,0,1)) when the diagonal dies first
-    b = {(i, j): g.entries[i][j] for i in range(g.rows) for j in range(g.cols)}
-    live = list(range(g.rows))
-    pos = neg = zero = 0
-    while live:
-        d_idx = max(live, key=lambda i: abs(b[(i, i)]))
-        d = b[(d_idx, d_idx)]
-        if d != 0:
-            if d > 0:
+def integer_signature(rows: Sequence[Sequence[int]]) -> Signature:
+    """Signature of a symmetric integer matrix by fraction-free elimination.
+
+    Each step splits off a diagonal pivot d (updating the rest to
+    d*B - b b^T) or, once the diagonal is zero, a hyperbolic 2x2 pivot with
+    off-diagonal h (contributing (1, 0, 1); rest h*B - b_i b_j^T - b_j b_i^T),
+    then divides out the content.  The multiplier scales the remaining form,
+    so ``flip`` tracks its sign.  Each remaining matrix is then, up to sign,
+    the matrix of minors bordering the eliminated block divided by its
+    content, so entries stay within Hadamard's bound as in Bareiss
+    elimination.
+    """
+    a = [list(r) for r in rows]
+    pos = neg = 0
+    flip = 1
+    while a:
+        m = len(a)
+        diag = [k for k in range(m) if a[k][k]]
+        if diag:
+            p = min(diag, key=lambda k: abs(a[k][k]))
+            d = a[p][p]
+            if d * flip > 0:
                 pos += 1
             else:
                 neg += 1
-            live.remove(d_idx)
-            coef = {k: b[(k, d_idx)] / d for k in live}
-            for k in live:
-                for l in live:
-                    if l < k:
-                        continue
-                    val = b[(k, l)] - coef[k] * b[(l, d_idx)]
-                    b[(k, l)] = val
-                    b[(l, k)] = val
-            continue
-        off = None
-        for i in live:
-            for j in live:
-                if i < j and b[(i, j)] != 0:
-                    off = (i, j)
-                    break
-            if off:
-                break
-        if off is None:
-            zero += len(live)
-            break
-        i, j = off
-        h = b[(i, j)]
-        pos += 1
-        neg += 1
-        live.remove(i)
-        live.remove(j)
-        for k in live:
-            for l in live:
-                if l < k:
-                    continue
-                val = b[(k, l)] - (b[(k, i)] * b[(l, j)] + b[(k, j)] * b[(l, i)]) / h
-                b[(k, l)] = val
-                b[(l, k)] = val
-    return Signature(pos, zero, neg)
+            rest = [k for k in range(m) if k != p]
+            b = [a[k][p] for k in rest]
+            a = [[d * a[k][l] - bk * bl for l, bl in zip(rest, b)]
+                 for k, bk in zip(rest, b)]
+            if d < 0:
+                flip = -flip
+        else:
+            hit = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                        if a[i][j]), None)
+            if hit is None:
+                return Signature(pos, m, neg)
+            i, j = hit
+            h = a[i][j]
+            pos += 1
+            neg += 1
+            rest = [k for k in range(m) if k != i and k != j]
+            bi = [a[k][i] for k in rest]
+            bj = [a[k][j] for k in rest]
+            a = [[h * a[k][l] - bik * bjl - bjk * bil
+                  for l, bil, bjl in zip(rest, bi, bj)]
+                 for k, bik, bjk in zip(rest, bi, bj)]
+            if h < 0:
+                flip = -flip
+        content = gcd(*(x for row in a for x in row))
+        if content == 0:
+            return Signature(pos, len(a), neg)
+        if content > 1:
+            a = [[x // content for x in row] for row in a]
+    return Signature(pos, 0, neg)
+
+
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """The rational rows times the lcm of their denominators, as integers."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def _sym_signature_exact(g: Matrix) -> Signature:
+    # scaling by one positive number is a congruence
+    return integer_signature(clear_denominators(g.entries))
 
 
 def sym_signature(form: SymmetricForm | Matrix) -> Signature:

@@ -1,10 +1,19 @@
 """Indices of Lagrangian tuples.
 
-Four routes to the same circle of invariants:
+Routes to the same circle of invariants:
 
-* ``kashiwara_index`` -- Witt class of the canonical quadratic form on
-  T = ker(sum) / im(boundary) built from consecutive intersections of the
-  tuple; works in any dimension, any mode, exact over Q.
+* ``kashiwara_index`` -- signature of the symmetric form
+  q(x, y) = sum over i > j of omega(x_i, y_j), symmetrized, on the direct
+  sum L_1 + ... + L_r (Lion-Vergne; Cappell-Lee-Miller).  Its Gram matrix
+  has blocks F_i^T Omega F_j below the diagonal, their transposes above and
+  zeros on it, so no kernel or quotient is formed.  Exact mode scales each
+  frame column to a primitive integer vector and a rational Omega by the
+  lcm of its denominators (positive congruences) and takes a fraction-free
+  integer signature; approx mode orthonormalizes each frame by QR first.
+* ``kashiwara_space`` -- the same form on the quotient
+  T = ker(sum) / im(boundary), built from consecutive intersections of the
+  tuple; it has the same signature.  The CLI reports its dimension and
+  signature, and the tests use it as the oracle for ``kashiwara_index``.
 * ``arnold_index_*``  -- closed angle formulas on the Lagrangian
   Grassmannian, tau(L(theta)) = 1 - 2 theta / pi off the cycle.
 * ``wall_invariant``  -- signature of the symmetrized kernel form
@@ -23,8 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (EXACT, Matrix, Signature, SymmetricForm, kernel_basis,
-                     rank, sym_signature)
+import numpy as np
+
+from .linalg import (EXACT, Matrix, Signature, SymmetricForm,
+                     clear_denominators, integer_signature, kernel_basis, rank,
+                     sym_signature)
 from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
                          eigen_angles, line_lagrangian)
 from .witt import WittReal, witt_of_signature
@@ -115,10 +127,12 @@ def _kashiwara_reps(tup: LagrangianTuple) -> tuple[Matrix, Matrix]:
     return reps, bnd
 
 
-def _pair_blocks(tup: LagrangianTuple) -> list[list[Matrix]]:
+def _lower_blocks(tup: LagrangianTuple) -> list[list[Matrix]]:
+    """blocks[i][j] = F_i^T Omega F_j for j < i, the blocks q reads."""
     frames = [m.frame for m in tup.members]
     omega = tup.space.omega_as(frames[0].mode)
-    return [[f.T @ omega @ g for g in frames] for f in frames]
+    return [[f.T @ omega @ frames[j] for j in range(i)]
+            for i, f in enumerate(frames)]
 
 
 def _chunk(col: tuple, r: int, n: int) -> list[tuple]:
@@ -133,7 +147,7 @@ def kashiwara_space(tup: LagrangianTuple) -> QuadraticSpace:
     """
     r, n = len(tup), tup.space.n
     reps, _ = _kashiwara_reps(tup)
-    blocks = _pair_blocks(tup)
+    blocks = _lower_blocks(tup)
     dim = reps.cols
     cols = [_chunk(reps.col(c), r, n) for c in range(dim)]
     mode = reps.mode
@@ -160,11 +174,52 @@ def kashiwara_space(tup: LagrangianTuple) -> QuadraticSpace:
     return QuadraticSpace(dim, SymmetricForm(dim, g))
 
 
+def _primitive_column(col: Sequence[Fraction]) -> list[int]:
+    ints = clear_denominators([col])[0]
+    content = math.gcd(*ints)
+    return [x // content for x in ints]
+
+
+def _direct_sum_gram_exact(tup: LagrangianTuple) -> list[list[int]]:
+    """Integer Gram of q on the direct sum, after positive column scalings."""
+    omega = clear_denominators(tup.space.omega.entries)
+    cols = [_primitive_column(m.frame.col(c))
+            for m in tup.members for c in range(m.frame.cols)]
+    images = [[sum(o * v for o, v in zip(orow, col)) for orow in omega]
+              for col in cols]
+    n = tup.space.n
+    size = len(cols)
+    gram = [[0] * size for _ in range(size)]
+    for x in range(size):
+        for y in range(x - x % n):
+            val = sum(a * b for a, b in zip(cols[x], images[y]))
+            gram[x][y] = gram[y][x] = val
+    return gram
+
+
+def _direct_sum_gram_approx(tup: LagrangianTuple) -> Matrix:
+    """Float Gram of q on the direct sum of QR-orthonormalized frames."""
+    omega = tup.space.omega.to_numpy()
+    qs = [np.linalg.qr(m.frame.to_numpy())[0] for m in tup.members]
+    n = tup.space.n
+    gram = np.zeros((len(qs) * n, len(qs) * n))
+    for i, qi in enumerate(qs):
+        for j in range(i):
+            blk = qi.T @ omega @ qs[j]
+            gram[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
+            gram[j * n:(j + 1) * n, i * n:(i + 1) * n] = blk.T
+    return Matrix.from_numpy(gram, max(m.frame.tol for m in tup.members))
+
+
 def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> WittReal:
     """Witt class (signature) of the canonical form of the tuple."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
-    return witt_of_signature(kashiwara_space(tup).signature())
+    if tup.members[0].frame.mode == EXACT:
+        sig = integer_signature(_direct_sum_gram_exact(tup))
+    else:
+        sig = sym_signature(_direct_sum_gram_approx(tup))
+    return witt_of_signature(sig)
 
 
 def tuple_reduce(tup: LagrangianTuple) -> WittReal:

@@ -325,9 +325,13 @@ def loop_degree(path: Sequence[LagrangianFrame | Matrix],
 
 def random_symplectic(space: SymplecticSpace, rng: Random,
                       transvections: int = 6) -> Matrix:
-    """Product of random symplectic transvections v -> v + c omega(v, u) u."""
+    """Product of random symplectic transvections v -> v + c omega(v, u) u.
+
+    Each factor is I + c u (Omega u)^T, so the product is updated in place
+    as g <- g + c (g u)(Omega u)^T.
+    """
     dim = space.dim
-    g = Matrix.identity(dim)
+    g = [list(row) for row in Matrix.identity(dim).entries]
     omega = space.omega
     made = 0
     while made < transvections:
@@ -338,13 +342,11 @@ def random_symplectic(space: SymplecticSpace, rng: Random,
         if c == 0:
             continue
         wu = [sum(orow[j] * u[j] for j in range(dim)) for orow in omega.entries]
-        t = Matrix(dim, dim,
-                   tuple(tuple((Fraction(1) if a == b else Fraction(0)) +
-                               c * u[a] * wu[b] for b in range(dim))
-                         for a in range(dim)), EXACT)
-        g = g @ t
+        for row in g:
+            cgu = c * sum(x * y for x, y in zip(row, u))
+            row[:] = [x + cgu * w for x, w in zip(row, wu)]
         made += 1
-    return g
+    return Matrix(dim, dim, tuple(tuple(row) for row in g), EXACT)
 
 
 def random_lagrangian(space: SymplecticSpace, rng: Random,

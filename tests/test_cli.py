@@ -219,6 +219,41 @@ def test_scan_legendrian_csv(capsys, tmp_path):
     assert out["reeb"][0] == [0.0, 0.0, 1.0]
 
 
+def _legendrian_file(tmp_path):
+    return _write(tmp_path, "leg.csv",
+                  "p1,a1,a2,a3\n0,0,0,0\n0.5,0.5,1,0.25\n1,1,2,1")
+
+
+@pytest.mark.parametrize("coeffs", ["1/0", "x"])
+def test_scan_legendrian_rejects_bad_chi_coeffs(capsys, tmp_path, coeffs):
+    code = main(["scan", "legendrian", "--samples", _legendrian_file(tmp_path),
+                 "--chi-coeffs", coeffs])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad --chi-coeffs entry {coeffs!r}\n"
+
+
+@pytest.mark.parametrize("flag,value,shown", [
+    ("--tol", "nan", "nan"), ("--tol", "inf", "inf"), ("--tol", "0", "0.0"),
+    ("--tol", "-1", "-1.0"), ("--chi-scale", "nan", "nan"),
+    ("--chi-scale", "1e400", "inf"), ("--chi-scale", "0", "0.0"),
+])
+def test_scan_rejects_bad_tolerance_flags(capsys, tmp_path, flag, value, shown):
+    code = main(["scan", "legendrian", "--samples", _legendrian_file(tmp_path),
+                 flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} must be finite and positive, got {shown}\n"
+
+
+def test_scan_lagrangian_rejects_nan_tol(capsys, tmp_path):
+    code = main(["scan", "lagrangian", "--space", "std:1",
+                 "--samples", _circle_file(tmp_path), "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --tol must be finite and positive, got nan\n"
+
+
 def test_scan_legendrian_rejects_even_ambient(capsys, tmp_path):
     circle = _circle_file(tmp_path)
     code, _ = run(capsys, "scan", "legendrian", "--samples", circle)

@@ -6,8 +6,9 @@ from random import Random
 import pytest
 
 from symgeo.linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
-                           SymmetricForm, inverse, kernel_basis, rank, rref,
-                           span_contains, spans_equal, sym_signature)
+                           SymmetricForm, integer_signature, inverse,
+                           kernel_basis, rank, rref, span_contains, spans_equal,
+                           sym_signature)
 
 
 def _rand_exact(rng, r, c, lo=-5, hi=5):
@@ -108,3 +109,77 @@ def test_sym_signature_congruence_invariance():
 
 def test_signature_dim():
     assert Signature(2, 1, 3).dim == 6
+
+
+def _fraction_signature(g):
+    """Reference: symmetric congruence over Fractions (largest-|.| diagonal
+    pivot, hyperbolic 2x2 split once the diagonal dies)."""
+    b = {(i, j): g.entries[i][j] for i in range(g.rows) for j in range(g.cols)}
+    live = list(range(g.rows))
+    pos = neg = zero = 0
+    while live:
+        d_idx = max(live, key=lambda i: abs(b[(i, i)]))
+        d = b[(d_idx, d_idx)]
+        if d != 0:
+            pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+            live.remove(d_idx)
+            coef = {k: b[(k, d_idx)] / d for k in live}
+            for k in live:
+                for l in live:
+                    b[(k, l)] = b[(k, l)] - coef[k] * b[(l, d_idx)]
+            continue
+        off = next(((i, j) for i in live for j in live
+                    if i < j and b[(i, j)] != 0), None)
+        if off is None:
+            zero += len(live)
+            break
+        i, j = off
+        h = b[(i, j)]
+        pos += 1
+        neg += 1
+        live.remove(i)
+        live.remove(j)
+        new = {(k, l): b[(k, l)] - (b[(k, i)] * b[(l, j)] + b[(k, j)] * b[(l, i)]) / h
+               for k in live for l in live}
+        b.update(new)
+    return Signature(pos, zero, neg)
+
+
+def _rand_rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _singular_symmetric(rng, size):
+    # A^T D A with A of fewer rows than columns, D a random diagonal
+    k = rng.randint(1, size - 1)
+    a = Matrix.exact([[_rand_rational(rng) for _ in range(size)] for _ in range(k)])
+    d = Matrix.diagonal([rng.choice((-2, -1, 1, F(1, 3))) for _ in range(k)])
+    return a.T @ d @ a
+
+
+def _zero_diagonal_symmetric(rng, size):
+    rows = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = rows[j][i] = _rand_rational(rng) if rng.random() < 0.7 else F(0)
+    return Matrix.exact(rows)
+
+
+def test_fraction_free_signature_matches_fraction_elimination():
+    rng = Random(4)
+    for make in (_singular_symmetric, _zero_diagonal_symmetric):
+        for _ in range(60):
+            g = make(rng, rng.randint(2, 9))
+            want = _fraction_signature(g)
+            assert sym_signature(g) == want
+            if make is _singular_symmetric:
+                assert want.zero >= 1
+
+
+def test_integer_signature_edge_cases():
+    assert integer_signature([]) == Signature(0, 0, 0)
+    assert integer_signature([[0, 0], [0, 0]]) == Signature(0, 2, 0)
+    assert integer_signature([[0, -3], [-3, 0]]) == Signature(1, 0, 1)
+    # a negative pivot flips the sign of every later step
+    assert integer_signature([[-2, 1, 0], [1, 0, 0], [0, 0, 5]]) == Signature(2, 0, 1)
+    assert integer_signature([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == Signature(0, 0, 3)

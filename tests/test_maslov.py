@@ -6,14 +6,16 @@ from random import Random
 
 import pytest
 
+from symgeo.linalg import Matrix, kernel_basis
 from symgeo.maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
                            kashiwara_space, leray_cyclic_sum, leray_m,
                            tuple_reduce, wall_invariant)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                lagrangian_from_angles, line_lagrangian,
-                               random_lagrangian, random_symplectic)
-from symgeo.selftest import _rand_line_dir
+                               random_lagrangian, random_symplectic,
+                               standard_gram)
+from symgeo.selftest import _rand_full_rank, _rand_line_dir
 
 
 def test_triple_anchor_exact_directions():
@@ -97,6 +99,77 @@ def test_kashiwara_space_signature_decomposes_index():
         sig = qs.signature()
         assert sig.dim == qs.dim
         assert sig.pos - sig.neg == int(kashiwara_index(tup))
+
+
+def _sharing(rng, lag, k):
+    """A Lagrangian through the first k frame columns of ``lag``: a
+    transvection along u in their omega-complement fixes them."""
+    sp, f = lag.space, lag.frame
+    perp = kernel_basis(f.columns(range(k)).T @ sp.omega)
+    u = perp @ Matrix.exact([[rng.randint(-2, 2) or 1] for _ in range(perp.cols)])
+    c = F(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice((1, -1))
+    t = Matrix.identity(sp.dim) + (u @ (u.T @ sp.omega.T)).scale(c)
+    return LagrangianFrame(sp, t @ f)
+
+
+def _rand_tuple(rng, sp, r):
+    """Random members; about a third of the tuples repeat a member's span
+    under a new frame or share lines with an earlier member."""
+    ls = [random_lagrangian(sp, rng, twists=rng.randint(2, 5)) for _ in range(r)]
+    kind = rng.randrange(6)
+    src, dst = rng.randrange(r - 1), rng.randrange(1, r)
+    if kind == 0:
+        mix = _rand_full_rank(rng, sp.n, sp.n)
+        ls[dst] = LagrangianFrame(sp, ls[src].frame @ mix)
+    elif kind == 1:
+        ls[dst] = _sharing(rng, ls[src], rng.randint(1, sp.n))
+    return ls
+
+
+def _oracle(tup):
+    sig = kashiwara_space(tup).signature()
+    return sig.pos - sig.neg
+
+
+@pytest.mark.parametrize("n,r_max,count", [
+    (1, 6, 14), (2, 6, 10), (3, 5, 6), (4, 6, 3), (5, 4, 2), (6, 3, 2), (6, 6, 1),
+])
+def test_direct_sum_index_matches_quotient_space(n, r_max, count):
+    rng = Random(f"direct-sum:{n}")
+    sp = SymplecticSpace.standard(n)
+    for i in range(count):
+        r = r_max if i == 0 else rng.randint(2, r_max)
+        tup = LagrangianTuple.of(*_rand_tuple(rng, sp, r))
+        assert int(kashiwara_index(tup)) == _oracle(tup)
+
+
+def test_direct_sum_index_on_a_rational_omega():
+    rng = Random(20)
+    for n in (1, 2, 3):
+        a = _rand_full_rank(rng, 2 * n, 2 * n)
+        omega = (a.T @ standard_gram(n) @ a).scale(F(2, 3))
+        custom = SymplecticSpace.from_omega(omega)
+        to_custom = custom._std_transform  # symplectic from the standard space
+        std = SymplecticSpace.standard(n)
+        for _ in range(4):
+            ls = _rand_tuple(rng, std, rng.randint(3, 5))
+            moved = LagrangianTuple.of(*(LagrangianFrame(custom, to_custom @ l.frame)
+                                         for l in ls))
+            want = int(kashiwara_index(ls))
+            assert int(kashiwara_index(moved)) == want
+            assert _oracle(moved) == want
+
+
+def test_approx_index_matches_exact_on_converted_tuples():
+    # float copies of these rational frames reach entries near 1.7e6; with
+    # the raw frames in place of their QR factors, 32 of the 150 indices
+    # come out wrong without any error
+    rng = Random(21)
+    for _ in range(150):
+        sp = SymplecticSpace.standard(rng.randint(1, 4))
+        ls = _rand_tuple(rng, sp, rng.randint(3, 6))
+        floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
+        assert int(kashiwara_index(floats)) == int(kashiwara_index(ls))
 
 
 def test_wall_equals_kashiwara_seeded():
