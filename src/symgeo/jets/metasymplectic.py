@@ -8,33 +8,33 @@ tensor nu*, the two-form is
                                         - <lambda, X2 . delta th1>,
 
 zero on horizontal-horizontal and vertical-vertical pairs.  The pairing
-is coefficientwise in the monomial basis.
+is coefficientwise in the monomial basis.  Flat coordinates are X followed
+by theta in the storage order of ``symtensor``; lambda uses the same order
+one degree down.  For the unit slot lambda = (beta, j) the form is a sparse
+integer matrix M_lambda whose only entries are +-(beta_i + 1), linking
+horizontal coordinate i with the vertical coordinate (beta + e_i, j);
+``_terms`` tabulates them once per signature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 from ..linalg import Matrix, kernel_basis, rank
-from .symtensor import JetSignature, SymTensor, multi_indices
+from .symtensor import JetSignature, SymTensor, _add_e, flat_index, multi_indices
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovectorSlot:
-    """Element of S^{k-1}(T) tensor nu* (dual slot for the two-form)."""
+    """Element of S^{k-1}(T) tensor nu* (dual slot for the two-form);
+    ``coeffs`` in the storage order of degree k - 1."""
 
     sig: JetSignature
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        full = {}
-        for beta in multi_indices(self.sig.n, self.sig.k - 1):
-            for j in range(self.sig.m):
-                full[(beta, j)] = Fraction(self.coeffs.get((beta, j), 0))
-        self.coeffs = full
+    coeffs: tuple
 
 
 @dataclass(frozen=True)
@@ -74,105 +74,87 @@ def lambda_dim(sig: JetSignature) -> int:
 
 
 def lambda_basis(sig: JetSignature) -> list[CovectorSlot]:
-    out = []
-    for beta in multi_indices(sig.n, sig.k - 1):
-        for j in range(sig.m):
-            out.append(CovectorSlot(sig, {(beta, j): 1}))
-    return out
+    dim = lambda_dim(sig)
+    return [CovectorSlot(sig, tuple(Fraction(int(s == t)) for s in range(dim)))
+            for t in range(dim)]
 
 
-def _interior_delta(x: tuple, theta: SymTensor) -> SymTensor:
-    """X . delta(theta): degree k-1 tensor with entries sum_i X_i (b_i+1) theta[b+e_i]."""
-    n, m = theta.n, theta.m
-    coeffs = {}
-    for beta in multi_indices(n, theta.degree - 1):
-        for j in range(m):
-            tot = Fraction(0)
-            for i in range(n):
-                src = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                tot += x[i] * (beta[i] + 1) * theta.coeffs[(src, j)]
-            coeffs[(beta, j)] = tot
-    return SymTensor(n, m, theta.degree - 1, coeffs)
+@lru_cache(maxsize=None)
+def _terms(sig: JetSignature) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per lambda slot (beta, j), the triples (i, t, beta_i + 1) with t the
+    vertical position of (beta + e_i, j): the nonzero entries of M_lambda."""
+    n, m = sig.n, sig.m
+    return tuple(tuple((i, flat_index(m, _add_e(beta, i), j), beta[i] + 1)
+                       for i in range(n))
+                 for beta in multi_indices(n, sig.k - 1) for j in range(m))
 
 
 def metasymplectic_eval(lam: CovectorSlot, z1: ModelVector, z2: ModelVector):
     """Scalar Omega(lambda)(z1, z2); antisymmetric, mixed-pairs only."""
     if z1.sig != z2.sig or lam.sig != z1.sig:
         raise ValueError("signature mismatch")
-    s12 = _interior_delta(z1.x, z2.theta)
-    s21 = _interior_delta(z2.x, z1.theta)
+    x1, th1, x2, th2 = z1.x, z1.theta.coeffs, z2.x, z2.theta.coeffs
     tot = Fraction(0)
-    for key, lv in lam.coeffs.items():
+    for lv, terms in zip(lam.coeffs, _terms(z1.sig)):
         if lv != 0:
-            tot += lv * (s12.coeffs[key] - s21.coeffs[key])
+            tot += lv * sum(c * (x1[i] * th2[t] - x2[i] * th1[t])
+                            for i, t, c in terms)
     return tot
 
 
 # -- flattened coordinates ---------------------------------------------------
 
 
-def _theta_keys(sig: JetSignature) -> list[tuple[tuple[int, ...], int]]:
-    return [(alpha, j) for alpha in multi_indices(sig.n, sig.k)
-            for j in range(sig.m)]
-
-
 def flatten(vec: ModelVector) -> list[Fraction]:
-    return list(vec.x) + [vec.theta.coeffs[key] for key in _theta_keys(vec.sig)]
+    return list(vec.x) + list(vec.theta.coeffs)
 
 
 def unflatten(sig: JetSignature, coords) -> ModelVector:
-    coords = list(coords)
-    x = coords[:sig.n]
-    theta = SymTensor(sig.n, sig.m, sig.k,
-                      dict(zip(_theta_keys(sig), coords[sig.n:])))
-    return ModelVector.of(sig, x, theta)
+    coords = [Fraction(c) for c in coords]
+    if len(coords) != model_dim(sig):
+        raise ValueError("coordinates do not fit this model fiber")
+    theta = SymTensor(sig.n, sig.m, sig.k, tuple(coords[sig.n:]))
+    return ModelVector.of(sig, coords[:sig.n], theta)
 
 
 def span_matrix(vectors: list[ModelVector]) -> Matrix:
     if not vectors:
         raise ValueError("empty vector list")
-    cols = [flatten(v) for v in vectors]
-    d = len(cols[0])
-    return Matrix.exact([[col[i] for col in cols] for i in range(d)])
+    return Matrix.exact(list(zip(*(flatten(v) for v in vectors))))
 
 
 def vectors_from_matrix(sig: JetSignature, mat: Matrix) -> list[ModelVector]:
     return [unflatten(sig, mat.col(j)) for j in range(mat.cols)]
 
 
-def _basis_vectors(sig: JetSignature) -> list[ModelVector]:
-    dim = model_dim(sig)
-    out = []
-    for t in range(dim):
-        coords = [Fraction(0)] * dim
-        coords[t] = Fraction(1)
-        out.append(unflatten(sig, coords))
-    return out
-
-
 def meta_orthogonal_frame(sig: JetSignature, frame: Matrix) -> Matrix:
     """Frame of all z with Omega(lambda)(z, v) = 0 for every frame column v
-    and every lambda; an empty frame yields the whole fiber."""
+    and every lambda; an empty frame yields the whole fiber.
+
+    Each row is (M_lambda v)^T for one unit slot lambda and one column v,
+    written from the term table."""
     dim = model_dim(sig)
     if frame.rows != dim:
         raise ValueError("frame does not live in this model fiber")
     if frame.cols == 0:
         return Matrix.identity(dim)
-    basis = _basis_vectors(sig)
-    vectors = vectors_from_matrix(sig, frame)
+    n = sig.n
+    cols = [[Fraction(x) for x in frame.col(c)] for c in range(frame.cols)]
     rows = []
-    for lam in lambda_basis(sig):
-        for v in vectors:
-            rows.append([metasymplectic_eval(lam, e, v) for e in basis])
+    for terms in _terms(sig):
+        for v in cols:
+            row = [0] * dim
+            for i, t, c in terms:
+                row[i] += c * v[n + t]
+                row[n + t] -= c * v[i]
+            rows.append(row)
     return kernel_basis(Matrix.exact(rows))
 
 
 def meta_orthogonal(sig: JetSignature, vectors: list[ModelVector]) -> list[ModelVector]:
     """All z with Omega(lambda)(z, v) = 0 for every v given and every lambda."""
-    if not vectors:
-        return _basis_vectors(sig)
-    ker = meta_orthogonal_frame(sig, span_matrix(vectors))
-    return vectors_from_matrix(sig, ker)
+    frame = span_matrix(vectors) if vectors else Matrix.zeros(model_dim(sig), 0)
+    return vectors_from_matrix(sig, meta_orthogonal_frame(sig, frame))
 
 
 def singularity_condition(sig: JetSignature, p: int) -> bool:
@@ -214,11 +196,13 @@ def _linear_form_power_basis(sig: JetSignature, xi: Matrix) -> list[SymTensor]:
                 for i in range(n):
                     if cols[idx][i] == 0:
                         continue
-                    na = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    na = _add_e(alpha, i)
                     nxt[na] = nxt.get(na, Fraction(0)) + cv * cols[idx][i]
             poly = nxt
         for j in range(m):
-            out.append(SymTensor(n, m, k, {(a, j): v for a, v in poly.items()}))
+            out.append(SymTensor(n, m, k, tuple(
+                poly.get(a, Fraction(0)) if jj == j else Fraction(0)
+                for a in multi_indices(n, k) for jj in range(m))))
     return out
 
 

@@ -1,15 +1,17 @@
 """Symmetric tensors with values in a fiber, and the delta complex.
 
-A degree-d tensor is stored densely as coefficients over the monomial
-basis {x^alpha otimes e_j : |alpha| = d, 1 <= j <= m}.  The delta operator
-is polarization: slot i of delta(t) has coefficients
-(alpha_i + 1) t[alpha + e_i, j], so delta followed by exterior
-antisymmetrization squares to zero.
+A degree-d tensor is stored densely as a flat tuple of coefficients over
+the monomial basis {x^alpha otimes e_j : |alpha| = d, 1 <= j <= m}, in the
+one storage order of the jets package: (alpha, j) over
+``multi_indices(n, d)`` x ``range(m)``, so x^alpha otimes e_j sits at
+``flat_index(m, alpha, j)``.  The delta operator is polarization: slot i of
+delta(t) has coefficients (alpha_i + 1) t[alpha + e_i, j], so delta
+followed by exterior antisymmetrization squares to zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -56,69 +58,66 @@ def multi_indices(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
+def _monomial_positions(n: int, d: int) -> dict[tuple[int, ...], int]:
+    return {alpha: t for t, alpha in enumerate(multi_indices(n, d))}
+
+
+def flat_index(m: int, alpha: tuple[int, ...], j: int) -> int:
+    """Storage position of x^alpha otimes e_j among m fiber slots."""
+    return _monomial_positions(len(alpha), sum(alpha))[alpha] * m + j
+
+
 def _add_e(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
     return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymTensor:
-    """Element of S^degree(T*) tensor nu over Q (dense coefficient map)."""
+    """Element of S^degree(T*) tensor nu over Q; ``coeffs`` in storage order."""
 
     n: int
     m: int
     degree: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        full = {}
-        for alpha in multi_indices(self.n, self.degree):
-            for j in range(self.m):
-                full[(alpha, j)] = Fraction(self.coeffs.get((alpha, j), 0))
-        self.coeffs = full
+    coeffs: tuple
 
     @staticmethod
     def zero(n: int, m: int, degree: int) -> "SymTensor":
-        return SymTensor(n, m, degree, {})
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        return SymTensor(n, m, degree,
+                         (Fraction(0),) * (m * comb(n + degree - 1, degree)))
 
     @staticmethod
     def unit(n: int, m: int, alpha: tuple[int, ...], j: int) -> "SymTensor":
-        return SymTensor(n, m, sum(alpha), {(tuple(alpha), j): Fraction(1)})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymTensor)
-                and (self.n, self.m, self.degree) == (other.n, other.m, other.degree)
-                and self.coeffs == other.coeffs)
+        alpha = tuple(alpha)
+        coeffs = list(SymTensor.zero(n, m, sum(alpha)).coeffs)
+        coeffs[flat_index(m, alpha, j)] = Fraction(1)
+        return SymTensor(n, m, sum(alpha), tuple(coeffs))
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if (self.n, self.m, self.degree) != (other.n, other.m, other.degree):
             raise ValueError("tensor shape mismatch")
         return SymTensor(self.n, self.m, self.degree,
-                         {key: v + other.coeffs[key] for key, v in self.coeffs.items()})
+                         tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c) -> "SymTensor":
         c = Fraction(c)
         return SymTensor(self.n, self.m, self.degree,
-                         {key: c * v for key, v in self.coeffs.items()})
+                         tuple(c * v for v in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs.values())
+        return all(v == 0 for v in self.coeffs)
 
 
 def delta_spencer(t: SymTensor) -> dict[int, SymTensor]:
     """Polarization: slot i carries (alpha_i + 1) t[alpha + e_i, j]."""
     if t.degree < 1:
         raise ValueError("delta needs degree >= 1")
-    out = {}
-    for i in range(t.n):
-        coeffs = {}
-        for beta in multi_indices(t.n, t.degree - 1):
-            src = _add_e(beta, i)
-            for j in range(t.m):
-                coeffs[(beta, j)] = (beta[i] + 1) * t.coeffs[(src, j)]
-        out[i] = SymTensor(t.n, t.m, t.degree - 1, coeffs)
-    return out
+    return {i: SymTensor(t.n, t.m, t.degree - 1, tuple(
+        (beta[i] + 1) * t.coeffs[flat_index(t.m, _add_e(beta, i), j)]
+        for beta in multi_indices(t.n, t.degree - 1) for j in range(t.m)))
+        for i in range(t.n)}
 
 
 def _wedge_basis(n: int, p: int) -> list[tuple[int, ...]]:

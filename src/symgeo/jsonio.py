@@ -20,13 +20,24 @@ class ValidationError(ValueError):
     """Bad user-facing input (file contents, flag values, shapes)."""
 
 
+def _finite_entry(x) -> float:
+    """``float(x)`` of a matrix entry, refusing nan, +-inf and float overflow."""
+    try:
+        value = float(x)
+    except OverflowError as exc:
+        raise ValidationError("matrix entry overflows a float") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"matrix entry {value!r} is not finite")
+    return value
+
+
 def parse_scalar(x) -> Fraction | float:
     if isinstance(x, bool):
         raise ValidationError("boolean is not a matrix entry")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return x
+        return _finite_entry(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -66,7 +77,7 @@ def matrix_from_json(obj: dict, mode: str | None = None,
     if mode == EXACT and any(isinstance(v, float) for v in vals):
         raise ValidationError("float entries present but exact mode requested")
     if mode == APPROX:
-        vals = [float(v) for v in vals]
+        vals = [_finite_entry(v) for v in vals]
     rows = [vals[i * c:(i + 1) * c] for i in range(r)]
     return Matrix.from_rows(rows, mode, tol)
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,8 +63,13 @@ class SampledImmersion:
             raise ValidationError(f"unknown topology {self.topology!r}")
         if self.param_dim < 1 or self.ambient_dim <= self.param_dim:
             raise ValidationError("need 1 <= param_dim < ambient_dim")
-        self.params = [tuple(float(v) for v in p) for p in self.params]
-        self.points = [tuple(float(v) for v in p) for p in self.points]
+        try:
+            self.params = [tuple(map(float, p)) for p in self.params]
+            self.points = [tuple(map(float, p)) for p in self.points]
+        except OverflowError as exc:
+            raise ValidationError("sample value overflows a float") from exc
+        if not all(map(math.isfinite, chain.from_iterable(self.params + self.points))):
+            raise ValidationError("sample values must be finite")
         if len(self.params) != len(self.points):
             raise ValidationError("params and points must pair up")
         if any(len(p) != self.param_dim for p in self.params):
@@ -85,7 +92,12 @@ class SampledImmersion:
         if self.topology == "loop" and len(self.points) < 3:
             raise ValidationError("a loop needs at least 3 samples")
         if self.frames is not None:
-            self.frames = [np.asarray(f, dtype=float) for f in self.frames]
+            try:
+                self.frames = [np.asarray(f, dtype=float) for f in self.frames]
+            except OverflowError as exc:
+                raise ValidationError("frame entries overflow a float") from exc
+            if not all(np.isfinite(f).all() for f in self.frames):
+                raise ValidationError("frame entries must be finite")
             if len(self.frames) != len(self.points):
                 raise ValidationError("one frame per sample required")
             # analytic frames may span a plane wider than the sampled path

@@ -3,8 +3,8 @@
 The standard space on R^{2n} uses coordinates (x_1..x_n, y_1..y_n) with
 Gram matrix [[0, I], [-I, 0]], i.e. omega(x_i-axis, y_j-axis) = delta_ij;
 for n = 1 this is omega(u, v) = u_x v_y - u_y v_x.  Custom rational skew
-Grams are accepted and reduced to the standard form once per space by an
-exact symplectic Gram-Schmidt.
+nondegenerate Grams are used as given; angle, graph and unitary
+parametrizations and random Lagrangians need the standard Gram.
 
 Angle-parametrized Lagrangians follow L(theta) = span{(cos theta, sin theta)}
 at n = 1; in general the frame of (theta_1..theta_n) has column j equal to
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -42,55 +42,12 @@ def standard_gram(n: int, mode: str = EXACT) -> Matrix:
     return Matrix.from_rows(rows, mode)
 
 
-def _symplectic_basis(omega: Matrix) -> Matrix:
-    """Exact S with S^T Omega S equal to the standard Gram."""
-    dim = omega.rows
-    n = dim // 2
-    basis = [list(col) for col in Matrix.identity(dim).T.entries]
-
-    def w(u, v):
-        return sum(ui * sum(oij * vj for oij, vj in zip(orow, v))
-                   for ui, orow in zip(u, omega.entries))
-
-    us, vs = [], []
-    pool = basis
-    while pool:
-        u = pool[0]
-        partner = None
-        for cand in pool[1:]:
-            if w(u, cand) != 0:
-                partner = cand
-                break
-        if partner is None:
-            raise ValueError("omega is degenerate")
-        c = w(u, partner)
-        v = [x / c for x in partner]
-        rest = []
-        for b in pool:
-            if b is u or b is partner:
-                continue
-            a1 = w(v, b)
-            a2 = w(u, b)
-            nb = [bb + a1 * uu - a2 * vv for bb, uu, vv in zip(b, u, v)]
-            if any(x != 0 for x in nb):
-                rest.append(nb)
-        us.append(u)
-        vs.append(v)
-        pool = rest
-    if len(us) != n:
-        raise ValueError("omega is degenerate")
-    cols = us + vs
-    return Matrix(dim, dim, tuple(tuple(cols[j][i] for j in range(dim))
-                                  for i in range(dim)), EXACT)
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
     """R^{2n} with a fixed rational skew nondegenerate Gram matrix."""
 
     n: int
     omega: Matrix
-    _std_transform: Matrix | None = field(default=None, compare=False)
 
     @staticmethod
     def standard(n: int) -> "SymplecticSpace":
@@ -109,10 +66,7 @@ class SymplecticSpace:
         n = omega.rows // 2
         if rank(omega) != 2 * n:
             raise ValueError("Gram matrix is degenerate")
-        space = SymplecticSpace(n, omega)
-        if not space.is_standard():
-            object.__setattr__(space, "_std_transform", _symplectic_basis(omega))
-        return space
+        return SymplecticSpace(n, omega)
 
     def is_standard(self) -> bool:
         return self.omega.entries == standard_gram(self.n).entries
@@ -195,7 +149,11 @@ class LagrangianFrame(Subspace):
             if any(x != 0 for row in g.entries for x in row):
                 raise ValueError("frame is not isotropic")
         else:
-            scale = max(self.frame.max_abs() ** 2, 1.0)
+            try:
+                scale = max(self.frame.max_abs() ** 2, 1.0)
+            except OverflowError:
+                raise ValueError("frame entries are too large for approx "
+                                 "mode") from None
             if g.max_abs() > self.frame.tol * scale:
                 raise ValueError("frame is not isotropic within tolerance")
 

@@ -70,6 +70,28 @@ def test_kashiwara_tuple_file(capsys, tmp_path):
     assert code == 0 and out["index"] == 1
 
 
+@pytest.mark.parametrize("entries,flags,message", [
+    ([1e308, 0.0], [], "frame entries are too large for approx mode"),
+    ([math.nan, 0.0], [], "matrix entry nan is not finite"),
+    ([math.inf, 0.0], [], "matrix entry inf is not finite"),
+    (["1e400", 0], ["--approx"], "matrix entry overflows a float"),
+])
+def test_kashiwara_tuple_rejects_non_finite_entries(capsys, tmp_path, entries,
+                                                    flags, message):
+    path = _write(tmp_path, "tuple.json", {
+        "n": 1,
+        "frames": [
+            {"rows": 2, "cols": 1, "entries": entries},
+            {"rows": 2, "cols": 1, "entries": [0.0, 1.0]},
+            {"rows": 2, "cols": 1, "entries": [1.0, 1.0]},
+        ],
+    })
+    code = main(["maslov", "kashiwara", "--tuple", path] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_kashiwara_requires_an_input(capsys):
     code, _ = run(capsys, "maslov", "kashiwara")
     assert code == 2
@@ -252,6 +274,36 @@ def test_scan_lagrangian_rejects_nan_tol(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: --tol must be finite and positive, got nan\n"
+
+
+@pytest.mark.parametrize("verb,value,message", [
+    ("lagrangian", math.nan, "bad sample file: sample values must be finite"),
+    ("loop-maslov", math.nan, "bad sample file: sample values must be finite"),
+    ("lagrangian", math.inf, "bad sample file: sample values must be finite"),
+    ("lagrangian", 10 ** 400, "bad sample file: sample value overflows a float"),
+    ("loop-maslov", 1e308, "frame entries are too large for approx mode"),
+])
+def test_scan_rejects_non_finite_samples(capsys, tmp_path, verb, value, message):
+    ts = [2 * math.pi * i / 16 for i in range(16)]
+    points = [[math.cos(t), math.sin(t)] for t in ts]
+    points[3][0] = value
+    path = _write(tmp_path, "samples.json", {
+        "param_dim": 1, "ambient_dim": 2, "topology": "loop",
+        "params": [[t] for t in ts], "points": points,
+    })
+    code = main(["scan", verb, "--space", "std:1", "--samples", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_scan_rejects_nan_in_a_csv_sample(capsys, tmp_path):
+    path = _write(tmp_path, "leg.csv",
+                  "p1,a1,a2,a3\n0,0,0,0\n0.5,nan,1,0.25\n1,1,2,1")
+    code = main(["scan", "legendrian", "--samples", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: sample values must be finite\n"
 
 
 def test_scan_legendrian_rejects_even_ambient(capsys, tmp_path):

@@ -1,5 +1,5 @@
 """Golden bytes: sha256 pins of the selftest reports, the stdout of every
-README command and every ``--help`` page.
+README command, every ``--help`` page and a seeded dump of the jets layer.
 
 A refactor keeps these hashes; a change that means to move them updates
 them in the same commit.  Help pages follow argparse's wording, so they are
@@ -13,12 +13,18 @@ import json
 import math
 import shlex
 import sys
+from random import Random
 
 import pytest
 
 from symgeo.cli import main
+from symgeo.jets import (JetSignature, lambda_basis, max_isotropic,
+                         metasymplectic_eval)
+from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
+                                        model_dim, unflatten)
 from symgeo.jsonio import dumps
-from symgeo.selftest import run_selftest
+from symgeo.linalg import Matrix
+from symgeo.selftest import _rand_full_rank, run_selftest
 
 SELFTEST_QUICK = {
     0: "314a30a7416b16c822ad697bb869e766d7ff0633d967281c66c8100ba7caca01",
@@ -55,6 +61,11 @@ README_COMMANDS = {
     "selftest --quick --seed 0":
         "6b7b70ee7510b886bbc4f8f5bfa6349d87ec274ebb6eb2b912e1a01102b0df2d",
 }
+
+JETS_DUMP = (
+    "f2eee5ad98f405fa087d0042607a1f0e69ea22ae336e6f97b4111ba1f4f6553f")
+JETS_SIGNATURES = ((1, 1, 2), (2, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),
+                   (3, 1, 2), (2, 1, 3), (1, 2, 3))
 
 HELP_PAGES = {
     "":
@@ -144,6 +155,39 @@ def _write_readme_samples(directory) -> None:
     (directory / "lift.csv").write_text("\n".join(rows))
 
 
+def _jets_dump() -> str:
+    """Orthogonal frames, isotropic plane vectors and pairing values, one
+    text line each, from seeded inputs over ``JETS_SIGNATURES``."""
+    rng = Random("golden:jets")
+    lines = []
+
+    def text(values) -> str:
+        return " ".join(str(x) for x in values)
+
+    for s in JETS_SIGNATURES:
+        sig = JetSignature(*s)
+        dim = model_dim(sig)
+        lams = lambda_basis(sig)
+        for _ in range(3):
+            cols = rng.randint(1, 2)
+            frame = Matrix.exact([[rng.randint(-2, 2) for _ in range(cols)]
+                                  for _ in range(dim)])
+            perp = meta_orthogonal_frame(sig, frame)
+            lines.append(f"perp {s} " + "; ".join(text(r) for r in perp.entries))
+        vecs = []
+        for p in range(sig.n + 1):
+            xi = _rand_full_rank(rng, sig.n, p) if p else Matrix.zeros(sig.n, 0)
+            plane = max_isotropic(sig, xi).vectors()
+            lines.extend(f"plane {s} p={p} " + text(flatten(v)) for v in plane)
+            vecs += plane
+        free = [unflatten(sig, [rng.randint(-3, 3) for _ in range(dim)])
+                for _ in range(3)]
+        lines.extend(f"eval {s} " + text(metasymplectic_eval(lam, u, v)
+                                         for u in free for v in free + vecs)
+                     for lam in lams)
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("seed", sorted(SELFTEST_QUICK))
 def test_quick_selftest_report(seed):
     assert _sha(dumps(run_selftest(seed=seed, quick=True))) == SELFTEST_QUICK[seed]
@@ -160,6 +204,10 @@ def test_readme_command(command, tmp_path, monkeypatch):
     code, out = _stdout(shlex.split(command))
     assert code == 0
     assert _sha(out) == README_COMMANDS[command]
+
+
+def test_jets_dump():
+    assert _sha(_jets_dump()) == JETS_DUMP
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

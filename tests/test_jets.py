@@ -16,7 +16,7 @@ from symgeo.jets import (JetSignature, SymTensor, delta_spencer, jet_dim,
 from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, span_matrix, unflatten,
                                         vectors_from_matrix)
-from symgeo.linalg import Matrix, rank, span_contains, spans_equal
+from symgeo.linalg import Matrix, kernel_basis, rank, span_contains, spans_equal
 from symgeo.symplectic import intersect_frames
 
 
@@ -175,6 +175,81 @@ def test_meta_orthogonal_vector_interface():
     basis = vectors_from_matrix(sig, Matrix.identity(model_dim(sig)))
     out = meta_orthogonal(sig, [basis[0]])
     assert len(out) == model_dim(sig) - 1
+
+
+# Reference: the pairing as written in the docstring, on dict-keyed tensors.
+# Coordinates (alpha, j) run over multi_indices(n, k) x range(m) and the
+# lambda slots (beta, j) over multi_indices(n, k - 1) x range(m).
+
+
+def _ref_theta(sig, coords):
+    keys = [(a, j) for a in multi_indices(sig.n, sig.k) for j in range(sig.m)]
+    return dict(zip(keys, coords[sig.n:]))
+
+
+def _ref_interior_delta(sig, x, theta):
+    """X . delta(theta): entries sum_i X_i (beta_i + 1) theta[beta + e_i, j]."""
+    out = {}
+    for beta in multi_indices(sig.n, sig.k - 1):
+        for j in range(sig.m):
+            tot = F(0)
+            for i in range(sig.n):
+                src = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                tot += x[i] * (beta[i] + 1) * theta[(src, j)]
+            out[(beta, j)] = tot
+    return out
+
+
+def _ref_eval(sig, key, c1, c2):
+    """Omega(lambda)(z1, z2) for the unit slot lambda = (beta, j) = key."""
+    s12 = _ref_interior_delta(sig, c1[:sig.n], _ref_theta(sig, c2))
+    s21 = _ref_interior_delta(sig, c2[:sig.n], _ref_theta(sig, c1))
+    return s12[key] - s21[key]
+
+
+def _ref_orthogonal_frame(sig, frame):
+    """Kernel of the rows Omega(lambda)(e_t, v) over unit vectors e_t."""
+    dim = model_dim(sig)
+    keys = [(b, j) for b in multi_indices(sig.n, sig.k - 1) for j in range(sig.m)]
+    basis = [[F(int(s == t)) for s in range(dim)] for t in range(dim)]
+    rows = [[_ref_eval(sig, key, e, frame.col(c)) for e in basis]
+            for key in keys for c in range(frame.cols)]
+    return kernel_basis(Matrix.exact(rows))
+
+
+ORACLE_SIGNATURES = ((3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 2), (2, 2, 3),
+                     (3, 1, 3), (3, 2, 3))
+
+
+def test_pairing_matches_dict_reference():
+    rng = Random(7)
+    for s in ORACLE_SIGNATURES:
+        sig = JetSignature(*s)
+        dim = model_dim(sig)
+        keys = [(b, j) for b in multi_indices(sig.n, sig.k - 1)
+                for j in range(sig.m)]
+        lams = lambda_basis(sig)
+        assert len(lams) == len(keys) == lambda_dim(sig)
+        for _ in range(4):
+            c1 = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
+            c2 = [F(rng.randint(-3, 3)) for _ in range(dim)]
+            z1, z2 = unflatten(sig, c1), unflatten(sig, c2)
+            assert flatten(z1) == c1
+            for lam, key in zip(lams, keys):
+                assert metasymplectic_eval(lam, z1, z2) == \
+                    _ref_eval(sig, key, c1, c2)
+
+
+def test_orthogonal_frame_matches_basis_vector_reference():
+    rng = Random(8)
+    for s in ORACLE_SIGNATURES:
+        sig = JetSignature(*s)
+        dim = model_dim(sig)
+        for cols in (1, 2, 3):
+            frame = Matrix.exact([[F(rng.randint(-2, 2), rng.randint(1, 3))
+                                   for _ in range(cols)] for _ in range(dim)])
+            got = meta_orthogonal_frame(sig, frame)
+            assert got.entries == _ref_orthogonal_frame(sig, frame).entries
 
 
 # -- isotropic planes -------------------------------------------------------------

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import Matrix, kernel_basis
+from symgeo.linalg import Matrix, inverse, kernel_basis
 from symgeo.maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
                            kashiwara_space, leray_cyclic_sum, leray_m,
@@ -149,7 +149,9 @@ def test_direct_sum_index_on_a_rational_omega():
         a = _rand_full_rank(rng, 2 * n, 2 * n)
         omega = (a.T @ standard_gram(n) @ a).scale(F(2, 3))
         custom = SymplecticSpace.from_omega(omega)
-        to_custom = custom._std_transform  # symplectic from the standard space
+        # A^-1 maps standard Lagrangians to Omega-Lagrangians and pulls Omega
+        # back to 2/3 J, a positive multiple, so the index is unchanged
+        to_custom = inverse(a)
         std = SymplecticSpace.standard(n)
         for _ in range(4):
             ls = _rand_tuple(rng, std, rng.randint(3, 5))

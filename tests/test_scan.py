@@ -103,6 +103,18 @@ def test_frame_shape_rules():
         SampledImmersion(**base, frames=[[[1.0]], [[1.0]]])
 
 
+def test_rejects_non_finite_samples_and_frames():
+    base = dict(param_dim=1, ambient_dim=2, topology="line",
+                params=[[0.0], [1.0]], points=[[0.0, 0.0], [1.0, 0.0]])
+    for bad in (dict(params=[[0.0], [float("nan")]]),
+                dict(points=[[0.0, 0.0], [float("inf"), 0.0]]),
+                dict(points=[[0.0, 0.0], [10 ** 400, 0.0]]),
+                dict(frames=[[[1.0], [0.0]], [[float("nan")], [0.0]]]),
+                dict(frames=[[[1.0], [0.0]], [[10 ** 400], [0.0]]])):
+        with pytest.raises(ValidationError):
+            SampledImmersion(**dict(base, **bad))
+
+
 def test_analytic_frames_may_be_wider_than_param_dim():
     s = SampledImmersion(
         1, 4, "line", [[0.0], [1.0]],
