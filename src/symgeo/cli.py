@@ -26,7 +26,7 @@ from .jets import (JetSignature, jet_dim, lagrangian_pde_dims,
 from .jets.metasymplectic import lambda_dim, model_dim
 from .jsonio import (ValidationError, dumps, matrix_from_json, matrix_to_json,
                      parse_angle, parse_angle_list, to_jsonable)
-from .linalg import APPROX, EXACT, Matrix
+from .linalg import APPROX, DEFAULT_TOL, EXACT, Matrix
 from .maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
                      arnold_triple_lines, kashiwara_space, leray_cyclic_sum,
                      leray_m, wall_invariant)
@@ -40,8 +40,6 @@ from .symplectic import (LagrangianFrame, SymplecticSpace,
                          lagrangian_from_angles, line_lagrangian)
 from .witt import (WittReal, ideal_power_member_real, witt_of_form_complex,
                    witt_of_form_real)
-
-ALGEBRAIC_TOL = 1e-9
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -114,7 +112,7 @@ def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
         return SymplecticSpace.from_omega(matrix_from_json(obj["omega"], mode=EXACT))
     if "n" in obj:
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValidationError("'n' must be a positive integer")
         return SymplecticSpace.standard(n)
     if fallback:
@@ -131,7 +129,7 @@ def _frames_from_file(args, path: str):
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")
     mode = _matrix_mode(args)
-    tol = args.tol if args.tol is not None else ALGEBRAIC_TOL
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     out = []
     for f in frames:
         out.append(LagrangianFrame(space, matrix_from_json(f, mode=mode, tol=tol)))
@@ -146,7 +144,7 @@ def _angles_to_frames(args, text: str):
     space = _space_std(args.space) if args.space else SymplecticSpace.standard(n)
     if space.n != n:
         raise ValidationError(f"angle groups have {n} entries but space is std:{space.n}")
-    tol = args.tol if args.tol is not None else ALGEBRAIC_TOL
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     frames = [lagrangian_from_angles(space, [a[0] for a in g], tol=tol)
               for g in groups]
     return space, frames, groups
@@ -245,7 +243,7 @@ def _cmd_maslov_leray(args) -> int:
         lifts.append(LerayLift(frac) if frac is not None else LerayLift(val))
     if len(lifts) < 2:
         raise ValidationError("need at least two lifts")
-    tol = args.tol if args.tol is not None else ALGEBRAIC_TOL
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     ms = [leray_m(lifts[i], lifts[(i + 1) % len(lifts)], tol)
           for i in range(len(lifts))]
     _emit(args, {"m_values": ms, "cyclic_sum": leray_cyclic_sum(lifts, tol)})
@@ -268,7 +266,7 @@ def _mp1_element(ctx: Mp1Context, path: str) -> Mp1Element:
     obj = _read_json(path)
     if not isinstance(obj, dict) or "w" not in obj or "g" not in obj:
         raise ValidationError(f"{path} must be an object with 'w' and 'g'")
-    if not isinstance(obj["w"], int):
+    if not isinstance(obj["w"], int) or isinstance(obj["w"], bool):
         raise ValidationError("'w' must be an integer")
     return Mp1Element.of(ctx, obj["w"], matrix_from_json(obj["g"], mode=EXACT))
 
@@ -665,9 +663,6 @@ def main(argv=None) -> int:
     try:
         _check_positive_flags(args)
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Any
 
-from .linalg import APPROX, EXACT, Matrix
+from .linalg import APPROX, DEFAULT_TOL, EXACT, Matrix
 
 
 class ValidationError(ValueError):
@@ -63,7 +63,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict, mode: str | None = None,
-                     tol: float = 1e-9) -> Matrix:
+                     tol: float = DEFAULT_TOL) -> Matrix:
     try:
         r, c = int(obj["rows"]), int(obj["cols"])
         flat = list(obj["entries"])

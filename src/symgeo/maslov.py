@@ -1,23 +1,30 @@
 """Indices of Lagrangian tuples.
 
-Routes to the same circle of invariants:
+One pairing, three readings.  The pairing of a tuple (L_1, ..., L_r) with
+frames F_i is the block-lower matrix P whose block (i, j), i > j, is
+F_i^T Omega F_j, so x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j)
+(Lion-Vergne; Cappell-Lee-Miller).  ``_pairing`` assembles it; the forms
+read it:
 
-* ``kashiwara_index`` -- signature of the symmetric form
-  q(x, y) = sum over i > j of omega(x_i, y_j), symmetrized, on the direct
-  sum L_1 + ... + L_r (Lion-Vergne; Cappell-Lee-Miller).  Its Gram matrix
-  has blocks F_i^T Omega F_j below the diagonal, their transposes above and
-  zeros on it, so no kernel or quotient is formed.  Exact mode scales each
-  frame column to a primitive integer vector and a rational Omega by the
-  lcm of its denominators (positive congruences) and takes a fraction-free
-  integer signature; approx mode orthonormalizes each frame by QR first.
-* ``kashiwara_space`` -- the same form on the quotient
-  T = ker(sum) / im(boundary), built from consecutive intersections of the
-  tuple; it has the same signature.  The CLI reports its dimension and
-  signature, and the tests use it as the oracle for ``kashiwara_index``.
+* ``kashiwara_index`` -- signature of P + P^T, the symmetrized q on the
+  direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
+  scales each frame column to a primitive integer vector and a rational
+  Omega by the lcm of its denominators (positive congruences) and takes a
+  fraction-free integer signature; approx mode orthonormalizes each frame
+  by QR first.
+* ``kashiwara_space`` -- q on the quotient T = ker(sum) / im(boundary),
+  built from consecutive intersections of the tuple: its Gram is R^T P R
+  for representatives R of T, and it has the same signature.  The CLI
+  reports its dimension and signature, and the tests use it as the oracle
+  for ``kashiwara_index``.
+* ``wall_invariant``  -- signature of the symmetrized kernel form
+  psi(x, y) = omega(x_2, y_1) on the same quotient (triples only): R^T P R
+  with P cut to its block F_2^T Omega F_1.
+
+Other routes to the same circle of invariants:
+
 * ``arnold_index_*``  -- closed angle formulas on the Lagrangian
   Grassmannian, tau(L(theta)) = 1 - 2 theta / pi off the cycle.
-* ``wall_invariant``  -- signature of the symmetrized kernel form
-  psi(x, y) = omega(x_2, y_1) on the same kernel space (triples only).
 * ``leray_m``         -- integer cochain on pairs of lifted lines (n = 1)
   whose cyclic sums reproduce the Kashiwara index of the projected tuple.
 
@@ -34,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (EXACT, Matrix, Signature, SymmetricForm,
+from .linalg import (DEFAULT_TOL, EXACT, Matrix, Signature, SymmetricForm,
                      clear_denominators, integer_signature, kernel_basis, rank,
-                     sym_signature)
+                     rref, sym_signature)
 from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
                          eigen_angles, line_lagrangian)
 from .witt import WittReal, witt_of_signature
@@ -62,11 +69,6 @@ class LagrangianTuple:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def rotated(self, k: int = 1) -> "LagrangianTuple":
-        mem = self.members
-        k %= len(mem)
-        return LagrangianTuple(self.space, mem[k:] + mem[:k])
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,11 @@ def _boundary_columns(tup: LagrangianTuple) -> Matrix:
 
 
 def _independent_over(base: Matrix, cands: Matrix) -> list[int]:
-    """Indices of candidate columns independent modulo the base span."""
+    """Indices of candidate columns independent modulo the base span, each
+    taken greedily against the base and the candidates before it."""
+    if base.mode == EXACT:
+        _, pivots = rref(base.hstack(cands))
+        return [c - base.cols for c in pivots if c >= base.cols]
     picked: list[int] = []
     cur = base
     cur_rank = rank(base)
@@ -115,28 +121,44 @@ def _independent_over(base: Matrix, cands: Matrix) -> list[int]:
     return picked
 
 
-def _kashiwara_reps(tup: LagrangianTuple) -> tuple[Matrix, Matrix]:
-    """(representative columns of T, boundary columns) in tuple coordinates."""
+def _kashiwara_reps(tup: LagrangianTuple) -> Matrix:
+    """Representative columns of T in tuple coordinates."""
     frames = [m.frame for m in tup.members]
     sigma = frames[0]
     for f in frames[1:]:
         sigma = sigma.hstack(f)
     ker = kernel_basis(sigma)
-    bnd = _boundary_columns(tup)
-    reps = ker.columns(_independent_over(bnd, ker))
-    return reps, bnd
+    return ker.columns(_independent_over(_boundary_columns(tup), ker))
 
 
-def _lower_blocks(tup: LagrangianTuple) -> list[list[Matrix]]:
-    """blocks[i][j] = F_i^T Omega F_j for j < i, the blocks q reads."""
-    frames = [m.frame for m in tup.members]
-    omega = tup.space.omega_as(frames[0].mode)
-    return [[f.T @ omega @ frames[j] for j in range(i)]
-            for i, f in enumerate(frames)]
+def _pairing(cols: Sequence[Sequence], omega: Sequence[Sequence], n: int,
+             block: tuple[int, int] | None = None) -> list[list]:
+    """The pairing of the tuple: the block-lower matrix whose block (i, j),
+    i > j, is F_i^T Omega F_j, for member columns ``cols`` (n per member)
+    and the rows of Omega, all as Python scalars.  With ``block`` = (i, j)
+    only that block is filled.
+    """
+    size = len(cols)
+    images = [[sum(o * v for o, v in zip(orow, col)) for orow in omega]
+              for col in cols[:size - n]]
+    pair = [[0] * size for _ in range(size)]
+    for x in range(n, size):
+        i = x // n
+        for y in range(i * n):
+            if block is None or block == (i, y // n):
+                pair[x][y] = sum(a * b for a, b in zip(cols[x], images[y]))
+    return pair
 
 
-def _chunk(col: tuple, r: int, n: int) -> list[tuple]:
-    return [col[i * n:(i + 1) * n] for i in range(r)]
+def _quotient_gram(tup: LagrangianTuple,
+                   block: tuple[int, int] | None = None) -> Matrix:
+    """R^T P R for the pairing P (or one block of it) and the
+    representatives R of T; q(a, b) = a^T P b."""
+    reps = _kashiwara_reps(tup)
+    cols = [m.frame.col(c) for m in tup.members for c in range(m.frame.cols)]
+    pair = _pairing(cols, tup.space.omega_as(reps.mode).entries, tup.space.n,
+                    block)
+    return reps.T @ Matrix.from_rows(pair, reps.mode, reps.tol) @ reps
 
 
 def kashiwara_space(tup: LagrangianTuple) -> QuadraticSpace:
@@ -145,33 +167,13 @@ def kashiwara_space(tup: LagrangianTuple) -> QuadraticSpace:
     T = ker(sum map) / im(boundary), with the symmetric form
     q(a, b) = sum over i > j of omega(a_i, b_j).
     """
-    r, n = len(tup), tup.space.n
-    reps, _ = _kashiwara_reps(tup)
-    blocks = _lower_blocks(tup)
-    dim = reps.cols
-    cols = [_chunk(reps.col(c), r, n) for c in range(dim)]
-    mode = reps.mode
-
-    def q(u, v):
-        tot = Fraction(0) if mode == EXACT else 0.0
-        for i in range(r):
-            for j in range(i):
-                bij = blocks[i][j]
-                tot += sum(u[i][a] * sum(bij[a, b] * v[j][b] for b in range(n))
-                           for a in range(n))
-        return tot
-
-    gram = [[q(cols[a], cols[b]) for b in range(dim)] for a in range(dim)]
-    if mode == EXACT:
-        for a in range(dim):
-            for b in range(dim):
-                if gram[a][b] != gram[b][a]:
-                    raise ValueError("kernel form failed to be symmetric")
+    g = _quotient_gram(tup)
+    if g.mode == EXACT:
+        if g.T.entries != g.entries:
+            raise ValueError("kernel form failed to be symmetric")
     else:
-        gram = [[(gram[a][b] + gram[b][a]) / 2.0 for b in range(dim)]
-                for a in range(dim)]
-    g = Matrix.from_rows(gram, mode, reps.tol) if dim else Matrix.zeros(0, 0, mode)
-    return QuadraticSpace(dim, SymmetricForm(dim, g))
+        g = (g + g.T).scale(0.5)
+    return QuadraticSpace(g.rows, SymmetricForm(g.rows, g))
 
 
 def _primitive_column(col: Sequence[Fraction]) -> list[int]:
@@ -180,45 +182,27 @@ def _primitive_column(col: Sequence[Fraction]) -> list[int]:
     return [x // content for x in ints]
 
 
-def _direct_sum_gram_exact(tup: LagrangianTuple) -> list[list[int]]:
-    """Integer Gram of q on the direct sum, after positive column scalings."""
-    omega = clear_denominators(tup.space.omega.entries)
-    cols = [_primitive_column(m.frame.col(c))
-            for m in tup.members for c in range(m.frame.cols)]
-    images = [[sum(o * v for o, v in zip(orow, col)) for orow in omega]
-              for col in cols]
-    n = tup.space.n
-    size = len(cols)
-    gram = [[0] * size for _ in range(size)]
-    for x in range(size):
-        for y in range(x - x % n):
-            val = sum(a * b for a, b in zip(cols[x], images[y]))
-            gram[x][y] = gram[y][x] = val
-    return gram
-
-
-def _direct_sum_gram_approx(tup: LagrangianTuple) -> Matrix:
-    """Float Gram of q on the direct sum of QR-orthonormalized frames."""
-    omega = tup.space.omega.to_numpy()
-    qs = [np.linalg.qr(m.frame.to_numpy())[0] for m in tup.members]
-    n = tup.space.n
-    gram = np.zeros((len(qs) * n, len(qs) * n))
-    for i, qi in enumerate(qs):
-        for j in range(i):
-            blk = qi.T @ omega @ qs[j]
-            gram[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
-            gram[j * n:(j + 1) * n, i * n:(i + 1) * n] = blk.T
-    return Matrix.from_numpy(gram, max(m.frame.tol for m in tup.members))
-
-
 def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> WittReal:
     """Witt class (signature) of the canonical form of the tuple."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
-    if tup.members[0].frame.mode == EXACT:
-        sig = integer_signature(_direct_sum_gram_exact(tup))
+    exact = tup.members[0].frame.mode == EXACT
+    if exact:
+        # positive scalings of columns and of Omega are congruences
+        omega = clear_denominators(tup.space.omega.entries)
+        cols = [_primitive_column(m.frame.col(c))
+                for m in tup.members for c in range(m.frame.cols)]
     else:
-        sig = sym_signature(_direct_sum_gram_approx(tup))
+        omega = tup.space.omega.to_numpy().tolist()
+        cols = [q for m in tup.members
+                for q in np.linalg.qr(m.frame.to_numpy())[0].T.tolist()]
+    pair = _pairing(cols, omega, tup.space.n)
+    gram = [[a + b for a, b in zip(row, col)] for row, col in zip(pair, zip(*pair))]
+    if exact:
+        sig = integer_signature(gram)
+    else:
+        tol = max(m.frame.tol for m in tup.members)
+        sig = sym_signature(Matrix.approx(gram, tol))
     return witt_of_signature(sig)
 
 
@@ -236,31 +220,16 @@ def wall_invariant(l1: LagrangianFrame, l2: LagrangianFrame,
     """Signature of the symmetrized kernel form on
     W = {x1 + x2 + x3 = 0} / (pairwise intersections), psi(x, y) = omega(x_2, y_1).
     """
-    tup = LagrangianTuple.of(l1, l2, l3)
-    reps, _ = _kashiwara_reps(tup)
-    n = tup.space.n
-    f1, f2 = l1.frame, l2.frame
-    omega = tup.space.omega_as(f1.mode)
-    p21 = f2.T @ omega @ f1
-    dim = reps.cols
-    cols = [_chunk(reps.col(c), 3, n) for c in range(dim)]
-
-    def psi(u, v):
-        return sum(u[1][a] * sum(p21[a, b] * v[0][b] for b in range(n))
-                   for a in range(n))
-
-    half = Fraction(1, 2) if reps.mode == EXACT else 0.5
-    gram = [[(psi(cols[a], cols[b]) + psi(cols[b], cols[a])) * half
-             for b in range(dim)] for a in range(dim)]
-    g = Matrix.from_rows(gram, reps.mode, reps.tol) if dim else Matrix.zeros(0, 0, reps.mode)
-    return witt_of_signature(sym_signature(g))
+    g = _quotient_gram(LagrangianTuple.of(l1, l2, l3), block=(1, 0))
+    half = Fraction(1, 2) if g.mode == EXACT else 0.5
+    return witt_of_signature(sym_signature((g + g.T).scale(half)))
 
 
 # -- Arnold angle formulas (eigen-angle route) -------------------------------
 
 
-def _pair_value(t1: float, t2: float, snap: float = ANGLE_SNAP) -> float:
-    if abs(t1 - t2) <= snap:
+def _pair_value(t1: float, t2: float) -> float:
+    if abs(t1 - t2) <= ANGLE_SNAP:
         return 0.0
     if t1 < t2:
         return 1.0 - 2.0 * (t2 - t1) / math.pi
@@ -301,11 +270,7 @@ class LerayLift:
 
     @staticmethod
     def from_direction(p, q, k: int = 0) -> "LerayLift":
-        p, q = Fraction(p), Fraction(q)
-        if p == 0 and q == 0:
-            raise ValueError("direction must be nonzero")
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
+        p, q = _upper_direction((p, q))
         ang = math.atan2(float(q), float(p)) + k * math.pi
         return LerayLift(ang, (p, q, k))
 
@@ -353,7 +318,7 @@ def arnold_triple_lines(d1, d2, d3) -> int:
     return -c12 * c23 * c13
 
 
-def leray_m(l1: LerayLift, l2: LerayLift, tol: float = 1e-9):
+def leray_m(l1: LerayLift, l2: LerayLift, tol: float = DEFAULT_TOL):
     """Leray cochain m = -2 floor((t1 - t2)/pi) - 1, or -2 (t1 - t2)/pi on pi Z."""
     if l1.direction is not None and l2.direction is not None:
         (p1, q1, k1), (p2, q2, k2) = l1.direction, l2.direction
@@ -375,7 +340,7 @@ def leray_m(l1: LerayLift, l2: LerayLift, tol: float = 1e-9):
     return -2 * math.floor(x) - 1
 
 
-def leray_cyclic_sum(lifts: Sequence[LerayLift], tol: float = 1e-9):
+def leray_cyclic_sum(lifts: Sequence[LerayLift], tol: float = DEFAULT_TOL):
     """Sum of m over consecutive cyclic pairs; equals the projected index."""
     if len(lifts) < 2:
         raise ValueError("need at least two lifts")

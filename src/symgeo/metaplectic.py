@@ -60,19 +60,20 @@ class Mp1Element:
         return Mp1Element(ctx, WittReal(int(w)), g)
 
 
-def _cocycle(ctx: Mp1Context, g1: Matrix, g2: Matrix) -> int:
+def _cocycle(ctx: Mp1Context, g1: Matrix, g12: Matrix) -> int:
+    """tau(L, g1 L, g1 g2 L) for the base L, given g1 and the product g1 g2."""
     lag = ctx.base
-    space = ctx.space
-    l1 = LagrangianFrame(space, g1 @ lag.frame)
-    l2 = LagrangianFrame(space, (g1 @ g2) @ lag.frame)
+    l1 = LagrangianFrame(ctx.space, g1 @ lag.frame)
+    l2 = LagrangianFrame(ctx.space, g12 @ lag.frame)
     return int(kashiwara_index(LagrangianTuple.of(lag, l1, l2)))
 
 
 def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
     if a.ctx.space.omega.entries != b.ctx.space.omega.entries:
         raise ValueError("elements live over different spaces")
-    tw = _cocycle(a.ctx, a.g, b.g)
-    return Mp1Element(a.ctx, WittReal(int(a.w) + int(b.w) + tw), a.g @ b.g)
+    g = a.g @ b.g
+    tw = _cocycle(a.ctx, a.g, g)
+    return Mp1Element(a.ctx, WittReal(int(a.w) + int(b.w) + tw), g)
 
 
 def mp1_identity(ctx: Mp1Context) -> Mp1Element:
@@ -82,7 +83,7 @@ def mp1_identity(ctx: Mp1Context) -> Mp1Element:
 def mp1_inverse(a: Mp1Element) -> Mp1Element:
     """Solve (w, g)(w', g^{-1}) = (0, id) for w' in the Witt group."""
     ginv = inverse(a.g)
-    tw = _cocycle(a.ctx, a.g, ginv)
+    tw = _cocycle(a.ctx, a.g, Matrix.identity(a.ctx.space.dim))
     return Mp1Element(a.ctx, WittReal(-int(a.w) - tw), ginv)
 
 
@@ -97,10 +98,9 @@ def mp1_central_check(ctx: Mp1Context, w: int, others: list[Mp1Element]) -> bool
     return True
 
 
-def random_mp1(ctx: Mp1Context, rng: Random, wmax: int = 3,
-               transvections: int = 5) -> Mp1Element:
-    g = random_symplectic(ctx.space, rng, transvections)
-    return Mp1Element.of(ctx, rng.randint(-wmax, wmax), g)
+def random_mp1(ctx: Mp1Context, rng: Random) -> Mp1Element:
+    g = random_symplectic(ctx.space, rng, transvections=5)
+    return Mp1Element.of(ctx, rng.randint(-3, 3), g)
 
 
 def mp2_member(a: Mp1Element, base_lift: LerayLift, image_lift: LerayLift) -> bool:

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .jsonio import ValidationError
-from .linalg import Matrix
+from .linalg import DEFAULT_TOL, Matrix
 from .symplectic import LagrangianFrame, SymplecticSpace, loop_degree
 
 DEFAULT_SCAN_TOL = 1e-6
@@ -111,12 +111,17 @@ class SampledImmersion:
         return len(self.points)
 
     def tangent_frames(self) -> list:
-        """Analytic frames if given, else finite-difference frames."""
+        """Analytic frames if given, else finite-difference frames; a
+        difference that overflows a float is refused."""
         if self.frames is not None:
             return list(self.frames)
-        if self.topology == "grid":
-            return self._grid_frames()
-        return self._path_frames()
+        try:
+            with np.errstate(over="raise"):
+                if self.topology == "grid":
+                    return self._grid_frames()
+                return self._path_frames()
+        except FloatingPointError:
+            raise ValidationError("tangent frame overflows a float") from None
 
     def _path_frames(self) -> list:
         pts = np.asarray(self.points)
@@ -174,16 +179,7 @@ def check_lagrangian(s: SampledImmersion, space: SymplecticSpace,
     if s.ambient_dim != 2 * space.n:
         raise ValidationError("ambient dimension must be twice n")
     omega = space.omega_as("approx").to_numpy()
-    worst = 0.0
-    ok = True
-    for f in s.tangent_frames():
-        raw = float(np.linalg.norm(f.T @ omega @ f))
-        scale = float(np.linalg.norm(f))
-        if scale == 0.0:
-            raise ValidationError("zero tangent frame")
-        worst = max(worst, raw / scale)
-        ok = ok and raw <= tol * scale * scale
-    return {"samples": len(s), "max_residual": worst, "tol": tol, "pass": ok}
+    return _residual_report(s, lambda p, f: f.T @ omega @ f, tol)
 
 
 def corank_profile(s: SampledImmersion, tol: float = DEFAULT_SCAN_TOL,
@@ -249,7 +245,7 @@ def loop_maslov(s: SampledImmersion, space: SymplecticSpace,
     return loop_degree(frames + [frames[0]])
 
 
-def _to_matrix(arr, tol: float = 1e-9) -> Matrix:
+def _to_matrix(arr, tol: float = DEFAULT_TOL) -> Matrix:
     return Matrix.approx([[float(v) for v in row] for row in arr], tol=tol)
 
 
@@ -290,16 +286,30 @@ def check_legendrian(s: SampledImmersion, chi: ChiSpec | None = None,
     chi = chi if chi is not None else ChiSpec(n)
     if chi.n != n:
         raise ValidationError("contact form has the wrong number of slots")
+    return _residual_report(
+        s, lambda p, f: [chi.value(p, f[:, j]) for j in range(f.shape[1])], tol)
+
+
+def _residual_report(s: SampledImmersion, residual, tol: float) -> dict:
+    """Max of |residual(point, F)| / |F| over the samples; pass iff
+    |residual| <= tol * |F|^2 at every sample.  A norm or residual that
+    overflows a float is refused: no comparison with it holds.
+    """
     worst = 0.0
     ok = True
-    for p, f in zip(s.points, s.tangent_frames()):
-        vals = [chi.value(p, f[:, j]) for j in range(f.shape[1])]
-        raw = float(np.linalg.norm(vals))
-        scale = float(np.linalg.norm(f))
-        if scale == 0.0:
-            raise ValidationError("zero tangent frame")
-        worst = max(worst, raw / scale)
-        ok = ok and raw <= tol * scale * scale
+    try:
+        with np.errstate(over="raise"):
+            for p, f in zip(s.points, s.tangent_frames()):
+                raw = float(np.linalg.norm(residual(p, f)))
+                scale = float(np.linalg.norm(f))
+                if scale == 0.0:
+                    raise ValidationError("zero tangent frame")
+                if not math.isfinite(raw):  # Python floats overflow silently
+                    raise FloatingPointError
+                worst = max(worst, raw / scale)
+                ok = ok and raw <= tol * scale * scale
+    except FloatingPointError:
+        raise ValidationError("tangent frame overflows a float") from None
     return {"samples": len(s), "max_residual": worst, "tol": tol, "pass": ok}
 
 

@@ -61,6 +61,8 @@ class SymplecticSpace:
             raise ValueError("custom Gram matrices must be exact rationals")
         if omega.rows != omega.cols or omega.rows % 2:
             raise ValueError("Gram matrix must be square of even size")
+        if omega.rows == 0:
+            raise ValueError("Gram matrix must be nonempty")
         if (omega + omega.T).entries != Matrix.zeros(omega.rows, omega.rows).entries:
             raise ValueError("Gram matrix must be skew-symmetric")
         n = omega.rows // 2
@@ -228,7 +230,7 @@ def det_squared(lag: LagrangianFrame) -> complex:
     return complex(d2 / abs(d2))
 
 
-def eigen_angles(lag: LagrangianFrame, snap: float = ANGLE_SNAP) -> tuple[float, ...]:
+def eigen_angles(lag: LagrangianFrame) -> tuple[float, ...]:
     """Angles theta_j in [0, pi) of L relative to the real axes (sorted)."""
     zu = _polar_unitary(lag)
     w = np.linalg.eigvals(zu @ zu.T)
@@ -238,14 +240,13 @@ def eigen_angles(lag: LagrangianFrame, snap: float = ANGLE_SNAP) -> tuple[float,
         if a < 0:
             a += 2 * math.pi
         th = a / 2.0
-        if th < snap or th > math.pi - snap:
+        if th < ANGLE_SNAP or th > math.pi - ANGLE_SNAP:
             th = 0.0
         out.append(th)
     return tuple(sorted(out))
 
 
-def loop_degree(path: Sequence[LagrangianFrame | Matrix],
-                space: SymplecticSpace | None = None) -> int:
+def loop_degree(path: Sequence[LagrangianFrame]) -> int:
     """Winding number of det-squared along a closed Lagrangian loop.
 
     Requires first and last members to span the same subspace and each
@@ -253,18 +254,10 @@ def loop_degree(path: Sequence[LagrangianFrame | Matrix],
     """
     if len(path) < 3:
         raise ValueError("a loop needs at least three samples")
-    frames = []
-    for item in path:
-        if isinstance(item, LagrangianFrame):
-            frames.append(item)
-        else:
-            if space is None:
-                raise ValueError("raw matrices need an explicit space")
-            frames.append(LagrangianFrame(space, item))
-    first, last = frames[0].frame, frames[-1].frame
+    first, last = path[0].frame, path[-1].frame
     if not spans_equal(first.to_approx(), last.to_approx()):
         raise ValueError("path is not closed (first and last spans differ)")
-    vals = [det_squared(f) for f in frames]
+    vals = [det_squared(f) for f in path]
     total = 0.0
     for a, b in zip(vals, vals[1:]):
         step = cmath.phase(b / a)

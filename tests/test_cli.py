@@ -92,6 +92,22 @@ def test_kashiwara_tuple_rejects_non_finite_entries(capsys, tmp_path, entries,
     assert captured.err == f"error: {message}\n"
 
 
+_FRAME = {"rows": 2, "cols": 1, "entries": [1, 0]}
+_EMPTY = {"rows": 0, "cols": 0, "entries": []}
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"n": True, "frames": [_FRAME] * 3}, "'n' must be a positive integer"),
+    ({"omega": _EMPTY, "frames": [_EMPTY] * 3}, "Gram matrix must be nonempty"),
+])
+def test_kashiwara_tuple_rejects_bad_spaces(capsys, tmp_path, obj, message):
+    path = _write(tmp_path, "tuple.json", obj)
+    code = main(["maslov", "kashiwara", "--tuple", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_kashiwara_requires_an_input(capsys):
     code, _ = run(capsys, "maslov", "kashiwara")
     assert code == 2
@@ -169,6 +185,16 @@ def test_mp1_inverse_roundtrip(capsys, tmp_path):
     assert code == 0
     assert prod["w"] == 0
     assert prod["g"] == matrix_to_json(Matrix.identity(2))
+
+
+def test_mp1_rejects_a_boolean_witt_class(capsys, tmp_path):
+    ctx, _ = _mp1_files(tmp_path)
+    a = _write(tmp_path, "a.json", {
+        "w": True, "g": {"rows": 2, "cols": 2, "entries": [0, 1, -1, 0]}})
+    code = main(["mp1", "inverse", "--context", ctx, "--a", a])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: 'w' must be an integer\n"
 
 
 def test_mp1_rejects_non_symplectic(capsys, tmp_path):
@@ -295,6 +321,37 @@ def test_scan_rejects_non_finite_samples(capsys, tmp_path, verb, value, message)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _overflowing_samples(tmp_path, kind):
+    """A 16-sample unit circle with sample 3 at (1e308, 0.5), or a 12-sample
+    line (t, 2t, t^2) with sample 5 at (1e308, 0.5, 0.25)."""
+    if kind == "circle":
+        ts = [2 * math.pi * i / 16 for i in range(16)]
+        points = [[math.cos(t), math.sin(t)] for t in ts]
+        points[3] = [1e308, 0.5]
+        topology = "loop"
+    else:
+        ts = [i / 4 for i in range(12)]
+        points = [[t, 2 * t, t * t] for t in ts]
+        points[5] = [1e308, 0.5, 0.25]
+        topology = "line"
+    return _write(tmp_path, "samples.json", {
+        "param_dim": 1, "ambient_dim": len(points[0]), "topology": topology,
+        "params": [[t] for t in ts], "points": points,
+    })
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["lagrangian", "--space", "std:1"], "circle"),
+    (["legendrian"], "line"),
+    (["corank"], "line"),
+])
+def test_scan_refuses_overflowing_tangent_frames(capsys, tmp_path, argv, kind):
+    code = main(["scan", *argv, "--samples", _overflowing_samples(tmp_path, kind)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: tangent frame overflows a float\n"
 
 
 def test_scan_rejects_nan_in_a_csv_sample(capsys, tmp_path):

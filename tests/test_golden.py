@@ -1,5 +1,6 @@
 """Golden bytes: sha256 pins of the selftest reports, the stdout of every
-README command, every ``--help`` page and a seeded dump of the jets layer.
+README command, every ``--help`` page and seeded dumps of the jets layer and
+the Kashiwara-type forms.
 
 A refactor keeps these hashes; a change that means to move them updates
 them in the same commit.  Help pages follow argparse's wording, so they are
@@ -24,7 +25,10 @@ from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, unflatten)
 from symgeo.jsonio import dumps
 from symgeo.linalg import Matrix
+from symgeo.maslov import LagrangianTuple, kashiwara_space, wall_invariant
 from symgeo.selftest import _rand_full_rank, run_selftest
+from symgeo.symplectic import LagrangianFrame, SymplecticSpace
+from test_maslov import _rand_tuple
 
 SELFTEST_QUICK = {
     0: "314a30a7416b16c822ad697bb869e766d7ff0633d967281c66c8100ba7caca01",
@@ -66,6 +70,9 @@ JETS_DUMP = (
     "f2eee5ad98f405fa087d0042607a1f0e69ea22ae336e6f97b4111ba1f4f6553f")
 JETS_SIGNATURES = ((1, 1, 2), (2, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),
                    (3, 1, 2), (2, 1, 3), (1, 2, 3))
+
+MASLOV_FORMS_DUMP = (
+    "3e25a8123ae108456597c607b7246f906096cf0f35abcfc73dd98a873db5cf53")
 
 HELP_PAGES = {
     "":
@@ -188,6 +195,29 @@ def _jets_dump() -> str:
     return "\n".join(lines)
 
 
+def _maslov_forms_dump() -> str:
+    """Exact Gram entries, dims and signatures of ``kashiwara_space``, the
+    dims and signatures of float copies, and exact and float Wall values of
+    the first three members, for 48 seeded tuples over n = 1..4, r = 3..5."""
+    rng = Random("golden:maslov-forms")
+    lines = []
+    for n in range(1, 5):
+        sp = SymplecticSpace.standard(n)
+        for _ in range(12):
+            ls = _rand_tuple(rng, sp, rng.randint(3, 5))
+            floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
+            qs = kashiwara_space(LagrangianTuple.of(*ls))
+            fqs = kashiwara_space(LagrangianTuple.of(*floats))
+            gram = "; ".join(" ".join(str(x) for x in row)
+                             for row in qs.form.gram.entries)
+            lines.append(f"space n={n} r={len(ls)} dim={qs.dim} "
+                         f"sig={qs.signature().as_tuple()} gram={gram}")
+            lines.append(f"float dim={fqs.dim} sig={fqs.signature().as_tuple()}")
+            lines.append(f"wall {int(wall_invariant(*ls[:3]))} "
+                         f"{int(wall_invariant(*floats[:3]))}")
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("seed", sorted(SELFTEST_QUICK))
 def test_quick_selftest_report(seed):
     assert _sha(dumps(run_selftest(seed=seed, quick=True))) == SELFTEST_QUICK[seed]
@@ -208,6 +238,10 @@ def test_readme_command(command, tmp_path, monkeypatch):
 
 def test_jets_dump():
     assert _sha(_jets_dump()) == JETS_DUMP
+
+
+def test_maslov_forms():
+    assert _sha(_maslov_forms_dump()) == MASLOV_FORMS_DUMP
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

@@ -6,8 +6,9 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import Matrix, inverse, kernel_basis
-from symgeo.maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
+from symgeo.linalg import Matrix, inverse, kernel_basis, rank, sym_signature
+from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
+                           arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
                            kashiwara_space, leray_cyclic_sum, leray_m,
                            tuple_reduce, wall_invariant)
@@ -172,6 +173,89 @@ def test_approx_index_matches_exact_on_converted_tuples():
         ls = _rand_tuple(rng, sp, rng.randint(3, 6))
         floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
         assert int(kashiwara_index(floats)) == int(kashiwara_index(ls))
+
+
+def _reference_reps(tup):
+    """Representatives of T, each candidate kernel column taken when a rank
+    test shows it independent of the boundary and the columns before it."""
+    frames = [m.frame for m in tup.members]
+    sigma = frames[0]
+    for f in frames[1:]:
+        sigma = sigma.hstack(f)
+    ker = kernel_basis(sigma)
+    cur, picked = _boundary_columns(tup), []
+    for j in range(ker.cols):
+        trial = cur.hstack(ker.columns([j]))
+        if rank(trial) > rank(cur):
+            cur = trial
+            picked.append(j)
+    return ker.columns(picked)
+
+
+def _reference_gram(tup, form):
+    """Gram of form(u, v) on the representatives, u and v cut into members."""
+    reps = _reference_reps(tup)
+    r, n = len(tup), tup.space.n
+    cols = [[reps.col(c)[i * n:(i + 1) * n] for i in range(r)]
+            for c in range(reps.cols)]
+    return [[form(u, v) for v in cols] for u in cols]
+
+
+def _reference_q(tup):
+    """q(u, v) = sum over i > j of u_i^T (F_i^T Omega F_j) v_j."""
+    frames = [m.frame for m in tup.members]
+    omega, n = tup.space.omega, tup.space.n
+    blocks = [[f.T @ omega @ frames[j] for j in range(i)]
+              for i, f in enumerate(frames)]
+
+    def q(u, v):
+        return sum(u[i][a] * blocks[i][j][a, b] * v[j][b]
+                   for i in range(len(frames)) for j in range(i)
+                   for a in range(n) for b in range(n))
+    return q
+
+
+def _reference_psi(tup):
+    """psi(u, v) = u_2^T (F_2^T Omega F_1) v_1, symmetrized."""
+    f1, f2 = tup.members[0].frame, tup.members[1].frame
+    p21, n = f2.T @ tup.space.omega @ f1, tup.space.n
+
+    def psi(u, v):
+        return sum(u[1][a] * p21[a, b] * v[0][b]
+                   for a in range(n) for b in range(n))
+    return lambda u, v: (psi(u, v) + psi(v, u)) / 2
+
+
+def _check_forms_against_references(tup):
+    gram = kashiwara_space(tup).form.gram
+    assert [list(row) for row in gram.entries] == \
+        _reference_gram(tup, _reference_q(tup))
+    triple = LagrangianTuple.of(*tup.members[:3])
+    sig = sym_signature(Matrix.exact(_reference_gram(triple, _reference_psi(triple))))
+    assert int(wall_invariant(*triple.members)) == sig.pos - sig.neg
+
+
+def test_quotient_forms_match_the_closure_references():
+    rng = Random("closure-references")
+    for n in (1, 2, 3):
+        sp = SymplecticSpace.standard(n)
+        for _ in range(8):
+            _check_forms_against_references(
+                LagrangianTuple.of(*_rand_tuple(rng, sp, rng.randint(3, 5))))
+
+
+def test_quotient_forms_match_the_closure_references_on_a_rational_omega():
+    rng = Random("closure-references:omega")
+    for n in (1, 2):
+        a = _rand_full_rank(rng, 2 * n, 2 * n)
+        custom = SymplecticSpace.from_omega(
+            (a.T @ standard_gram(n) @ a).scale(F(3, 5)))
+        to_custom = inverse(a)
+        std = SymplecticSpace.standard(n)
+        for _ in range(4):
+            ls = _rand_tuple(rng, std, rng.randint(3, 4))
+            _check_forms_against_references(LagrangianTuple.of(
+                *(LagrangianFrame(custom, to_custom @ l.frame) for l in ls)))
 
 
 def test_wall_equals_kashiwara_seeded():
