@@ -65,10 +65,13 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(obj: dict, mode: str | None = None,
                      tol: float = DEFAULT_TOL) -> Matrix:
     try:
-        r, c = int(obj["rows"]), int(obj["cols"])
+        r, c = obj["rows"], obj["cols"]
         flat = list(obj["entries"])
     except (KeyError, TypeError) as exc:
         raise ValidationError("matrix object needs rows, cols, entries") from exc
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0
+               for x in (r, c)):
+        raise ValidationError("matrix rows and cols must be non-negative integers")
     if len(flat) != r * c:
         raise ValidationError(f"expected {r * c} entries, got {len(flat)}")
     vals = [parse_scalar(x) for x in flat]

@@ -81,10 +81,11 @@ def mp1_identity(ctx: Mp1Context) -> Mp1Element:
 
 
 def mp1_inverse(a: Mp1Element) -> Mp1Element:
-    """Solve (w, g)(w', g^{-1}) = (0, id) for w' in the Witt group."""
-    ginv = inverse(a.g)
-    tw = _cocycle(a.ctx, a.g, Matrix.identity(a.ctx.space.dim))
-    return Mp1Element(a.ctx, WittReal(-int(a.w) - tw), ginv)
+    """Solve (w, g)(w', g^{-1}) = (0, id) for w' in the Witt group.
+
+    The twist tau(L, gL, L) has a repeated member, so it is 0 and w' = -w.
+    """
+    return Mp1Element(a.ctx, WittReal(-int(a.w)), inverse(a.g))
 
 
 def mp1_central_check(ctx: Mp1Context, w: int, others: list[Mp1Element]) -> bool:

@@ -4,10 +4,11 @@ checks.
 
 Samples carry explicit grid topology (line, loop, or rectangular grid);
 tangent frames default to central finite differences on the parameter
-grid, and analytic frames, when provided, take precedence.  Corank
-decisions threshold singular values of the projected frame against the
-largest singular value of the full frame, so complete collapse at a
-sample is still classified.
+grid, and analytic frames, when provided, take precedence.  Either way the
+m samples give one (m, dim, k) stack of frames, which the corank and
+winding audits read in array passes.  Corank decisions threshold singular
+values of the projected frame against the largest singular value of the
+full frame, so complete collapse at a sample is still classified.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .jsonio import ValidationError
-from .linalg import DEFAULT_TOL, Matrix
-from .symplectic import LagrangianFrame, SymplecticSpace, loop_degree
+from .symplectic import (SymplecticSpace, check_lagrangian_frames,
+                         frames_loop_degree)
 
 DEFAULT_SCAN_TOL = 1e-6
 NEAR_SINGULAR_BAND = 10.0
@@ -31,31 +31,37 @@ _TOPOLOGIES = ("line", "loop", "grid")
 
 
 def _stencil_derivative(ts, fs, te):
-    """Derivative at te of the quadratic through (ts[i], fs[i]), i = 0..2.
+    """Derivatives at te of the quadratics through (ts[i], fs[i]), i = 0..2,
+    one per entry of te (fs[i] has one more, trailing axis).
 
     Second order on any spacing; exact whenever the sampled coordinates
-    are polynomials of degree <= 2 in the parameter.
+    are polynomials of degree <= 2 in the parameter.  Zero denominators
+    (repeated nodes, or underflowing spacing) are refused before dividing.
     """
-    t0, t1, t2 = float(ts[0]), float(ts[1]), float(ts[2])
-    if t0 == t1 or t1 == t2 or t0 == t2:
+    t0, t1, t2 = ts
+    den0 = (t0 - t1) * (t0 - t2)
+    den1 = (t1 - t0) * (t1 - t2)
+    den2 = (t2 - t0) * (t2 - t1)
+    if not (den0.all() and den1.all() and den2.all()):
         raise ValidationError("degenerate parameter spacing")
-    te = float(te)
-    w0 = (2.0 * te - t1 - t2) / ((t0 - t1) * (t0 - t2))
-    w1 = (2.0 * te - t0 - t2) / ((t1 - t0) * (t1 - t2))
-    w2 = (2.0 * te - t0 - t1) / ((t2 - t0) * (t2 - t1))
-    return w0 * np.asarray(fs[0]) + w1 * np.asarray(fs[1]) + w2 * np.asarray(fs[2])
+    w0 = (2.0 * te - t1 - t2) / den0
+    w1 = (2.0 * te - t0 - t2) / den1
+    w2 = (2.0 * te - t0 - t1) / den2
+    return (w0[..., None] * fs[0] + w1[..., None] * fs[1]
+            + w2[..., None] * fs[2])
 
 
 @dataclass
 class SampledImmersion:
-    """An ordered grid of samples of an immersion, with declared topology."""
+    """An ordered grid of samples of an immersion, with declared topology;
+    params, points and frames are kept as float arrays, one row per sample."""
 
     param_dim: int
     ambient_dim: int
     topology: str
-    params: list
-    points: list
-    frames: list | None = None
+    params: np.ndarray
+    points: np.ndarray
+    frames: np.ndarray | None = None
     grid_shape: tuple | None = None
 
     def __post_init__(self):
@@ -63,22 +69,25 @@ class SampledImmersion:
             raise ValidationError(f"unknown topology {self.topology!r}")
         if self.param_dim < 1 or self.ambient_dim <= self.param_dim:
             raise ValidationError("need 1 <= param_dim < ambient_dim")
-        try:
-            self.params = [tuple(map(float, p)) for p in self.params]
-            self.points = [tuple(map(float, p)) for p in self.points]
-        except OverflowError as exc:
-            raise ValidationError("sample value overflows a float") from exc
-        if not all(map(math.isfinite, chain.from_iterable(self.params + self.points))):
-            raise ValidationError("sample values must be finite")
         if len(self.params) != len(self.points):
             raise ValidationError("params and points must pair up")
+        if not len(self.points):
+            raise ValidationError("need at least one sample")
         if any(len(p) != self.param_dim for p in self.params):
             raise ValidationError("parameter width mismatch")
         if any(len(p) != self.ambient_dim for p in self.points):
             raise ValidationError("ambient width mismatch")
-        for a, b in zip(self.points, self.points[1:]):
-            if a == b:
-                raise ValidationError("consecutive samples must be distinct")
+        try:
+            self.params = np.asarray(self.params, dtype=float)
+            self.points = np.asarray(self.points, dtype=float)
+        except OverflowError as exc:
+            raise ValidationError("sample value overflows a float") from exc
+        if self.params.ndim != 2 or self.points.ndim != 2:
+            raise ValidationError("sample values must be numbers")
+        if not (np.isfinite(self.params).all() and np.isfinite(self.points).all()):
+            raise ValidationError("sample values must be finite")
+        if (self.points[1:] == self.points[:-1]).all(axis=1).any():
+            raise ValidationError("consecutive samples must be distinct")
         if self.topology == "grid":
             if self.param_dim != 2:
                 raise ValidationError("grid topology needs param_dim = 2")
@@ -93,79 +102,68 @@ class SampledImmersion:
             raise ValidationError("a loop needs at least 3 samples")
         if self.frames is not None:
             try:
-                self.frames = [np.asarray(f, dtype=float) for f in self.frames]
+                frames = [np.asarray(f, dtype=float) for f in self.frames]
             except OverflowError as exc:
                 raise ValidationError("frame entries overflow a float") from exc
-            if not all(np.isfinite(f).all() for f in self.frames):
+            if not all(np.isfinite(f).all() for f in frames):
                 raise ValidationError("frame entries must be finite")
-            if len(self.frames) != len(self.points):
+            if len(frames) != len(self.points):
                 raise ValidationError("one frame per sample required")
             # analytic frames may span a plane wider than the sampled path
-            width = self.frames[0].shape[1] if self.frames[0].ndim == 2 else 0
-            for f in self.frames:
-                if f.ndim != 2 or f.shape != (self.ambient_dim, width) \
-                        or width < self.param_dim:
-                    raise ValidationError("frame shape mismatch")
+            if len({f.shape for f in frames}) > 1 or frames[0].ndim != 2 \
+                    or not self.param_dim <= frames[0].shape[1] \
+                    or frames[0].shape[0] != self.ambient_dim:
+                raise ValidationError("frame shape mismatch")
+            self.frames = np.stack(frames)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def tangent_frames(self) -> list:
-        """Analytic frames if given, else finite-difference frames; a
-        difference that overflows a float is refused."""
+    def tangent_frames(self) -> np.ndarray:
+        """The (m, dim, k) stack of tangent frames: the analytic frames if
+        given, else finite differences; a difference that overflows a
+        float is refused."""
         if self.frames is not None:
-            return list(self.frames)
+            return self.frames
         try:
             with np.errstate(over="raise"):
-                if self.topology == "grid":
-                    return self._grid_frames()
-                return self._path_frames()
+                return (self._grid_frames() if self.topology == "grid"
+                        else self._path_frames())
         except FloatingPointError:
             raise ValidationError("tangent frame overflows a float") from None
 
-    def _path_frames(self) -> list:
-        pts = np.asarray(self.points)
-        ts = [p[0] for p in self.params]
+    def _path_frames(self) -> np.ndarray:
+        pts, ts = self.points, self.params[:, 0]
         m = len(pts)
         if m < 3:
             raise ValidationError("finite differences need at least 3 samples")
-        out = []
-        for i in range(m):
-            if self.topology == "loop":
-                # the unsampled closing gap is taken as the mean of the end gaps
-                period = ts[-1] - ts[0] + ((ts[1] - ts[0]) + (ts[-1] - ts[-2])) / 2
-                nodes = [(i - 1) % m, i, (i + 1) % m]
-                tv = [ts[nd] - period if i == 0 and nd == m - 1 else
-                      ts[nd] + period if i == m - 1 and nd == 0 else ts[nd]
-                      for nd in nodes]
-            else:
-                lo = min(max(i - 1, 0), m - 3)
-                nodes = [lo, lo + 1, lo + 2]
-                tv = [ts[nd] for nd in nodes]
-            out.append(_stencil_derivative(tv, [pts[nd] for nd in nodes],
-                                           ts[i]).reshape(-1, 1))
-        return out
+        idx = np.arange(m)
+        if self.topology == "loop":
+            # the unsampled closing gap is taken as the mean of the end gaps
+            period = ts[-1] - ts[0] + ((ts[1] - ts[0]) + (ts[-1] - ts[-2])) / 2
+            nodes = np.stack([idx - 1, idx, idx + 1]) % m
+            tv = ts[nodes]
+            tv[0, 0] -= period
+            tv[2, -1] += period
+        else:
+            lo = np.clip(idx - 1, 0, m - 3)
+            nodes = np.stack([lo, lo + 1, lo + 2])
+            tv = ts[nodes]
+        return _stencil_derivative(tv, pts[nodes], ts)[:, :, None]
 
-    def _grid_frames(self) -> list:
+    def _grid_frames(self) -> np.ndarray:
         r, c = self.grid_shape
         if r < 3 or c < 3:
             raise ValidationError("finite differences need a 3x3 grid at least")
-        pts = np.asarray(self.points).reshape(r, c, self.ambient_dim)
-        us = np.asarray([p[0] for p in self.params]).reshape(r, c)
-        vs = np.asarray([p[1] for p in self.params]).reshape(r, c)
-        out = []
-        for i in range(r):
-            for j in range(c):
-                i0 = min(max(i - 1, 0), r - 3)
-                j0 = min(max(j - 1, 0), c - 3)
-                col_u = _stencil_derivative(
-                    [us[i0 + d, j] for d in range(3)],
-                    [pts[i0 + d, j] for d in range(3)], us[i, j])
-                col_v = _stencil_derivative(
-                    [vs[i, j0 + d] for d in range(3)],
-                    [pts[i, j0 + d] for d in range(3)], vs[i, j])
-                out.append(np.stack([col_u, col_v], axis=1))
-        return out
+        pts = self.points.reshape(r, c, self.ambient_dim)
+        us, vs = np.moveaxis(self.params.reshape(r, c, 2), 2, 0)
+        # stencil d of row i starts at min(max(i - 1, 0), r - 3); same for columns
+        rows = np.clip(np.arange(r) - 1, 0, r - 3) + np.arange(3)[:, None]
+        cols = np.clip(np.arange(c) - 1, 0, c - 3) + np.arange(3)[:, None]
+        col_u = _stencil_derivative(us[rows], pts[rows], us)
+        col_v = _stencil_derivative(np.moveaxis(vs[:, cols], 1, 0),
+                                    np.moveaxis(pts[:, cols], 1, 0), vs)
+        return np.stack([col_u, col_v], axis=-1).reshape(r * c, -1, 2)
 
 
 def check_lagrangian(s: SampledImmersion, space: SymplecticSpace,
@@ -194,7 +192,7 @@ def corank_profile(s: SampledImmersion, tol: float = DEFAULT_SCAN_TOL,
     flagged as near-singular rather than silently binned.
     """
     frames = s.tangent_frames()
-    n = frames[0].shape[1]
+    n = frames.shape[2]
     if fiber_slots is None:
         fiber_slots = list(range(n, s.ambient_dim))
     fiber_slots = sorted(set(int(i) for i in fiber_slots))
@@ -204,28 +202,20 @@ def corank_profile(s: SampledImmersion, tol: float = DEFAULT_SCAN_TOL,
     if not keep:
         raise ValidationError("projection must keep at least one slot")
 
-    coranks = []
-    near = []
-    for idx, f in enumerate(frames):
-        ref = float(np.linalg.svd(f, compute_uv=False)[0])
-        if ref == 0.0:
-            raise ValidationError("zero tangent frame")
-        svs = np.linalg.svd(f[keep, :], compute_uv=False)
-        cut = tol * ref
-        kept = int(np.sum(svs > cut))
-        coranks.append(n - kept)
-        if any(cut < v <= NEAR_SINGULAR_BAND * cut for v in svs):
-            near.append(idx)
-
-    strata = {}
-    for idx, c in enumerate(coranks):
-        if c > 0:
-            strata.setdefault(n - c, []).append(idx)
+    ref = np.linalg.svd(frames, compute_uv=False)[:, 0]
+    if not ref.all():
+        raise ValidationError("zero tangent frame")
+    svs = np.linalg.svd(frames[:, keep, :], compute_uv=False)
+    cut = (tol * ref)[:, None]
+    kept = svs > cut
+    coranks = n - kept.sum(axis=1)
+    near = (kept & (svs <= NEAR_SINGULAR_BAND * cut)).any(axis=1)
     return {
         "samples": len(s),
-        "coranks": coranks,
-        "strata": {str(i): strata[i] for i in sorted(strata)},
-        "near_singular": near,
+        "coranks": coranks.tolist(),
+        "strata": {str(n - c): np.flatnonzero(coranks == c).tolist()
+                   for c in range(n, 0, -1) if (coranks == c).any()},
+        "near_singular": np.flatnonzero(near).tolist(),
         "tol": tol,
     }
 
@@ -237,16 +227,12 @@ def loop_maslov(s: SampledImmersion, space: SymplecticSpace,
         raise ValidationError("loop_maslov needs loop topology")
     if s.ambient_dim != 2 * space.n:
         raise ValidationError("ambient dimension must be twice n")
-    raw = s.tangent_frames()
-    if raw[0].shape[1] != space.n:
+    frames = s.tangent_frames()
+    if frames.shape[2] != space.n:
         raise ValidationError("tangent planes must have n columns")
-    frames = [LagrangianFrame(space, _to_matrix(f, max(tol, 1e-7)))
-              for f in raw]
-    return loop_degree(frames + [frames[0]])
-
-
-def _to_matrix(arr, tol: float = DEFAULT_TOL) -> Matrix:
-    return Matrix.approx([[float(v) for v in row] for row in arr], tol=tol)
+    tol = max(tol, 1e-7)
+    check_lagrangian_frames(space, frames, tol)
+    return frames_loop_degree(space, np.concatenate([frames, frames[:1]]), tol)
 
 
 @dataclass(frozen=True)
@@ -293,7 +279,8 @@ def check_legendrian(s: SampledImmersion, chi: ChiSpec | None = None,
 def _residual_report(s: SampledImmersion, residual, tol: float) -> dict:
     """Max of |residual(point, F)| / |F| over the samples; pass iff
     |residual| <= tol * |F|^2 at every sample.  A norm or residual that
-    overflows a float is refused: no comparison with it holds.
+    overflows a float is refused: no comparison with it holds.  A loop
+    over the samples, so the reported floats are per-sample norms.
     """
     worst = 0.0
     ok = True

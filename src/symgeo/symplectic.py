@@ -80,10 +80,6 @@ class SymplecticSpace:
     def omega_as(self, mode: str) -> Matrix:
         return self.omega if mode == EXACT else self.omega.to_approx()
 
-    def pair_frames(self, f: Matrix, g: Matrix) -> Matrix:
-        """Gram of omega between column sets: f^T Omega g."""
-        return f.T @ self.omega_as(f.mode) @ g
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -146,18 +142,35 @@ class LagrangianFrame(Subspace):
         super().__post_init__()
         if self.frame.cols != self.space.n:
             raise ValueError("a Lagrangian frame needs exactly n columns")
-        g = self.space.pair_frames(self.frame, self.frame)
         if self.frame.mode == EXACT:
-            if any(x != 0 for row in g.entries for x in row):
+            if not (self.frame.T @ self.space.omega @ self.frame).is_zero():
                 raise ValueError("frame is not isotropic")
         else:
-            try:
-                scale = max(self.frame.max_abs() ** 2, 1.0)
-            except OverflowError:
-                raise ValueError("frame entries are too large for approx "
-                                 "mode") from None
-            if g.max_abs() > self.frame.tol * scale:
-                raise ValueError("frame is not isotropic within tolerance")
+            check_lagrangian_frames(self.space, self.frame.to_numpy()[None],
+                                    self.frame.tol)
+
+
+def check_lagrangian_frames(space: SymplecticSpace, frames: np.ndarray,
+                            tol: float) -> None:
+    """The approx ``LagrangianFrame`` checks in one pass over a (k, 2n, n)
+    stack: rank by singular values > tol * max(max|F|, 1), isotropy by
+    max|F^T Omega F| <= tol * max(max|F|^2, 1).  The first failing frame
+    is refused, its rank checked before its size and isotropy."""
+    big = np.abs(frames).max(axis=(1, 2))
+    sv = np.linalg.svd(frames, compute_uv=False)
+    dependent = sv[:, -1] <= tol * np.maximum(big, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(big ** 2, 1.0)
+        gram = np.swapaxes(frames, 1, 2) @ space.omega_as(APPROX).to_numpy() @ frames
+        skew = np.abs(gram).max(axis=(1, 2)) > tol * scale
+    too_large = np.isinf(scale)
+    failed = dependent | too_large | skew
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise ValueError(
+            "frame columns are linearly dependent" if dependent[k] else
+            "frame entries are too large for approx mode" if too_large[k] else
+            "frame is not isotropic within tolerance")
 
 
 def lagrangian_from_angles(space: SymplecticSpace, thetas: Sequence[float],
@@ -207,20 +220,22 @@ def graph_lagrangian(space: SymplecticSpace, phi: Matrix) -> LagrangianFrame:
 # -- unitary representatives and the determinant-squared map ---------------
 
 
-def _complex_frame(lag: LagrangianFrame) -> np.ndarray:
-    f = lag.frame.to_numpy()
-    n = lag.space.n
-    return f[:n, :] + 1j * f[n:, :]
+def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
+                     tol) -> np.ndarray:
+    """Unitary polar factors of X + iY for a (k, 2n, n) stack of frames
+    (X over Y); ``tol`` is one tolerance or one per frame."""
+    if not space.is_standard():
+        raise ValueError("unitary representatives need the standard space")
+    n = space.n
+    u, s, vh = np.linalg.svd(frames[:, :n, :] + 1j * frames[:, n:, :])
+    if (s[:, -1] <= tol * np.maximum(s[:, 0], 1.0)).any():
+        raise ValueError("polar factor ill-conditioned beyond tolerance")
+    return u @ vh
 
 
 def _polar_unitary(lag: LagrangianFrame) -> np.ndarray:
-    if not lag.space.is_standard():
-        raise ValueError("unitary representatives need the standard space")
-    z = _complex_frame(lag)
-    u, s, vh = np.linalg.svd(z)
-    if s[-1] <= lag.frame.tol * max(s[0], 1.0):
-        raise ValueError("polar factor ill-conditioned beyond tolerance")
-    return u @ vh
+    return _polar_unitaries(lag.space, lag.frame.to_numpy()[None],
+                            lag.frame.tol)[0]
 
 
 def det_squared(lag: LagrangianFrame) -> complex:
@@ -247,24 +262,33 @@ def eigen_angles(lag: LagrangianFrame) -> tuple[float, ...]:
 
 
 def loop_degree(path: Sequence[LagrangianFrame]) -> int:
-    """Winding number of det-squared along a closed Lagrangian loop.
-
-    Requires first and last members to span the same subspace and each
-    consecutive det2 argument jump to stay below pi/2 (sampling guard).
-    """
+    """Winding number of det-squared along a closed Lagrangian loop whose
+    first and last members span the same subspace (``frames_loop_degree``
+    on the stacked frames)."""
     if len(path) < 3:
         raise ValueError("a loop needs at least three samples")
     first, last = path[0].frame, path[-1].frame
     if not spans_equal(first.to_approx(), last.to_approx()):
         raise ValueError("path is not closed (first and last spans differ)")
-    vals = [det_squared(f) for f in path]
-    total = 0.0
-    for a, b in zip(vals, vals[1:]):
-        step = cmath.phase(b / a)
-        if abs(step) >= math.pi / 2:
-            raise ValueError("undersampled loop: det2 jump of pi/2 or more")
-        total += step
-    turns = total / (2 * math.pi)
+    space = path[0].space
+    if any(lag.space != space for lag in path):
+        raise ValueError("loop members must share one space")
+    return frames_loop_degree(space,
+                              np.stack([lag.frame.to_numpy() for lag in path]),
+                              np.array([lag.frame.tol for lag in path]))
+
+
+def frames_loop_degree(space: SymplecticSpace, frames: np.ndarray, tol) -> int:
+    """Winding number of det-squared along a (k, 2n, n) stack of Lagrangian
+    frames whose last member closes the loop.  Each det2 argument jump must
+    stay below pi/2 (sampling guard) and the jumps must close to whole turns.
+    """
+    d2 = np.linalg.det(_polar_unitaries(space, frames, tol)) ** 2
+    d2 /= abs(d2)
+    steps = np.angle(d2[1:] / d2[:-1])
+    if (np.abs(steps) >= math.pi / 2).any():
+        raise ValueError("undersampled loop: det2 jump of pi/2 or more")
+    turns = float(steps.sum()) / (2 * math.pi)
     deg = round(turns)
     if abs(turns - deg) > 1e-6:
         raise ValueError("loop winding failed to close to an integer")

@@ -354,6 +354,30 @@ def test_scan_refuses_overflowing_tangent_frames(capsys, tmp_path, argv, kind):
     assert captured.err == "error: tangent frame overflows a float\n"
 
 
+def test_scan_refuses_an_underflowing_parameter_spacing(capsys, tmp_path):
+    # spacing 1e-170: the stencil denominators underflow to 0.0
+    path = _write(tmp_path, "tiny.json", {
+        "param_dim": 1, "ambient_dim": 2, "topology": "line",
+        "params": [[i * 1e-170] for i in range(8)],
+        "points": [[float(i), float(i * i)] for i in range(8)],
+    })
+    code = main(["scan", "corank", "--samples", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: degenerate parameter spacing\n"
+
+
+def test_scan_rejects_an_empty_sample_file(capsys, tmp_path):
+    path = _write(tmp_path, "empty.json", {
+        "param_dim": 1, "ambient_dim": 2, "topology": "line",
+        "params": [], "points": [], "frames": [],
+    })
+    code = main(["scan", "lagrangian", "--space", "std:1", "--samples", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bad sample file: need at least one sample\n"
+
+
 def test_scan_rejects_nan_in_a_csv_sample(capsys, tmp_path):
     path = _write(tmp_path, "leg.csv",
                   "p1,a1,a2,a3\n0,0,0,0\n0.5,nan,1,0.25\n1,1,2,1")
@@ -426,6 +450,19 @@ def test_witt_class_and_ideal(capsys):
     assert code == 0 and out["member"]
     code, out = run_json(capsys, "witt", "ideal", "--value", "2", "--k", "2")
     assert code == 0 and not out["member"]
+
+
+@pytest.mark.parametrize("shape", [
+    {"rows": True, "cols": True}, {"rows": 1.0, "cols": 1},
+    {"rows": 1, "cols": "1"}, {"rows": -1, "cols": -1},
+])
+def test_witt_class_rejects_non_integer_shapes(capsys, tmp_path, shape):
+    path = _write(tmp_path, "form.json", dict(shape, entries=[1]))
+    code = main(["witt", "class", "--form", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: matrix rows and cols must be non-negative "
+                            "integers\n")
 
 
 # -- selftest and output modes ------------------------------------------------------

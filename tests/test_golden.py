@@ -66,6 +66,17 @@ README_COMMANDS = {
         "6b7b70ee7510b886bbc4f8f5bfa6349d87ec274ebb6eb2b912e1a01102b0df2d",
 }
 
+# scan commands on sample files the README does not show: a grid and an
+# n = 2 loop with analytic frames
+SCAN_COMMANDS = {
+    "scan corank --samples torus.json":
+        "c91480bfb1e208100250ee9eab687d889d6b776e0008a18c957af4bc91d110dc",
+    "scan lagrangian --space std:2 --samples torus.json":
+        "47f20ce62df8281559dbf2c881cdcfd27eb098cf646a9103cfefc6c162c4935d",
+    "scan loop-maslov --space std:2 --samples loop4.json":
+        "99368e2986a3f546d28f7c7df5c64d4609e8d392c339973b1d2b56812656eeb8",
+}
+
 JETS_DUMP = (
     "f2eee5ad98f405fa087d0042607a1f0e69ea22ae336e6f97b4111ba1f4f6553f")
 JETS_SIGNATURES = ((1, 1, 2), (2, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),
@@ -162,6 +173,35 @@ def _write_readme_samples(directory) -> None:
     (directory / "lift.csv").write_text("\n".join(rows))
 
 
+def _write_scan_samples(directory) -> None:
+    """``torus.json``, a 9 x 11 grid on the Lagrangian torus
+    (cos u, 2 cos v, sin u, 2 sin v), and ``loop4.json``, 48 samples of the
+    n = 2 loop L(1/2 + t/2) x L(1/4 + t) (degree 3) with analytic frames
+    whose columns are mixed by an invertible 2 x 2 matrix."""
+    us = [2 * math.pi * i / 8 for i in range(9)]
+    vs = [2 * math.pi * j / 10 for j in range(11)]
+    (directory / "torus.json").write_text(json.dumps({
+        "param_dim": 2, "ambient_dim": 4, "topology": "grid",
+        "grid_shape": [9, 11],
+        "params": [[u, v] for u in us for v in vs],
+        "points": [[math.cos(u), 2 * math.cos(v), math.sin(u), 2 * math.sin(v)]
+                   for u in us for v in vs],
+    }))
+    ts = [2 * math.pi * i / 48 for i in range(48)]
+    frames = []
+    for t in ts:
+        c1 = [math.cos(0.5 + t / 2), 0.0, math.sin(0.5 + t / 2), 0.0]
+        c2 = [0.0, math.cos(0.25 + t), 0.0, math.sin(0.25 + t)]
+        frames.append([[2 * a, 0.5 * a - b] for a, b in zip(c1, c2)])
+    (directory / "loop4.json").write_text(json.dumps({
+        "param_dim": 1, "ambient_dim": 4, "topology": "loop",
+        "params": [[t] for t in ts],
+        "points": [[math.cos(t), math.sin(t), 0.5 * math.cos(2 * t), 0.25 * t]
+                   for t in ts],
+        "frames": frames,
+    }))
+
+
 def _jets_dump() -> str:
     """Orthogonal frames, isotropic plane vectors and pairing values, one
     text line each, from seeded inputs over ``JETS_SIGNATURES``."""
@@ -234,6 +274,15 @@ def test_readme_command(command, tmp_path, monkeypatch):
     code, out = _stdout(shlex.split(command))
     assert code == 0
     assert _sha(out) == README_COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_COMMANDS))
+def test_scan_command(command, tmp_path, monkeypatch):
+    _write_scan_samples(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = _stdout(shlex.split(command))
+    assert code == 0
+    assert _sha(out) == SCAN_COMMANDS[command]
 
 
 def test_jets_dump():

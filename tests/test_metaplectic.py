@@ -30,7 +30,7 @@ def test_is_symplectic_guard():
 
 def test_identity_and_inverse():
     rng = Random(0)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         ctx = Mp1Context.standard(n)
         e = mp1_identity(ctx)
         for _ in range(10):

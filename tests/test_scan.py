@@ -2,15 +2,19 @@
 exactness on quadratic data, corank strata, loop winding, and the
 contact-form checks."""
 
+import cmath
 import json
 import math
+from random import Random
 
 import numpy as np
 import pytest
 
 from symgeo.jsonio import ValidationError
-from symgeo.scan import (ChiSpec, SampledImmersion, check_lagrangian,
-                         check_legendrian, corank_profile, immersion_from_csv,
+from symgeo.linalg import Matrix, rank
+from symgeo.scan import (DEFAULT_SCAN_TOL, NEAR_SINGULAR_BAND, ChiSpec,
+                         SampledImmersion, check_lagrangian, check_legendrian,
+                         corank_profile, immersion_from_csv,
                          immersion_from_json, loop_maslov, reeb_field)
 from symgeo.symplectic import SymplecticSpace
 
@@ -52,6 +56,8 @@ def test_rejects_width_mismatches():
         SampledImmersion(1, 2, "line", [[0.0], [1.0]], [[0.0, 0.0]])
     with pytest.raises(ValidationError):
         SampledImmersion(2, 2, "line", [[0.0, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValidationError, match="need at least one sample"):
+        SampledImmersion(1, 2, "line", [], [], frames=[])
 
 
 def test_rejects_consecutive_duplicates():
@@ -337,7 +343,8 @@ def test_json_loader_roundtrip():
         "points": [list(p) for p in src.points],
     })
     s = immersion_from_json(text)
-    assert s.params == src.params and s.points == src.points
+    assert np.array_equal(s.params, src.params)
+    assert np.array_equal(s.points, src.points)
     assert s.topology == "loop" and s.frames is None
 
 
@@ -372,3 +379,347 @@ def test_csv_loader_grid_and_errors():
         immersion_from_csv("", "line")
     with pytest.raises(ValidationError):
         immersion_from_csv("p1,b1\n0,1", "line")
+
+
+# -- the per-sample route, kept as an oracle ----------------------------------------
+#
+# The audits run as array passes over the (m, dim, k) frame stack.  The
+# functions below are the per-sample route those passes replaced: one
+# stencil, one checked Lagrangian frame, one polar factor and one norm per
+# sample.  Both routes must give the same integers, bit-equal frames and
+# residuals, and the same refusals.
+
+
+def _old_stencil(ts, fs, te):
+    t0, t1, t2 = float(ts[0]), float(ts[1]), float(ts[2])
+    if t0 == t1 or t1 == t2 or t0 == t2:
+        raise ValidationError("degenerate parameter spacing")
+    te = float(te)
+    w0 = (2.0 * te - t1 - t2) / ((t0 - t1) * (t0 - t2))
+    w1 = (2.0 * te - t0 - t2) / ((t1 - t0) * (t1 - t2))
+    w2 = (2.0 * te - t0 - t1) / ((t2 - t0) * (t2 - t1))
+    return w0 * np.asarray(fs[0]) + w1 * np.asarray(fs[1]) + w2 * np.asarray(fs[2])
+
+
+def _old_path_frames(s):
+    pts = np.asarray(s.points)
+    ts = [p[0] for p in s.params.tolist()]
+    m = len(pts)
+    out = []
+    for i in range(m):
+        if s.topology == "loop":
+            period = ts[-1] - ts[0] + ((ts[1] - ts[0]) + (ts[-1] - ts[-2])) / 2
+            nodes = [(i - 1) % m, i, (i + 1) % m]
+            tv = [ts[nd] - period if i == 0 and nd == m - 1 else
+                  ts[nd] + period if i == m - 1 and nd == 0 else ts[nd]
+                  for nd in nodes]
+        else:
+            lo = min(max(i - 1, 0), m - 3)
+            nodes = [lo, lo + 1, lo + 2]
+            tv = [ts[nd] for nd in nodes]
+        out.append(_old_stencil(tv, [pts[nd] for nd in nodes],
+                                ts[i]).reshape(-1, 1))
+    return out
+
+
+def _old_grid_frames(s):
+    r, c = s.grid_shape
+    pts = np.asarray(s.points).reshape(r, c, s.ambient_dim)
+    us = np.asarray([p[0] for p in s.params]).reshape(r, c)
+    vs = np.asarray([p[1] for p in s.params]).reshape(r, c)
+    out = []
+    for i in range(r):
+        for j in range(c):
+            i0 = min(max(i - 1, 0), r - 3)
+            j0 = min(max(j - 1, 0), c - 3)
+            col_u = _old_stencil([us[i0 + d, j] for d in range(3)],
+                                 [pts[i0 + d, j] for d in range(3)], us[i, j])
+            col_v = _old_stencil([vs[i, j0 + d] for d in range(3)],
+                                 [pts[i, j0 + d] for d in range(3)], vs[i, j])
+            out.append(np.stack([col_u, col_v], axis=1))
+    return out
+
+
+def _old_frames(s):
+    if s.frames is not None:
+        return list(s.frames)
+    try:
+        with np.errstate(over="raise"):
+            if s.topology == "grid":
+                return _old_grid_frames(s)
+            return _old_path_frames(s)
+    except FloatingPointError:
+        raise ValidationError("tangent frame overflows a float") from None
+
+
+def _old_residual_report(s, residual, tol=DEFAULT_SCAN_TOL):
+    worst = 0.0
+    ok = True
+    try:
+        with np.errstate(over="raise"):
+            for p, f in zip(s.points.tolist(), _old_frames(s)):
+                raw = float(np.linalg.norm(residual(p, f)))
+                scale = float(np.linalg.norm(f))
+                if scale == 0.0:
+                    raise ValidationError("zero tangent frame")
+                if not math.isfinite(raw):
+                    raise FloatingPointError
+                worst = max(worst, raw / scale)
+                ok = ok and raw <= tol * scale * scale
+    except FloatingPointError:
+        raise ValidationError("tangent frame overflows a float") from None
+    return {"samples": len(s), "max_residual": worst, "tol": tol, "pass": ok}
+
+
+def _old_check_lagrangian(s, space):
+    omega = space.omega_as("approx").to_numpy()
+    return _old_residual_report(s, lambda p, f: f.T @ omega @ f)
+
+
+def _old_check_legendrian(s):
+    chi = ChiSpec((s.ambient_dim - 1) // 2)
+    n = chi.n
+
+    def value(point, vector):
+        acc = vector[2 * n]
+        for a in range(n):
+            acc -= chi.y_coeffs[a] * point[n + a] * vector[a]
+        return chi.scale * acc
+
+    return _old_residual_report(
+        s, lambda p, f: [value(p, f[:, j]) for j in range(f.shape[1])])
+
+
+def _old_corank_profile(s, tol=DEFAULT_SCAN_TOL):
+    frames = _old_frames(s)
+    n = frames[0].shape[1]
+    keep = list(range(n))
+    coranks, near = [], []
+    for idx, f in enumerate(frames):
+        ref = float(np.linalg.svd(f, compute_uv=False)[0])
+        if ref == 0.0:
+            raise ValidationError("zero tangent frame")
+        svs = np.linalg.svd(f[keep, :], compute_uv=False)
+        cut = tol * ref
+        coranks.append(n - int(np.sum(svs > cut)))
+        if any(cut < v <= NEAR_SINGULAR_BAND * cut for v in svs):
+            near.append(idx)
+    return coranks, near
+
+
+def _old_lagrangian_frame(space, f, tol):
+    """The approx-mode frame checks, one Python-list Matrix per sample."""
+    frame = Matrix.approx(f.tolist(), tol)
+    if rank(frame) != frame.cols:
+        raise ValueError("frame columns are linearly dependent")
+    g = frame.T @ space.omega_as("approx") @ frame
+    try:
+        scale = max(frame.max_abs() ** 2, 1.0)
+    except OverflowError:
+        raise ValueError("frame entries are too large for approx mode") from None
+    if g.max_abs() > tol * scale:
+        raise ValueError("frame is not isotropic within tolerance")
+    return frame
+
+
+def _old_det_squared(space, frame):
+    f, n = frame.to_numpy(), space.n
+    u, sv, vh = np.linalg.svd(f[:n, :] + 1j * f[n:, :])
+    if sv[-1] <= frame.tol * max(sv[0], 1.0):
+        raise ValueError("polar factor ill-conditioned beyond tolerance")
+    d2 = np.linalg.det(u @ vh) ** 2
+    return complex(d2 / abs(d2))
+
+
+def _old_loop_maslov(s, space, tol=DEFAULT_SCAN_TOL):
+    tol = max(tol, 1e-7)
+    frames = [_old_lagrangian_frame(space, f, tol) for f in _old_frames(s)]
+    vals = [_old_det_squared(space, f) for f in frames + frames[:1]]
+    total = 0.0
+    for a, b in zip(vals, vals[1:]):
+        step = cmath.phase(b / a)
+        if abs(step) >= math.pi / 2:
+            raise ValueError("undersampled loop: det2 jump of pi/2 or more")
+        total += step
+    turns = total / (2 * math.pi)
+    deg = round(turns)
+    if abs(turns - deg) > 1e-6:
+        raise ValueError("loop winding failed to close to an integer")
+    return int(deg)
+
+
+def _ellipse(rng, m):
+    """A jittered-parameter ellipse traversed q times, either way round."""
+    q, sign = rng.choice((1, 2, 3)), rng.choice((1, -1))
+    a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    cx, cy = rng.uniform(-3, 3), rng.uniform(-3, 3)
+    ts = [2 * math.pi * (i + rng.uniform(-0.3, 0.3)) / m for i in range(m)]
+    return SampledImmersion(
+        1, 2, "loop", [[t] for t in ts],
+        [[cx + a * math.cos(q * t), cy + sign * b * math.sin(q * t)] for t in ts])
+
+
+def _product_loop(rng, m):
+    """t -> L(f1 + q1 t / 2) x L(f2 + q2 t / 2) in R^4, analytic frames with
+    their columns mixed by an invertible 2 x 2 matrix."""
+    q1, q2 = rng.choice((1, 2, 3, -1)), rng.choice((1, 2, -2))
+    f1, f2 = rng.uniform(0, math.pi), rng.uniform(0, math.pi)
+    mix = [[rng.choice((1, 2)), rng.uniform(-1, 1)], [0.0, rng.choice((1, -1, 2))]]
+    ts = [2 * math.pi * i / m for i in range(m)]
+    frames = []
+    for t in ts:
+        th1, th2 = f1 + q1 * t / 2, f2 + q2 * t / 2
+        c1 = [math.cos(th1), 0.0, math.sin(th1), 0.0]
+        c2 = [0.0, math.cos(th2), 0.0, math.sin(th2)]
+        frames.append([[c1[r] * mix[0][j] + c2[r] * mix[1][j] for j in range(2)]
+                       for r in range(4)])
+    points = [[math.cos(t), math.sin(t), 0.5 * math.cos(2 * t), 0.25 * t]
+              for t in ts]
+    return SampledImmersion(1, 4, "loop", [[t] for t in ts], points,
+                            frames=frames)
+
+
+def _torus(rng, rows, cols):
+    """A Lagrangian torus (r1 cos u, r2 cos v, r1 sin u, r2 sin v), or the
+    non-Lagrangian (r1 cos u, r1 sin u, r2 cos v, r2 sin v), on a grid."""
+    r1, r2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    lagrangian = rng.random() < 0.5
+    us = [2 * math.pi * i / (rows - 3) for i in range(rows)]
+    vs = [2 * math.pi * j / (cols - 3) for j in range(cols)]
+    params, points = [], []
+    for u in us:
+        for v in vs:
+            params.append([u, v])
+            if lagrangian:
+                points.append([r1 * math.cos(u), r2 * math.cos(v),
+                               r1 * math.sin(u), r2 * math.sin(v)])
+            else:
+                points.append([r1 * math.cos(u), r1 * math.sin(u),
+                               r2 * math.cos(v), r2 * math.sin(v)])
+    return SampledImmersion(2, 4, "grid", params, points,
+                            grid_shape=(rows, cols))
+
+
+def _jet_curve(rng, m):
+    """The jet lift of a random quadratic, sometimes broken by e t in z."""
+    a, b, c = (rng.uniform(-2, 2) for _ in range(3))
+    e = rng.choice((0.0, 0.0, rng.uniform(-2, 2)))
+    xs = [rng.uniform(-2, 0) + i * 3 / m for i in range(m)]
+    return SampledImmersion(
+        1, 3, "line", [[x] for x in xs],
+        [[x, 2 * a * x + b, a * x * x + b * x + c + e * x] for x in xs])
+
+
+def _assert_same_audits(s, space):
+    assert s.tangent_frames().tobytes() == np.stack(_old_frames(s)).tobytes()
+    assert repr(check_lagrangian(s, space)) == repr(_old_check_lagrangian(s, space))
+    rep = corank_profile(s)
+    assert (rep["coranks"], rep["near_singular"]) == _old_corank_profile(s)
+    if s.topology == "loop":
+        assert loop_maslov(s, space) == _old_loop_maslov(s, space)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_audits_match_per_sample_route(seed):
+    rng = Random(f"scan-oracle:{seed}")
+    sp1, sp2 = SymplecticSpace.standard(1), SymplecticSpace.standard(2)
+    for m in (64, 97, 256):
+        _assert_same_audits(_ellipse(rng, m), sp1)
+        _assert_same_audits(_product_loop(rng, m), sp2)
+    for rows in (9, 13):
+        _assert_same_audits(_torus(rng, rows, rows + 2 * rng.randint(-2, 2)), sp2)
+    for m in (64, 200):
+        s = _jet_curve(rng, m)
+        assert s.tangent_frames().tobytes() == np.stack(_old_frames(s)).tobytes()
+        assert repr(check_legendrian(s)) == repr(_old_check_legendrian(s))
+
+
+def _refusal(fn, *args) -> str:
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def _loop_with(frame_at: dict, m=16):
+    """A Lagrangian n = 2 loop with analytic frames, some replaced."""
+    ts = [2 * math.pi * i / m for i in range(m)]
+    frames = [[[math.cos(t / 2), 0.0], [0.0, math.cos(t)],
+               [math.sin(t / 2), 0.0], [0.0, math.sin(t)]] for t in ts]
+    for i, f in frame_at.items():
+        frames[i] = f
+    return SampledImmersion(1, 4, "loop", [[t] for t in ts],
+                            [[math.cos(t), math.sin(t), 0.0, t] for t in ts],
+                            frames=frames)
+
+
+_DEPENDENT = [[1.0, 2.0], [0.5, 1.0], [0.0, 0.0], [0.0, 0.0]]
+_NON_ISOTROPIC = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+# singular values 1.41e8 and 127: full rank against max|F| = 1e8 at tol
+# 1e-6, but at most tol times the largest singular value
+_ILL_CONDITIONED = [[1e8, 90.0], [1e8, -90.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+def _circle_with(m=16, **changes):
+    ts = [2 * math.pi * i / m for i in range(m)]
+    points = [[math.cos(t), math.sin(t)] for t in ts]
+    for i, p in changes.get("points", {}).items():
+        points[i] = p
+    for i, t in changes.get("params", {}).items():
+        ts[i] = t
+    return SampledImmersion(1, 2, "loop", [[t] for t in ts], points)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("dependent", "frame columns are linearly dependent"),
+    ("non_isotropic", "frame is not isotropic within tolerance"),
+    ("too_large", "frame entries are too large for approx mode"),
+    ("ill_conditioned", "polar factor ill-conditioned beyond tolerance"),
+    ("undersampled", "undersampled loop: det2 jump of pi/2 or more"),
+    ("degenerate", "degenerate parameter spacing"),
+])
+def test_loop_refusals_match_per_sample_route(case, message):
+    sp1, sp2 = SymplecticSpace.standard(1), SymplecticSpace.standard(2)
+    s, sp = {
+        # the first failing sample decides, whatever fails later
+        "dependent": (_loop_with({5: _DEPENDENT, 9: _NON_ISOTROPIC}), sp2),
+        "non_isotropic": (_loop_with({4: _NON_ISOTROPIC, 9: _DEPENDENT}), sp2),
+        "too_large": (_circle_with(points={3: [1e308, 0.5]}), sp1),
+        "ill_conditioned": (_loop_with({6: _ILL_CONDITIONED}), sp2),
+        "undersampled": (_circle(3), sp1),
+        "degenerate": (_circle_with(params={3: 2 * math.pi * 2 / 16}), sp1),
+    }[case]
+    assert _refusal(loop_maslov, s, sp) == message
+    assert _refusal(_old_loop_maslov, s, sp) == message
+
+
+@pytest.mark.parametrize("case,message", [
+    ("overflow", "tangent frame overflows a float"),
+    ("degenerate", "degenerate parameter spacing"),
+    ("zero", "zero tangent frame"),
+])
+def test_audit_refusals_match_per_sample_route(case, message):
+    sp = SymplecticSpace.standard(1)
+    zero = [[[-math.sin(t)], [math.cos(t)]] for t in range(8)]
+    zero[5] = [[0.0], [0.0]]
+    s = {
+        "overflow": _circle_with(points={3: [1e308, 0.5]}),
+        "degenerate": _circle_with(params={3: 2 * math.pi * 2 / 16}),
+        "zero": SampledImmersion(1, 2, "line", [[float(t)] for t in range(8)],
+                                 [[math.cos(t), math.sin(t)] for t in range(8)],
+                                 frames=zero),
+    }[case]
+    assert _refusal(check_lagrangian, s, sp) == message
+    assert _refusal(_old_check_lagrangian, s, sp) == message
+    if case != "overflow":
+        assert _refusal(corank_profile, s) == message
+        assert _refusal(_old_corank_profile, s) == message
+
+
+def test_legendrian_overflow_matches_per_sample_route():
+    ts = [i / 4 for i in range(12)]
+    points = [[t, 2 * t, t * t] for t in ts]
+    points[5] = [1e308, 0.5, 0.25]
+    s = SampledImmersion(1, 3, "line", [[t] for t in ts], points)
+    message = "tangent frame overflows a float"
+    assert _refusal(check_legendrian, s) == _refusal(_old_check_legendrian, s) == message
+    assert _refusal(corank_profile, s) == _refusal(_old_corank_profile, s) == message
