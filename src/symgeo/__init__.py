@@ -1,21 +1,19 @@
 """symgeo: exact symplectic linear algebra and index calculators."""
 
-from .linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
-                     SymmetricForm, inverse, kernel_basis, rank, rref,
-                     span_contains, spans_equal, sym_signature)
-from .witt import (WittComplex, WittReal, ideal_power_member_real,
-                   witt_of_form_complex, witt_of_form_real, witt_of_signature)
+from .linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature, inverse,
+                     kernel_basis, rank, rref, span_contains, spans_equal,
+                     sym_signature)
+from .witt import (ideal_power_member_real, witt_of_form_complex,
+                   witt_of_form_real)
 from .symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
                          classify_subspace, det_squared, eigen_angles,
                          graph_lagrangian, intersect_frames,
                          lagrangian_from_angles, line_lagrangian, loop_degree,
                          random_lagrangian, random_symplectic, standard_gram,
                          symplectic_complement)
-from .maslov import (LagrangianTuple, LerayLift, QuadraticSpace,
-                     arnold_index_pair, arnold_index_triple,
-                     arnold_triple_lines, kashiwara_index,
-                     kashiwara_space, leray_cyclic_sum, leray_m, tuple_reduce,
-                     wall_invariant)
+from .maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
+                     arnold_triple_lines, kashiwara_index, kashiwara_space,
+                     leray_cyclic_sum, leray_m, tuple_reduce, wall_invariant)
 from .metaplectic import (Mp1Context, Mp1Element, mp1_central_check,
                           mp1_identity, mp1_inverse, mp1_mul, mp2_member,
                           random_mp1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .jsonio import ValidationError
+from .jsonio import ValidationError, is_int
 
 # unoriented smooth bordism Z2-ranks for degrees 0..3; immutable on purpose
 BUILTIN_OMEGA_RANKS = MappingProxyType({0: 1, 1: 0, 2: 1, 3: 0})
@@ -50,7 +50,7 @@ def _check_betti(betti) -> list:
     if not vals:
         raise ValidationError("betti vector must be nonempty")
     for b in vals:
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+        if not is_int(b) or b < 0:
             raise ValidationError("betti entries must be nonnegative integers")
     return vals
 
@@ -67,7 +67,7 @@ def omega_table(extra_ranks=None) -> dict:
             if s in BUILTIN_OMEGA_RANKS:
                 raise ValidationError(
                     f"builtin bordism rank for degree {s} cannot be overridden")
-            if s < 0 or not isinstance(r, int) or isinstance(r, bool) or r < 0:
+            if s < 0 or not is_int(r) or r < 0:
                 raise ValidationError("extra ranks must map nonneg degree to "
                                       "nonneg integer rank")
             table[s] = r
@@ -176,6 +176,6 @@ def g_singular_bordism(homology_ranks, degree: int,
 def split_check(closed_rank: int, bor_rank: int, cyc_rank: int) -> bool:
     """Split-exactness arithmetic: bordism = closed part + cyclic part."""
     for v in (closed_rank, bor_rank, cyc_rank):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not is_int(v) or v < 0:
             raise ValidationError("ranks must be nonnegative integers")
     return bor_rank == closed_rank + cyc_rank

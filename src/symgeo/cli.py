@@ -24,9 +24,9 @@ from .jets import (JetSignature, jet_dim, lagrangian_pde_dims,
                    legendrian_pde_dims, max_isotropic, spencer_sequence_audit,
                    symbol_layer_dim)
 from .jets.metasymplectic import lambda_dim, model_dim
-from .jsonio import (ValidationError, dumps, matrix_from_json, matrix_to_json,
-                     parse_angle, parse_angle_list, to_jsonable)
-from .linalg import APPROX, DEFAULT_TOL, EXACT, Matrix
+from .jsonio import (ValidationError, dumps, is_int, matrix_from_json,
+                     matrix_to_json, parse_angle, parse_angle_list, to_jsonable)
+from .linalg import APPROX, DEFAULT_TOL, EXACT, Matrix, sym_signature
 from .maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
                      arnold_triple_lines, kashiwara_space, leray_cyclic_sum,
                      leray_m, wall_invariant)
@@ -38,7 +38,7 @@ from .scan import (ChiSpec, DEFAULT_SCAN_TOL, SampledImmersion,
 from .selftest import _rand_full_rank, run_selftest
 from .symplectic import (LagrangianFrame, SymplecticSpace,
                          lagrangian_from_angles, line_lagrangian)
-from .witt import (WittReal, ideal_power_member_real, witt_of_form_complex,
+from .witt import (ideal_power_member_real, witt_of_form_complex,
                    witt_of_form_real)
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
         return SymplecticSpace.from_omega(matrix_from_json(obj["omega"], mode=EXACT))
     if "n" in obj:
         n = obj["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValidationError("'n' must be a positive integer")
         return SymplecticSpace.standard(n)
     if fallback:
@@ -179,11 +179,11 @@ def _int_list(text: str) -> list:
 
 def _quadratic_report(space, frames) -> dict:
     tup = LagrangianTuple(space, tuple(frames))
-    qs = kashiwara_space(tup)
-    sig = qs.signature()
+    g = kashiwara_space(tup)
+    sig = sym_signature(g)
     return {
         "index": sig.pos - sig.neg,
-        "t_dim": qs.dim,
+        "t_dim": g.rows,
         "signature": list(sig.as_tuple()),
         "r": len(frames),
         "n": space.n,
@@ -231,7 +231,7 @@ def _cmd_maslov_wall(args) -> int:
     if len(frames) != 3:
         raise ValidationError("the Wall invariant needs exactly three frames")
     report = _quadratic_report(space, frames)
-    report["index"] = int(wall_invariant(*frames))
+    report["index"] = wall_invariant(*frames)
     _emit(args, report)
     return EXIT_OK
 
@@ -266,13 +266,13 @@ def _mp1_element(ctx: Mp1Context, path: str) -> Mp1Element:
     obj = _read_json(path)
     if not isinstance(obj, dict) or "w" not in obj or "g" not in obj:
         raise ValidationError(f"{path} must be an object with 'w' and 'g'")
-    if not isinstance(obj["w"], int) or isinstance(obj["w"], bool):
+    if not is_int(obj["w"]):
         raise ValidationError("'w' must be an integer")
     return Mp1Element.of(ctx, obj["w"], matrix_from_json(obj["g"], mode=EXACT))
 
 
 def _mp1_payload(el: Mp1Element) -> dict:
-    return {"w": int(el.w), "g": matrix_to_json(el.g)}
+    return {"w": el.w, "g": matrix_to_json(el.g)}
 
 
 def _cmd_mp1_mul(args) -> int:
@@ -478,14 +478,14 @@ def _witt_form(args) -> Matrix:
 def _cmd_witt_class(args) -> int:
     form = _witt_form(args)
     if args.field == "C":
-        _emit(args, {"field": "C", "witt": witt_of_form_complex(form).parity})
+        _emit(args, {"field": "C", "witt": witt_of_form_complex(form)})
     else:
-        _emit(args, {"field": "R", "witt": int(witt_of_form_real(form))})
+        _emit(args, {"field": "R", "witt": witt_of_form_real(form)})
     return EXIT_OK
 
 
 def _cmd_witt_ideal(args) -> int:
-    member = ideal_power_member_real(WittReal(args.value), args.k)
+    member = ideal_power_member_real(args.value, args.k)
     _emit(args, {"value": args.value, "k": args.k, "member": member})
     return EXIT_OK
 

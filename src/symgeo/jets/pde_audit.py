@@ -32,26 +32,28 @@ from ..linalg import Matrix, _rand_fraction, kernel_basis, rank
 _MAX_ATTEMPTS = 25
 
 
-def _rand_block(rng: Random, n: int) -> list[list[Fraction]]:
-    return [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+def _rand_block(rng: Random, n: int) -> Matrix:
+    return Matrix.exact([[_rand_fraction(rng) for _ in range(n)]
+                         for _ in range(n)])
 
 
-def _rand_skew(rng: Random, n: int) -> list[list[Fraction]]:
+def _rand_skew(rng: Random, n: int) -> Matrix:
     out = [[Fraction(0)] * n for _ in range(n)]
     for r in range(n):
         for s in range(r + 1, n):
             v = _rand_fraction(rng)
             out[r][s] = v
             out[s][r] = -v
-    return out
-
-
-def _mat(rows) -> Matrix:
-    return Matrix.exact(rows)
+    return Matrix.exact(out)
 
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(b, g) for b in range(n) for g in range(b, n)]
+
+
+def _upper(m: Matrix) -> list[Fraction]:
+    """Entries strictly above the diagonal, row by row."""
+    return [m[r, s] for r in range(m.rows) for s in range(r + 1, m.cols)]
 
 
 # -- Lagrangian graphs --------------------------------------------------------
@@ -79,13 +81,14 @@ class _LagrangianInstance:
         # x-derivatives, so fixing it afterwards cannot undo them.
         df = self._total_derivatives(self.x0, self.y0, self.t0)
         for k in range(n):
-            self.a_lin[k] = _sub(self.a_lin[k], df[k])
-        self.a0 = _sub(self.a0, self._f(self.x0, self.y0))
+            self.a_lin[k] = self.a_lin[k] - df[k]
+        self.a0 = self.a0 - self._f(self.x0, self.y0)
 
-    def _at(self, const, lin, x):
-        n = self.n
-        return [[const[r][s] + sum(x[l] * lin[l][r][s] for l in range(n))
-                 for s in range(n)] for r in range(n)]
+    @staticmethod
+    def _at(const: Matrix, lin: list[Matrix], x) -> Matrix:
+        for xl, m in zip(x, lin):
+            const = const + m.scale(xl)
+        return const
 
     def omega(self, x):
         return self._at(self.a0, self.a_lin, x)
@@ -96,40 +99,34 @@ class _LagrangianInstance:
     def ohat(self, x):
         return self._at(self.c0, self.c_lin, x)
 
-    def _f_from(self, om, ob, oh, y):
-        n = self.n
-        by = _mul(ob, y)
-        yhy = _mul(_transpose(y), _mul(oh, y))
-        return [[om[r][s] + by[r][s] - by[s][r] + yhy[r][s]
-                 for s in range(n)] for r in range(n)]
+    @staticmethod
+    def _f_from(om: Matrix, ob: Matrix, oh: Matrix, y: Matrix) -> Matrix:
+        by = ob @ y
+        return om + by - by.T + y.T @ oh @ y
 
-    def _f(self, x, y):
+    def _f(self, x, y: Matrix) -> Matrix:
         return self._f_from(self.omega(x), self.obar(x), self.ohat(x), y)
 
-    def _total_derivatives(self, x, y, t):
+    def _total_derivatives(self, x, y: Matrix, t) -> list[Matrix]:
         """D_k F as skew matrices: coefficient x-derivative plus the
         linearization H Delta_k - (H Delta_k)^T, H = obar + Y^T ohat."""
         n = self.n
-        h = _add(self.obar(x), _mul(_transpose(y), self.ohat(x)))
+        h = self.h_matrix(x, y)
         out = []
         for k in range(n):
             base = self._f_from(self.a_lin[k], self.b_lin[k], self.c_lin[k], y)
-            delta = [[t[(a, (min(j, k), max(j, k)))] for j in range(n)]
-                     for a in range(n)]
-            hd = _mul(h, delta)
-            out.append([[base[r][s] + hd[r][s] - hd[s][r] for s in range(n)]
-                        for r in range(n)])
+            delta = Matrix.exact([[t[(a, (min(j, k), max(j, k)))]
+                                   for j in range(n)] for a in range(n)])
+            hd = h @ delta
+            out.append(base + hd - hd.T)
         return out
 
     def assembled_gram(self, x) -> Matrix:
-        om, ob, oh = self.omega(x), self.obar(x), self.ohat(x)
-        top = [om[r] + ob[r] for r in range(self.n)]
-        bot = [[-ob[r][s] for r in range(self.n)] + oh[s]
-               for s in range(self.n)]
-        return _mat(top + bot)
+        ob = self.obar(x)
+        return self.omega(x).hstack(ob).vstack((-ob.T).hstack(self.ohat(x)))
 
-    def h_matrix(self, x, y) -> Matrix:
-        return _mat(_add(self.obar(x), _mul(_transpose(y), self.ohat(x))))
+    def h_matrix(self, x, y: Matrix) -> Matrix:
+        return self.obar(x) + y.T @ self.ohat(x)
 
     # flattened jet coordinates: x, y, first derivatives, second derivatives
     def var_count(self) -> int:
@@ -139,40 +136,23 @@ class _LagrangianInstance:
     def point(self) -> list[Fraction]:
         n = self.n
         v = list(self.x0) + [Fraction(0)] * n
-        v += [self.y0[a][al] for a in range(n) for al in range(n)]
+        v += [x for row in self.y0.entries for x in row]
         v += [self.t0[(a, p)] for a in range(n) for p in _sym_pairs(n)]
         return v
 
     def equations(self, v: list[Fraction]) -> list[Fraction]:
         n = self.n
         x = v[:n]
-        y = [v[2 * n + a * n:2 * n + (a + 1) * n] for a in range(n)]
+        y = Matrix.exact([v[2 * n + a * n:2 * n + (a + 1) * n]
+                          for a in range(n)])
         base = 2 * n + n * n
         pairs = _sym_pairs(n)
         t = {(a, p): v[base + a * len(pairs) + i]
              for a in range(n) for i, p in enumerate(pairs)}
-        f = self._f(x, y)
-        out = [f[r][s] for r in range(n) for s in range(r + 1, n)]
+        out = _upper(self._f(x, y))
         for dk in self._total_derivatives(x, y, t):
-            out.extend(dk[r][s] for r in range(n) for s in range(r + 1, n))
+            out.extend(_upper(dk))
         return out
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)] if m else m
-
-
-def _mul(a, b):
-    bt = _transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _jacobian(eqs, point: list[Fraction]) -> Matrix:
@@ -191,7 +171,7 @@ def _jacobian(eqs, point: list[Fraction]) -> Matrix:
         up, dn = eqs(hi), eqs(lo)
         for r in range(len(at)):
             rows[r][c] = (up[r] - dn[r]) / 2
-    return _mat(rows) if at else Matrix.zeros(0, len(point))
+    return Matrix.exact(rows) if at else Matrix.zeros(0, len(point))
 
 
 def lagrangian_pde_dims(n: int, seed: int = 0) -> dict:
@@ -227,15 +207,10 @@ def lagrangian_pde_dims(n: int, seed: int = 0) -> dict:
     if any(r != 0 for r in residuals):
         raise RuntimeError("constructed point left the locus")
     jac = _jacobian(inst.equations, point)
-    rank_system = rank(_mat([jac.row(i) for i in range(eq1)])) if eq1 else 0
+    rank_system = rank(jac.block(0, eq1, 0, jac.cols)) if eq1 else 0
     rank_total = rank(jac) if eq1 else 0
-    t_cols = list(range(2 * n + n * n, inst.var_count()))
-    if eq2:
-        sym_rows = [[jac[(r, c)] for c in t_cols]
-                    for r in range(eq1, eq1 + eq2)]
-        rank_symbol = rank(_mat(sym_rows))
-    else:
-        rank_symbol = 0
+    rank_symbol = (rank(jac.block(eq1, eq1 + eq2, dim_jet1, jac.cols))
+                   if eq2 else 0)
 
     verified = (
         rank_system == eq1
@@ -295,7 +270,7 @@ def _legendrian_matrices(n: int):
             row[nv0 + nv1 + n * len(pairs) + p] = Fraction(1)      # +z_{bg}
             prol_rows.append(row)
 
-    return _mat(sys_rows), _mat(prol_rows), (nv0, nv1, nv2)
+    return Matrix.exact(sys_rows), Matrix.exact(prol_rows), (nv0, nv1, nv2)
 
 
 def _symbol_kernel(n: int) -> Matrix:
@@ -306,7 +281,7 @@ def _symbol_kernel(n: int) -> Matrix:
         row = [Fraction(0)] * (n * n + n)
         row[n * n + b] = Fraction(1)
         rows.append(row)
-    return kernel_basis(_mat(rows))
+    return kernel_basis(Matrix.exact(rows))
 
 
 def _cascade_dim(n: int, g1: Matrix, flag: list[list[Fraction]]) -> int:
@@ -325,7 +300,7 @@ def _cascade_dim(n: int, g1: Matrix, flag: list[list[Fraction]]) -> int:
                     m_row = vec[n * n:]
                 row.append(sum(mv * xv for mv, xv in zip(m_row, v)))
             rows.append(row)
-    return g1.cols - rank(_mat(rows))
+    return g1.cols - rank(Matrix.exact(rows))
 
 
 def legendrian_pde_dims(n: int, seed: int = 0) -> dict:
@@ -344,14 +319,12 @@ def legendrian_pde_dims(n: int, seed: int = 0) -> dict:
     dim_jet2 = dim_jet1 + nv2
     rank_system = rank(sys_m)
     rank_prol = rank(prol_m)
-    second_cols = list(range(nv0 + nv1, nv0 + nv1 + nv2))
-    rank_prol_symbol = rank(_mat([[prol_m[(r, c)] for c in second_cols]
-                                  for r in range(prol_m.rows)]))
+    rank_prol_symbol = rank(prol_m.block(0, prol_m.rows, dim_jet1, prol_m.cols))
 
     g1 = _symbol_kernel(n)
     rng = Random(seed)
     flag = [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-    while rank(_mat(_transpose(flag))) != n:
+    while rank(Matrix.exact(flag)) != n:
         flag = [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
     table = {}
     cascade_ok = True

@@ -20,6 +20,11 @@ class ValidationError(ValueError):
     """Bad user-facing input (file contents, flag values, shapes)."""
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool (JSON true and false are not integers)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _finite_entry(x) -> float:
     """``float(x)`` of a matrix entry, refusing nan, +-inf and float overflow."""
     try:
@@ -69,8 +74,7 @@ def matrix_from_json(obj: dict, mode: str | None = None,
         flat = list(obj["entries"])
     except (KeyError, TypeError) as exc:
         raise ValidationError("matrix object needs rows, cols, entries") from exc
-    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0
-               for x in (r, c)):
+    if not all(is_int(x) and x >= 0 for x in (r, c)):
         raise ValidationError("matrix rows and cols must be non-negative integers")
     if len(flat) != r * c:
         raise ValidationError(f"expected {r * c} entries, got {len(flat)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from random import Random
 from typing import Iterable, Sequence
 
@@ -126,9 +127,6 @@ class Matrix:
                             for j in range(self.cols)),
                       self.mode, self.tol)
 
-    def _zero(self):
-        return Fraction(0) if self.mode == EXACT else 0.0
-
     def _check(self, other: "Matrix") -> float:
         if self.mode != other.mode:
             raise ModeMixError("cannot combine exact and approx matrices")
@@ -144,16 +142,19 @@ class Matrix:
                     for row in self.entries)
         return Matrix(self.rows, other.cols, ent, self.mode, tol)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         tol = self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sum")
-        ent = tuple(tuple(a + b for a, b in zip(r1, r2))
+        ent = tuple(tuple(map(op, r1, r2))
                     for r1, r2 in zip(self.entries, other.entries))
         return Matrix(self.rows, self.cols, ent, self.mode, tol)
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -318,14 +319,6 @@ class Signature:
         return (self.pos, self.zero, self.neg)
 
 
-@dataclass(frozen=True)
-class SymmetricForm:
-    """A symmetric bilinear form given by its Gram matrix."""
-
-    dim: int
-    gram: Matrix
-
-
 def integer_signature(rows: Sequence[Sequence[int]]) -> Signature:
     """Signature of a symmetric integer matrix by fraction-free elimination.
 
@@ -388,14 +381,9 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def _sym_signature_exact(g: Matrix) -> Signature:
-    # scaling by one positive number is a congruence
-    return integer_signature(clear_denominators(g.entries))
-
-
-def sym_signature(form: SymmetricForm | Matrix) -> Signature:
-    """Signature (pos, zero, neg) of a symmetric form; Sylvester-invariant."""
-    g = form.gram if isinstance(form, SymmetricForm) else form
+def sym_signature(g: Matrix) -> Signature:
+    """Signature (pos, zero, neg) of a symmetric Gram matrix;
+    Sylvester-invariant."""
     if g.rows != g.cols:
         raise ValueError("Gram matrix must be square")
     if g.rows == 0:
@@ -403,7 +391,8 @@ def sym_signature(form: SymmetricForm | Matrix) -> Signature:
     if g.mode == EXACT:
         if g.T.entries != g.entries:
             raise ValueError("Gram matrix is not symmetric")
-        return _sym_signature_exact(g)
+        # scaling by one positive number is a congruence
+        return integer_signature(clear_denominators(g.entries))
     arr = g.to_numpy()
     arr = 0.5 * (arr + arr.T)
     w = np.linalg.eigvalsh(arr)

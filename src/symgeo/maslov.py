@@ -6,24 +6,24 @@ F_i^T Omega F_j, so x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j)
 (Lion-Vergne; Cappell-Lee-Miller).  ``_pairing`` assembles it; the forms
 read it:
 
-* ``kashiwara_index`` -- signature of P + P^T, the symmetrized q on the
-  direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
+* ``kashiwara_index`` -- the integer pos - neg of P + P^T, the symmetrized q on
+  the direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
   scales each frame column to a primitive integer vector and a rational
   Omega by the lcm of its denominators (positive congruences) and takes a
   fraction-free integer signature; approx mode orthonormalizes each frame
   by QR first.
-* ``kashiwara_space`` -- q on the quotient T = ker(sum) / im(boundary),
-  built from consecutive intersections of the tuple: its Gram is R^T P R
-  for representatives R of T, and it has the same signature.  The CLI
-  reports its dimension and signature, and the tests use it as the oracle
-  for ``kashiwara_index``.
+* ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
+  T = ker(sum) / im(boundary), for representatives R of T built from
+  consecutive intersections of the tuple; it has the same signature.  The
+  CLI reports its dimension and signature, and the tests use it as the
+  oracle for ``kashiwara_index``.
 * ``wall_invariant``  -- signature of the symmetrized kernel form
   psi(x, y) = omega(x_2, y_1) on the same quotient (triples only): R^T P R
   with P cut to its block F_2^T Omega F_1.
 
 Other routes to the same circle of invariants:
 
-* ``arnold_index_*``  -- closed angle formulas on the Lagrangian
+* ``arnold_index_triple`` -- closed angle formula on the Lagrangian
   Grassmannian, tau(L(theta)) = 1 - 2 theta / pi off the cycle.
 * ``leray_m``         -- integer cochain on pairs of lifted lines (n = 1)
   whose cyclic sums reproduce the Kashiwara index of the projected tuple.
@@ -41,12 +41,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, EXACT, Matrix, Signature, SymmetricForm,
-                     clear_denominators, integer_signature, kernel_basis, rank,
-                     rref, sym_signature)
+from .linalg import (DEFAULT_TOL, EXACT, Matrix, clear_denominators,
+                     integer_signature, kernel_basis, rank, rref,
+                     sym_signature)
 from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
                          eigen_angles, line_lagrangian)
-from .witt import WittReal, witt_of_signature
+from .witt import witt_of_form_real
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,6 @@ class LagrangianTuple:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class QuadraticSpace:
-    dim: int
-    form: SymmetricForm
-
-    def signature(self) -> Signature:
-        return sym_signature(self.form)
 
 
 def _boundary_columns(tup: LagrangianTuple) -> Matrix:
@@ -161,11 +152,12 @@ def _quotient_gram(tup: LagrangianTuple,
     return reps.T @ Matrix.from_rows(pair, reps.mode, reps.tol) @ reps
 
 
-def kashiwara_space(tup: LagrangianTuple) -> QuadraticSpace:
-    """The canonical quadratic space of a Lagrangian tuple.
+def kashiwara_space(tup: LagrangianTuple) -> Matrix:
+    """Symmetric Gram matrix of the canonical quadratic space of a
+    Lagrangian tuple.
 
     T = ker(sum map) / im(boundary), with the symmetric form
-    q(a, b) = sum over i > j of omega(a_i, b_j).
+    q(a, b) = sum over i > j of omega(a_i, b_j); dim T is its row count.
     """
     g = _quotient_gram(tup)
     if g.mode == EXACT:
@@ -173,7 +165,7 @@ def kashiwara_space(tup: LagrangianTuple) -> QuadraticSpace:
             raise ValueError("kernel form failed to be symmetric")
     else:
         g = (g + g.T).scale(0.5)
-    return QuadraticSpace(g.rows, SymmetricForm(g.rows, g))
+    return g
 
 
 def _primitive_column(col: Sequence[Fraction]) -> list[int]:
@@ -182,7 +174,7 @@ def _primitive_column(col: Sequence[Fraction]) -> list[int]:
     return [x // content for x in ints]
 
 
-def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> WittReal:
+def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
     """Witt class (signature) of the canonical form of the tuple."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
@@ -203,26 +195,24 @@ def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> WittRea
     else:
         tol = max(m.frame.tol for m in tup.members)
         sig = sym_signature(Matrix.approx(gram, tol))
-    return witt_of_signature(sig)
+    return sig.pos - sig.neg
 
 
-def tuple_reduce(tup: LagrangianTuple) -> WittReal:
+def tuple_reduce(tup: LagrangianTuple) -> int:
     """Index via the triple reduction sum_{j=2}^{r-1} tau(L1, Lj, Lj+1)."""
-    total = 0
     mem = tup.members
-    for j in range(1, len(mem) - 1):
-        total += int(kashiwara_index(LagrangianTuple.of(mem[0], mem[j], mem[j + 1])))
-    return WittReal(total)
+    return sum(kashiwara_index(LagrangianTuple.of(mem[0], mem[j], mem[j + 1]))
+               for j in range(1, len(mem) - 1))
 
 
 def wall_invariant(l1: LagrangianFrame, l2: LagrangianFrame,
-                   l3: LagrangianFrame) -> WittReal:
+                   l3: LagrangianFrame) -> int:
     """Signature of the symmetrized kernel form on
     W = {x1 + x2 + x3 = 0} / (pairwise intersections), psi(x, y) = omega(x_2, y_1).
     """
     g = _quotient_gram(LagrangianTuple.of(l1, l2, l3), block=(1, 0))
     half = Fraction(1, 2) if g.mode == EXACT else 0.5
-    return witt_of_signature(sym_signature((g + g.T).scale(half)))
+    return witt_of_form_real((g + g.T).scale(half))
 
 
 # -- Arnold angle formulas (eigen-angle route) -------------------------------
@@ -236,7 +226,7 @@ def _pair_value(t1: float, t2: float) -> float:
     return -(1.0 - 2.0 * (t1 - t2) / math.pi)
 
 
-def arnold_index_pair(l1: LagrangianFrame, l2: LagrangianFrame) -> float:
+def _arnold_index_pair(l1: LagrangianFrame, l2: LagrangianFrame) -> float:
     """Componentwise two-argument index; antisymmetric, diagonal inputs only."""
     a1, a2 = eigen_angles(l1), eigen_angles(l2)
     return sum(_pair_value(t1, t2) for t1, t2 in zip(a1, a2))
@@ -245,8 +235,8 @@ def arnold_index_pair(l1: LagrangianFrame, l2: LagrangianFrame) -> float:
 def arnold_index_triple(l1: LagrangianFrame, l2: LagrangianFrame,
                         l3: LagrangianFrame) -> int:
     """Cyclic sum of pair indices; integer-valued."""
-    s = (arnold_index_pair(l1, l2) + arnold_index_pair(l2, l3)
-         + arnold_index_pair(l3, l1))
+    s = (_arnold_index_pair(l1, l2) + _arnold_index_pair(l2, l3)
+         + _arnold_index_pair(l3, l1))
     out = round(s)
     if abs(s - out) > 1e-6:
         raise ValueError("triple index failed to be an integer")

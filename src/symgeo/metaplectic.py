@@ -18,7 +18,7 @@ from random import Random
 from .linalg import EXACT, Matrix, inverse
 from .maslov import LagrangianTuple, LerayLift, kashiwara_index, leray_m
 from .symplectic import LagrangianFrame, SymplecticSpace, random_symplectic
-from .witt import WittReal, ideal_power_member_real
+from .witt import ideal_power_member_real
 
 
 def is_symplectic(space: SymplecticSpace, g: Matrix) -> bool:
@@ -46,7 +46,7 @@ class Mp1Context:
 @dataclass(frozen=True)
 class Mp1Element:
     ctx: Mp1Context
-    w: WittReal
+    w: int
     g: Matrix
 
     def __post_init__(self):
@@ -57,7 +57,7 @@ class Mp1Element:
 
     @staticmethod
     def of(ctx: Mp1Context, w: int, g: Matrix) -> "Mp1Element":
-        return Mp1Element(ctx, WittReal(int(w)), g)
+        return Mp1Element(ctx, int(w), g)
 
 
 def _cocycle(ctx: Mp1Context, g1: Matrix, g12: Matrix) -> int:
@@ -65,7 +65,7 @@ def _cocycle(ctx: Mp1Context, g1: Matrix, g12: Matrix) -> int:
     lag = ctx.base
     l1 = LagrangianFrame(ctx.space, g1 @ lag.frame)
     l2 = LagrangianFrame(ctx.space, g12 @ lag.frame)
-    return int(kashiwara_index(LagrangianTuple.of(lag, l1, l2)))
+    return kashiwara_index(LagrangianTuple.of(lag, l1, l2))
 
 
 def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
@@ -73,11 +73,11 @@ def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
         raise ValueError("elements live over different spaces")
     g = a.g @ b.g
     tw = _cocycle(a.ctx, a.g, g)
-    return Mp1Element(a.ctx, WittReal(int(a.w) + int(b.w) + tw), g)
+    return Mp1Element(a.ctx, a.w + b.w + tw, g)
 
 
 def mp1_identity(ctx: Mp1Context) -> Mp1Element:
-    return Mp1Element(ctx, WittReal(0), Matrix.identity(ctx.space.dim))
+    return Mp1Element(ctx, 0, Matrix.identity(ctx.space.dim))
 
 
 def mp1_inverse(a: Mp1Element) -> Mp1Element:
@@ -85,7 +85,7 @@ def mp1_inverse(a: Mp1Element) -> Mp1Element:
 
     The twist tau(L, gL, L) has a repeated member, so it is 0 and w' = -w.
     """
-    return Mp1Element(a.ctx, WittReal(-int(a.w)), inverse(a.g))
+    return Mp1Element(a.ctx, -a.w, inverse(a.g))
 
 
 def mp1_central_check(ctx: Mp1Context, w: int, others: list[Mp1Element]) -> bool:
@@ -94,7 +94,7 @@ def mp1_central_check(ctx: Mp1Context, w: int, others: list[Mp1Element]) -> bool
     for el in others:
         left = mp1_mul(c, el)
         right = mp1_mul(el, c)
-        if int(left.w) != int(right.w) or left.g.entries != right.g.entries:
+        if left.w != right.w or left.g.entries != right.g.entries:
             return False
     return True
 
@@ -115,5 +115,4 @@ def mp2_member(a: Mp1Element, base_lift: LerayLift, image_lift: LerayLift) -> bo
     m = leray_m(image_lift, base_lift)
     if m != round(m):
         raise ValueError("lifts sit off the integer locus of m")
-    diff = int(a.w) - int(round(m))
-    return ideal_power_member_real(WittReal(diff), 2)
+    return ideal_power_member_real(a.w - int(round(m)), 2)

@@ -17,10 +17,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .jsonio import ValidationError
+from .jsonio import ValidationError, is_int
 from .symplectic import (SymplecticSpace, check_lagrangian_frames,
                          frames_loop_degree)
 
@@ -121,16 +122,22 @@ class SampledImmersion:
 
     def tangent_frames(self) -> np.ndarray:
         """The (m, dim, k) stack of tangent frames: the analytic frames if
-        given, else finite differences; a difference that overflows a
-        float is refused."""
-        if self.frames is not None:
-            return self.frames
+        given, else finite differences, computed once per immersion; a
+        difference that overflows a float is refused."""
+        return self.frames if self.frames is not None else self._differences
+
+    @cached_property
+    def _differences(self) -> np.ndarray:
+        # a refusal raises, so it is not cached; every audit shares the
+        # stack, so it is read-only
         try:
             with np.errstate(over="raise"):
-                return (self._grid_frames() if self.topology == "grid"
-                        else self._path_frames())
+                stack = (self._grid_frames() if self.topology == "grid"
+                         else self._path_frames())
         except FloatingPointError:
             raise ValidationError("tangent frame overflows a float") from None
+        stack.flags.writeable = False
+        return stack
 
     def _path_frames(self) -> np.ndarray:
         pts, ts = self.points, self.params[:, 0]
@@ -321,14 +328,21 @@ def immersion_from_json(text: str) -> SampledImmersion:
     if not isinstance(data, dict):
         raise ValidationError("sample file must be a JSON object")
     try:
+        for key in ("param_dim", "ambient_dim"):
+            if not is_int(data[key]):
+                raise ValidationError(f"{key} must be an integer")
+        grid = data.get("grid_shape")
+        if grid is not None and not (isinstance(grid, list) and len(grid) == 2
+                                     and all(map(is_int, grid))):
+            raise ValidationError("grid_shape must be two integers")
         return SampledImmersion(
-            param_dim=int(data["param_dim"]),
-            ambient_dim=int(data["ambient_dim"]),
+            param_dim=data["param_dim"],
+            ambient_dim=data["ambient_dim"],
             topology=str(data["topology"]),
             params=data["params"],
             points=data["points"],
             frames=data.get("frames"),
-            grid_shape=tuple(data["grid_shape"]) if "grid_shape" in data else None,
+            grid_shape=grid,
         )
     except KeyError as exc:
         raise ValidationError(f"sample file missing field {exc}") from exc

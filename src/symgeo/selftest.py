@@ -54,10 +54,10 @@ def _suite_kashiwara_cocycle(rng: Random, per_dim: int) -> dict:
         sp = SymplecticSpace.standard(n)
         for _ in range(per_dim):
             ls = [random_lagrangian(sp, rng) for _ in range(4)]
-            s = (int(kashiwara_index(ls[1:]))
-                 - int(kashiwara_index([ls[0], ls[2], ls[3]]))
-                 + int(kashiwara_index([ls[0], ls[1], ls[3]]))
-                 - int(kashiwara_index(ls[:3])))
+            s = (kashiwara_index(ls[1:])
+                 - kashiwara_index([ls[0], ls[2], ls[3]])
+                 + kashiwara_index([ls[0], ls[1], ls[3]])
+                 - kashiwara_index(ls[:3]))
             if s != 0:
                 return {"cases": cases, "passed": False,
                         "detail": f"cocycle defect {s} in dim {2 * n}"}
@@ -71,8 +71,8 @@ def _suite_wall_kashiwara(rng: Random, per_dim: int) -> dict:
         sp = SymplecticSpace.standard(n)
         for _ in range(per_dim):
             l1, l2, l3 = (random_lagrangian(sp, rng) for _ in range(3))
-            w = int(wall_invariant(l1, l2, l3))
-            t = int(kashiwara_index([l1, l2, l3]))
+            w = wall_invariant(l1, l2, l3)
+            t = kashiwara_index([l1, l2, l3])
             if w != t:
                 return {"cases": cases, "passed": False,
                         "detail": f"wall {w} vs kashiwara {t} in dim {2 * n}"}
@@ -85,7 +85,7 @@ def _suite_arnold_kashiwara(rng: Random, total: int) -> dict:
     for i in range(total):
         ds = [_rand_line_dir(rng) for _ in range(3)]
         a = arnold_triple_lines(*ds)
-        t = int(kashiwara_index([line_lagrangian(sp, d) for d in ds]))
+        t = kashiwara_index([line_lagrangian(sp, d) for d in ds])
         if a != t:
             return {"cases": i, "passed": False,
                     "detail": f"arnold {a} vs kashiwara {t}"}
@@ -99,11 +99,11 @@ def _suite_transvection_invariance(rng: Random, tuples: int, moves: int,
         sp = SymplecticSpace.standard(n)
         for _ in range(tuples):
             ls = [random_lagrangian(sp, rng) for _ in range(rng.randint(3, 5))]
-            t0 = int(kashiwara_index(ls))
+            t0 = kashiwara_index(ls)
             for _ in range(moves):
                 g = random_symplectic(sp, rng)
                 moved = [LagrangianFrame(sp, g @ l.frame) for l in ls]
-                t1 = int(kashiwara_index(moved))
+                t1 = kashiwara_index(moved)
                 if t1 != t0:
                     return {"cases": cases, "passed": False,
                             "detail": f"index moved {t0} -> {t1}"}
@@ -118,7 +118,7 @@ def _suite_leray_sum(rng: Random, total: int) -> dict:
         lifts = [LerayLift.from_direction(*_rand_line_dir(rng), rng.randint(-2, 2))
                  for _ in range(r)]
         s = leray_cyclic_sum(lifts)
-        t = int(kashiwara_index([lf.line(sp) for lf in lifts]))
+        t = kashiwara_index([lf.line(sp) for lf in lifts])
         if s != t:
             return {"cases": i, "passed": False,
                     "detail": f"cyclic sum {s} vs index {t} at r={r}"}
@@ -133,11 +133,11 @@ def _suite_mp1_associativity(rng: Random, per_ctx: int) -> dict:
             a, b, c = (random_mp1(ctx, rng) for _ in range(3))
             lhs = mp1_mul(mp1_mul(a, b), c)
             rhs = mp1_mul(a, mp1_mul(b, c))
-            if int(lhs.w) != int(rhs.w) or not (lhs.g - rhs.g).is_zero():
+            if lhs.w != rhs.w or not (lhs.g - rhs.g).is_zero():
                 return {"cases": cases, "passed": False,
                         "detail": f"associativity failed in Sp({n})"}
             inv = mp1_mul(a, mp1_inverse(a))
-            if int(inv.w) != 0 or not (inv.g - Matrix.identity(2 * n)).is_zero():
+            if inv.w != 0 or not (inv.g - Matrix.identity(2 * n)).is_zero():
                 return {"cases": cases, "passed": False,
                         "detail": f"inverse failed in Sp({n})"}
             cases += 1
@@ -249,10 +249,10 @@ def _suite_witt_ring(rng: Random, total: int) -> dict:
         w1 = witt_of_form_real(Matrix.diagonal(diag1))
         w2 = witt_of_form_real(Matrix.diagonal(diag2))
         w12 = witt_of_form_real(Matrix.diagonal(diag1 + diag2))
-        if int(w12) != int(w1) + int(w2):
+        if w12 != w1 + w2:
             return {"cases": i, "passed": False, "detail": "additivity failed"}
         for k in range(4):
-            want = int(w1) % (2 ** k) == 0
+            want = w1 % (2 ** k) == 0
             if ideal_power_member_real(w1, k) != want:
                 return {"cases": i, "passed": False,
                         "detail": f"ideal filtration failed at k={k}"}

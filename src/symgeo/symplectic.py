@@ -30,7 +30,7 @@ from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
 ANGLE_SNAP = 1e-9
 
 
-def standard_gram(n: int, mode: str = EXACT) -> Matrix:
+def standard_gram(n: int) -> Matrix:
     rows = []
     for i in range(2 * n):
         row = [0] * (2 * n)
@@ -39,7 +39,7 @@ def standard_gram(n: int, mode: str = EXACT) -> Matrix:
         else:
             row[i - n] = -1
         rows.append(row)
-    return Matrix.from_rows(rows, mode)
+    return Matrix.exact(rows)
 
 
 @dataclass(frozen=True)

@@ -1,74 +1,33 @@
 """Witt classes of symmetric forms over the reals and complexes.
 
-Over R the Witt group is infinite cyclic and a class is its signature
-defect pos - neg (the radical never contributes).  Over C only the parity
-of the anisotropic dimension survives.  The fundamental-ideal filtration
-over R is I^k = 2^k Z in this model.
+Over R the Witt group is infinite cyclic and a class is the integer
+signature defect pos - neg (the radical never contributes).  Over C only
+the parity of the anisotropic dimension survives, as the integer 0 or 1.
+The fundamental-ideal filtration over R is I^k = 2^k Z in this model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import Matrix, Signature, SymmetricForm, sym_signature
+from .linalg import Matrix, sym_signature
 
 
-@dataclass(frozen=True)
-class WittReal:
-    """Element of W(R) ~ Z, stored as the integer pos - neg."""
-
-    value: int
-
-    def __add__(self, other: "WittReal") -> "WittReal":
-        return WittReal(self.value + other.value)
-
-    def __sub__(self, other: "WittReal") -> "WittReal":
-        return WittReal(self.value - other.value)
-
-    def __neg__(self) -> "WittReal":
-        return WittReal(-self.value)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class WittComplex:
-    """Element of W(C) ~ Z/2: parity of the anisotropic dimension."""
-
-    parity: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "parity", self.parity % 2)
-
-    def __add__(self, other: "WittComplex") -> "WittComplex":
-        return WittComplex((self.parity + other.parity) % 2)
-
-    def __neg__(self) -> "WittComplex":
-        return self
-
-
-def witt_of_form_real(form: SymmetricForm | Matrix) -> WittReal:
+def witt_of_form_real(gram: Matrix) -> int:
     """Witt class of a real symmetric form: signature with the radical dropped."""
-    sig = sym_signature(form)
-    return WittReal(sig.pos - sig.neg)
+    sig = sym_signature(gram)
+    return sig.pos - sig.neg
 
 
-def witt_of_signature(sig: Signature) -> WittReal:
-    return WittReal(sig.pos - sig.neg)
+def witt_of_form_complex(gram: Matrix) -> int:
+    """Witt class over C: the parity of the rank."""
+    sig = sym_signature(gram)
+    return (sig.pos + sig.neg) % 2
 
 
-def witt_of_form_complex(form: SymmetricForm | Matrix) -> WittComplex:
-    sig = sym_signature(form)
-    return WittComplex((sig.pos + sig.neg) % 2)
-
-
-def ideal_power_member_real(w: WittReal | int, k: int) -> bool:
+def ideal_power_member_real(w: int, k: int) -> bool:
     """Membership of a W(R) class in the k-th power of the fundamental ideal.
 
     The filtration is I^k = 2^k Z; k = 0 is the whole ring.
     """
     if k < 0:
         raise ValueError("ideal power must be nonnegative")
-    v = int(w)
-    return v % (2 ** k) == 0
+    return w % (2 ** k) == 0

@@ -378,6 +378,36 @@ def test_scan_rejects_an_empty_sample_file(capsys, tmp_path):
     assert captured.err == "error: bad sample file: need at least one sample\n"
 
 
+def _plane_grid():
+    """A 3 x 3 grid on the Lagrangian plane (u, v, 2u + v, u + 2v)."""
+    uvs = [(i / 2, j / 2) for i in range(3) for j in range(3)]
+    return {"param_dim": 2, "ambient_dim": 4, "topology": "grid",
+            "grid_shape": [3, 3], "params": [list(uv) for uv in uvs],
+            "points": [[u, v, 2 * u + v, u + 2 * v] for u, v in uvs]}
+
+
+@pytest.mark.parametrize("fields,space,message", [
+    ({"param_dim": True, "ambient_dim": 2.9}, "std:1",
+     "param_dim must be an integer"),
+    ({"ambient_dim": 2.0}, "std:1", "ambient_dim must be an integer"),
+    ({"param_dim": "1", "ambient_dim": "2"}, "std:1",
+     "param_dim must be an integer"),
+    (dict(_plane_grid(), grid_shape=[3, True]), "std:2",
+     "grid_shape must be two integers"),
+])
+def test_scan_rejects_non_integer_sample_shapes(capsys, tmp_path, fields,
+                                                space, message):
+    ts = [2 * math.pi * i / 16 for i in range(16)]
+    obj = {"param_dim": 1, "ambient_dim": 2, "topology": "loop",
+           "params": [[t] for t in ts],
+           "points": [[math.cos(t), math.sin(t)] for t in ts]}
+    path = _write(tmp_path, "samples.json", dict(obj, **fields))
+    code = main(["scan", "lagrangian", "--space", space, "--samples", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad sample file: {message}\n"
+
+
 def test_scan_rejects_nan_in_a_csv_sample(capsys, tmp_path):
     path = _write(tmp_path, "leg.csv",
                   "p1,a1,a2,a3\n0,0,0,0\n0.5,nan,1,0.25\n1,1,2,1")

@@ -1,12 +1,14 @@
 """Golden bytes: sha256 pins of the selftest reports, the stdout of every
-README command, every ``--help`` page and seeded dumps of the jets layer and
-the Kashiwara-type forms.
+README command, every ``--help`` page and seeded dumps of the jets layer,
+the Lagrangian graph audit and the Kashiwara-type forms; and the values the
+README's library example states.
 
 A refactor keeps these hashes; a change that means to move them updates
 them in the same commit.  Help pages follow argparse's wording, so they are
 pinned for Python 3.11 at 80 columns.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,6 +16,7 @@ import json
 import math
 import shlex
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,8 +26,10 @@ from symgeo.jets import (JetSignature, lambda_basis, max_isotropic,
                          metasymplectic_eval)
 from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, unflatten)
+from symgeo.jets.pde_audit import (_jacobian, _LagrangianInstance,
+                                   lagrangian_pde_dims)
 from symgeo.jsonio import dumps
-from symgeo.linalg import Matrix
+from symgeo.linalg import Matrix, sym_signature
 from symgeo.maslov import LagrangianTuple, kashiwara_space, wall_invariant
 from symgeo.selftest import _rand_full_rank, run_selftest
 from symgeo.symplectic import LagrangianFrame, SymplecticSpace
@@ -81,6 +86,9 @@ JETS_DUMP = (
     "f2eee5ad98f405fa087d0042607a1f0e69ea22ae336e6f97b4111ba1f4f6553f")
 JETS_SIGNATURES = ((1, 1, 2), (2, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),
                    (3, 1, 2), (2, 1, 3), (1, 2, 3))
+
+PDE_DUMP = (
+    "bb7d8cb8fed18086e35f23d801e8a1d82cb4b5199ac4c4162c484ad07cda290c")
 
 MASLOV_FORMS_DUMP = (
     "3e25a8123ae108456597c607b7246f906096cf0f35abcfc73dd98a873db5cf53")
@@ -235,6 +243,23 @@ def _jets_dump() -> str:
     return "\n".join(lines)
 
 
+def _pde_dump() -> str:
+    """On-locus points, exact Jacobian entries and dimension reports of the
+    Lagrangian graph audit for n = 1..3 and seeds 0..4."""
+    lines = []
+    for n in range(1, 4):
+        for seed in range(5):
+            inst = _LagrangianInstance(n, Random(seed))
+            point = inst.point()
+            jac = _jacobian(inst.equations, point)
+            lines.append(f"point n={n} seed={seed} "
+                         + " ".join(str(x) for x in point))
+            lines.append("jacobian " + "; ".join(" ".join(str(x) for x in row)
+                                                 for row in jac.entries))
+            lines.append("report " + dumps(lagrangian_pde_dims(n, seed)))
+    return "\n".join(lines)
+
+
 def _maslov_forms_dump() -> str:
     """Exact Gram entries, dims and signatures of ``kashiwara_space``, the
     dims and signatures of float copies, and exact and float Wall values of
@@ -246,15 +271,14 @@ def _maslov_forms_dump() -> str:
         for _ in range(12):
             ls = _rand_tuple(rng, sp, rng.randint(3, 5))
             floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
-            qs = kashiwara_space(LagrangianTuple.of(*ls))
-            fqs = kashiwara_space(LagrangianTuple.of(*floats))
-            gram = "; ".join(" ".join(str(x) for x in row)
-                             for row in qs.form.gram.entries)
-            lines.append(f"space n={n} r={len(ls)} dim={qs.dim} "
-                         f"sig={qs.signature().as_tuple()} gram={gram}")
-            lines.append(f"float dim={fqs.dim} sig={fqs.signature().as_tuple()}")
-            lines.append(f"wall {int(wall_invariant(*ls[:3]))} "
-                         f"{int(wall_invariant(*floats[:3]))}")
+            g = kashiwara_space(LagrangianTuple.of(*ls))
+            fg = kashiwara_space(LagrangianTuple.of(*floats))
+            gram = "; ".join(" ".join(str(x) for x in row) for row in g.entries)
+            lines.append(f"space n={n} r={len(ls)} dim={g.rows} "
+                         f"sig={sym_signature(g).as_tuple()} gram={gram}")
+            lines.append(f"float dim={fg.rows} sig={sym_signature(fg).as_tuple()}")
+            lines.append(f"wall {wall_invariant(*ls[:3])} "
+                         f"{wall_invariant(*floats[:3])}")
     return "\n".join(lines)
 
 
@@ -276,6 +300,26 @@ def test_readme_command(command, tmp_path, monkeypatch):
     assert _sha(out) == README_COMMANDS[command]
 
 
+def test_readme_library_block():
+    """The README's library example runs, and each expression it shows
+    evaluates to the int its comment states."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    scope: dict = {}
+    shown = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                         scope)
+            shown.append((lines[node.lineno - 1].split("#", 1)[1].strip(), value))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert shown == [("1", 1), ("Witt class 0", 0)]
+    assert [type(value) for _, value in shown] == [int, int]
+
+
 @pytest.mark.parametrize("command", sorted(SCAN_COMMANDS))
 def test_scan_command(command, tmp_path, monkeypatch):
     _write_scan_samples(tmp_path)
@@ -287,6 +331,10 @@ def test_scan_command(command, tmp_path, monkeypatch):
 
 def test_jets_dump():
     assert _sha(_jets_dump()) == JETS_DUMP
+
+
+def test_pde_dump():
+    assert _sha(_pde_dump()) == PDE_DUMP
 
 
 def test_maslov_forms():

@@ -6,9 +6,8 @@ from random import Random
 import pytest
 
 from symgeo.linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
-                           SymmetricForm, integer_signature, inverse,
-                           kernel_basis, rank, rref, span_contains, spans_equal,
-                           sym_signature)
+                           integer_signature, inverse, kernel_basis, rank, rref,
+                           span_contains, spans_equal, sym_signature)
 
 
 def _rand_exact(rng, r, c, lo=-5, hi=5):
@@ -85,25 +84,25 @@ def test_span_helpers():
 
 def test_sym_signature_anchors():
     diag = Matrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    sig = sym_signature(SymmetricForm(3, diag))
+    sig = sym_signature(diag)
     assert sig.as_tuple() == (2, 0, 1)
     hyper = Matrix.exact([[0, 1], [1, 0]])
-    assert sym_signature(SymmetricForm(2, hyper)).as_tuple() == (1, 0, 1)
+    assert sym_signature(hyper).as_tuple() == (1, 0, 1)
     degenerate = Matrix.exact([[1, 0], [0, 0]])
-    assert sym_signature(SymmetricForm(2, degenerate)).as_tuple() == (1, 1, 0)
+    assert sym_signature(degenerate).as_tuple() == (1, 1, 0)
 
 
 def test_sym_signature_congruence_invariance():
     rng = Random(3)
     base = Matrix.exact([[2, 1, 0], [1, -1, 0], [0, 0, 0]])
-    want = sym_signature(SymmetricForm(3, base)).as_tuple()
+    want = sym_signature(base).as_tuple()
     done = 0
     while done < 15:
         p = _rand_exact(rng, 3, 3, -3, 3)
         if rank(p) < 3:
             continue
         moved = p.T @ base @ p
-        assert sym_signature(SymmetricForm(3, moved)).as_tuple() == want
+        assert sym_signature(moved).as_tuple() == want
         done += 1
 
 

@@ -10,6 +10,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from symgeo import scan
 from symgeo.jsonio import ValidationError
 from symgeo.linalg import Matrix, rank
 from symgeo.scan import (DEFAULT_SCAN_TOL, NEAR_SINGULAR_BAND, ChiSpec,
@@ -245,6 +246,43 @@ def test_circle_loop_maslov():
 
 def test_doubled_circle_loop_maslov():
     assert loop_maslov(_circle(128, turns=2), SymplecticSpace.standard(1)) == 4
+
+
+def _count_stencils(monkeypatch) -> list:
+    calls = []
+    stencil = scan._stencil_derivative
+
+    def counted(*args):
+        calls.append(1)
+        return stencil(*args)
+
+    monkeypatch.setattr(scan, "_stencil_derivative", counted)
+    return calls
+
+
+def test_audits_share_one_stencil_pass(monkeypatch):
+    calls = _count_stencils(monkeypatch)
+    s, sp = _circle(64), SymplecticSpace.standard(1)
+    report = check_lagrangian(s, sp)
+    profile = corank_profile(s)
+    assert loop_maslov(s, sp) == 2
+    assert len(calls) == 1
+    surface = _grid(lambda u, v: u * u, lambda u, v: v * v)
+    check_lagrangian(surface, SymplecticSpace.standard(2))
+    corank_profile(surface)
+    assert len(calls) == 3  # one stencil per grid direction
+    assert report == check_lagrangian(_circle(64), sp)
+    assert profile == corank_profile(_circle(64))
+
+
+def test_overflow_refusal_is_not_cached(monkeypatch):
+    calls = _count_stencils(monkeypatch)
+    # the difference of samples 3 and 4 overflows inside the stencil
+    s = _circle_with(points={3: [1.7e308, 0.5], 4: [-1.7e308, 0.5]})
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="tangent frame overflows"):
+            check_lagrangian(s, SymplecticSpace.standard(1))
+    assert len(calls) == 2
 
 
 def test_loop_maslov_needs_loop_topology():
