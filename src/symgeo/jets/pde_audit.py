@@ -38,13 +38,9 @@ def _rand_block(rng: Random, n: int) -> Matrix:
 
 
 def _rand_skew(rng: Random, n: int) -> Matrix:
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n):
-        for s in range(r + 1, n):
-            v = _rand_fraction(rng)
-            out[r][s] = v
-            out[s][r] = -v
-    return Matrix.exact(out)
+    upper = Matrix.exact([[_rand_fraction(rng) if s > r else 0 for s in range(n)]
+                          for r in range(n)])
+    return upper - upper.T
 
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
@@ -53,7 +49,7 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 
 def _upper(m: Matrix) -> list[Fraction]:
     """Entries strictly above the diagonal, row by row."""
-    return [m[r, s] for r in range(m.rows) for s in range(r + 1, m.cols)]
+    return [x for r in range(m.rows) for x in m.row(r)[r + 1:]]
 
 
 # -- Lagrangian graphs --------------------------------------------------------
@@ -129,14 +125,10 @@ class _LagrangianInstance:
         return self.obar(x) + y.T @ self.ohat(x)
 
     # flattened jet coordinates: x, y, first derivatives, second derivatives
-    def var_count(self) -> int:
-        n = self.n
-        return 2 * n + n * n + n * len(_sym_pairs(n))
-
     def point(self) -> list[Fraction]:
         n = self.n
-        v = list(self.x0) + [Fraction(0)] * n
-        v += [x for row in self.y0.entries for x in row]
+        v = list(self.x0) + [0] * n
+        v += [x for a in range(n) for x in self.y0.row(a)]
         v += [self.t0[(a, p)] for a in range(n) for p in _sym_pairs(n)]
         return v
 
@@ -161,17 +153,13 @@ def _jacobian(eqs, point: list[Fraction]) -> Matrix:
     Every equation has degree at most two in each single coordinate, so
     (f(v + e) - f(v - e)) / 2 recovers the partial derivative exactly.
     """
-    at = eqs(point)
-    rows = [[Fraction(0)] * len(point) for _ in at]
+    cols = []
     for c in range(len(point)):
-        hi = list(point)
-        lo = list(point)
+        hi, lo = list(point), list(point)
         hi[c] += 1
         lo[c] -= 1
-        up, dn = eqs(hi), eqs(lo)
-        for r in range(len(at)):
-            rows[r][c] = (up[r] - dn[r]) / 2
-    return Matrix.exact(rows) if at else Matrix.zeros(0, len(point))
+        cols.append([u - d for u, d in zip(eqs(hi), eqs(lo))])
+    return Matrix.exact(cols).T.scale(Fraction(1, 2))
 
 
 def lagrangian_pde_dims(n: int, seed: int = 0) -> dict:
@@ -256,18 +244,18 @@ def _legendrian_matrices(n: int):
 
     sys_rows = []
     for b in range(n):
-        row = [Fraction(0)] * total
-        row[n + b] = Fraction(-1)              # -y_b
-        row[nv0 + n * n + b] = Fraction(1)     # +zeta_b
+        row = [0] * total
+        row[n + b] = -1                        # -y_b
+        row[nv0 + n * n + b] = 1               # +zeta_b
         sys_rows.append(row)
 
     prol_rows = []
     for b in range(n):
         for g in range(n):
-            row = [Fraction(0)] * total
-            row[nv0 + b * n + g] = Fraction(-1)                    # -Y[b][g]
+            row = [0] * total
+            row[nv0 + b * n + g] = -1                              # -Y[b][g]
             p = pairs.index((min(b, g), max(b, g)))
-            row[nv0 + nv1 + n * len(pairs) + p] = Fraction(1)      # +z_{bg}
+            row[nv0 + nv1 + n * len(pairs) + p] = 1                # +z_{bg}
             prol_rows.append(row)
 
     return Matrix.exact(sys_rows), Matrix.exact(prol_rows), (nv0, nv1, nv2)
@@ -276,31 +264,20 @@ def _legendrian_matrices(n: int):
 def _symbol_kernel(n: int) -> Matrix:
     """Basis of the first-order symbol: coefficient vectors over the
     first-derivative slots annihilated by the leading part of the system."""
-    rows = []
-    for b in range(n):
-        row = [Fraction(0)] * (n * n + n)
-        row[n * n + b] = Fraction(1)
-        rows.append(row)
-    return kernel_basis(Matrix.exact(rows))
+    return kernel_basis(Matrix.zeros(n, n * n).hstack(Matrix.identity(n)))
 
 
 def _cascade_dim(n: int, g1: Matrix, flag: list[list[Fraction]]) -> int:
-    """dim of the symbol subspace annihilating the first i flag vectors."""
+    """dim of the symbol subspace annihilating the first i flag vectors.
+
+    A symbol vector is an (n + 1) x n block matrix (the Y rows, then zeta);
+    row o of ``apply`` pairs block row o with one flag vector v."""
     if not flag:
         return g1.cols
-    rows = []
-    for v in flag:
-        for out_row in range(n + 1):
-            row = []
-            for c in range(g1.cols):
-                vec = g1.col(c)
-                if out_row < n:
-                    m_row = vec[out_row * n:(out_row + 1) * n]
-                else:
-                    m_row = vec[n * n:]
-                row.append(sum(mv * xv for mv, xv in zip(m_row, v)))
-            rows.append(row)
-    return g1.cols - rank(Matrix.exact(rows))
+    apply = Matrix.exact([[v[k - o * n] if o * n <= k < o * n + n else 0
+                           for k in range(n * n + n)]
+                          for v in flag for o in range(n + 1)])
+    return g1.cols - rank(apply @ g1)
 
 
 def legendrian_pde_dims(n: int, seed: int = 0) -> dict:

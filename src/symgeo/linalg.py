@@ -2,11 +2,14 @@
 
 Two scalar modes exist and are never mixed silently:
 
-* ``exact``  -- entries are :class:`fractions.Fraction`; rank and kernel
-  come from rational Gaussian elimination, the signature from fraction-free
-  integer elimination after clearing denominators; all are exact.
-* ``approx`` -- entries are floats governed by a per-matrix tolerance;
-  rank uses singular values, signature uses symmetric eigenvalues.
+* ``exact``  -- integer row tuples ``num`` over one positive int ``den``,
+  kept canonical (gcd(den, every entry of num) = 1), so equal matrices have
+  equal fields.  Arithmetic runs on the integers; rref, rank, kernel and
+  inverse use Bareiss fraction-free elimination and divide once at the end,
+  the signature fraction-free symmetric elimination.  ``entries``, ``row``,
+  ``col`` and ``m[i, j]`` are ``Fraction`` views for input and output.
+* ``approx`` -- float rows ``num`` over ``den`` = 1 and a per-matrix
+  tolerance; rank uses singular values, signature symmetric eigenvalues.
 
 Thresholds in approx mode are ``tol * max(largest entry magnitude, 1)``.
 """
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from random import Random
 from typing import Iterable, Sequence
 
@@ -38,22 +42,31 @@ def _to_exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _to_approx(x) -> float:
-    return float(x)
-
-
 def _rand_fraction(rng: Random) -> Fraction:
     """Seeded rational entry: numerator in [-4, 4], denominator in [1, 3]."""
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-@dataclass(frozen=True)
+def _canon(num: tuple, den: int) -> tuple[tuple, int]:
+    """``num`` over a nonzero ``den`` in canonical form."""
+    g = gcd(den, *chain.from_iterable(num)) * (1 if den > 0 else -1)
+    if g == 1:
+        return num, den
+    return tuple(tuple(x // g for x in r) for r in num), den // g
+
+
+def _rescale(num: tuple, k) -> tuple:
+    return num if k == 1 else tuple(tuple(k * x for x in r) for r in num)
+
+
+@dataclass(frozen=True, slots=True)
 class Matrix:
-    """Immutable dense matrix; ``entries`` is a tuple of row tuples."""
+    """Immutable dense matrix: the row tuples ``num`` over ``den``."""
 
     rows: int
     cols: int
-    entries: tuple
+    num: tuple
+    den: int
     mode: str = EXACT
     tol: float = DEFAULT_TOL
 
@@ -67,11 +80,16 @@ class Matrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        conv = _to_exact if mode == EXACT else _to_approx
-        if mode not in (EXACT, APPROX):
+        if mode == APPROX:
+            return Matrix(nr, nc, tuple(tuple(map(float, r)) for r in rows), 1, APPROX, tol)
+        if mode != EXACT:
             raise ValueError(f"unknown mode {mode!r}")
-        ent = tuple(tuple(conv(x) for x in r) for r in rows)
-        return Matrix(nr, nc, ent, mode, tol)
+        vals = [[x if isinstance(x, (int, Fraction)) else _to_exact(x) for x in r]
+                for r in rows]
+        # over the lcm of the reduced denominators the form is canonical
+        den = lcm(*(x.denominator for r in vals for x in r))
+        return Matrix(nr, nc, tuple(tuple(x.numerator * (den // x.denominator)
+                                          for x in r) for r in vals), den, EXACT, tol)
 
     @staticmethod
     def exact(rows: Sequence[Sequence]) -> "Matrix":
@@ -83,16 +101,13 @@ class Matrix:
 
     @staticmethod
     def identity(n: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
-        one = Fraction(1) if mode == EXACT else 1.0
-        zero = Fraction(0) if mode == EXACT else 0.0
+        one, zero = (1, 0) if mode == EXACT else (1.0, 0.0)
         return Matrix(n, n, tuple(tuple(one if i == j else zero for j in range(n))
-                                  for i in range(n)), mode, tol)
+                                  for i in range(n)), 1, mode, tol)
 
     @staticmethod
     def zeros(r: int, c: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
-        zero = Fraction(0) if mode == EXACT else 0.0
-        return Matrix(r, c, tuple(tuple(zero for _ in range(c)) for _ in range(r)),
-                      mode, tol)
+        return Matrix(r, c, ((0 if mode == EXACT else 0.0,) * c,) * r, 1, mode, tol)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Matrix":
@@ -101,31 +116,48 @@ class Matrix:
         return Matrix.exact([[entries[r] if r == c else 0 for c in range(size)]
                              for r in range(size)])
 
-    @staticmethod
-    def from_numpy(arr: np.ndarray, tol: float = DEFAULT_TOL) -> "Matrix":
-        arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        return Matrix(arr.shape[0], arr.shape[1],
-                      tuple(tuple(float(x) for x in row) for row in arr),
-                      APPROX, tol)
+    def _new(self, rows: int, cols: int, num: tuple, den: int, tol: float) -> "Matrix":
+        """A matrix of this mode, exact numerators put in canonical form."""
+        if self.mode == EXACT:
+            num, den = _canon(num, den)
+        return Matrix(rows, cols, num, den, self.mode, tol)
 
-    # -- basics ------------------------------------------------------------
+    # -- views ---------------------------------------------------------------
+
+    def _scalars(self, xs: Iterable) -> tuple:
+        return tuple(xs) if self.mode == APPROX else tuple(Fraction(x, self.den) for x in xs)
+
+    @property
+    def entries(self) -> tuple:
+        """Row tuples of ``Fraction``s (exact) or floats (approx)."""
+        return tuple(map(self._scalars, self.num))
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+        return self.row(ij[0])[ij[1]]
 
     def row(self, i: int) -> tuple:
-        return self.entries[i]
+        return self._scalars(self.num[i])
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return self._scalars(r[j] for r in self.num)
+
+    def _floats(self) -> tuple:
+        """Float rows of the entries: the one exact-to-float conversion."""
+        if self.mode == APPROX:
+            return self.num
+        try:
+            return tuple(tuple(x / self.den for x in r) for r in self.num)
+        except OverflowError:
+            raise ValueError("matrix entry overflows a float") from None
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _columns(self) -> tuple:
+        return tuple(zip(*self.num)) if self.rows else ((),) * self.cols
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                            for j in range(self.cols)),
-                      self.mode, self.tol)
+        return Matrix(self.cols, self.rows, self._columns(), self.den, self.mode, self.tol)
 
     def _check(self, other: "Matrix") -> float:
         if self.mode != other.mode:
@@ -136,19 +168,25 @@ class Matrix:
         tol = self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.T.entries
-        ent = tuple(tuple(sum(a * b for a, b in zip(row, ocol))
-                          for ocol in ot)
-                    for row in self.entries)
-        return Matrix(self.rows, other.cols, ent, self.mode, tol)
+        ocols = other._columns()
+        num = tuple(tuple(sum(map(mul, row, ocol)) for ocol in ocols)
+                    for row in self.num)
+        return self._new(self.rows, other.cols, num, self.den * other.den, tol)
+
+    def _common(self, other: "Matrix") -> tuple[tuple, tuple, int, float]:
+        """Both numerators over the lcm of the denominators, and the tol;
+        stacking canonical matrices over the lcm keeps them canonical."""
+        tol = self._check(other)
+        den = lcm(self.den, other.den)
+        return (_rescale(self.num, den // self.den),
+                _rescale(other.num, den // other.den), den, tol)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
-        tol = self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sum")
-        ent = tuple(tuple(map(op, r1, r2))
-                    for r1, r2 in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, ent, self.mode, tol)
+        a, b, den, tol = self._common(other)
+        num = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(a, b))
+        return self._new(self.rows, self.cols, num, den, tol)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, add)
@@ -160,38 +198,36 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = _to_exact(c) if self.mode == EXACT else float(c)
-        ent = tuple(tuple(c * x for x in r) for r in self.entries)
-        return Matrix(self.rows, self.cols, ent, self.mode, self.tol)
+        k, d = (float(c), 1) if self.mode == APPROX else _to_exact(c).as_integer_ratio()
+        return self._new(self.rows, self.cols, _rescale(self.num, k), self.den * d,
+                         self.tol)
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        tol = self._check(other)
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        ent = tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols + other.cols, ent, self.mode, tol)
+        a, b, den, tol = self._common(other)
+        return Matrix(self.rows, self.cols + other.cols,
+                      tuple(r1 + r2 for r1, r2 in zip(a, b)), den, self.mode, tol)
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        tol = self._check(other)
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols,
-                      self.entries + other.entries, self.mode, tol)
+        a, b, den, tol = self._common(other)
+        return Matrix(self.rows + other.rows, self.cols, a + b, den, self.mode, tol)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        ent = tuple(tuple(self.entries[i][j] for j in range(c0, c1))
-                    for i in range(r0, r1))
-        return Matrix(r1 - r0, c1 - c0, ent, self.mode, self.tol)
+        num = tuple(r[c0:c1] for r in self.num[r0:r1])
+        return self._new(r1 - r0, c1 - c0, num, self.den, self.tol)
 
     def columns(self, idx: Iterable[int]) -> "Matrix":
         idx = list(idx)
-        ent = tuple(tuple(r[j] for j in idx) for r in self.entries)
-        return Matrix(self.rows, len(idx), ent, self.mode, self.tol)
+        num = tuple(tuple(r[j] for j in idx) for r in self.num)
+        return self._new(self.rows, len(idx), num, self.den, self.tol)
+
+    # -- magnitudes and conversion ---------------------------------------
 
     def max_abs(self) -> float:
-        if self.rows == 0 or self.cols == 0:
-            return 0.0
-        return max(abs(float(x)) for r in self.entries for x in r)
+        return max((abs(x) for r in self._floats() for x in r), default=0.0)
 
     def threshold(self) -> float:
         # approx-mode zero cutoff: tol * max(largest entry magnitude, 1)
@@ -199,57 +235,70 @@ class Matrix:
 
     def is_zero(self) -> bool:
         if self.mode == EXACT:
-            return all(x == 0 for r in self.entries for x in r)
+            return not any(map(any, self.num))
         return self.max_abs() <= self.threshold()
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in r] for r in self.entries], dtype=float)
+        return np.array(self._floats(), dtype=float)
 
     def to_approx(self, tol: float | None = None) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(float(x) for x in r) for r in self.entries),
-                      APPROX, self.tol if tol is None else tol)
+        return Matrix(self.rows, self.cols, self._floats(), 1, APPROX,
+                      self.tol if tol is None else tol)
 
 
-def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of an exact matrix; returns (rows, pivot cols)."""
-    a = [list(r) for r in m.entries]
+def _bareiss(num: Sequence[Sequence[int]],
+             jordan: bool = True) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss fraction-free elimination of the integer rows ``num``.
+
+    Columns are first divided by their contents c_j, which moves no pivot.
+    Pivots go column by column, each from the first nonzero row at or below
+    the current one; pivot p after p' turns every other row (``jordan``) or
+    every row below into (p row - row[c] pivot_row) / p', an exact division
+    (Bareiss, Math. Comp. 22, 1968).  Returns the rows, the pivot columns
+    and an integer d; with ``jordan`` the rows are d rref(num): row k of the
+    scaled form times c_j / c_p at column j, for its pivot column p.
+    """
+    content = [gcd(*col) or 1 for col in zip(*num)]
+    a = [[x // c for x, c in zip(r, content)] for r in num]
+    m = len(a)
     pivots: list[int] = []
-    pr = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for r in range(pr, m.rows):
-            if a[r][c] != 0:
-                pivot_row = r
-                break
+    prev = 1
+    for c in range(len(content)):
+        pr = len(pivots)
+        pivot_row = next((r for r in range(pr, m) if a[r][c]), None)
         if pivot_row is None:
             continue
         a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        pv = a[pr][c]
-        a[pr] = [x / pv for x in a[pr]]
-        for r in range(m.rows):
-            if r != pr and a[r][c] != 0:
+        prow = a[pr]
+        p = prow[c]
+        for r in range(m) if jordan else range(pr + 1, m):
+            if r != pr:
                 f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[pr])]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
+        prev = p
         pivots.append(c)
-        pr += 1
-        if pr == m.rows:
+        if pr + 1 == m:
             break
-    return a, pivots
+    if not jordan:
+        return a, pivots, prev
+    scale = lcm(*(content[p] for p in pivots))
+    for k, p in enumerate(pivots):
+        a[k] = [x * c * (scale // content[p]) for x, c in zip(a[k], content)]
+    return a, pivots, prev * scale
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if m.mode != EXACT:
         raise ModeMixError("rref is exact-mode only")
-    a, pivots = _rref(m)
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in a), EXACT, m.tol), tuple(pivots)
+    a, pivots, d = _bareiss(m.num)
+    return m._new(m.rows, m.cols, tuple(map(tuple, a)), d, m.tol), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.mode == EXACT:
-        return len(_rref(m)[1])
+        return len(_bareiss(m.num, jordan=False)[1])
     sv = np.linalg.svd(m.to_numpy(), compute_uv=False)
     return int(np.sum(sv > m.threshold()))
 
@@ -261,39 +310,37 @@ def kernel_basis(m: Matrix) -> Matrix:
     coordinate is 1 (deterministic representatives).
     """
     if m.mode == EXACT:
-        a, pivots = _rref(m)
-        free = [c for c in range(m.cols) if c not in pivots]
-        cols = []
-        for f in free:
-            v = [Fraction(0)] * m.cols
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -a[r][f]
-            lead = next(x for x in v if x != 0)
-            cols.append([x / lead for x in v])
-        ent = tuple(tuple(col[i] for col in cols) for i in range(m.cols))
-        return Matrix(m.cols, len(cols), ent, EXACT, m.tol)
+        a, pivots, d = _bareiss(m.num)   # a = d rref(m)
+        # d times the vector with 1 at a free f and -rref[r][f] at pivot r
+        vecs = [[d if j == f else -a[pivots.index(j)][f] if j in pivots else 0
+                 for j in range(m.cols)] for f in range(m.cols) if f not in pivots]
+        leads = [next(x for x in v if x) for v in vecs]
+        den = lcm(*leads)
+        ker = tuple(tuple(x * (den // lead) for x in v) for v, lead in zip(vecs, leads))
+        return m._new(m.cols, len(ker), tuple(zip(*ker)) if ker else ((),) * m.cols,
+                      den, m.tol)
     arr = m.to_numpy()
     if m.rows == 0:
         return Matrix.identity(m.cols, APPROX, m.tol)
     u, sv, vh = np.linalg.svd(arr)
     thr = m.threshold()
     nz = int(np.sum(sv > thr))
-    ker = vh[nz:].T  # orthonormal columns
-    return Matrix.from_numpy(ker, m.tol) if ker.size else Matrix.zeros(m.cols, 0, APPROX, m.tol)
+    return Matrix.approx(vh[nz:].T.tolist(), m.tol)  # orthonormal columns
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     if m.mode == EXACT:
-        aug = m.hstack(Matrix.identity(m.rows))
-        a, pivots = _rref(aug)
-        if list(pivots[:m.rows]) != list(range(m.rows)):
+        n = m.rows
+        # [num | I] reduces to d [I | num^-1], and m^-1 = den num^-1
+        a, pivots, d = _bareiss([r + tuple(int(i == j) for j in range(n))
+                                 for i, r in enumerate(m.num)])
+        if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        ent = tuple(tuple(row[m.rows:]) for row in a)
-        return Matrix(m.rows, m.rows, ent, EXACT, m.tol)
-    return Matrix.from_numpy(np.linalg.inv(m.to_numpy()), m.tol)
+        return m._new(n, n, tuple(tuple(m.den * x for x in r[n:]) for r in a),
+                      d, m.tol)
+    return Matrix.approx(np.linalg.inv(m.to_numpy()).tolist(), m.tol)
 
 
 def span_contains(big: Matrix, small: Matrix) -> bool:
@@ -375,12 +422,6 @@ def integer_signature(rows: Sequence[Sequence[int]]) -> Signature:
     return Signature(pos, 0, neg)
 
 
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """The rational rows times the lcm of their denominators, as integers."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
 def sym_signature(g: Matrix) -> Signature:
     """Signature (pos, zero, neg) of a symmetric Gram matrix;
     Sylvester-invariant."""
@@ -389,10 +430,10 @@ def sym_signature(g: Matrix) -> Signature:
     if g.rows == 0:
         return Signature(0, 0, 0)
     if g.mode == EXACT:
-        if g.T.entries != g.entries:
+        if g.T.num != g.num:
             raise ValueError("Gram matrix is not symmetric")
-        # scaling by one positive number is a congruence
-        return integer_signature(clear_denominators(g.entries))
+        # dropping the positive denominator is a congruence
+        return integer_signature(g.num)
     arr = g.to_numpy()
     arr = 0.5 * (arr + arr.T)
     w = np.linalg.eigvalsh(arr)

@@ -41,9 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, EXACT, Matrix, clear_denominators,
-                     integer_signature, kernel_basis, rank, rref,
-                     sym_signature)
+from .linalg import (DEFAULT_TOL, EXACT, Matrix, integer_signature,
+                     kernel_basis, rank, rref, sym_signature)
 from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
                          eigen_angles, line_lagrangian)
 from .witt import witt_of_form_real
@@ -61,7 +60,8 @@ class LagrangianTuple:
         space = lags[0].space
         mode = lags[0].frame.mode
         for lag in lags[1:]:
-            if lag.space.omega.entries != space.omega.entries:
+            omega = lag.space.omega
+            if (omega.num, omega.den) != (space.omega.num, space.omega.den):
                 raise ValueError("tuple members live in different spaces")
             if lag.frame.mode != mode:
                 raise ValueError("tuple members mix scalar modes")
@@ -73,25 +73,21 @@ class LagrangianTuple:
 
 def _boundary_columns(tup: LagrangianTuple) -> Matrix:
     """Images of consecutive intersections under a -> (a at i, -a at i+1)."""
-    r = len(tup)
-    n = tup.space.n
+    r, n = len(tup), tup.space.n
     frames = [m.frame for m in tup.members]
-    mode = frames[0].mode
     cols: list[list] = []
-    zero = Fraction(0) if mode == EXACT else 0.0
     for i in range(r):
         j = (i + 1) % r
         ker = kernel_basis(frames[i].hstack(frames[j].scale(-1)))
-        for c in range(ker.cols):
-            vec = [zero] * (r * n)
-            for a in range(n):
-                vec[i * n + a] = ker[a, c]
-                vec[j * n + a] = -ker[n + a, c]
+        for x in map(ker.col, range(ker.cols)):
+            vec = [0] * (r * n)
+            vec[i * n:i * n + n] = x[:n]
+            vec[j * n:j * n + n] = [-v for v in x[n:]]
             cols.append(vec)
+    mode, tol = frames[0].mode, frames[0].tol
     if not cols:
-        return Matrix.zeros(r * n, 0, mode, frames[0].tol)
-    ent = tuple(tuple(col[i] for col in cols) for i in range(r * n))
-    return Matrix(r * n, len(cols), ent, mode, frames[0].tol)
+        return Matrix.zeros(r * n, 0, mode, tol)
+    return Matrix.from_rows(list(zip(*cols)), mode, tol)
 
 
 def _independent_over(base: Matrix, cands: Matrix) -> list[int]:
@@ -110,16 +106,6 @@ def _independent_over(base: Matrix, cands: Matrix) -> list[int]:
             picked.append(j)
             cur, cur_rank = trial, r
     return picked
-
-
-def _kashiwara_reps(tup: LagrangianTuple) -> Matrix:
-    """Representative columns of T in tuple coordinates."""
-    frames = [m.frame for m in tup.members]
-    sigma = frames[0]
-    for f in frames[1:]:
-        sigma = sigma.hstack(f)
-    ker = kernel_basis(sigma)
-    return ker.columns(_independent_over(_boundary_columns(tup), ker))
 
 
 def _pairing(cols: Sequence[Sequence], omega: Sequence[Sequence], n: int,
@@ -143,13 +129,19 @@ def _pairing(cols: Sequence[Sequence], omega: Sequence[Sequence], n: int,
 
 def _quotient_gram(tup: LagrangianTuple,
                    block: tuple[int, int] | None = None) -> Matrix:
-    """R^T P R for the pairing P (or one block of it) and the
-    representatives R of T; q(a, b) = a^T P b."""
-    reps = _kashiwara_reps(tup)
-    cols = [m.frame.col(c) for m in tup.members for c in range(m.frame.cols)]
-    pair = _pairing(cols, tup.space.omega_as(reps.mode).entries, tup.space.n,
-                    block)
-    return reps.T @ Matrix.from_rows(pair, reps.mode, reps.tol) @ reps
+    """R^T P R for the pairing P (or one block of it) and representatives R
+    of T: kernel columns of the sum map Sigma = (F_1 ... F_r) independent
+    modulo the boundary; q(a, b) = a^T P b.  P pairs the numerators of
+    Sigma and Omega."""
+    sigma = tup.members[0].frame
+    for m in tup.members[1:]:
+        sigma = sigma.hstack(m.frame)
+    ker = kernel_basis(sigma)
+    reps = ker.columns(_independent_over(_boundary_columns(tup), ker))
+    omega = tup.space.omega_as(sigma.mode)
+    pair = Matrix.from_rows(_pairing(sigma.T.num, omega.num, tup.space.n, block),
+                            sigma.mode, reps.tol)
+    return reps.T @ pair.scale(Fraction(1, sigma.den ** 2 * omega.den)) @ reps
 
 
 def kashiwara_space(tup: LagrangianTuple) -> Matrix:
@@ -161,17 +153,16 @@ def kashiwara_space(tup: LagrangianTuple) -> Matrix:
     """
     g = _quotient_gram(tup)
     if g.mode == EXACT:
-        if g.T.entries != g.entries:
+        if g.T != g:
             raise ValueError("kernel form failed to be symmetric")
     else:
         g = (g + g.T).scale(0.5)
     return g
 
 
-def _primitive_column(col: Sequence[Fraction]) -> list[int]:
-    ints = clear_denominators([col])[0]
-    content = math.gcd(*ints)
-    return [x // content for x in ints]
+def _primitive_column(col: Sequence[int]) -> list[int]:
+    content = math.gcd(*col)
+    return [x // content for x in col]
 
 
 def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
@@ -181,9 +172,8 @@ def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
     exact = tup.members[0].frame.mode == EXACT
     if exact:
         # positive scalings of columns and of Omega are congruences
-        omega = clear_denominators(tup.space.omega.entries)
-        cols = [_primitive_column(m.frame.col(c))
-                for m in tup.members for c in range(m.frame.cols)]
+        omega = tup.space.omega.num
+        cols = [_primitive_column(c) for m in tup.members for c in m.frame.T.num]
     else:
         omega = tup.space.omega.to_numpy().tolist()
         cols = [q for m in tup.members

@@ -24,8 +24,11 @@ from .witt import ideal_power_member_real
 def is_symplectic(space: SymplecticSpace, g: Matrix) -> bool:
     if g.rows != space.dim or g.cols != space.dim:
         return False
-    gram = g.T @ space.omega_as(g.mode) @ g
-    return (gram - space.omega_as(g.mode)).is_zero()
+    omega = space.omega_as(g.mode)
+    gram = g.T @ omega @ g
+    if g.mode == EXACT:  # canonical forms: equal values have equal fields
+        return (gram.num, gram.den) == (omega.num, omega.den)
+    return (gram - omega).is_zero()
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ def _cocycle(ctx: Mp1Context, g1: Matrix, g12: Matrix) -> int:
 
 
 def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
-    if a.ctx.space.omega.entries != b.ctx.space.omega.entries:
+    oa, ob = a.ctx.space.omega, b.ctx.space.omega
+    if (oa.num, oa.den) != (ob.num, ob.den):
         raise ValueError("elements live over different spaces")
     g = a.g @ b.g
     tw = _cocycle(a.ctx, a.g, g)
@@ -94,7 +98,7 @@ def mp1_central_check(ctx: Mp1Context, w: int, others: list[Mp1Element]) -> bool
     for el in others:
         left = mp1_mul(c, el)
         right = mp1_mul(el, c)
-        if left.w != right.w or left.g.entries != right.g.entries:
+        if left.w != right.w or left.g != right.g:
             return False
     return True
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
@@ -30,16 +30,10 @@ from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
 ANGLE_SNAP = 1e-9
 
 
+@lru_cache(maxsize=None)
 def standard_gram(n: int) -> Matrix:
-    rows = []
-    for i in range(2 * n):
-        row = [0] * (2 * n)
-        if i < n:
-            row[n + i] = 1
-        else:
-            row[i - n] = -1
-        rows.append(row)
-    return Matrix.exact(rows)
+    zero, one = Matrix.zeros(n, n), Matrix.identity(n)
+    return zero.hstack(one).vstack((-one).hstack(zero))
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class SymplecticSpace:
             raise ValueError("Gram matrix must be square of even size")
         if omega.rows == 0:
             raise ValueError("Gram matrix must be nonempty")
-        if (omega + omega.T).entries != Matrix.zeros(omega.rows, omega.rows).entries:
+        if not (omega + omega.T).is_zero():
             raise ValueError("Gram matrix must be skew-symmetric")
         n = omega.rows // 2
         if rank(omega) != 2 * n:
@@ -71,7 +65,8 @@ class SymplecticSpace:
         return SymplecticSpace(n, omega)
 
     def is_standard(self) -> bool:
-        return self.omega.entries == standard_gram(self.n).entries
+        std = standard_gram(self.n)
+        return (self.omega.num, self.omega.den) == (std.num, std.den)
 
     @property
     def dim(self) -> int:
@@ -302,26 +297,22 @@ def random_symplectic(space: SymplecticSpace, rng: Random,
                       transvections: int = 6) -> Matrix:
     """Product of random symplectic transvections v -> v + c omega(v, u) u.
 
-    Each factor is I + c u (Omega u)^T, so the product is updated in place
-    as g <- g + c (g u)(Omega u)^T.
+    Each factor is I + c u (Omega u)^T, so the product is updated by the
+    rank-one step g <- g + c (g u)(Omega u)^T.
     """
-    dim = space.dim
-    g = [list(row) for row in Matrix.identity(dim).entries]
-    omega = space.omega
+    g = Matrix.identity(space.dim)
     made = 0
     while made < transvections:
-        u = [_rand_fraction(rng) for _ in range(dim)]
+        u = [_rand_fraction(rng) for _ in range(space.dim)]
         if all(x == 0 for x in u):
             continue
         c = _rand_fraction(rng)
         if c == 0:
             continue
-        wu = [sum(orow[j] * u[j] for j in range(dim)) for orow in omega.entries]
-        for row in g:
-            cgu = c * sum(x * y for x, y in zip(row, u))
-            row[:] = [x + cgu * w for x, w in zip(row, wu)]
+        col = Matrix.exact([[x] for x in u])
+        g = g + (g @ col) @ (space.omega @ col).T.scale(c)
         made += 1
-    return Matrix(dim, dim, tuple(tuple(row) for row in g), EXACT)
+    return g
 
 
 def random_lagrangian(space: SymplecticSpace, rng: Random,
@@ -330,12 +321,9 @@ def random_lagrangian(space: SymplecticSpace, rng: Random,
     n = space.n
     if not space.is_standard():
         raise ValueError("random_lagrangian needs the standard space")
-    sym = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = _rand_fraction(rng)
-            sym[i][j] = v
-            sym[j][i] = v
-    frame = Matrix.identity(n).vstack(Matrix.from_rows(sym))
+    upper = [[_rand_fraction(rng) if j >= i else 0 for j in range(n)]
+             for i in range(n)]
+    sym = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    frame = Matrix.identity(n).vstack(Matrix.exact(sym))
     g = random_symplectic(space, rng, transvections=twists)
     return LagrangianFrame(space, g @ frame)

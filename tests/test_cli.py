@@ -92,6 +92,25 @@ def test_kashiwara_tuple_rejects_non_finite_entries(capsys, tmp_path, entries,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("frames,flags", [
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], []),
+    ([[1, 0], [0, 1], [1, 1]], ["--approx"]),
+])
+def test_kashiwara_tuple_refuses_omega_overflowing_approx(capsys, tmp_path,
+                                                         frames, flags):
+    # an exact Omega is fine until an approx frame needs it as floats
+    big = 10 ** 400
+    path = _write(tmp_path, "tuple.json", {
+        "omega": {"rows": 2, "cols": 2,
+                  "entries": [0, f"{big}/1", f"-{big}/1", 0]},
+        "frames": [{"rows": 2, "cols": 1, "entries": f} for f in frames],
+    })
+    code = main(["maslov", "kashiwara", "--tuple", path] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: matrix entry overflows a float\n"
+
+
 _FRAME = {"rows": 2, "cols": 1, "entries": [1, 0]}
 _EMPTY = {"rows": 0, "cols": 0, "entries": []}
 

@@ -1,5 +1,6 @@
 """Metaplectic extension Mp1: group laws, center, and the index-two subgroup."""
 
+from fractions import Fraction as F
 from random import Random
 
 import pytest
@@ -20,6 +21,26 @@ def test_element_rejects_non_symplectic():
     ctx = Mp1Context.standard(1)
     with pytest.raises(ValueError):
         Mp1Element.of(ctx, 0, Matrix.exact([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("diag", [
+    (2 ** 80 + 1, 3, F(1, 2 ** 80 + 1), F(1, 3) + F(1, 2 ** 80)),
+    (2 ** 80, 1, 2 ** 80, 1),
+])
+def test_element_rejects_big_non_symplectic(diag):
+    ctx = Mp1Context.standard(2)
+    with pytest.raises(ValueError, match="^matrix is not symplectic for this space$"):
+        Mp1Element.of(ctx, 0, Matrix.diagonal(diag))
+    # x_i scaled by a and y_i by 1/a is symplectic, however large a is
+    a, b = F(diag[0]), F(diag[1])
+    ok = Mp1Element.of(ctx, 1, Matrix.diagonal([a, b, 1 / a, 1 / b]))
+    assert ok.g.den > 2 ** 79
+
+
+def test_element_refuses_approx_before_checking():
+    ctx = Mp1Context.standard(1)
+    with pytest.raises(ValueError, match="^group elements use exact matrices$"):
+        Mp1Element.of(ctx, 0, Matrix.approx([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_is_symplectic_guard():

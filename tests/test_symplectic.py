@@ -38,6 +38,40 @@ def test_lagrangian_frame_validation():
         LagrangianFrame(sp, Matrix.exact([[1, 2], [0, 0], [0, 0], [0, 0]]))
 
 
+_BIG = 2 ** 80 + 1   # 80-bit entries: the integer checks must stay exact
+
+
+@pytest.mark.parametrize("cols,message", [
+    # dependent, also with the wrong count and not isotropic: dependence first
+    ([[_BIG, 1, 0, 0], [2 * _BIG, 2, 0, 0], [0, 0, 1, 0]],
+     "frame columns are linearly dependent"),
+    ([[F(1, _BIG), 0, 0, 0], [F(2, _BIG), 0, 0, 0]],
+     "frame columns are linearly dependent"),
+    # independent but three columns, not isotropic either: the count next
+    ([[_BIG, 0, 0, 0], [0, 1, 0, 0], [0, 0, F(1, _BIG), 0]],
+     "a Lagrangian frame needs exactly n columns"),
+    ([[_BIG, 0, 0, 0]], "a Lagrangian frame needs exactly n columns"),
+    # two independent columns pairing to omega(e1, e3) != 0
+    ([[_BIG, 0, 0, 0], [0, 0, F(1, _BIG), 0]], "frame is not isotropic"),
+    ([[1, 0, 0, F(1, _BIG)], [0, 1, F(-1, _BIG), F(1, 3)]],
+     "frame is not isotropic"),
+])
+def test_exact_frame_refusals_keep_their_order(cols, message):
+    sp = SymplecticSpace.standard(2)
+    frame = Matrix.exact([list(row) for row in zip(*cols)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LagrangianFrame(sp, frame)
+
+
+def test_exact_frame_accepts_big_lagrangians():
+    sp = SymplecticSpace.standard(2)
+    # the graph of a symmetric matrix, columns rescaled by 80-bit rationals
+    s = F(_BIG, 3)
+    frame = Matrix.exact([[1, 0], [0, 1], [s, F(1, _BIG)], [F(1, _BIG), -s]])
+    lag = LagrangianFrame(sp, frame @ Matrix.diagonal([F(_BIG, 7), F(-5, _BIG)]))
+    assert lag.dim == 2
+
+
 def test_classify_subspace():
     sp = SymplecticSpace.standard(2)
     horiz = Matrix.exact([[1, 0], [0, 1], [0, 0], [0, 0]])
