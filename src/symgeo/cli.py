@@ -6,8 +6,9 @@ indentation) so identical argv + inputs + seed give byte-identical bytes;
 --table prints flat key/value lines with the same scalar encoding, so
 numbers round-trip between the two modes.
 
-Exit codes: 0 success, 2 invalid input, 3 a property check inside an
-audit subcommand failed, 64 usage error.
+Exit codes: 0 success, 2 invalid input or unwritable output, 3 a property
+check inside an audit subcommand failed, 64 usage error.  Each handler
+imports the modules it uses, so exact commands never load numpy.
 """
 
 from __future__ import annotations
@@ -18,28 +19,18 @@ import sys
 from fractions import Fraction
 from math import comb, isfinite
 from random import Random
+from typing import TYPE_CHECKING
 
-from .bordism import g_singular_bordism, split_check, weak_bordism_group
-from .jets import (JetSignature, jet_dim, lagrangian_pde_dims,
-                   legendrian_pde_dims, max_isotropic, spencer_sequence_audit,
-                   symbol_layer_dim)
-from .jets.metasymplectic import lambda_dim, model_dim
 from .jsonio import (ValidationError, dumps, is_int, matrix_from_json,
                      matrix_to_json, parse_angle, parse_angle_list, to_jsonable)
-from .linalg import APPROX, DEFAULT_TOL, EXACT, Matrix, sym_signature
-from .maslov import (LagrangianTuple, LerayLift, arnold_index_triple,
-                     arnold_triple_lines, kashiwara_space, leray_cyclic_sum,
-                     leray_m, wall_invariant)
-from .metaplectic import Mp1Context, Mp1Element, mp1_inverse, mp1_mul
-from .scan import (ChiSpec, DEFAULT_SCAN_TOL, SampledImmersion,
-                   check_lagrangian, check_legendrian, corank_profile,
-                   immersion_from_csv, immersion_from_json, loop_maslov,
-                   reeb_field)
-from .selftest import _rand_full_rank, run_selftest
-from .symplectic import (LagrangianFrame, SymplecticSpace,
-                         lagrangian_from_angles, line_lagrangian)
-from .witt import (ideal_power_member_real, witt_of_form_complex,
-                   witt_of_form_real)
+from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_full_rank,
+                     sym_signature)
+
+if TYPE_CHECKING:
+    from .jets import JetSignature
+    from .metaplectic import Mp1Context, Mp1Element
+    from .scan import SampledImmersion
+    from .symplectic import SymplecticSpace
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -55,11 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload) -> None:
-    if getattr(args, "table", False):
-        for line in _table_lines(to_jsonable(payload)):
-            print(line)
-    else:
-        print(dumps(payload))
+    table = getattr(args, "table", False)
+    text = "\n".join(_table_lines(to_jsonable(payload))) if table else dumps(payload)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
 
 
 def _table_lines(obj, prefix: str = "") -> list:
@@ -96,6 +88,7 @@ def _matrix_mode(args) -> str | None:
 
 
 def _space_std(text: str) -> SymplecticSpace:
+    from .symplectic import SymplecticSpace
     if not text.startswith("std:"):
         raise ValidationError(f"space must look like std:n, got {text!r}")
     try:
@@ -108,6 +101,7 @@ def _space_std(text: str) -> SymplecticSpace:
 
 
 def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
+    from .symplectic import SymplecticSpace
     if "omega" in obj and obj["omega"] is not None:
         return SymplecticSpace.from_omega(matrix_from_json(obj["omega"], mode=EXACT))
     if "n" in obj:
@@ -121,6 +115,7 @@ def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
 
 
 def _frames_from_file(args, path: str):
+    from .symplectic import LagrangianFrame
     obj = _read_json(path)
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ValidationError(f"{path} must be an object with a 'frames' list")
@@ -137,6 +132,7 @@ def _frames_from_file(args, path: str):
 
 
 def _angles_to_frames(args, text: str):
+    from .symplectic import SymplecticSpace, lagrangian_from_angles
     groups = parse_angle_list(text)
     n = len(groups[0])
     if any(len(g) != n for g in groups):
@@ -178,6 +174,7 @@ def _int_list(text: str) -> list:
 
 
 def _quadratic_report(space, frames) -> dict:
+    from .maslov import LagrangianTuple, kashiwara_space
     tup = LagrangianTuple(space, tuple(frames))
     g = kashiwara_space(tup)
     sig = sym_signature(g)
@@ -191,6 +188,7 @@ def _quadratic_report(space, frames) -> dict:
 
 
 def _cmd_maslov_kashiwara(args) -> int:
+    from .symplectic import SymplecticSpace, line_lagrangian
     if args.directions:
         ds = _parse_direction_list(args.directions)
         if len(ds) < 3:
@@ -210,6 +208,7 @@ def _cmd_maslov_kashiwara(args) -> int:
 
 
 def _cmd_maslov_arnold(args) -> int:
+    from .maslov import arnold_index_triple, arnold_triple_lines
     if args.directions:
         ds = _parse_direction_list(args.directions)
         if len(ds) != 3:
@@ -227,6 +226,7 @@ def _cmd_maslov_arnold(args) -> int:
 
 
 def _cmd_maslov_wall(args) -> int:
+    from .maslov import wall_invariant
     space, frames = _frames_from_file(args, args.tuple)
     if len(frames) != 3:
         raise ValidationError("the Wall invariant needs exactly three frames")
@@ -237,6 +237,7 @@ def _cmd_maslov_wall(args) -> int:
 
 
 def _cmd_maslov_leray(args) -> int:
+    from .maslov import LerayLift, leray_cyclic_sum, leray_m
     lifts = []
     for token in args.lifts.split(","):
         val, frac = parse_angle(token)
@@ -254,6 +255,8 @@ def _cmd_maslov_leray(args) -> int:
 
 
 def _mp1_context(args) -> Mp1Context:
+    from .metaplectic import Mp1Context
+    from .symplectic import LagrangianFrame
     obj = _read_json(args.context)
     space = _space_from_obj(obj, None)
     if "base" not in obj:
@@ -263,6 +266,7 @@ def _mp1_context(args) -> Mp1Context:
 
 
 def _mp1_element(ctx: Mp1Context, path: str) -> Mp1Element:
+    from .metaplectic import Mp1Element
     obj = _read_json(path)
     if not isinstance(obj, dict) or "w" not in obj or "g" not in obj:
         raise ValidationError(f"{path} must be an object with 'w' and 'g'")
@@ -276,6 +280,7 @@ def _mp1_payload(el: Mp1Element) -> dict:
 
 
 def _cmd_mp1_mul(args) -> int:
+    from .metaplectic import mp1_mul
     ctx = _mp1_context(args)
     a = _mp1_element(ctx, args.a)
     b = _mp1_element(ctx, args.b)
@@ -284,6 +289,7 @@ def _cmd_mp1_mul(args) -> int:
 
 
 def _cmd_mp1_inverse(args) -> int:
+    from .metaplectic import mp1_inverse
     ctx = _mp1_context(args)
     a = _mp1_element(ctx, args.a)
     _emit(args, _mp1_payload(mp1_inverse(a)))
@@ -294,10 +300,12 @@ def _cmd_mp1_inverse(args) -> int:
 
 
 def _jet_sig(args) -> JetSignature:
+    from .jets import JetSignature
     return JetSignature(args.n, args.m, args.k)
 
 
 def _cmd_jet_dims(args) -> int:
+    from .jets import jet_dim, lambda_dim, model_dim, symbol_layer_dim
     sig = _jet_sig(args)
     _emit(args, {
         "n": sig.n, "m": sig.m, "k": sig.k,
@@ -310,18 +318,21 @@ def _cmd_jet_dims(args) -> int:
 
 
 def _cmd_jet_spencer_audit(args) -> int:
+    from .jets import spencer_sequence_audit
     report = spencer_sequence_audit(_jet_sig(args))
     _emit(args, report)
     return EXIT_OK if report["exact"] else EXIT_CHECK_FAILED
 
 
 def _cmd_jet_lagrangian_pde(args) -> int:
+    from .jets import lagrangian_pde_dims
     report = lagrangian_pde_dims(args.n, seed=args.seed)
     _emit(args, report)
     return EXIT_OK if report["verified"] else EXIT_CHECK_FAILED
 
 
 def _cmd_jet_legendrian_pde(args) -> int:
+    from .jets import legendrian_pde_dims
     report = legendrian_pde_dims(args.n, seed=args.seed)
     _emit(args, report)
     ok = report["verified"] and report["cascade_sum_ok"]
@@ -329,6 +340,7 @@ def _cmd_jet_legendrian_pde(args) -> int:
 
 
 def _cmd_jet_max_isotropic(args) -> int:
+    from .jets import max_isotropic
     sig = _jet_sig(args)
     if not 0 <= args.p <= sig.n:
         raise ValidationError("p must satisfy 0 <= p <= n")
@@ -354,6 +366,7 @@ def _cmd_jet_max_isotropic(args) -> int:
 
 
 def _load_immersion(args, path: str) -> SampledImmersion:
+    from .scan import immersion_from_csv, immersion_from_json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -371,6 +384,7 @@ def _load_immersion(args, path: str) -> SampledImmersion:
 
 
 def _scan_tol(args) -> float:
+    from .scan import DEFAULT_SCAN_TOL
     return args.tol if args.tol is not None else DEFAULT_SCAN_TOL
 
 
@@ -381,18 +395,21 @@ def _scan_batch(args, runner) -> int:
 
 
 def _cmd_scan_lagrangian(args) -> int:
+    from .scan import check_lagrangian
     space = _space_std(args.space)
     tol = _scan_tol(args)
     return _scan_batch(args, lambda s: check_lagrangian(s, space, tol=tol))
 
 
 def _cmd_scan_corank(args) -> int:
+    from .scan import corank_profile
     tol = _scan_tol(args)
     slots = _int_list(args.fiber_slots) if args.fiber_slots else None
     return _scan_batch(args, lambda s: corank_profile(s, tol=tol, fiber_slots=slots))
 
 
 def _cmd_scan_loop_maslov(args) -> int:
+    from .scan import loop_maslov
     space = _space_std(args.space)
     tol = _scan_tol(args)
     return _scan_batch(args, lambda s: {"degree": loop_maslov(s, space, tol=tol)})
@@ -406,6 +423,7 @@ def _chi_coeff(text: str) -> float:
 
 
 def _cmd_scan_legendrian(args) -> int:
+    from .scan import ChiSpec, check_legendrian, reeb_field
     tol = _scan_tol(args)
 
     def runner(s):
@@ -429,6 +447,7 @@ def _cmd_scan_legendrian(args) -> int:
 
 
 def _cmd_bordism_weak(args) -> int:
+    from .bordism import weak_bordism_group
     extra = None
     if args.omega_table:
         raw = _read_json(args.omega_table)
@@ -445,6 +464,7 @@ def _cmd_bordism_weak(args) -> int:
 
 
 def _cmd_bordism_gsingular(args) -> int:
+    from .bordism import g_singular_bordism
     report = g_singular_bordism(_int_list(args.homology), args.degree,
                                 coefficients=args.coefficients)
     _emit(args, report.to_dict())
@@ -452,6 +472,7 @@ def _cmd_bordism_gsingular(args) -> int:
 
 
 def _cmd_bordism_split_check(args) -> int:
+    from .bordism import split_check
     ok = split_check(args.closed, args.bor, args.cyc)
     _emit(args, {"consistent": ok, "closed": args.closed, "bor": args.bor,
                  "cyc": args.cyc})
@@ -476,6 +497,7 @@ def _witt_form(args) -> Matrix:
 
 
 def _cmd_witt_class(args) -> int:
+    from .witt import witt_of_form_complex, witt_of_form_real
     form = _witt_form(args)
     if args.field == "C":
         _emit(args, {"field": "C", "witt": witt_of_form_complex(form)})
@@ -485,6 +507,7 @@ def _cmd_witt_class(args) -> int:
 
 
 def _cmd_witt_ideal(args) -> int:
+    from .witt import ideal_power_member_real
     member = ideal_power_member_real(args.value, args.k)
     _emit(args, {"value": args.value, "k": args.k, "member": member})
     return EXIT_OK
@@ -494,6 +517,7 @@ def _cmd_witt_ideal(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     report = run_selftest(seed=args.seed, quick=args.quick)
     _emit(args, report)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED

@@ -9,7 +9,8 @@ Two scalar modes exist and are never mixed silently:
   the signature fraction-free symmetric elimination.  ``entries``, ``row``,
   ``col`` and ``m[i, j]`` are ``Fraction`` views for input and output.
 * ``approx`` -- float rows ``num`` over ``den`` = 1 and a per-matrix
-  tolerance; rank uses singular values, signature symmetric eigenvalues.
+  tolerance; rank uses singular values, signature symmetric eigenvalues,
+  with numpy imported inside these routines only: exact mode never loads it.
 
 Thresholds in approx mode are ``tol * max(largest entry magnitude, 1)``.
 """
@@ -22,9 +23,10 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 from random import Random
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT = "exact"
 APPROX = "approx"
@@ -45,6 +47,15 @@ def _to_exact(x) -> Fraction:
 def _rand_fraction(rng: Random) -> Fraction:
     """Seeded rational entry: numerator in [-4, 4], denominator in [1, 3]."""
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _rand_full_rank(rng: Random, rows: int, cols: int) -> Matrix:
+    """Seeded exact matrix of full rank, integer entries in [-3, 3]."""
+    while True:
+        m = Matrix.exact([[rng.randint(-3, 3) for _ in range(cols)]
+                          for _ in range(rows)])
+        if rank(m) == min(rows, cols):
+            return m
 
 
 def _canon(num: tuple, den: int) -> tuple[tuple, int]:
@@ -239,6 +250,7 @@ class Matrix:
         return self.max_abs() <= self.threshold()
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         return np.array(self._floats(), dtype=float)
 
     def to_approx(self, tol: float | None = None) -> "Matrix":
@@ -299,6 +311,7 @@ def rank(m: Matrix) -> int:
         return 0
     if m.mode == EXACT:
         return len(_bareiss(m.num, jordan=False)[1])
+    import numpy as np
     sv = np.linalg.svd(m.to_numpy(), compute_uv=False)
     return int(np.sum(sv > m.threshold()))
 
@@ -322,6 +335,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     arr = m.to_numpy()
     if m.rows == 0:
         return Matrix.identity(m.cols, APPROX, m.tol)
+    import numpy as np
     u, sv, vh = np.linalg.svd(arr)
     thr = m.threshold()
     nz = int(np.sum(sv > thr))
@@ -340,6 +354,7 @@ def inverse(m: Matrix) -> Matrix:
             raise ValueError("matrix is singular")
         return m._new(n, n, tuple(tuple(m.den * x for x in r[n:]) for r in a),
                       d, m.tol)
+    import numpy as np
     return Matrix.approx(np.linalg.inv(m.to_numpy()).tolist(), m.tol)
 
 
@@ -434,6 +449,7 @@ def sym_signature(g: Matrix) -> Signature:
             raise ValueError("Gram matrix is not symmetric")
         # dropping the positive denominator is a congruence
         return integer_signature(g.num)
+    import numpy as np
     arr = g.to_numpy()
     arr = 0.5 * (arr + arr.T)
     w = np.linalg.eigvalsh(arr)

@@ -11,7 +11,7 @@ read it:
   scales each frame column to a primitive integer vector and a rational
   Omega by the lcm of its denominators (positive congruences) and takes a
   fraction-free integer signature; approx mode orthonormalizes each frame
-  by QR first.
+  by QR first, and only that branch imports numpy.
 * ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
   T = ker(sum) / im(boundary), for representatives R of T built from
   consecutive intersections of the tuple; it has the same signature.  The
@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .linalg import (DEFAULT_TOL, EXACT, Matrix, integer_signature,
                      kernel_basis, rank, rref, sym_signature)
@@ -175,6 +173,7 @@ def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
         omega = tup.space.omega.num
         cols = [_primitive_column(c) for m in tup.members for c in m.frame.T.num]
     else:
+        import numpy as np
         omega = tup.space.omega.to_numpy().tolist()
         cols = [q for m in tup.members
                 for q in np.linalg.qr(m.frame.to_numpy())[0].T.tolist()]

@@ -25,7 +25,7 @@ from .jets import (JetSignature, lagrangian_pde_dims, legendrian_pde_dims,
                    max_isotropic, metasymplectic_eval, lambda_basis,
                    spencer_sequence_audit)
 from .jets.metasymplectic import meta_orthogonal_frame, model_dim
-from .linalg import Matrix, rank, spans_equal
+from .linalg import Matrix, _rand_full_rank, spans_equal
 from .maslov import (LerayLift, arnold_triple_lines, kashiwara_index,
                      leray_cyclic_sum, wall_invariant)
 from .metaplectic import Mp1Context, mp1_inverse, mp1_mul, random_mp1
@@ -182,14 +182,6 @@ def _suite_pde_dims(rng: Random, ns) -> dict:
             return {"cases": 2 * len(ns), "passed": False,
                     "detail": "contact anchor failed at n=2"}
     return {"cases": 2 * len(ns), "passed": True, "detail": "audits verified"}
-
-
-def _rand_full_rank(rng: Random, rows: int, cols: int) -> Matrix:
-    while True:
-        m = Matrix.exact([[Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-                          for _ in range(rows)])
-        if rank(m) == min(rows, cols):
-            return m
 
 
 def _suite_max_isotropic(rng: Random, sigs) -> dict:

@@ -11,6 +11,9 @@ at n = 1; in general the frame of (theta_1..theta_n) has column j equal to
 cos(theta_j) e_j + sin(theta_j) e_{n+j}.  det_squared is normalized so that
 det2(L(theta)) = e^{2 i theta}: it is the squared determinant of any unitary
 matrix mapping R^n onto L.
+
+Approx frame checks, unitary representatives and loop winding run in numpy,
+imported inside those functions only, so exact code never loads it.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
                      kernel_basis, rank, span_contains, spans_equal)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ANGLE_SNAP = 1e-9
 
@@ -151,6 +155,7 @@ def check_lagrangian_frames(space: SymplecticSpace, frames: np.ndarray,
     stack: rank by singular values > tol * max(max|F|, 1), isotropy by
     max|F^T Omega F| <= tol * max(max|F|^2, 1).  The first failing frame
     is refused, its rank checked before its size and isotropy."""
+    import numpy as np
     big = np.abs(frames).max(axis=(1, 2))
     sv = np.linalg.svd(frames, compute_uv=False)
     dependent = sv[:, -1] <= tol * np.maximum(big, 1.0)
@@ -219,6 +224,7 @@ def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
                      tol) -> np.ndarray:
     """Unitary polar factors of X + iY for a (k, 2n, n) stack of frames
     (X over Y); ``tol`` is one tolerance or one per frame."""
+    import numpy as np
     if not space.is_standard():
         raise ValueError("unitary representatives need the standard space")
     n = space.n
@@ -235,6 +241,7 @@ def _polar_unitary(lag: LagrangianFrame) -> np.ndarray:
 
 def det_squared(lag: LagrangianFrame) -> complex:
     """Coset-invariant squared determinant; e^{2 i theta} on L(theta)."""
+    import numpy as np
     zu = _polar_unitary(lag)
     d2 = np.linalg.det(zu) ** 2
     return complex(d2 / abs(d2))
@@ -242,6 +249,7 @@ def det_squared(lag: LagrangianFrame) -> complex:
 
 def eigen_angles(lag: LagrangianFrame) -> tuple[float, ...]:
     """Angles theta_j in [0, pi) of L relative to the real axes (sorted)."""
+    import numpy as np
     zu = _polar_unitary(lag)
     w = np.linalg.eigvals(zu @ zu.T)
     out = []
@@ -268,6 +276,7 @@ def loop_degree(path: Sequence[LagrangianFrame]) -> int:
     space = path[0].space
     if any(lag.space != space for lag in path):
         raise ValueError("loop members must share one space")
+    import numpy as np
     return frames_loop_degree(space,
                               np.stack([lag.frame.to_numpy() for lag in path]),
                               np.array([lag.frame.tol for lag in path]))
@@ -278,6 +287,7 @@ def frames_loop_degree(space: SymplecticSpace, frames: np.ndarray, tol) -> int:
     frames whose last member closes the loop.  Each det2 argument jump must
     stay below pi/2 (sampling guard) and the jumps must close to whole turns.
     """
+    import numpy as np
     d2 = np.linalg.det(_polar_unitaries(space, frames, tol)) ** 2
     d2 /= abs(d2)
     steps = np.angle(d2[1:] / d2[:-1])

@@ -3,9 +3,13 @@ modes, and the exit-code contract (0 ok, 2 invalid input, 64 usage)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import symgeo
 from symgeo.cli import main
 from symgeo.jsonio import matrix_to_json
 from symgeo.linalg import Matrix
@@ -549,6 +553,74 @@ def test_table_mode_flattens_nested_keys(capsys, tmp_path):
     parsed = dict(line.split(": ", 1) for line in out.splitlines())
     assert json.loads(parsed["batch.0.samples"]) == 64
     assert json.loads(parsed["batch.1.samples"]) == 32
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("mode", ["--json", "--table"])
+def test_unwritable_stdout_is_invalid_output(capsys, monkeypatch, mode):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["witt", "class", "--diag", "1,2", mode])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: cannot write output: [Errno 28] "
+                                       "No space left on device\n")
+
+
+# -- import hygiene -----------------------------------------------------------------
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(symgeo.__file__)))
+
+# Runs one argv through cli.main in a fresh interpreter, then prints the
+# exit code and whether numpy was loaded.
+_LOADS_NUMPY = """import sys, symgeo.cli as c
+code = c.main(sys.argv[1:])
+print(code, 'numpy' in sys.modules)
+"""
+
+
+def _cli_loads_numpy(tmp_path, argv):
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY, *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120)
+    code, loaded = proc.stdout.split()[-2:]
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+_EXACT_ARGVS = [
+    ["witt", "class", "--diag", "1,1,-1"],
+    ["witt", "ideal", "--value", "4", "--k", "2"],
+    ["maslov", "kashiwara", "--directions", "1,0;1,1;0,1"],
+    ["maslov", "leray", "--lifts", "0,1/3pi,2/3pi"],
+    ["jet", "dims", "--n", "2", "--m", "1", "--k", "2"],
+    ["jet", "spencer-audit", "--n", "2", "--m", "1", "--k", "2"],
+    ["jet", "lagrangian-pde", "--n", "2"],
+    ["jet", "max-isotropic", "--n", "2", "--m", "1", "--k", "2", "--p", "1"],
+    ["bordism", "weak", "--betti", "1,0,0", "--n", "4"],
+    ["bordism", "gsingular", "--homology", "1,0,1", "--degree", "2"],
+    ["bordism", "split-check", "--closed", "2", "--bor", "1", "--cyc", "1"],
+    ["mp1", "mul", "--context", "ctx.json", "--a", "a.json", "--b", "a.json"],
+    ["mp1", "inverse", "--context", "ctx.json", "--a", "a.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXACT_ARGVS, ids=" ".join)
+def test_exact_commands_do_not_load_numpy(tmp_path, argv):
+    _mp1_files(tmp_path)
+    assert not _cli_loads_numpy(tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["maslov", "kashiwara", "--angles", "0;1/3pi;2/3pi"],
+    ["scan", "lagrangian", "--space", "std:1", "--samples", "circle.json"],
+], ids=" ".join)
+def test_float_commands_load_numpy(tmp_path, argv):
+    _circle_file(tmp_path)
+    assert _cli_loads_numpy(tmp_path, argv)
 
 
 # -- usage errors -------------------------------------------------------------------

@@ -29,9 +29,9 @@ from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
 from symgeo.jets.pde_audit import (_jacobian, _LagrangianInstance,
                                    lagrangian_pde_dims)
 from symgeo.jsonio import dumps
-from symgeo.linalg import Matrix, sym_signature
+from symgeo.linalg import Matrix, _rand_full_rank, sym_signature
 from symgeo.maslov import LagrangianTuple, kashiwara_space, wall_invariant
-from symgeo.selftest import _rand_full_rank, run_selftest
+from symgeo.selftest import run_selftest
 from symgeo.symplectic import LagrangianFrame, SymplecticSpace
 from test_maslov import _rand_tuple
 

@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import (EXACT, Matrix, inverse, kernel_basis, rank,
-                           sym_signature)
+from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, inverse,
+                           kernel_basis, rank, sym_signature)
 from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
                            arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
@@ -19,7 +19,7 @@ from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                lagrangian_from_angles, line_lagrangian,
                                random_lagrangian, random_symplectic,
                                standard_gram)
-from symgeo.selftest import _rand_full_rank, _rand_line_dir
+from symgeo.selftest import _rand_line_dir
 from symgeo.witt import witt_of_form_complex, witt_of_form_real
 
 
