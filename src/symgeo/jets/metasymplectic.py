@@ -14,18 +14,39 @@ one degree down.  For the unit slot lambda = (beta, j) the form is a sparse
 integer matrix M_lambda whose only entries are +-(beta_i + 1), linking
 horizontal coordinate i with the vertical coordinate (beta + e_i, j);
 ``_terms`` tabulates them once per signature.
+
+``metasymplectic_eval`` runs on integers.  A ``ModelVector`` caches, on
+first use, one common denominator with the nonzero (position, numerator)
+entries of X and of theta; a ``CovectorSlot`` caches its nonzero (slot,
+numerator) pairs the same way.  A pair whose two mixed products are empty
+(both horizontal, both vertical) is 0 at once; otherwise the sum runs over
+the nonzero slots and the nonzero horizontal entries, and the result is
+divided once.  The caches live on the instances, outside the dataclass
+fields, so equality and hashing are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
 from ..linalg import Matrix, kernel_basis, rank
-from .symtensor import JetSignature, SymTensor, _add_e, flat_index, multi_indices
+from .symtensor import (JetSignature, SymTensor, _add_e, flat_index,
+                        multi_indices, symbol_layer_dim)
+
+
+_ZERO = Fraction(0)
+
+
+def _int_view(values) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """One common denominator and the nonzero (position, numerator) pairs
+    of int or ``Fraction`` values over it."""
+    den = lcm(*(v.denominator for v in values))
+    return den, tuple((p, v.numerator * (den // v.denominator))
+                      for p, v in enumerate(values) if v)
 
 
 @dataclass(frozen=True)
@@ -36,6 +57,15 @@ class CovectorSlot:
     sig: JetSignature
     coeffs: tuple
 
+    def __post_init__(self):
+        if len(self.coeffs) != lambda_dim(self.sig):
+            raise ValueError("covector slot needs lambda_dim coefficients")
+
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Denominator and nonzero (slot, numerator) pairs."""
+        return _int_view(self.coeffs)
+
 
 @dataclass(frozen=True)
 class ModelVector:
@@ -45,16 +75,28 @@ class ModelVector:
     x: tuple
     theta: SymTensor
 
+    def __post_init__(self):
+        sig, theta = self.sig, self.theta
+        if len(self.x) != sig.n:
+            raise ValueError("horizontal part must have n components")
+        if ((theta.n, theta.m, theta.degree) != (sig.n, sig.m, sig.k)
+                or len(theta.coeffs) != symbol_layer_dim(sig)):
+            raise ValueError("vertical part has the wrong shape")
+
     @staticmethod
     def of(sig: JetSignature, x, theta: SymTensor | None = None) -> "ModelVector":
-        xs = tuple(Fraction(v) for v in x)
-        if len(xs) != sig.n:
-            raise ValueError("horizontal part must have n components")
         if theta is None:
             theta = SymTensor.zero(sig.n, sig.m, sig.k)
-        if (theta.n, theta.m, theta.degree) != (sig.n, sig.m, sig.k):
-            raise ValueError("vertical part has the wrong shape")
-        return ModelVector(sig, xs, theta)
+        return ModelVector(sig, tuple(Fraction(v) for v in x), theta)
+
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
+        """Common denominator d with the nonzero entries of d X as
+        (position, numerator) pairs and of d theta as {position: numerator}."""
+        n = self.sig.n
+        den, entries = _int_view(self.x + self.theta.coeffs)
+        return (den, tuple(e for e in entries if e[0] < n),
+                {p - n: a for p, a in entries if p >= n})
 
     @staticmethod
     def horizontal(sig: JetSignature, x) -> "ModelVector":
@@ -89,17 +131,34 @@ def _terms(sig: JetSignature) -> tuple[tuple[tuple[int, int, int], ...], ...]:
                  for beta in multi_indices(n, sig.k - 1) for j in range(m))
 
 
+def _mixed(terms, slots, x, theta) -> int:
+    """Numerator of <lambda, X . delta theta>: slot s and horizontal entry i
+    meet theta at the one vertical position t of ``terms[s][i]``."""
+    tot = 0
+    for s, lv in slots:
+        row = terms[s]
+        for i, a in x:
+            _, t, c = row[i]
+            b = theta.get(t)
+            if b:
+                tot += lv * c * a * b
+    return tot
+
+
 def metasymplectic_eval(lam: CovectorSlot, z1: ModelVector, z2: ModelVector):
     """Scalar Omega(lambda)(z1, z2); antisymmetric, mixed-pairs only."""
-    if z1.sig != z2.sig or lam.sig != z1.sig:
+    sig = z1.sig
+    # tuple comparison tries identity first: the shared signature is cheap
+    if (z2.sig, lam.sig) != (sig, sig):
         raise ValueError("signature mismatch")
-    x1, th1, x2, th2 = z1.x, z1.theta.coeffs, z2.x, z2.theta.coeffs
-    tot = Fraction(0)
-    for lv, terms in zip(lam.coeffs, _terms(z1.sig)):
-        if lv != 0:
-            tot += lv * sum(c * (x1[i] * th2[t] - x2[i] * th1[t])
-                            for i, t, c in terms)
-    return tot
+    d1, x1, th1 = z1._ints
+    d2, x2, th2 = z2._ints
+    if not (x1 and th2 or x2 and th1):
+        return _ZERO
+    dl, slots = lam._ints
+    terms = _terms(sig)
+    tot = _mixed(terms, slots, x1, th2) - _mixed(terms, slots, x2, th1)
+    return Fraction(tot, dl * d1 * d2) if tot else _ZERO
 
 
 # -- flattened coordinates ---------------------------------------------------
@@ -132,14 +191,15 @@ def meta_orthogonal_frame(sig: JetSignature, frame: Matrix) -> Matrix:
     and every lambda; an empty frame yields the whole fiber.
 
     Each row is (M_lambda v)^T for one unit slot lambda and one column v,
-    written from the term table."""
+    written from the term table with v the integer numerators of the frame:
+    the positive common denominator does not change the kernel."""
     dim = model_dim(sig)
     if frame.rows != dim:
         raise ValueError("frame does not live in this model fiber")
     if frame.cols == 0:
         return Matrix.identity(dim)
     n = sig.n
-    cols = [[Fraction(x) for x in frame.col(c)] for c in range(frame.cols)]
+    cols = list(zip(*frame.num))
     rows = []
     for terms in _terms(sig):
         for v in cols:

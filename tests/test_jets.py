@@ -1,22 +1,24 @@
 """Jet calculus: symmetric tensors, Spencer complexes, the metasymplectic
 pairing, isotropic-plane construction, and the two PDE dimension audits."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 from math import comb
 from random import Random
 
 import pytest
 
-from symgeo.jets import (JetSignature, SymTensor, delta_spencer, jet_dim,
-                         lagrangian_pde_dims, lambda_basis, lambda_dim,
-                         legendrian_pde_dims, max_isotropic, meta_orthogonal,
-                         metasymplectic_eval, multi_indices,
-                         singularity_condition, spencer_sequence_audit,
-                         symbol_layer_dim)
+from symgeo.jets import (CovectorSlot, JetSignature, ModelVector, SymTensor,
+                         delta_spencer, jet_dim, lagrangian_pde_dims,
+                         lambda_basis, lambda_dim, legendrian_pde_dims,
+                         max_isotropic, meta_orthogonal, metasymplectic_eval,
+                         multi_indices, singularity_condition,
+                         spencer_sequence_audit, symbol_layer_dim)
 from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, span_matrix, unflatten,
                                         vectors_from_matrix)
-from symgeo.linalg import Matrix, kernel_basis, rank, span_contains, spans_equal
+from symgeo.linalg import (Matrix, ModeMixError, kernel_basis, rank,
+                           span_contains, spans_equal)
 from symgeo.symplectic import intersect_frames
 
 
@@ -170,6 +172,13 @@ def test_orthogonal_laws_hold_in_single_lambda_fibers():
                                Matrix.hstack(o1, o2))
 
 
+def test_orthogonal_frame_refuses_approx_frames():
+    # the rows are exact, so float frame entries would be a silent mode mix
+    sig = JetSignature(2, 1, 1)
+    with pytest.raises(ModeMixError):
+        meta_orthogonal_frame(sig, Matrix.approx([[1.0], [0.5], [0.25], [1.0]]))
+
+
 def test_meta_orthogonal_vector_interface():
     sig = JetSignature(2, 1, 1)
     basis = vectors_from_matrix(sig, Matrix.identity(model_dim(sig)))
@@ -221,6 +230,36 @@ ORACLE_SIGNATURES = ((3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 2), (2, 2, 3),
                      (3, 1, 3), (3, 2, 3))
 
 
+def _oracle_pairs(rng, sig):
+    """Coordinate pairs of every shape the pairing branches on: general,
+    denominators in both, horizontal or vertical only, zero."""
+    dim, n = model_dim(sig), sig.n
+
+    def rand(den):
+        return [F(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(dim)]
+
+    def horizontal(c):
+        return c[:n] + [F(0)] * (dim - n)
+
+    def vertical(c):
+        return [F(0)] * n + c[n:]
+
+    a, b = rand(2), rand(1)
+    c, d = rand(3), rand(4)
+    return [(a, b), (c, d), (horizontal(c), vertical(d)),
+            (vertical(c), horizontal(d)), (horizontal(c), horizontal(d)),
+            (vertical(c), vertical(d)), (horizontal(a), d), (a, vertical(d)),
+            ([F(0)] * dim, c)]
+
+
+def _ref_eval_slot(sig, coeffs, c1, c2):
+    """Omega(lambda)(z1, z2) for lambda = sum of coeffs times the unit slots."""
+    keys = [(b, j) for b in multi_indices(sig.n, sig.k - 1) for j in range(sig.m)]
+    s12 = _ref_interior_delta(sig, c1[:sig.n], _ref_theta(sig, c2))
+    s21 = _ref_interior_delta(sig, c2[:sig.n], _ref_theta(sig, c1))
+    return sum((lv * (s12[key] - s21[key]) for lv, key in zip(coeffs, keys)), F(0))
+
+
 def test_pairing_matches_dict_reference():
     rng = Random(7)
     for s in ORACLE_SIGNATURES:
@@ -238,6 +277,73 @@ def test_pairing_matches_dict_reference():
             for lam, key in zip(lams, keys):
                 assert metasymplectic_eval(lam, z1, z2) == \
                     _ref_eval(sig, key, c1, c2)
+        # unit, rational, zero and one-entry slots on every shape of pair
+        ld = len(keys)
+        slots = [lam.coeffs for lam in lams]
+        slots += [tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(ld))
+                  for _ in range(3)]
+        slots += [(F(0),) * ld, (F(0),) * (ld - 1) + (F(-7, 3),)]
+        for c1, c2 in _oracle_pairs(rng, sig):
+            z1, z2 = unflatten(sig, c1), unflatten(sig, c2)
+            for coeffs in slots:
+                got = metasymplectic_eval(CovectorSlot(sig, coeffs), z1, z2)
+                assert type(got) is F
+                assert got == _ref_eval_slot(sig, coeffs, c1, c2)
+
+
+def test_pairing_on_int_entries():
+    # vectors and slots built directly, with plain ints and no Fraction
+    rng = Random(10)
+    for s in ORACLE_SIGNATURES:
+        sig = JetSignature(*s)
+        n, dim, ld = sig.n, model_dim(sig), lambda_dim(sig)
+        for _ in range(4):
+            c1 = [rng.randint(-3, 3) for _ in range(dim)]
+            c2 = [rng.randint(-3, 3) for _ in range(dim)]
+            coeffs = tuple(rng.randint(-2, 2) for _ in range(ld))
+            z1, z2 = (ModelVector(sig, tuple(c[:n]),
+                                  SymTensor(sig.n, sig.m, sig.k, tuple(c[n:])))
+                      for c in (c1, c2))
+            got = metasymplectic_eval(CovectorSlot(sig, coeffs), z1, z2)
+            assert type(got) is F
+            assert got == _ref_eval_slot(sig, coeffs, [F(c) for c in c1],
+                                         [F(c) for c in c2])
+
+
+def test_pairing_caches_leave_fields_equality_and_hash_alone():
+    sig = JetSignature(2, 2, 2)
+    dim = model_dim(sig)
+    coords = [F(i - 3, 1 + i % 3) for i in range(dim)]
+    coeffs = (F(1, 2), F(0), F(-3), F(2, 5))
+    z, w = unflatten(sig, coords), unflatten(sig, coords[::-1])
+    lam = CovectorSlot(sig, coeffs)
+    twins = (unflatten(sig, coords), CovectorSlot(sig, coeffs))
+    before = [([f.name for f in fields(o)], hash(o), repr(o)) for o in (z, lam)]
+    assert metasymplectic_eval(lam, z, w) == _ref_eval_slot(sig, coeffs, coords,
+                                                             coords[::-1])
+    after = [([f.name for f in fields(o)], hash(o), repr(o)) for o in (z, lam)]
+    assert before == after
+    assert (z, lam) == twins and hash((z, lam)) == hash(twins)
+
+
+def test_slot_and_vector_lengths_are_checked():
+    sig = JetSignature(2, 1, 2)
+    assert lambda_dim(sig) == 2 and symbol_layer_dim(sig) == 3
+    for count in (0, 1, 3, 4):
+        with pytest.raises(ValueError):
+            CovectorSlot(sig, (F(1),) * count)
+    for count in (2, 4):
+        with pytest.raises(ValueError):
+            ModelVector.of(sig, [1, 0], SymTensor(2, 1, 2, (F(1),) * count))
+    theta = SymTensor.zero(2, 1, 2)
+    for x in ((F(1),), (F(1), F(0), F(0))):
+        with pytest.raises(ValueError):
+            ModelVector(sig, x, theta)
+    # slot beta = (0, 1) meets X = e_0 at theta = x^(1, 1) with weight 1
+    theta = SymTensor.unit(2, 1, (1, 1), 0)
+    assert metasymplectic_eval(CovectorSlot(sig, (F(1), F(0))),
+                               ModelVector.of(sig, [1, 0]),
+                               ModelVector.vertical(sig, theta)) == 1
 
 
 def test_orthogonal_frame_matches_basis_vector_reference():
