@@ -35,7 +35,7 @@ from math import comb, lcm
 
 from ..linalg import Matrix, kernel_basis, rank
 from .symtensor import (JetSignature, SymTensor, _add_e, flat_index,
-                        multi_indices, symbol_layer_dim)
+                        multi_indices)
 
 
 _ZERO = Fraction(0)
@@ -79,8 +79,8 @@ class ModelVector:
         sig, theta = self.sig, self.theta
         if len(self.x) != sig.n:
             raise ValueError("horizontal part must have n components")
-        if ((theta.n, theta.m, theta.degree) != (sig.n, sig.m, sig.k)
-                or len(theta.coeffs) != symbol_layer_dim(sig)):
+        # a SymTensor of this shape has symbol_layer_dim(sig) coefficients
+        if (theta.n, theta.m, theta.degree) != (sig.n, sig.m, sig.k):
             raise ValueError("vertical part has the wrong shape")
 
     @staticmethod

@@ -81,6 +81,12 @@ class SymTensor:
     degree: int
     coeffs: tuple
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
+        if len(self.coeffs) != self.m * comb(self.n + self.degree - 1, self.degree):
+            raise ValueError("coefficient count does not match the tensor shape")
+
     @staticmethod
     def zero(n: int, m: int, degree: int) -> "SymTensor":
         if degree < 0:

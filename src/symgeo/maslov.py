@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .linalg import (DEFAULT_TOL, EXACT, Matrix, integer_signature,
@@ -114,14 +115,17 @@ def _pairing(cols: Sequence[Sequence], omega: Sequence[Sequence], n: int,
     only that block is filled.
     """
     size = len(cols)
-    images = [[sum(o * v for o, v in zip(orow, col)) for orow in omega]
+    # Omega is sparse (2n nonzeros of 4n^2 in the standard Gram): each image
+    # entry sums over its row's nonzero (j, omega_ij) only
+    support = [[(j, o) for j, o in enumerate(orow) if o] for orow in omega]
+    images = [[sum(o * col[j] for j, o in row) for row in support]
               for col in cols[:size - n]]
     pair = [[0] * size for _ in range(size)]
     for x in range(n, size):
         i = x // n
         for y in range(i * n):
             if block is None or block == (i, y // n):
-                pair[x][y] = sum(a * b for a, b in zip(cols[x], images[y]))
+                pair[x][y] = sum(map(mul, cols[x], images[y]))
     return pair
 
 

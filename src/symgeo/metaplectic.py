@@ -5,6 +5,20 @@ exact symplectic matrix; the product twists the Witt parts by the
 Kashiwara index of (L, gL, gg'L) for a fixed base Lagrangian L.  The
 extension is central: (w, id) commutes with everything.
 
+Each fact is proved once.  ``Mp1Element(...)``/``Mp1Element.of`` check
+g^T Omega g = Omega, and ``LagrangianFrame`` checks the base, for every
+caller.  The group operations build their results with ``_trusted``,
+which skips those checks, where a theorem already gives them:
+
+* ``mp1_mul``     -- a product of symplectic matrices is symplectic;
+* ``mp1_inverse`` -- g^-1 = Omega^-1 g^T Omega is symplectic, and the
+  twist tau(L, gL, L) has a repeated member, so it is 0;
+* ``_cocycle``    -- gL is Lagrangian for Lagrangian L and symplectic g,
+  with full rank as g is invertible.
+
+``LagrangianTuple.of`` still compares the spaces of L, gL and gg'L, so a
+context whose base lives in another space is refused there.
+
 For n = 1 the subgroup cut out by the Leray function and the square of
 the fundamental ideal (I^2 = 4Z) is exposed as ``mp2_member``; membership
 depends on the chosen lifts and is invariant under 2 pi lift shifts.
@@ -12,10 +26,10 @@ depends on the chosen lifts and is invariant under 2 pi lift shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 
-from .linalg import EXACT, Matrix, inverse
+from .linalg import EXACT, Matrix
 from .maslov import LagrangianTuple, LerayLift, kashiwara_index, leray_m
 from .symplectic import LagrangianFrame, SymplecticSpace, random_symplectic
 from .witt import ideal_power_member_real
@@ -63,21 +77,40 @@ class Mp1Element:
         return Mp1Element(ctx, int(w), g)
 
 
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with ``values`` as its
+    fields, built without running ``__post_init__``.  Each caller names the
+    theorem that makes the skipped checks hold."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
 def _cocycle(ctx: Mp1Context, g1: Matrix, g12: Matrix) -> int:
     """tau(L, g1 L, g1 g2 L) for the base L, given g1 and the product g1 g2."""
     lag = ctx.base
-    l1 = LagrangianFrame(ctx.space, g1 @ lag.frame)
-    l2 = LagrangianFrame(ctx.space, g12 @ lag.frame)
+    # g L is Lagrangian when L is and g is symplectic, and it keeps full
+    # rank because g is invertible
+    l1 = _trusted(LagrangianFrame, ctx.space, g1 @ lag.frame)
+    l2 = _trusted(LagrangianFrame, ctx.space, g12 @ lag.frame)
     return kashiwara_index(LagrangianTuple.of(lag, l1, l2))
 
 
 def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
-    oa, ob = a.ctx.space.omega, b.ctx.space.omega
-    if (oa.num, oa.den) != (ob.num, ob.den):
-        raise ValueError("elements live over different spaces")
+    """The product (w, g)(w', g') = (w + w' + tau(L, gL, gg'L), gg').
+
+    Both factors need the same Omega and the same base frame L."""
+    if a.ctx is not b.ctx:
+        oa, ob = a.ctx.space.omega, b.ctx.space.omega
+        if (oa.num, oa.den) != (ob.num, ob.den):
+            raise ValueError("elements live over different spaces")
+        if a.ctx.base != b.ctx.base:
+            raise ValueError("elements use different base Lagrangians")
     g = a.g @ b.g
     tw = _cocycle(a.ctx, a.g, g)
-    return Mp1Element(a.ctx, a.w + b.w + tw, g)
+    # a product of two symplectic matrices is symplectic
+    return _trusted(Mp1Element, a.ctx, a.w + b.w + tw, g)
 
 
 def mp1_identity(ctx: Mp1Context) -> Mp1Element:
@@ -88,8 +121,13 @@ def mp1_inverse(a: Mp1Element) -> Mp1Element:
     """Solve (w, g)(w', g^{-1}) = (0, id) for w' in the Witt group.
 
     The twist tau(L, gL, L) has a repeated member, so it is 0 and w' = -w.
+    g^T Omega g = Omega gives g^{-1} = Omega^{-1} g^T Omega; canonical exact
+    forms make it field-equal to ``inverse(g)``.
     """
-    return Mp1Element(a.ctx, -a.w, inverse(a.g))
+    space = a.ctx.space
+    # the inverse of a symplectic matrix is symplectic
+    return _trusted(Mp1Element, a.ctx, -a.w,
+                    space.omega_inverse @ a.g.T @ space.omega)
 
 
 def mp1_central_check(ctx: Mp1Context, w: int, others: list[Mp1Element]) -> bool:

@@ -21,12 +21,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
 from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
-                     kernel_basis, rank, span_contains, spans_equal)
+                     inverse, kernel_basis, rank, span_contains, spans_equal)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,6 +78,11 @@ class SymplecticSpace:
 
     def omega_as(self, mode: str) -> Matrix:
         return self.omega if mode == EXACT else self.omega.to_approx()
+
+    @cached_property
+    def omega_inverse(self) -> Matrix:
+        """Omega^{-1}, computed once per space."""
+        return inverse(self.omega)
 
 
 @dataclass(frozen=True)

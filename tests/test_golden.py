@@ -16,6 +16,7 @@ import json
 import math
 import shlex
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 from random import Random
 
@@ -28,11 +29,13 @@ from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, unflatten)
 from symgeo.jets.pde_audit import (_jacobian, _LagrangianInstance,
                                    lagrangian_pde_dims)
-from symgeo.jsonio import dumps
-from symgeo.linalg import Matrix, _rand_full_rank, sym_signature
+from symgeo.jsonio import dumps, matrix_to_json
+from symgeo.linalg import Matrix, _rand_full_rank, inverse, sym_signature
 from symgeo.maslov import LagrangianTuple, kashiwara_space, wall_invariant
 from symgeo.selftest import run_selftest
-from symgeo.symplectic import LagrangianFrame, SymplecticSpace
+from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
+                               random_lagrangian, random_symplectic,
+                               standard_gram)
 from test_maslov import _rand_tuple
 
 SELFTEST_QUICK = {
@@ -80,6 +83,20 @@ SCAN_COMMANDS = {
         "47f20ce62df8281559dbf2c881cdcfd27eb098cf646a9103cfefc6c162c4935d",
     "scan loop-maslov --space std:2 --samples loop4.json":
         "99368e2986a3f546d28f7c7df5c64d4609e8d392c339973b1d2b56812656eeb8",
+}
+
+# mp1 products and inverses on the files ``_write_mp1_samples`` makes: the
+# standard n = 2 space with the vertical base, and a rational Omega with a
+# non-vertical base
+MP1_COMMANDS = {
+    "mp1 mul --context std.json --a a.json --b b.json":
+        "daaf02af90d9c59d36c7a580ea32d8b55a28d9c040caf87579f56335f0326420",
+    "mp1 inverse --context std.json --a a.json":
+        "123294c3babf4a84da694831760cec01b3a969412624fdd9f80459e57823eead",
+    "mp1 mul --context custom.json --a c.json --b d.json":
+        "2f78634e625cc262234394d83d378c1508763c555e25c052954dec351fa86aeb",
+    "mp1 inverse --context custom.json --a c.json":
+        "490e09acd1fde0e058b799595fda70924541cd06096aa1ca64c63cfcc4dc94c8",
 }
 
 JETS_DUMP = (
@@ -210,6 +227,28 @@ def _write_scan_samples(directory) -> None:
     }))
 
 
+def _write_mp1_samples(directory) -> None:
+    """``std.json`` (n = 2, vertical base) with elements ``a.json`` and
+    ``b.json``; ``custom.json`` (Omega = 2/3 A^T J A, base A^-1 L for a
+    random standard Lagrangian L) with elements ``c.json`` and ``d.json``."""
+    rng = Random("golden:mp1")
+    std = SymplecticSpace.standard(2)
+    a = _rand_full_rank(rng, 4, 4)
+    custom = SymplecticSpace.from_omega(
+        (a.T @ standard_gram(2) @ a).scale(F(2, 3)))
+    base = inverse(a) @ random_lagrangian(std, rng).frame
+    vertical = Matrix.zeros(2, 2).vstack(Matrix.identity(2))
+    files = {"std.json": {"n": 2, "base": matrix_to_json(vertical)},
+             "custom.json": {"omega": matrix_to_json(custom.omega),
+                             "base": matrix_to_json(base)}}
+    for name, space in (("a.json", std), ("b.json", std),
+                        ("c.json", custom), ("d.json", custom)):
+        g = random_symplectic(space, rng, transvections=4)
+        files[name] = {"w": rng.randint(-3, 3), "g": matrix_to_json(g)}
+    for name, obj in files.items():
+        (directory / name).write_text(json.dumps(obj))
+
+
 def _jets_dump() -> str:
     """Orthogonal frames, isotropic plane vectors and pairing values, one
     text line each, from seeded inputs over ``JETS_SIGNATURES``."""
@@ -327,6 +366,15 @@ def test_scan_command(command, tmp_path, monkeypatch):
     code, out = _stdout(shlex.split(command))
     assert code == 0
     assert _sha(out) == SCAN_COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(MP1_COMMANDS))
+def test_mp1_command(command, tmp_path, monkeypatch):
+    _write_mp1_samples(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = _stdout(shlex.split(command))
+    assert code == 0
+    assert _sha(out) == MP1_COMMANDS[command]
 
 
 def test_jets_dump():

@@ -346,6 +346,36 @@ def test_slot_and_vector_lengths_are_checked():
                                ModelVector.vertical(sig, theta)) == 1
 
 
+MIS_SIZED = "^coefficient count does not match the tensor shape$"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_sym_tensor_refuses_mis_sized_coeffs(count):
+    """S^2 of R^2 with one fiber slot has 3 coefficients; a short tuple
+    used to truncate a sum silently and end delta in IndexError."""
+    full = SymTensor(2, 1, 2, (1, 2, 3))
+    coeffs = tuple(range(1, count + 1))
+    with pytest.raises(ValueError, match=MIS_SIZED):
+        SymTensor(2, 1, 2, coeffs) + full
+    with pytest.raises(ValueError, match=MIS_SIZED):
+        full + SymTensor(2, 1, 2, coeffs)
+    with pytest.raises(ValueError, match=MIS_SIZED):
+        SymTensor(2, 1, 2, coeffs).scale(2)
+    with pytest.raises(ValueError, match=MIS_SIZED):
+        delta_spencer(SymTensor(2, 1, 2, coeffs))
+
+
+def test_sym_tensor_operations_keep_the_size():
+    full = SymTensor(2, 1, 2, (1, 2, 3))
+    assert (full + full).coeffs == (2, 4, 6)
+    assert full.scale(2).coeffs == (2, 4, 6)
+    # slot i carries (beta_i + 1) t[beta + e_i] over beta = (0, 1), (1, 0)
+    assert {i: t.coeffs for i, t in delta_spencer(full).items()} == {
+        0: (2, 6), 1: (2, 2)}
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        SymTensor(2, 1, -1, ())
+
+
 def test_orthogonal_frame_matches_basis_vector_reference():
     rng = Random(8)
     for s in ORACLE_SIGNATURES:
