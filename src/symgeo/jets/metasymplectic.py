@@ -12,8 +12,8 @@ is coefficientwise in the monomial basis.  Flat coordinates are X followed
 by theta in the storage order of ``symtensor``; lambda uses the same order
 one degree down.  For the unit slot lambda = (beta, j) the form is a sparse
 integer matrix M_lambda whose only entries are +-(beta_i + 1), linking
-horizontal coordinate i with the vertical coordinate (beta + e_i, j);
-``_terms`` tabulates them once per signature.
+horizontal coordinate i with the vertical coordinate (beta + e_i, j): row
+lambda of the polarization table ``symtensor._delta_terms(n, m, k)``.
 
 ``metasymplectic_eval`` runs on integers.  A ``ModelVector`` caches, on
 first use, one common denominator with the nonzero (position, numerator)
@@ -23,19 +23,23 @@ numerator) pairs the same way.  A pair whose two mixed products are empty
 the nonzero slots and the nonzero horizontal entries, and the result is
 divided once.  The caches live on the instances, outside the dataclass
 fields, so equality and hashing are unchanged.
+
+A maximal isotropic plane is one exact frame: Ann(Xi) padded with zero
+theta rows, next to the columns of S^k(Xi) tensor nu.  Those products of
+covectors are expanded on the integer numerators of Xi and divided once by
+den(Xi)^k; the dimension audit is the rank of that frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from ..linalg import Matrix, kernel_basis, rank
-from .symtensor import (JetSignature, SymTensor, _add_e, flat_index,
-                        multi_indices)
+from .symtensor import JetSignature, SymTensor, _delta_terms
 
 
 _ZERO = Fraction(0)
@@ -99,10 +103,6 @@ class ModelVector:
                 {p - n: a for p, a in entries if p >= n})
 
     @staticmethod
-    def horizontal(sig: JetSignature, x) -> "ModelVector":
-        return ModelVector.of(sig, x)
-
-    @staticmethod
     def vertical(sig: JetSignature, theta: SymTensor) -> "ModelVector":
         return ModelVector.of(sig, [0] * sig.n, theta)
 
@@ -119,16 +119,6 @@ def lambda_basis(sig: JetSignature) -> list[CovectorSlot]:
     dim = lambda_dim(sig)
     return [CovectorSlot(sig, tuple(Fraction(int(s == t)) for s in range(dim)))
             for t in range(dim)]
-
-
-@lru_cache(maxsize=None)
-def _terms(sig: JetSignature) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per lambda slot (beta, j), the triples (i, t, beta_i + 1) with t the
-    vertical position of (beta + e_i, j): the nonzero entries of M_lambda."""
-    n, m = sig.n, sig.m
-    return tuple(tuple((i, flat_index(m, _add_e(beta, i), j), beta[i] + 1)
-                       for i in range(n))
-                 for beta in multi_indices(n, sig.k - 1) for j in range(m))
 
 
 def _mixed(terms, slots, x, theta) -> int:
@@ -156,7 +146,7 @@ def metasymplectic_eval(lam: CovectorSlot, z1: ModelVector, z2: ModelVector):
     if not (x1 and th2 or x2 and th1):
         return _ZERO
     dl, slots = lam._ints
-    terms = _terms(sig)
+    terms = _delta_terms(sig.n, sig.m, sig.k)
     tot = _mixed(terms, slots, x1, th2) - _mixed(terms, slots, x2, th1)
     return Fraction(tot, dl * d1 * d2) if tot else _ZERO
 
@@ -169,11 +159,12 @@ def flatten(vec: ModelVector) -> list[Fraction]:
 
 
 def unflatten(sig: JetSignature, coords) -> ModelVector:
-    coords = [Fraction(c) for c in coords]
+    # Fraction(c) of a Fraction is an equal copy: skip it
+    coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
     if len(coords) != model_dim(sig):
         raise ValueError("coordinates do not fit this model fiber")
     theta = SymTensor(sig.n, sig.m, sig.k, tuple(coords[sig.n:]))
-    return ModelVector.of(sig, coords[:sig.n], theta)
+    return ModelVector(sig, tuple(coords[:sig.n]), theta)
 
 
 def span_matrix(vectors: list[ModelVector]) -> Matrix:
@@ -201,7 +192,7 @@ def meta_orthogonal_frame(sig: JetSignature, frame: Matrix) -> Matrix:
     n = sig.n
     cols = list(zip(*frame.num))
     rows = []
-    for terms in _terms(sig):
+    for terms in _delta_terms(n, sig.m, sig.k):
         for v in cols:
             row = [0] * dim
             for i, t, c in terms:
@@ -226,44 +217,17 @@ def singularity_condition(sig: JetSignature, p: int) -> bool:
 
 @dataclass(frozen=True)
 class IntegralPlaneModel:
-    """A subspace of the model fiber split into horizontal and vertical parts."""
+    """A subspace of the model fiber, spanned by the columns of ``frame``."""
 
     sig: JetSignature
-    horizontal: Matrix
-    vertical: tuple
+    frame: Matrix
 
     @property
     def dim(self) -> int:
-        return self.horizontal.cols + len(self.vertical)
+        return self.frame.cols
 
     def vectors(self) -> list[ModelVector]:
-        out = [ModelVector.horizontal(self.sig, self.horizontal.col(j))
-               for j in range(self.horizontal.cols)]
-        out.extend(ModelVector.vertical(self.sig, th) for th in self.vertical)
-        return out
-
-
-def _linear_form_power_basis(sig: JetSignature, xi: Matrix) -> list[SymTensor]:
-    """Products of k covectors from the columns of xi, expanded monomially."""
-    n, m, k = sig.n, sig.m, sig.k
-    out = []
-    cols = [xi.col(j) for j in range(xi.cols)]
-    for combo in combinations_with_replacement(range(len(cols)), k):
-        poly = {(0,) * n: Fraction(1)}
-        for idx in combo:
-            nxt: dict = {}
-            for alpha, cv in poly.items():
-                for i in range(n):
-                    if cols[idx][i] == 0:
-                        continue
-                    na = _add_e(alpha, i)
-                    nxt[na] = nxt.get(na, Fraction(0)) + cv * cols[idx][i]
-            poly = nxt
-        for j in range(m):
-            out.append(SymTensor(n, m, k, tuple(
-                poly.get(a, Fraction(0)) if jj == j else Fraction(0)
-                for a in multi_indices(n, k) for jj in range(m))))
-    return out
+        return vectors_from_matrix(self.sig, self.frame)
 
 
 def max_isotropic(sig: JetSignature, xi: Matrix) -> IntegralPlaneModel:
@@ -276,14 +240,29 @@ def max_isotropic(sig: JetSignature, xi: Matrix) -> IntegralPlaneModel:
     p = xi.cols
     if xi.rows != n:
         raise ValueError("covector frame must have n rows")
-    if p and rank(xi) != p:
+    if rank(xi) != p:
         raise ValueError("covector frame must have independent columns")
-    ann = kernel_basis(xi.T) if p else Matrix.identity(n)
-    vertical = tuple(_linear_form_power_basis(sig, xi)) if p else ()
-    plane = IntegralPlaneModel(sig, ann, vertical)
-    expected = m * comb(p + k - 1, k) + (n - p) if p else n
-    vecs = plane.vectors()
-    got = rank(span_matrix(vecs)) if vecs else 0
-    if got != expected or plane.dim != expected:
+    # the products of k columns of Xi, expanded on its numerators: x^beta
+    # times a covector c is sum_i c_i x^(beta + e_i), read off the table
+    polys = []
+    for combo in combinations_with_replacement(list(zip(*xi.num)), k):
+        poly = [1]
+        for d, col in enumerate(combo, 1):
+            nxt = [0] * comb(n + d - 1, d)
+            for row, cv in zip(_delta_terms(n, 1, d), poly):
+                for i, pos, _ in row:
+                    nxt[pos] += cv * col[i]
+            poly = nxt
+        polys.append(poly)
+    # column (combo, j) carries its product in fiber slot j, over den^k;
+    # Ann(Xi) sits beside it with zero theta rows
+    width = len(polys) * m
+    rows = [(0,) * width] * n + [
+        tuple(c[t] if jj == j else 0 for c in polys for jj in range(m))
+        for t in range(comb(n + k - 1, k)) for j in range(m)]
+    vertical = xi._new(len(rows), width, tuple(rows), xi.den ** k, xi.tol)
+    ann = kernel_basis(xi.T)
+    frame = ann.vstack(Matrix.zeros(len(rows) - n, ann.cols)).hstack(vertical)
+    if rank(frame) != m * comb(p + k - 1, k) + n - p:
         raise ValueError("isotropic plane failed its dimension audit")
-    return plane
+    return IntegralPlaneModel(sig, frame)

@@ -5,8 +5,10 @@ the monomial basis {x^alpha otimes e_j : |alpha| = d, 1 <= j <= m}, in the
 one storage order of the jets package: (alpha, j) over
 ``multi_indices(n, d)`` x ``range(m)``, so x^alpha otimes e_j sits at
 ``flat_index(m, alpha, j)``.  The delta operator is polarization: slot i of
-delta(t) has coefficients (alpha_i + 1) t[alpha + e_i, j], so delta
-followed by exterior antisymmetrization squares to zero.
+delta(t) has coefficients (beta_i + 1) t[beta + e_i, j], so delta followed
+by exterior antisymmetrization squares to zero.  That rule is written once,
+as the cached table ``_delta_terms``; ``delta_spencer``, the Spencer
+matrices and the metasymplectic pairing all read it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from ..linalg import Matrix, rank
@@ -68,10 +71,6 @@ def flat_index(m: int, alpha: tuple[int, ...], j: int) -> int:
     return _monomial_positions(len(alpha), sum(alpha))[alpha] * m + j
 
 
-def _add_e(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-
-
 @dataclass(frozen=True)
 class SymTensor:
     """Element of S^degree(T*) tensor nu over Q; ``coeffs`` in storage order."""
@@ -116,42 +115,47 @@ class SymTensor:
         return all(v == 0 for v in self.coeffs)
 
 
+@lru_cache(maxsize=None)
+def _delta_terms(n: int, m: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The polarization rule: per slot (beta, j) of degree d - 1, in storage
+    order, the triples (i, position of (beta + e_i, j) in degree d,
+    beta_i + 1) for i = 0 .. n - 1."""
+    return tuple(tuple((i, flat_index(m, beta[:i] + (beta[i] + 1,) + beta[i + 1:], j),
+                        beta[i] + 1) for i in range(n))
+                 for beta in multi_indices(n, d - 1) for j in range(m))
+
+
 def delta_spencer(t: SymTensor) -> dict[int, SymTensor]:
-    """Polarization: slot i carries (alpha_i + 1) t[alpha + e_i, j]."""
+    """Polarization: slot i carries (beta_i + 1) t[beta + e_i, j]."""
     if t.degree < 1:
         raise ValueError("delta needs degree >= 1")
+    terms = _delta_terms(t.n, t.m, t.degree)
     return {i: SymTensor(t.n, t.m, t.degree - 1, tuple(
-        (beta[i] + 1) * t.coeffs[flat_index(t.m, _add_e(beta, i), j)]
-        for beta in multi_indices(t.n, t.degree - 1) for j in range(t.m)))
+        c * t.coeffs[pos] for _, pos, c in (row[i] for row in terms)))
         for i in range(t.n)}
 
 
-def _wedge_basis(n: int, p: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-    return [tuple(c) for c in combinations(range(n), p)]
-
-
 def _spencer_matrix(n: int, m: int, p: int, deg: int) -> Matrix:
-    """Matrix of delta: Lambda^p tensor S^deg -> Lambda^{p+1} tensor S^{deg-1}."""
-    src_w = _wedge_basis(n, p)
-    dst_w = _wedge_basis(n, p + 1)
-    src_a = multi_indices(n, deg)
-    dst_a = multi_indices(n, deg - 1)
-    src_idx = {(w, a, j): t for t, (w, a, j) in enumerate(
-        (w, a, j) for w in src_w for a in src_a for j in range(m))}
-    dst_idx = {(w, a, j): t for t, (w, a, j) in enumerate(
-        (w, a, j) for w in dst_w for a in dst_a for j in range(m))}
-    rows = [[0] * len(src_idx) for _ in range(len(dst_idx))]
-    for (w, a, j), col in src_idx.items():
+    """Matrix of delta: Lambda^p tensor S^deg -> Lambda^{p+1} tensor S^{deg-1}.
+
+    Coordinates are wedge-major: block w holds S^deg tensor nu in storage
+    order.  Index i outside w sends block w to block w + i with the wedge
+    sign (-1)^#{x in w : x < i} and the polarization table inside."""
+    terms = _delta_terms(n, m, deg)
+    src_w = list(combinations(range(n), p))
+    dst_w = {w: b for b, w in enumerate(combinations(range(n), p + 1))}
+    size, dst_size = m * comb(n + deg - 1, deg), len(terms)
+    rows = [[0] * (len(src_w) * size) for _ in range(len(dst_w) * dst_size)]
+    for b, w in enumerate(src_w):
         for i in range(n):
             if i in w:
                 continue
-            nw = tuple(sorted(w + (i,)))
+            dst = dst_w[tuple(sorted(w + (i,)))] * dst_size
             sign = (-1) ** sum(1 for x in w if x < i)
-            for beta in dst_a:
-                if _add_e(beta, i) == a:
-                    rows[dst_idx[(nw, beta, j)]][col] += sign * (beta[i] + 1)
-    return Matrix.exact(rows) if rows and rows[0] else Matrix.zeros(len(dst_idx), len(src_idx))
+            for s, row in enumerate(terms):
+                _, pos, c = row[i]
+                rows[dst + s][b * size + pos] += sign * c
+    return Matrix(len(rows), len(src_w) * size, tuple(map(tuple, rows)), 1)
 
 
 def spencer_sequence_audit(sig: JetSignature) -> dict:

@@ -364,7 +364,9 @@ def span_contains(big: Matrix, small: Matrix) -> bool:
 
 
 def spans_equal(a: Matrix, b: Matrix) -> bool:
-    return span_contains(a, b) and span_contains(b, a)
+    """True if the column spans agree: both ranks equal the joint rank.
+    The stack comes first, so mixed modes are refused, not compared."""
+    return rank(a.hstack(b)) == rank(a) == rank(b)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ which skips those checks, where a theorem already gives them:
 * ``_cocycle``    -- gL is Lagrangian for Lagrangian L and symplectic g,
   with full rank as g is invertible.
 
-``LagrangianTuple.of`` still compares the spaces of L, gL and gg'L, so a
-context whose base lives in another space is refused there.
+``Mp1Context`` refuses, once at construction, a base Lagrangian whose
+Omega differs from the context's.
 
 For n = 1 the subgroup cut out by the Leray function and the square of
 the fundamental ideal (I^2 = 4Z) is exposed as ``mp2_member``; membership
@@ -51,6 +51,11 @@ class Mp1Context:
 
     space: SymplecticSpace
     base: LagrangianFrame
+
+    def __post_init__(self):
+        own, other = self.space.omega, self.base.space.omega
+        if own is not other and (own.num, own.den) != (other.num, other.den):
+            raise ValueError("base Lagrangian lives in another space")
 
     @staticmethod
     def standard(n: int) -> "Mp1Context":

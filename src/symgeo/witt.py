@@ -26,8 +26,10 @@ def witt_of_form_complex(gram: Matrix) -> int:
 def ideal_power_member_real(w: int, k: int) -> bool:
     """Membership of a W(R) class in the k-th power of the fundamental ideal.
 
-    The filtration is I^k = 2^k Z; k = 0 is the whole ring.
+    The filtration is I^k = 2^k Z; k = 0 is the whole ring.  2^k divides w
+    when w is 0 or its lowest set bit sits above bit k - 1, so 2^k is never
+    built.
     """
     if k < 0:
         raise ValueError("ideal power must be nonnegative")
-    return w % (2 ** k) == 0
+    return w == 0 or (w & -w).bit_length() > k

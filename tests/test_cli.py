@@ -503,6 +503,9 @@ def test_witt_class_and_ideal(capsys):
     assert code == 0 and out["member"]
     code, out = run_json(capsys, "witt", "ideal", "--value", "2", "--k", "2")
     assert code == 0 and not out["member"]
+    code, out = run_json(capsys, "witt", "ideal", "--value", "12",
+                         "--k", str(10 ** 12))
+    assert code == 0 and not out["member"]
 
 
 @pytest.mark.parametrize("shape", [

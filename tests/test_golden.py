@@ -99,6 +99,20 @@ MP1_COMMANDS = {
         "490e09acd1fde0e058b799595fda70924541cd06096aa1ca64c63cfcc4dc94c8",
 }
 
+# jet commands beyond the README: isotropic planes from a seeded and from a
+# rational Xi (the ``xi.json`` that ``_write_jet_samples`` makes), and the
+# Spencer audit at two larger signatures
+JET_COMMANDS = {
+    "jet max-isotropic --n 3 --m 2 --k 2 --p 2 --seed 5":
+        "ac7b66b123e71464419e93e01b9061fe1a937bea7d6c6754dde8bee0010ad148",
+    "jet max-isotropic --n 3 --m 1 --k 3 --p 2 --xi xi.json":
+        "4ff31a1d7802c6ec323634e2eef10454c17d374fbda2e3f3c68b9b8baf69659c",
+    "jet spencer-audit --n 3 --m 2 --k 3":
+        "f7035e0f9ed0e608866d89c5ebeb193c70e245add6ad2d31751ac5f344fa9bcb",
+    "jet spencer-audit --n 4 --m 1 --k 3 --table":
+        "a2e5c64734229904fe3807b2d1dcb8bba6a7935ae0c42c3490dcc6fd923be25a",
+}
+
 JETS_DUMP = (
     "f2eee5ad98f405fa087d0042607a1f0e69ea22ae336e6f97b4111ba1f4f6553f")
 JETS_SIGNATURES = ((1, 1, 2), (2, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),
@@ -249,6 +263,13 @@ def _write_mp1_samples(directory) -> None:
         (directory / name).write_text(json.dumps(obj))
 
 
+def _write_jet_samples(directory) -> None:
+    """``xi.json``: a rational 3 x 2 covector frame of rank 2."""
+    (directory / "xi.json").write_text(json.dumps({
+        "rows": 3, "cols": 2,
+        "entries": ["1/2", "-2/3", "0", "3/4", "5/3", "-1"]}))
+
+
 def _jets_dump() -> str:
     """Orthogonal frames, isotropic plane vectors and pairing values, one
     text line each, from seeded inputs over ``JETS_SIGNATURES``."""
@@ -375,6 +396,15 @@ def test_mp1_command(command, tmp_path, monkeypatch):
     code, out = _stdout(shlex.split(command))
     assert code == 0
     assert _sha(out) == MP1_COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(JET_COMMANDS))
+def test_jet_command(command, tmp_path, monkeypatch):
+    _write_jet_samples(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = _stdout(shlex.split(command))
+    assert code == 0
+    assert _sha(out) == JET_COMMANDS[command]
 
 
 def test_jets_dump():

@@ -3,6 +3,7 @@ pairing, isotropic-plane construction, and the two PDE dimension audits."""
 
 from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from random import Random
 
@@ -17,6 +18,7 @@ from symgeo.jets import (CovectorSlot, JetSignature, ModelVector, SymTensor,
 from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, span_matrix, unflatten,
                                         vectors_from_matrix)
+from symgeo.jets.symtensor import _spencer_matrix
 from symgeo.linalg import (Matrix, ModeMixError, kernel_basis, rank,
                            span_contains, spans_equal)
 from symgeo.symplectic import intersect_frames
@@ -70,6 +72,49 @@ def test_spencer_exactness_small_grid():
     for sig in ((1, 1, 2), (2, 1, 2), (1, 1, 3), (2, 2, 2)):
         audit = spencer_sequence_audit(JetSignature(*sig))
         assert audit["exact"], audit
+
+
+def _add_e(alpha, i):
+    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+
+
+def _ref_spencer_matrix(n, m, p, deg):
+    """delta on Lambda^p x S^deg by search: for each source (w, a, j) and
+    each i outside w, the target monomial beta with beta + e_i = a."""
+    src_w = list(combinations(range(n), p))
+    dst_w = list(combinations(range(n), p + 1))
+    src_a, dst_a = multi_indices(n, deg), multi_indices(n, deg - 1)
+    src_idx = {key: t for t, key in enumerate(
+        (w, a, j) for w in src_w for a in src_a for j in range(m))}
+    dst_idx = {key: t for t, key in enumerate(
+        (w, a, j) for w in dst_w for a in dst_a for j in range(m))}
+    rows = [[0] * len(src_idx) for _ in range(len(dst_idx))]
+    for (w, a, j), col in src_idx.items():
+        for i in range(n):
+            if i in w:
+                continue
+            nw = tuple(sorted(w + (i,)))
+            sign = (-1) ** sum(1 for x in w if x < i)
+            for beta in dst_a:
+                if _add_e(beta, i) == a:
+                    rows[dst_idx[(nw, beta, j)]][col] += sign * (beta[i] + 1)
+    if rows and rows[0]:
+        return Matrix.exact(rows)
+    return Matrix.zeros(len(dst_idx), len(src_idx))
+
+
+def test_spencer_matrix_matches_search_reference():
+    # every map the audit builds for n <= 4, m <= 3, k <= 4
+    cases = 0
+    for n in range(1, 5):
+        for m in range(1, 4):
+            for k in range(1, 5):
+                for p in range(min(n, k)):
+                    # dataclass equality: every field, num and den included
+                    assert _spencer_matrix(n, m, p, k - p) == \
+                        _ref_spencer_matrix(n, m, p, k - p)
+                    cases += 1
+    assert cases == 90
 
 
 def test_spencer_audit_reports_node_data():
@@ -424,12 +469,59 @@ def test_full_vertical_plane_is_self_dual():
     assert spans_equal(meta_orthogonal_frame(sig, frame), frame)
 
 
+def _ref_power_basis(sig, xi):
+    """S^k(Xi) tensor nu: products of k columns of xi expanded as dicts of
+    Fractions, one tensor per product and fiber slot."""
+    n, m, k = sig.n, sig.m, sig.k
+    out = []
+    cols = [xi.col(j) for j in range(xi.cols)]
+    for combo in combinations_with_replacement(range(len(cols)), k):
+        poly = {(0,) * n: F(1)}
+        for idx in combo:
+            nxt = {}
+            for alpha, cv in poly.items():
+                for i in range(n):
+                    if cols[idx][i]:
+                        na = _add_e(alpha, i)
+                        nxt[na] = nxt.get(na, F(0)) + cv * cols[idx][i]
+            poly = nxt
+        for j in range(m):
+            out.append(SymTensor(n, m, k, tuple(
+                poly.get(a, F(0)) if jj == j else F(0)
+                for a in multi_indices(n, k) for jj in range(m))))
+    return out
+
+
+def test_max_isotropic_matches_fraction_reference_on_rational_xi():
+    """Plane vectors equal Ann(Xi) then S^k(Xi) x nu built on Fractions.
+    Rational Xi, so the one division by den(Xi)^k is checked."""
+    rng = Random("jets:rational-xi")
+    for s in ((1, 1, 2), (2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3),
+              (3, 2, 2), (3, 1, 3)):
+        sig = JetSignature(*s)
+        for p in range(sig.n + 1):
+            while True:
+                xi = Matrix.exact([[F(rng.randint(-4, 4), rng.randint(1, 5))
+                                    for _ in range(p)] for _ in range(sig.n)])
+                if rank(xi) == p and (p == 0 or xi.den > 1):
+                    break
+            ann = kernel_basis(xi.T)
+            want = [ModelVector.of(sig, ann.col(j)) for j in range(ann.cols)]
+            want += [ModelVector.vertical(sig, th)
+                     for th in _ref_power_basis(sig, xi)]
+            plane = max_isotropic(sig, xi)
+            assert plane.vectors() == want
+            assert plane.dim == len(want) == rank(span_matrix(want))
+
+
 def test_max_isotropic_rejects_bad_xi():
     sig = JetSignature(2, 1, 2)
     with pytest.raises(ValueError):
         max_isotropic(sig, Matrix.exact([[1, 2], [2, 4]]))   # rank 1, p = 2
     with pytest.raises(ValueError):
         max_isotropic(sig, Matrix.exact([[1], [0], [0]]))    # wrong row count
+    with pytest.raises(ModeMixError):
+        max_isotropic(sig, Matrix.approx([[1.0], [0.0]]))     # float frame
 
 
 def test_singularity_condition():

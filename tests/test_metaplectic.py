@@ -120,17 +120,19 @@ def test_public_checks_still_refuse():
 
 
 def test_base_from_another_space_is_refused():
-    """A base Lagrangian of another Omega of the same size reaches the
-    cocycle, whose tuple refuses it."""
+    """A base Lagrangian of another Omega of the same size is refused when
+    the context is built, before any group operation can use it."""
     rng = Random("mp1:foreign-base")
     for n in (1, 2, 3):
         custom, to_custom = _custom_space(n, rng)
-        ctx = Mp1Context(SymplecticSpace.standard(n),
-                         LagrangianFrame(custom, to_custom @ _vertical(n)))
-        a, b = random_mp1(ctx, rng), random_mp1(ctx, rng)
         with pytest.raises(ValueError,
-                           match="^tuple members live in different spaces$"):
-            mp1_mul(a, b)
+                           match="^base Lagrangian lives in another space$"):
+            Mp1Context(SymplecticSpace.standard(n),
+                       LagrangianFrame(custom, to_custom @ _vertical(n)))
+    # an equal Omega built apart is the same space
+    twin = SymplecticSpace.standard(2)
+    ctx = Mp1Context(SymplecticSpace.standard(2), LagrangianFrame(twin, _vertical(2)))
+    assert ctx.base.space is not ctx.space
 
 
 def test_mul_refuses_mixed_base_lagrangians():

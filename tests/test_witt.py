@@ -41,9 +41,24 @@ def test_complex_parity():
 
 
 def test_ideal_filtration_is_powers_of_two():
-    for value in range(-8, 9):
-        for k in range(5):
-            assert ideal_power_member_real(value, k) == (value % (2 ** k) == 0)
+    rng = Random("witt:ideal-bits")
+    pairs = [(value, k) for value in range(-8, 9) for k in range(5)]
+    pairs += [(rng.choice([0, rng.randint(-64, 64), rng.randint(-10**6, 10**6),
+                           rng.getrandbits(200) - (1 << 199)]),
+               rng.choice([rng.randint(0, 12), rng.randint(0, 250)]))
+              for _ in range(20000)]
+    for value, k in pairs:
+        assert ideal_power_member_real(value, k) == (value % (2 ** k) == 0)
+
+
+def test_ideal_huge_power_builds_no_power_of_two():
+    # 2^k for k = 10^12 would take 125 GB; the bit rule never builds it
+    k = 10 ** 12
+    assert ideal_power_member_real(0, k)
+    assert not ideal_power_member_real(1 << 4000, k)
+    assert not ideal_power_member_real(-(3 << 77), k)
+    assert ideal_power_member_real(-(3 << 77), 77)
+    assert not ideal_power_member_real(-(3 << 77), 78)
 
 
 def test_ideal_rejects_negative_power():
