@@ -87,12 +87,6 @@ class ModelVector:
         if (theta.n, theta.m, theta.degree) != (sig.n, sig.m, sig.k):
             raise ValueError("vertical part has the wrong shape")
 
-    @staticmethod
-    def of(sig: JetSignature, x, theta: SymTensor | None = None) -> "ModelVector":
-        if theta is None:
-            theta = SymTensor.zero(sig.n, sig.m, sig.k)
-        return ModelVector(sig, tuple(Fraction(v) for v in x), theta)
-
     @cached_property
     def _ints(self) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
         """Common denominator d with the nonzero entries of d X as
@@ -101,10 +95,6 @@ class ModelVector:
         den, entries = _int_view(self.x + self.theta.coeffs)
         return (den, tuple(e for e in entries if e[0] < n),
                 {p - n: a for p, a in entries if p >= n})
-
-    @staticmethod
-    def vertical(sig: JetSignature, theta: SymTensor) -> "ModelVector":
-        return ModelVector.of(sig, [0] * sig.n, theta)
 
 
 def model_dim(sig: JetSignature) -> int:

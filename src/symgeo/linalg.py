@@ -384,18 +384,22 @@ class Signature:
 
 
 def integer_signature(rows: Sequence[Sequence[int]]) -> Signature:
-    """Signature of a symmetric integer matrix by fraction-free elimination.
-
-    Each step splits off a diagonal pivot d (updating the rest to
-    d*B - b b^T) or, once the diagonal is zero, a hyperbolic 2x2 pivot with
-    off-diagonal h (contributing (1, 0, 1); rest h*B - b_i b_j^T - b_j b_i^T),
-    then divides out the content.  The multiplier scales the remaining form,
-    so ``flip`` tracks its sign.  Each remaining matrix is then, up to sign,
-    the matrix of minors bordering the eliminated block divided by its
-    content, so entries stay within Hadamard's bound as in Bareiss
-    elimination.
+    """Signature of a symmetric integer matrix by fraction-free elimination
+    on its lower triangle (row k up to entry k; nothing above is read), so a
+    block-lower P stands for P + P^T.  Each step splits off a diagonal
+    pivot d (updating the rest to d*B - b b^T) or, once the diagonal is
+    zero, a hyperbolic 2x2 pivot with off-diagonal h (contributing
+    (1, 0, 1); rest h*B - b_i b_j^T - b_j b_i^T), then divides out the
+    content.  The multiplier scales the remaining form, so ``flip`` tracks
+    its sign.  Each remaining matrix is then, up to sign, the matrix of
+    minors bordering the eliminated block divided by its content, so
+    entries stay within Hadamard's bound.  Dividing by the previous pivot
+    instead (symmetric Bareiss) roughly doubles the bit lengths (425 -> 686
+    on perfbench ``index`` Grams) and ran 9.6 s against 0.42 s on the
+    4778-bit 24 x 24 quotient Gram of
+    ``test_direct_sum_index_matches_quotient_space[6-6-1]``.
     """
-    a = [list(r) for r in rows]
+    a = [list(r[:k + 1]) for k, r in enumerate(rows)]
     pos = neg = 0
     flip = 1
     while a:
@@ -408,30 +412,30 @@ def integer_signature(rows: Sequence[Sequence[int]]) -> Signature:
                 pos += 1
             else:
                 neg += 1
-            rest = [k for k in range(m) if k != p]
-            b = [a[k][p] for k in rest]
-            a = [[d * a[k][l] - bk * bl for l, bl in zip(rest, b)]
-                 for k, bk in zip(rest, b)]
+            # cutting index p leaves rows k < p whole; zip stops at k
+            b = a[p][:p] + [r[p] for r in a[p + 1:]]
+            a = [[d * x - bk * bl for x, bl in zip(r[:p] + r[p + 1:], b)]
+                 for r, bk in zip(a[:p] + a[p + 1:], b)]
             if d < 0:
                 flip = -flip
         else:
             hit = next(((i, j) for i in range(m) for j in range(i + 1, m)
-                        if a[i][j]), None)
+                        if a[j][i]), None)
             if hit is None:
                 return Signature(pos, m, neg)
             i, j = hit
-            h = a[i][j]
+            h = a[j][i]
             pos += 1
             neg += 1
-            rest = [k for k in range(m) if k != i and k != j]
-            bi = [a[k][i] for k in rest]
-            bj = [a[k][j] for k in rest]
-            a = [[h * a[k][l] - bik * bjl - bjk * bil
-                  for l, bil, bjl in zip(rest, bi, bj)]
-                 for k, bik, bjk in zip(rest, bi, bj)]
+            keep = [k for k in range(m) if k != i and k != j]
+            bi, bj = ([a[c][k] if k < c else a[k][c] for k in keep]
+                      for c in hit)
+            a = [[h * x - bik * bjl - bjk * bil for x, bil, bjl
+                  in zip(a[k][:i] + a[k][i + 1:j] + a[k][j + 1:], bi, bj)]
+                 for k, bik, bjk in zip(keep, bi, bj)]
             if h < 0:
                 flip = -flip
-        content = gcd(*(x for row in a for x in row))
+        content = gcd(*chain.from_iterable(a))
         if content == 0:
             return Signature(pos, len(a), neg)
         if content > 1:

@@ -3,15 +3,15 @@
 One pairing, three readings.  The pairing of a tuple (L_1, ..., L_r) with
 frames F_i is the block-lower matrix P whose block (i, j), i > j, is
 F_i^T Omega F_j, so x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j)
-(Lion-Vergne; Cappell-Lee-Miller).  ``_pairing`` assembles it; the forms
-read it:
+(Lion-Vergne; Cappell-Lee-Miller).  ``symplectic._pairing`` assembles it;
+the forms read it:
 
-* ``kashiwara_index`` -- the integer pos - neg of P + P^T, the symmetrized q on
-  the direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
-  scales each frame column to a primitive integer vector and a rational
-  Omega by the lcm of its denominators (positive congruences) and takes a
-  fraction-free integer signature; approx mode orthonormalizes each frame
-  by QR first, and only that branch imports numpy.
+* ``kashiwara_index`` -- pos - neg of P + P^T, the symmetrized q on the
+  direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
+  pairs primitive integer frame columns through Omega's numerators
+  (positive congruences) and hands P itself to the integer signature,
+  which reads only the lower triangle; approx mode orthonormalizes each
+  frame by QR and symmetrizes P, and only that branch imports numpy.
 * ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
   T = ker(sum) / im(boundary), for representatives R of T built from
   consecutive intersections of the tuple; it has the same signature.  The
@@ -37,13 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
-from .linalg import (DEFAULT_TOL, EXACT, Matrix, integer_signature,
+from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, integer_signature,
                      kernel_basis, rank, rref, sym_signature)
 from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
-                         eigen_angles, line_lagrangian)
+                         _pairing, _support, eigen_angles, line_lagrangian)
 from .witt import witt_of_form_real
 
 
@@ -107,28 +106,6 @@ def _independent_over(base: Matrix, cands: Matrix) -> list[int]:
     return picked
 
 
-def _pairing(cols: Sequence[Sequence], omega: Sequence[Sequence], n: int,
-             block: tuple[int, int] | None = None) -> list[list]:
-    """The pairing of the tuple: the block-lower matrix whose block (i, j),
-    i > j, is F_i^T Omega F_j, for member columns ``cols`` (n per member)
-    and the rows of Omega, all as Python scalars.  With ``block`` = (i, j)
-    only that block is filled.
-    """
-    size = len(cols)
-    # Omega is sparse (2n nonzeros of 4n^2 in the standard Gram): each image
-    # entry sums over its row's nonzero (j, omega_ij) only
-    support = [[(j, o) for j, o in enumerate(orow) if o] for orow in omega]
-    images = [[sum(o * col[j] for j, o in row) for row in support]
-              for col in cols[:size - n]]
-    pair = [[0] * size for _ in range(size)]
-    for x in range(n, size):
-        i = x // n
-        for y in range(i * n):
-            if block is None or block == (i, y // n):
-                pair[x][y] = sum(map(mul, cols[x], images[y]))
-    return pair
-
-
 def _quotient_gram(tup: LagrangianTuple,
                    block: tuple[int, int] | None = None) -> Matrix:
     """R^T P R for the pairing P (or one block of it) and representatives R
@@ -141,8 +118,8 @@ def _quotient_gram(tup: LagrangianTuple,
     ker = kernel_basis(sigma)
     reps = ker.columns(_independent_over(_boundary_columns(tup), ker))
     omega = tup.space.omega_as(sigma.mode)
-    pair = Matrix.from_rows(_pairing(sigma.T.num, omega.num, tup.space.n, block),
-                            sigma.mode, reps.tol)
+    pair = Matrix.from_rows(_pairing(sigma.T.num, _support(omega.num),
+                                     tup.space.n, block), sigma.mode, reps.tol)
     return reps.T @ pair.scale(Fraction(1, sigma.den ** 2 * omega.den)) @ reps
 
 
@@ -171,23 +148,20 @@ def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
     """Witt class (signature) of the canonical form of the tuple."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
-    exact = tup.members[0].frame.mode == EXACT
-    if exact:
+    space = tup.space
+    if tup.members[0].frame.mode == EXACT:
         # positive scalings of columns and of Omega are congruences
-        omega = tup.space.omega.num
         cols = [_primitive_column(c) for m in tup.members for c in m.frame.T.num]
+        # P is strictly block-lower, so its lower triangle is that of P + P^T
+        sig = integer_signature(_pairing(cols, space.omega_support, space.n))
     else:
         import numpy as np
-        omega = tup.space.omega.to_numpy().tolist()
         cols = [q for m in tup.members
                 for q in np.linalg.qr(m.frame.to_numpy())[0].T.tolist()]
-    pair = _pairing(cols, omega, tup.space.n)
-    gram = [[a + b for a, b in zip(row, col)] for row, col in zip(pair, zip(*pair))]
-    if exact:
-        sig = integer_signature(gram)
-    else:
-        tol = max(m.frame.tol for m in tup.members)
-        sig = sym_signature(Matrix.approx(gram, tol))
+        support = _support(space.omega_as(APPROX).num)
+        pair = Matrix.approx(_pairing(cols, support, space.n),
+                             max(m.frame.tol for m in tup.members))
+        sig = sym_signature(pair + pair.T)
     return sig.pos - sig.neg
 
 

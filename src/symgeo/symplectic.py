@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
@@ -83,6 +84,35 @@ class SymplecticSpace:
     def omega_inverse(self) -> Matrix:
         """Omega^{-1}, computed once per space."""
         return inverse(self.omega)
+
+    @cached_property
+    def omega_support(self) -> tuple:
+        """``_support`` of the numerators of Omega, computed once per space."""
+        return _support(self.omega.num)
+
+
+def _support(rows: Sequence[Sequence]) -> tuple:
+    """Nonzero (column, entry) pairs per row; the standard Omega has 2n."""
+    return tuple(tuple((j, o) for j, o in enumerate(row) if o) for row in rows)
+
+
+def _pairing(cols: Sequence[Sequence], support: Sequence, n: int,
+             block: tuple[int, int] | None = None) -> list[list]:
+    """The block-lower P whose block (i, j), i > j, is F_i^T Omega F_j
+    (Cappell, Lee & Miller, CPAM 47 (1994)), for columns ``cols``, n per
+    member, and the ``_support`` of Omega; with ``block`` = (i, j) only that
+    block is filled.  For n = 1, P[x][y] = omega(c_x, c_y) for all y < x."""
+    size = len(cols)
+    # each image entry sums over its row's nonzero (j, omega_ij) only
+    images = [[sum(o * col[j] for j, o in row) for row in support]
+              for col in cols[:size - n]]
+    pair = [[0] * size for _ in range(size)]
+    for x in range(n, size):
+        i = x // n
+        for y in range(i * n):
+            if block is None or block == (i, y // n):
+                pair[x][y] = sum(map(mul, cols[x], images[y]))
+    return pair
 
 
 @dataclass(frozen=True)
@@ -147,7 +177,9 @@ class LagrangianFrame(Subspace):
         if self.frame.cols != self.space.n:
             raise ValueError("a Lagrangian frame needs exactly n columns")
         if self.frame.mode == EXACT:
-            if not (self.frame.T @ self.space.omega @ self.frame).is_zero():
+            # omega(c_x, c_y) for y < x; a skew Omega has omega(c, c) = 0
+            if any(map(any, _pairing(self.frame.T.num,
+                                     self.space.omega_support, 1))):
                 raise ValueError("frame is not isotropic")
         else:
             check_lagrangian_frames(self.space, self.frame.to_numpy()[None],

@@ -24,6 +24,12 @@ from symgeo.linalg import (Matrix, ModeMixError, kernel_basis, rank,
 from symgeo.symplectic import intersect_frames
 
 
+def _model_vector(sig, x=(), theta=None):
+    """(X, theta) through ``unflatten``; a missing part is zero."""
+    coeffs = theta.coeffs if theta is not None else [0] * symbol_layer_dim(sig)
+    return unflatten(sig, list(x or [0] * sig.n) + list(coeffs))
+
+
 def _rand_tensor(rng, n, m, degree):
     t = SymTensor.zero(n, m, degree)
     for alpha in multi_indices(n, degree):
@@ -379,7 +385,7 @@ def test_slot_and_vector_lengths_are_checked():
             CovectorSlot(sig, (F(1),) * count)
     for count in (2, 4):
         with pytest.raises(ValueError):
-            ModelVector.of(sig, [1, 0], SymTensor(2, 1, 2, (F(1),) * count))
+            ModelVector(sig, (F(1), F(0)), SymTensor(2, 1, 2, (F(1),) * count))
     theta = SymTensor.zero(2, 1, 2)
     for x in ((F(1),), (F(1), F(0), F(0))):
         with pytest.raises(ValueError):
@@ -387,8 +393,8 @@ def test_slot_and_vector_lengths_are_checked():
     # slot beta = (0, 1) meets X = e_0 at theta = x^(1, 1) with weight 1
     theta = SymTensor.unit(2, 1, (1, 1), 0)
     assert metasymplectic_eval(CovectorSlot(sig, (F(1), F(0))),
-                               ModelVector.of(sig, [1, 0]),
-                               ModelVector.vertical(sig, theta)) == 1
+                               _model_vector(sig, [1, 0]),
+                               _model_vector(sig, theta=theta)) == 1
 
 
 MIS_SIZED = "^coefficient count does not match the tensor shape$"
@@ -506,8 +512,8 @@ def test_max_isotropic_matches_fraction_reference_on_rational_xi():
                 if rank(xi) == p and (p == 0 or xi.den > 1):
                     break
             ann = kernel_basis(xi.T)
-            want = [ModelVector.of(sig, ann.col(j)) for j in range(ann.cols)]
-            want += [ModelVector.vertical(sig, th)
+            want = [_model_vector(sig, ann.col(j)) for j in range(ann.cols)]
+            want += [_model_vector(sig, theta=th)
                      for th in _ref_power_basis(sig, xi)]
             plane = max_isotropic(sig, xi)
             assert plane.vectors() == want

@@ -164,15 +164,59 @@ def _zero_diagonal_symmetric(rng, size):
     return Matrix.exact(rows)
 
 
+def _block_lower_symmetric(rng, size):
+    """P + P^T for a block-lower P with zero n x n diagonal blocks: the
+    shape of the pairing of size / n Lagrangians."""
+    n = rng.choice([d for d in (1, 2, 3) if size % d == 0 and size > d])
+    rows = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i - i % n):
+            rows[i][j] = rows[j][i] = _rand_rational(rng)
+    return Matrix.exact(rows)
+
+
+def _hyperbolic_only(rng, size):
+    """[[0, B], [B^T, 0]] with rows and columns shuffled: every Schur
+    complement keeps both zero blocks, so every pivot is hyperbolic."""
+    k = rng.randint(1, size - 1)
+    order = list(range(size))
+    rng.shuffle(order)
+    rows = [[F(0)] * size for _ in range(size)]
+    for i in order[:k]:
+        for j in order[k:]:
+            if rng.random() < 0.6:
+                rows[i][j] = rows[j][i] = _rand_rational(rng)
+    return Matrix.exact(rows)
+
+
+def _large_content(rng, size):
+    """A zero-diagonal integer form times a signed content above 2^64."""
+    g = _zero_diagonal_symmetric(rng, size)
+    k = rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 65)
+    return Matrix.exact([[k * x for x in r] for r in g.num])
+
+
+def _garbage_above(rng, rows):
+    return [[x if j <= i else rng.randint(-9, 9) for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+
+
 def test_fraction_free_signature_matches_fraction_elimination():
-    rng = Random(4)
-    for make in (_singular_symmetric, _zero_diagonal_symmetric):
+    """Entries above the diagonal may be anything: the integer signature
+    reads only the lower triangle, so a block-lower P stands for P + P^T."""
+    rng, junk = Random(4), Random(5)
+    for make in (_singular_symmetric, _zero_diagonal_symmetric,
+                 _block_lower_symmetric, _hyperbolic_only, _large_content):
         for _ in range(60):
             g = make(rng, rng.randint(2, 9))
             want = _fraction_signature(g)
             assert sym_signature(g) == want
+            assert integer_signature(_garbage_above(junk, g.num)) == want
             if make is _singular_symmetric:
                 assert want.zero >= 1
+            if make is _hyperbolic_only:
+                r = rank(g)
+                assert want == Signature(r // 2, g.rows - r, r // 2)
 
 
 def test_integer_signature_edge_cases():
@@ -182,3 +226,5 @@ def test_integer_signature_edge_cases():
     # a negative pivot flips the sign of every later step
     assert integer_signature([[-2, 1, 0], [1, 0, 0], [0, 0, 5]]) == Signature(2, 0, 1)
     assert integer_signature([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == Signature(0, 0, 3)
+    # the entries above the diagonal are never read
+    assert integer_signature([[4, 9, 9], [0, 1, 9], [0, 0, 4]]) == Signature(3, 0, 0)

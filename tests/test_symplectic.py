@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import Matrix, rank
+from symgeo.linalg import Matrix, _rand_full_rank, inverse, rank
 from symgeo.symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
                                classify_subspace, det_squared, eigen_angles,
                                graph_lagrangian, intersect_frames,
@@ -70,6 +70,25 @@ def test_exact_frame_accepts_big_lagrangians():
     frame = Matrix.exact([[1, 0], [0, 1], [s, F(1, _BIG)], [F(1, _BIG), -s]])
     lag = LagrangianFrame(sp, frame @ Matrix.diagonal([F(_BIG, 7), F(-5, _BIG)]))
     assert lag.dim == 2
+
+
+def test_exact_isotropy_refusal_on_a_rational_omega():
+    """Omega = (2/3) A^T J A is dense and rational, and A^-1 g carries
+    J-pairings to 2/3 of Omega-pairings for symplectic g.  The x axes with
+    the last column bent by e_{2n-2} pair only that column with the one
+    before it, the last pair the isotropy loop reaches."""
+    rng = Random(22)
+    for n in (2, 3, 4):
+        a = _rand_full_rank(rng, 2 * n, 2 * n)
+        custom = SymplecticSpace.from_omega(
+            (a.T @ standard_gram(n) @ a).scale(F(2, 3)))
+        to_custom = inverse(a) @ random_symplectic(
+            SymplecticSpace.standard(n), rng)
+        axes = [[int(r == c) for c in range(n)] for r in range(2 * n)]
+        LagrangianFrame(custom, to_custom @ Matrix.exact(axes))
+        axes[2 * n - 2][n - 1] = 1
+        with pytest.raises(ValueError, match="^frame is not isotropic$"):
+            LagrangianFrame(custom, to_custom @ Matrix.exact(axes))
 
 
 def test_classify_subspace():
