@@ -29,7 +29,7 @@ _EXPORTS = {  # defining submodule -> its public names
     "scan": "ChiSpec SampledImmersion check_lagrangian check_legendrian "
             "corank_profile immersion_from_csv immersion_from_json loop_maslov "
             "reeb_field",
-    "bordism": "BordismGroup g_singular_bordism split_check weak_bordism_group",
+    "bordism": "g_singular_bordism split_check weak_bordism_group",
     "selftest": "run_selftest",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -11,11 +11,16 @@ The singular-bordism computation is a plain homology lookup: the bordism
 group in a given degree is canonically isomorphic to the corresponding
 homology group of the parameter space, and the report spells out the
 reduction chain step by step.
+
+Both computations return plain dicts.  ``weak_bordism_group`` gives
+``rank``, ``group`` (``(Z2)^rank``, also for rank 0), ``n``, ``label``,
+``derivation`` and ``assumptions``; ``g_singular_bordism`` gives ``rank``,
+``group``, ``degree`` and ``derivation``.  The derivations and assumptions
+are lists of text lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .jsonio import ValidationError, is_int
@@ -24,25 +29,6 @@ from .jsonio import ValidationError, is_int
 BUILTIN_OMEGA_RANKS = MappingProxyType({0: 1, 1: 0, 2: 1, 3: 0})
 
 _LABELS = ("lagrangian", "legendrian")
-
-
-def _group_name(rank: int) -> str:
-    # (Z2)^0 is the trivial group; keeping the form uniform aids scripting
-    return f"(Z2)^{rank}"
-
-
-@dataclass(frozen=True)
-class BordismGroup:
-    """Elementary abelian 2-group recorded by its Z2-rank."""
-
-    z2_rank: int
-    presentation: str = ""
-
-    def __post_init__(self) -> None:
-        if self.z2_rank < 0:
-            raise ValidationError("group rank must be nonnegative")
-        if not self.presentation:
-            object.__setattr__(self, "presentation", _group_name(self.z2_rank))
 
 
 def _check_betti(betti) -> list:
@@ -74,27 +60,8 @@ def omega_table(extra_ranks=None) -> dict:
     return table
 
 
-@dataclass(frozen=True)
-class WeakBordismReport:
-    group: BordismGroup
-    n: int
-    label: str
-    derivation: tuple = ()
-    assumptions: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.group.z2_rank,
-            "group": self.group.presentation,
-            "n": self.n,
-            "label": self.label,
-            "derivation": list(self.derivation),
-            "assumptions": list(self.assumptions),
-        }
-
-
 def weak_bordism_group(betti, n: int, extra_ranks=None,
-                       label: str = "lagrangian") -> WeakBordismReport:
+                       label: str = "lagrangian") -> dict:
     """Rank of the closed weak bordism group in ambient dimension 2n.
 
     betti lists the mod-2 Betti numbers of the base W starting at degree 0;
@@ -121,33 +88,19 @@ def weak_bordism_group(betti, n: int, extra_ranks=None,
         lines.append(
             f"H_{r}(W; Z2) tensor Omega_{s}: {br} x {table.get(s, 0)} -> rank {term}")
     lines.append(f"total Z2-rank over r + s = {n - 1}: {rank}")
-    return WeakBordismReport(
-        group=BordismGroup(rank),
-        n=n,
-        label=label,
-        derivation=tuple(lines),
-        assumptions=("ambient dimension hypothesis (>= 2n+1 after "
-                     "stabilization) assumed, not checkable from Betti input",),
-    )
-
-
-@dataclass(frozen=True)
-class SingularBordismReport:
-    group: BordismGroup
-    degree: int
-    derivation: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.group.z2_rank,
-            "group": self.group.presentation,
-            "degree": self.degree,
-            "derivation": list(self.derivation),
-        }
+    return {
+        "rank": rank,
+        "group": f"(Z2)^{rank}",
+        "n": n,
+        "label": label,
+        "derivation": lines,
+        "assumptions": ["ambient dimension hypothesis (>= 2n+1 after "
+                        "stabilization) assumed, not checkable from Betti input"],
+    }
 
 
 def g_singular_bordism(homology_ranks, degree: int,
-                       coefficients: str = "Z2") -> SingularBordismReport:
+                       coefficients: str = "Z2") -> dict:
     """Singular bordism group over the singularity locus in one degree.
 
     homology_ranks lists rank H_d(W; G) for d = 0..len-1.  The computation
@@ -161,16 +114,16 @@ def g_singular_bordism(homology_ranks, degree: int,
         raise ValidationError(
             f"degree {degree} beyond supplied homology (0..{len(ranks) - 1})")
     rank = ranks[degree]
-    chain = (
+    chain = [
         "bordism group over the completed singularity locus "
         "== reduced bar homology of that locus",
         "the completed locus strong-deformation retracts onto the second "
         "jet space of W, which is fibrewise contractible over W",
         f"hence the group in degree {degree} is "
         f"H_{degree}(W; {coefficients}) of rank {rank}",
-    )
-    return SingularBordismReport(group=BordismGroup(rank), degree=degree,
-                                 derivation=chain)
+    ]
+    return {"rank": rank, "group": f"(Z2)^{rank}", "degree": degree,
+            "derivation": chain}
 
 
 def split_check(closed_rank: int, bor_rank: int, cyc_rank: int) -> bool:

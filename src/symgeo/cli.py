@@ -7,8 +7,10 @@ indentation) so identical argv + inputs + seed give byte-identical bytes;
 numbers round-trip between the two modes.
 
 Exit codes: 0 success, 2 invalid input or unwritable output, 3 a property
-check inside an audit subcommand failed, 64 usage error.  Each handler
-imports the modules it uses, so exact commands never load numpy.
+check inside an audit subcommand failed, 64 usage error.  Every handler
+ends by handing its payload and its check to ``_emit``, which writes the
+output and picks 0 or 3.  Each handler imports the modules it uses, so
+exact commands never load numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from .jsonio import (ValidationError, dumps, is_int, matrix_from_json,
-                     matrix_to_json, parse_angle, parse_angle_list, to_jsonable)
+                     parse_angle, parse_angle_list, to_jsonable)
 from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_full_rank,
                      sym_signature)
 
@@ -45,13 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, payload) -> None:
+def _emit(args, payload, ok: bool = True) -> int:
+    """Write ``payload`` as JSON or --table lines; the exit code is 0, or 3
+    when the handler's check ``ok`` failed."""
     table = getattr(args, "table", False)
     text = "\n".join(_table_lines(to_jsonable(payload))) if table else dumps(payload)
     try:
         print(text, flush=True)
     except OSError as exc:
         raise ValidationError(f"cannot write output: {exc}") from exc
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _table_lines(obj, prefix: str = "") -> list:
@@ -77,14 +82,6 @@ def _read_json(path: str) -> dict:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _matrix_mode(args) -> str | None:
-    if getattr(args, "exact", False):
-        return EXACT
-    if getattr(args, "approx", False):
-        return APPROX
-    return None
 
 
 def _space_std(text: str) -> SymplecticSpace:
@@ -123,12 +120,9 @@ def _frames_from_file(args, path: str):
     frames = obj["frames"]
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")
-    mode = _matrix_mode(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    out = []
-    for f in frames:
-        out.append(LagrangianFrame(space, matrix_from_json(f, mode=mode, tol=tol)))
-    return space, out
+    return space, [LagrangianFrame(space, matrix_from_json(f, args.mode, tol))
+                   for f in frames]
 
 
 def _angles_to_frames(args, text: str):
@@ -203,8 +197,7 @@ def _cmd_maslov_kashiwara(args) -> int:
         raise ValidationError("give one of --angles, --directions or --tuple")
     if len(frames) < 3:
         raise ValidationError("need at least three Lagrangians")
-    _emit(args, _quadratic_report(space, frames))
-    return EXIT_OK
+    return _emit(args, _quadratic_report(space, frames))
 
 
 def _cmd_maslov_arnold(args) -> int:
@@ -221,8 +214,7 @@ def _cmd_maslov_arnold(args) -> int:
         payload = {"index": arnold_index_triple(*frames), "mode": "approx"}
     else:
         raise ValidationError("give --angles or --directions")
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload)
 
 
 def _cmd_maslov_wall(args) -> int:
@@ -232,12 +224,11 @@ def _cmd_maslov_wall(args) -> int:
         raise ValidationError("the Wall invariant needs exactly three frames")
     report = _quadratic_report(space, frames)
     report["index"] = wall_invariant(*frames)
-    _emit(args, report)
-    return EXIT_OK
+    return _emit(args, report)
 
 
 def _cmd_maslov_leray(args) -> int:
-    from .maslov import LerayLift, leray_cyclic_sum, leray_m
+    from .maslov import LerayLift, leray_m
     lifts = []
     for token in args.lifts.split(","):
         val, frac = parse_angle(token)
@@ -247,8 +238,7 @@ def _cmd_maslov_leray(args) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     ms = [leray_m(lifts[i], lifts[(i + 1) % len(lifts)], tol)
           for i in range(len(lifts))]
-    _emit(args, {"m_values": ms, "cyclic_sum": leray_cyclic_sum(lifts, tol)})
-    return EXIT_OK
+    return _emit(args, {"m_values": ms, "cyclic_sum": sum(ms)})
 
 
 # -- mp1 ------------------------------------------------------------------------
@@ -275,25 +265,17 @@ def _mp1_element(ctx: Mp1Context, path: str) -> Mp1Element:
     return Mp1Element.of(ctx, obj["w"], matrix_from_json(obj["g"], mode=EXACT))
 
 
-def _mp1_payload(el: Mp1Element) -> dict:
-    return {"w": el.w, "g": matrix_to_json(el.g)}
-
-
 def _cmd_mp1_mul(args) -> int:
     from .metaplectic import mp1_mul
     ctx = _mp1_context(args)
-    a = _mp1_element(ctx, args.a)
-    b = _mp1_element(ctx, args.b)
-    _emit(args, _mp1_payload(mp1_mul(a, b)))
-    return EXIT_OK
+    c = mp1_mul(_mp1_element(ctx, args.a), _mp1_element(ctx, args.b))
+    return _emit(args, {"w": c.w, "g": c.g})
 
 
 def _cmd_mp1_inverse(args) -> int:
     from .metaplectic import mp1_inverse
-    ctx = _mp1_context(args)
-    a = _mp1_element(ctx, args.a)
-    _emit(args, _mp1_payload(mp1_inverse(a)))
-    return EXIT_OK
+    c = mp1_inverse(_mp1_element(_mp1_context(args), args.a))
+    return _emit(args, {"w": c.w, "g": c.g})
 
 
 # -- jet ------------------------------------------------------------------------
@@ -307,36 +289,31 @@ def _jet_sig(args) -> JetSignature:
 def _cmd_jet_dims(args) -> int:
     from .jets import jet_dim, lambda_dim, model_dim, symbol_layer_dim
     sig = _jet_sig(args)
-    _emit(args, {
+    return _emit(args, {
         "n": sig.n, "m": sig.m, "k": sig.k,
         "jet_dim": jet_dim(sig),
         "symbol_layer_dim": symbol_layer_dim(sig),
         "model_fiber_dim": model_dim(sig),
         "lambda_dim": lambda_dim(sig),
     })
-    return EXIT_OK
 
 
 def _cmd_jet_spencer_audit(args) -> int:
     from .jets import spencer_sequence_audit
     report = spencer_sequence_audit(_jet_sig(args))
-    _emit(args, report)
-    return EXIT_OK if report["exact"] else EXIT_CHECK_FAILED
+    return _emit(args, report, report["exact"])
 
 
 def _cmd_jet_lagrangian_pde(args) -> int:
     from .jets import lagrangian_pde_dims
     report = lagrangian_pde_dims(args.n, seed=args.seed)
-    _emit(args, report)
-    return EXIT_OK if report["verified"] else EXIT_CHECK_FAILED
+    return _emit(args, report, report["verified"])
 
 
 def _cmd_jet_legendrian_pde(args) -> int:
     from .jets import legendrian_pde_dims
     report = legendrian_pde_dims(args.n, seed=args.seed)
-    _emit(args, report)
-    ok = report["verified"] and report["cascade_sum_ok"]
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _emit(args, report, report["verified"] and report["cascade_sum_ok"])
 
 
 def _cmd_jet_max_isotropic(args) -> int:
@@ -356,10 +333,9 @@ def _cmd_jet_max_isotropic(args) -> int:
         "n": sig.n, "m": sig.m, "k": sig.k, "p": args.p,
         "dim": plane.dim,
         "expected_dim": expected,
-        "xi": matrix_to_json(xi),
+        "xi": xi,
     }
-    _emit(args, payload)
-    return EXIT_OK if plane.dim == expected else EXIT_CHECK_FAILED
+    return _emit(args, payload, plane.dim == expected)
 
 
 # -- scan -----------------------------------------------------------------------
@@ -390,8 +366,7 @@ def _scan_tol(args) -> float:
 
 def _scan_batch(args, runner) -> int:
     reports = [runner(_load_immersion(args, p)) for p in args.samples]
-    _emit(args, reports[0] if len(reports) == 1 else {"batch": reports})
-    return EXIT_OK
+    return _emit(args, reports[0] if len(reports) == 1 else {"batch": reports})
 
 
 def _cmd_scan_lagrangian(args) -> int:
@@ -457,26 +432,21 @@ def _cmd_bordism_weak(args) -> int:
             extra = {int(k): v for k, v in raw.items()}
         except ValueError as exc:
             raise ValidationError("omega table keys must be integers") from exc
-    report = weak_bordism_group(_int_list(args.betti), args.n,
-                                extra_ranks=extra, label=args.label)
-    _emit(args, report.to_dict())
-    return EXIT_OK
+    return _emit(args, weak_bordism_group(_int_list(args.betti), args.n,
+                                          extra_ranks=extra, label=args.label))
 
 
 def _cmd_bordism_gsingular(args) -> int:
     from .bordism import g_singular_bordism
-    report = g_singular_bordism(_int_list(args.homology), args.degree,
-                                coefficients=args.coefficients)
-    _emit(args, report.to_dict())
-    return EXIT_OK
+    return _emit(args, g_singular_bordism(_int_list(args.homology), args.degree,
+                                          coefficients=args.coefficients))
 
 
 def _cmd_bordism_split_check(args) -> int:
     from .bordism import split_check
     ok = split_check(args.closed, args.bor, args.cyc)
-    _emit(args, {"consistent": ok, "closed": args.closed, "bor": args.bor,
-                 "cyc": args.cyc})
-    return EXIT_OK
+    return _emit(args, {"consistent": ok, "closed": args.closed,
+                        "bor": args.bor, "cyc": args.cyc})
 
 
 # -- witt -----------------------------------------------------------------------
@@ -498,19 +468,14 @@ def _witt_form(args) -> Matrix:
 
 def _cmd_witt_class(args) -> int:
     from .witt import witt_of_form_complex, witt_of_form_real
-    form = _witt_form(args)
-    if args.field == "C":
-        _emit(args, {"field": "C", "witt": witt_of_form_complex(form)})
-    else:
-        _emit(args, {"field": "R", "witt": witt_of_form_real(form)})
-    return EXIT_OK
+    witt = witt_of_form_complex if args.field == "C" else witt_of_form_real
+    return _emit(args, {"field": args.field, "witt": witt(_witt_form(args))})
 
 
 def _cmd_witt_ideal(args) -> int:
     from .witt import ideal_power_member_real
     member = ideal_power_member_real(args.value, args.k)
-    _emit(args, {"value": args.value, "k": args.k, "member": member})
-    return EXIT_OK
+    return _emit(args, {"value": args.value, "k": args.k, "member": member})
 
 
 # -- selftest -------------------------------------------------------------------
@@ -519,8 +484,7 @@ def _cmd_witt_ideal(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
     report = run_selftest(seed=args.seed, quick=args.quick)
-    _emit(args, report)
-    return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
+    return _emit(args, report, report["all_passed"])
 
 
 # -- parser ---------------------------------------------------------------------
@@ -652,9 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--table", dest="table", action="store_true",
                      help="flat key/value output")
     mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
+    mode.add_argument("--exact", dest="mode", action="store_const", const=EXACT,
                       help="force exact rational matrix inputs")
-    mode.add_argument("--approx", action="store_true",
+    mode.add_argument("--approx", dest="mode", action="store_const", const=APPROX,
                       help="force float matrix inputs")
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance (default 1e-9 algebraic, 1e-6 scan)")

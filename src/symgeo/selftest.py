@@ -254,7 +254,7 @@ def _suite_witt_ring(rng: Random, total: int) -> dict:
 def _suite_bordism_table(rng: Random, reps: int) -> dict:
     want = {1: 1, 2: 0, 3: 1, 4: 0}
     for n, r in want.items():
-        got = weak_bordism_group([1], n).group.z2_rank
+        got = weak_bordism_group([1], n)["rank"]
         if got != r:
             return {"cases": 4, "passed": False,
                     "detail": f"contractible rank {got} != {r} at n={n}"}
@@ -262,9 +262,9 @@ def _suite_bordism_table(rng: Random, reps: int) -> dict:
         n = rng.randint(1, 4)
         b1 = [rng.randint(0, 3) for _ in range(n)]
         b2 = [rng.randint(0, 3) for _ in range(n)]
-        lhs = weak_bordism_group([a + b for a, b in zip(b1, b2)], n).group.z2_rank
-        rhs = (weak_bordism_group(b1, n).group.z2_rank
-               + weak_bordism_group(b2, n).group.z2_rank)
+        lhs = weak_bordism_group([a + b for a, b in zip(b1, b2)], n)["rank"]
+        rhs = (weak_bordism_group(b1, n)["rank"]
+               + weak_bordism_group(b2, n)["rank"])
         if lhs != rhs:
             return {"cases": 4 + reps, "passed": False,
                     "detail": "betti additivity failed"}

@@ -48,6 +48,21 @@ class SymplecticSpace:
     n: int
     omega: Matrix
 
+    def __post_init__(self):
+        omega = self.omega
+        if omega.mode != EXACT:
+            raise ValueError("custom Gram matrices must be exact rationals")
+        if omega.rows != omega.cols or omega.rows % 2:
+            raise ValueError("Gram matrix must be square of even size")
+        if omega.rows == 0:
+            raise ValueError("Gram matrix must be nonempty")
+        if omega.rows != 2 * self.n:
+            raise ValueError(f"Gram matrix must be 2n x 2n for n = {self.n}")
+        if not (omega + omega.T).is_zero():
+            raise ValueError("Gram matrix must be skew-symmetric")
+        if rank(omega) != omega.rows:
+            raise ValueError("Gram matrix is degenerate")
+
     @staticmethod
     def standard(n: int) -> "SymplecticSpace":
         if n < 1:
@@ -56,18 +71,7 @@ class SymplecticSpace:
 
     @staticmethod
     def from_omega(omega: Matrix) -> "SymplecticSpace":
-        if omega.mode != EXACT:
-            raise ValueError("custom Gram matrices must be exact rationals")
-        if omega.rows != omega.cols or omega.rows % 2:
-            raise ValueError("Gram matrix must be square of even size")
-        if omega.rows == 0:
-            raise ValueError("Gram matrix must be nonempty")
-        if not (omega + omega.T).is_zero():
-            raise ValueError("Gram matrix must be skew-symmetric")
-        n = omega.rows // 2
-        if rank(omega) != 2 * n:
-            raise ValueError("Gram matrix is degenerate")
-        return SymplecticSpace(n, omega)
+        return SymplecticSpace(omega.rows // 2, omega)
 
     def is_standard(self) -> bool:
         std = standard_gram(self.n)

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: every noun/verb pair, the two output
-modes, and the exit-code contract (0 ok, 2 invalid input, 64 usage)."""
+modes, and the exit-code contract (0 ok, 2 invalid input, 3 failed check,
+64 usage)."""
 
 import json
 import math
@@ -10,8 +11,11 @@ import sys
 import pytest
 
 import symgeo
+import symgeo.jets
+import symgeo.selftest
 from symgeo.cli import main
-from symgeo.jsonio import matrix_to_json
+from symgeo.jets import spencer_sequence_audit
+from symgeo.jsonio import dumps, matrix_to_json
 from symgeo.linalg import Matrix
 
 
@@ -531,6 +535,26 @@ def test_selftest_quick_deterministic(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["all_passed"] and report["seed"] == 3
+
+
+def _inexact_audit(sig):
+    return dict(spencer_sequence_audit(sig), exact=False)
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["jet", "spencer-audit", "--n", "2", "--m", "1", "--k", "2"], "exact", False),
+    (["selftest", "--quick"], "failures", ["spencer_exact"]),
+], ids=["spencer-audit", "selftest"])
+def test_failed_check_exits_3_and_prints_the_report_once(capsys, monkeypatch,
+                                                         argv, key, value):
+    monkeypatch.setattr(symgeo.jets, "spencer_sequence_audit", _inexact_audit)
+    monkeypatch.setattr(symgeo.selftest, "spencer_sequence_audit", _inexact_audit)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report[key] == value
+    assert captured.out == dumps(report) + "\n"
 
 
 def test_table_mode_round_trips(capsys):

@@ -1,7 +1,7 @@
 """Golden bytes: sha256 pins of the selftest reports, the stdout of every
-README command, every ``--help`` page and seeded dumps of the jets layer,
-the Lagrangian graph audit and the Kashiwara-type forms; and the values the
-README's library example states.
+README command and of each other CLI verb, every ``--help`` page and seeded
+dumps of the jets layer, the Lagrangian graph audit and the Kashiwara-type
+forms; and the values the README's library example states.
 
 A refactor keeps these hashes; a change that means to move them updates
 them in the same commit.  Help pages follow argparse's wording, so they are
@@ -111,6 +111,38 @@ JET_COMMANDS = {
         "f7035e0f9ed0e608866d89c5ebeb193c70e245add6ad2d31751ac5f344fa9bcb",
     "jet spencer-audit --n 4 --m 1 --k 3 --table":
         "a2e5c64734229904fe3807b2d1dcb8bba6a7935ae0c42c3490dcc6fd923be25a",
+}
+
+# commands no other table covers: Arnold triples, Wall and Kashiwara on
+# tuple files (``_write_tuple_samples``), the Legendrian PDE audit, the
+# bordism and Witt verbs, and one of them as --table
+MORE_COMMANDS = {
+    'maslov arnold --directions "1,0;1,1;0,1"':
+        "7db188238adaca0827adcaf658b1ed884452c27b1ed31aab914b565eaee9de64",
+    'maslov arnold --angles "0;1/3pi;2/3pi"':
+        "687dd09b4d02986dde058e9bf2e23ed63fe2381da6174b4db25de42ea4cf0b33",
+    "maslov wall --tuple triple.json":
+        "d020794c11e953b5024af66591e18a277e509daeccbdaf721ea6fc17d6a94945",
+    "maslov kashiwara --tuple quad.json":
+        "237355de21a0a6a7aa3279c92563e7c89fa8f8240afe684379cc263c11b4281e",
+    "maslov kashiwara --tuple quad.json --approx":
+        "237355de21a0a6a7aa3279c92563e7c89fa8f8240afe684379cc263c11b4281e",
+    "jet legendrian-pde --n 2 --seed 3":
+        "cc6bb45f1381f3c846ecf03c44cd4d4ee707ca103d113c8c99337ec36430b55a",
+    "bordism gsingular --homology 1,2,3 --degree 1":
+        "3cec2f20c8ae4cdd76e131280e5491e04c0e89acf3ef687475ede202b355a366",
+    "bordism split-check --closed 1 --bor 3 --cyc 2":
+        "4f89fe0768ee84ea09feb3b1d4fc1dc698cc711142fe8907dbe177f10e346180",
+    "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian "
+    "--omega-table omega.json":
+        "195a3e0df3b8828e0255982143bdae78717d2ddd056f706ea33959827be41f72",
+    "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian "
+    "--omega-table omega.json --table":
+        "cab2b99549308babd7817ba5990ad456fb4463c1c3a174aa7256e7b6703ae4e0",
+    "witt class --form form.json --field C":
+        "34f858261454e3d6bcb2188d634f67304d6e1cdb2dfe19f1ef3882b53a16eb7f",
+    "witt ideal --value 4 --k 2":
+        "cdce9f4984793b5c506f23949394c237d027f1b46c94623c29d44d0341865bd3",
 }
 
 JETS_DUMP = (
@@ -270,6 +302,30 @@ def _write_jet_samples(directory) -> None:
         "entries": ["1/2", "-2/3", "0", "3/4", "5/3", "-1"]}))
 
 
+def _write_tuple_samples(directory) -> None:
+    """``triple.json`` (Omega = 2J on R^4, three frames) and ``quad.json``
+    (std:2, four frames): the vertical and horizontal planes and graphs of
+    symmetric matrices; ``omega.json`` (bordism rank 2 in degree 4) and
+    ``form.json`` (a rational 3 x 3 symmetric form)."""
+    def graph(s11, s12, s22) -> dict:
+        return {"rows": 4, "cols": 2, "entries": [1, 0, 0, 1, s11, s12, s12, s22]}
+
+    vertical = {"rows": 4, "cols": 2, "entries": [0, 0, 0, 0, 1, 0, 0, 1]}
+    horizontal = graph(0, 0, 0)
+    twice_j = matrix_to_json(standard_gram(2).scale(2))
+    files = {
+        "triple.json": {"omega": twice_j, "frames": [
+            vertical, horizontal, graph("1", "1/2", "2")]},
+        "quad.json": {"n": 2, "frames": [
+            vertical, graph("1/3", 0, 1), horizontal, graph(-1, "2/5", "-3")]},
+        "omega.json": {"4": 2},
+        "form.json": {"rows": 3, "cols": 3,
+                      "entries": [2, "1/2", 0, "1/2", -1, 3, 0, 3, "5/7"]},
+    }
+    for name, obj in files.items():
+        (directory / name).write_text(json.dumps(obj))
+
+
 def _jets_dump() -> str:
     """Orthogonal frames, isotropic plane vectors and pairing values, one
     text line each, from seeded inputs over ``JETS_SIGNATURES``."""
@@ -405,6 +461,15 @@ def test_jet_command(command, tmp_path, monkeypatch):
     code, out = _stdout(shlex.split(command))
     assert code == 0
     assert _sha(out) == JET_COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(MORE_COMMANDS))
+def test_more_command(command, tmp_path, monkeypatch):
+    _write_tuple_samples(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = _stdout(shlex.split(command))
+    assert code == 0
+    assert _sha(out) == MORE_COMMANDS[command]
 
 
 def test_jets_dump():

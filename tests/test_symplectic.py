@@ -28,6 +28,18 @@ def test_from_omega_rejects_degenerate():
         SymplecticSpace.from_omega(bad)
 
 
+@pytest.mark.parametrize("n, omega, message", [
+    # not skew: the frame [[1], [0]] would otherwise pass as isotropic
+    (1, Matrix.exact([[1, 0], [0, 0]]), "Gram matrix must be skew-symmetric"),
+    (2, Matrix.exact([[0, 1], [-1, 0]]), "Gram matrix must be 2n x 2n for n = 2"),
+    (1, Matrix.approx([[0, 1], [-1, 0]]),
+     "custom Gram matrices must be exact rationals"),
+])
+def test_direct_construction_checks_the_gram(n, omega, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SymplecticSpace(n, omega)
+
+
 def test_lagrangian_frame_validation():
     sp = SymplecticSpace.standard(2)
     with pytest.raises(ValueError):
