@@ -100,7 +100,7 @@ def _space_std(text: str) -> SymplecticSpace:
 def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
     from .symplectic import SymplecticSpace
     if "omega" in obj and obj["omega"] is not None:
-        return SymplecticSpace.from_omega(matrix_from_json(obj["omega"], mode=EXACT))
+        return SymplecticSpace(matrix_from_json(obj["omega"], mode=EXACT))
     if "n" in obj:
         n = obj["n"]
         if not is_int(n) or n < 1:
@@ -121,8 +121,8 @@ def _frames_from_file(args, path: str):
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    return space, [LagrangianFrame(space, matrix_from_json(f, args.mode, tol))
-                   for f in frames]
+    return [LagrangianFrame(space, matrix_from_json(f, args.mode, tol))
+            for f in frames]
 
 
 def _angles_to_frames(args, text: str):
@@ -135,9 +135,8 @@ def _angles_to_frames(args, text: str):
     if space.n != n:
         raise ValidationError(f"angle groups have {n} entries but space is std:{space.n}")
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    frames = [lagrangian_from_angles(space, [a[0] for a in g], tol=tol)
-              for g in groups]
-    return space, frames, groups
+    return [lagrangian_from_angles(space, [a[0] for a in g], tol=tol)
+            for g in groups]
 
 
 def _parse_direction_list(text: str) -> list:
@@ -167,9 +166,9 @@ def _int_list(text: str) -> list:
 # -- maslov ---------------------------------------------------------------------
 
 
-def _quadratic_report(space, frames) -> dict:
+def _quadratic_report(frames) -> dict:
     from .maslov import LagrangianTuple, kashiwara_space
-    tup = LagrangianTuple(space, tuple(frames))
+    tup = LagrangianTuple(tuple(frames))
     g = kashiwara_space(tup)
     sig = sym_signature(g)
     return {
@@ -177,7 +176,7 @@ def _quadratic_report(space, frames) -> dict:
         "t_dim": g.rows,
         "signature": list(sig.as_tuple()),
         "r": len(frames),
-        "n": space.n,
+        "n": tup.space.n,
     }
 
 
@@ -187,17 +186,16 @@ def _cmd_maslov_kashiwara(args) -> int:
         ds = _parse_direction_list(args.directions)
         if len(ds) < 3:
             raise ValidationError("need at least three directions")
-        space = SymplecticSpace.standard(1)
-        frames = [line_lagrangian(space, d) for d in ds]
+        frames = [line_lagrangian(SymplecticSpace.standard(1), d) for d in ds]
     elif args.angles:
-        space, frames, _ = _angles_to_frames(args, args.angles)
+        frames = _angles_to_frames(args, args.angles)
     elif args.tuple:
-        space, frames = _frames_from_file(args, args.tuple)
+        frames = _frames_from_file(args, args.tuple)
     else:
         raise ValidationError("give one of --angles, --directions or --tuple")
     if len(frames) < 3:
         raise ValidationError("need at least three Lagrangians")
-    return _emit(args, _quadratic_report(space, frames))
+    return _emit(args, _quadratic_report(frames))
 
 
 def _cmd_maslov_arnold(args) -> int:
@@ -208,7 +206,7 @@ def _cmd_maslov_arnold(args) -> int:
             raise ValidationError("the triple index needs exactly three directions")
         payload = {"index": arnold_triple_lines(*ds), "mode": "exact"}
     elif args.angles:
-        space, frames, _ = _angles_to_frames(args, args.angles)
+        frames = _angles_to_frames(args, args.angles)
         if len(frames) != 3:
             raise ValidationError("the triple index needs exactly three angles")
         payload = {"index": arnold_index_triple(*frames), "mode": "approx"}
@@ -219,10 +217,10 @@ def _cmd_maslov_arnold(args) -> int:
 
 def _cmd_maslov_wall(args) -> int:
     from .maslov import wall_invariant
-    space, frames = _frames_from_file(args, args.tuple)
+    frames = _frames_from_file(args, args.tuple)
     if len(frames) != 3:
         raise ValidationError("the Wall invariant needs exactly three frames")
-    report = _quadratic_report(space, frames)
+    report = _quadratic_report(frames)
     report["index"] = wall_invariant(*frames)
     return _emit(args, report)
 

@@ -17,7 +17,7 @@ Thresholds in approx mode are ``tol * max(largest entry magnitude, 1)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -72,14 +72,16 @@ def _rescale(num: tuple, k) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class Matrix:
-    """Immutable dense matrix: the row tuples ``num`` over ``den``."""
+    """Immutable dense matrix: the row tuples ``num`` over ``den``.
+    ``==`` and ``hash`` compare values and mode; ``tol`` is the threshold
+    of approx decisions, not part of the value."""
 
     rows: int
     cols: int
     num: tuple
     den: int
     mode: str = EXACT
-    tol: float = DEFAULT_TOL
+    tol: float = field(default=DEFAULT_TOL, compare=False)
 
     # -- construction -----------------------------------------------------
 

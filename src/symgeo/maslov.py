@@ -48,22 +48,25 @@ from .witt import witt_of_form_real
 
 @dataclass(frozen=True)
 class LagrangianTuple:
-    space: SymplecticSpace
+    """Lagrangians of one space in one scalar mode; ``of`` checks both."""
+
     members: tuple[LagrangianFrame, ...]
 
     @staticmethod
     def of(*lags: LagrangianFrame) -> "LagrangianTuple":
         if len(lags) < 2:
             raise ValueError("a Lagrangian tuple needs at least two members")
-        space = lags[0].space
-        mode = lags[0].frame.mode
+        first = lags[0]
         for lag in lags[1:]:
-            omega = lag.space.omega
-            if (omega.num, omega.den) != (space.omega.num, space.omega.den):
+            if lag.space != first.space:
                 raise ValueError("tuple members live in different spaces")
-            if lag.frame.mode != mode:
+            if lag.frame.mode != first.frame.mode:
                 raise ValueError("tuple members mix scalar modes")
-        return LagrangianTuple(space, tuple(lags))
+        return LagrangianTuple(lags)
+
+    @property
+    def space(self) -> SymplecticSpace:
+        return self.members[0].space
 
     def __len__(self) -> int:
         return len(self.members)

@@ -1,9 +1,13 @@
 """Symplectic vector spaces, their subspaces, and the Lagrangian Grassmannian.
 
-The standard space on R^{2n} uses coordinates (x_1..x_n, y_1..y_n) with
+A space is its Gram matrix Omega: ``SymplecticSpace(omega)`` checks that
+Omega is exact, skew and nondegenerate, and two spaces are equal iff their
+Omegas are (``Matrix`` equality compares values, not ``tol``).  The
+standard space on R^{2n} uses coordinates (x_1..x_n, y_1..y_n) with
 Gram matrix [[0, I], [-I, 0]], i.e. omega(x_i-axis, y_j-axis) = delta_ij;
-for n = 1 this is omega(u, v) = u_x v_y - u_y v_x.  Custom rational skew
-nondegenerate Grams are used as given; angle, graph and unitary
+for n = 1 this is omega(u, v) = u_x v_y - u_y v_x.  ``standard(n)`` is one
+shared instance per n, so its checks and caches are built once.  Custom
+rational Grams are used as given; angle, graph and unitary
 parametrizations and random Lagrangians need the standard Gram.
 
 Angle-parametrized Lagrangians follow L(theta) = span{(cos theta, sin theta)}
@@ -27,7 +31,7 @@ from random import Random
 from typing import TYPE_CHECKING, Sequence
 
 from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
-                     inverse, kernel_basis, rank, span_contains, spans_equal)
+                     inverse, kernel_basis, rank, spans_equal)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +49,6 @@ def standard_gram(n: int) -> Matrix:
 class SymplecticSpace:
     """R^{2n} with a fixed rational skew nondegenerate Gram matrix."""
 
-    n: int
     omega: Matrix
 
     def __post_init__(self):
@@ -56,33 +59,33 @@ class SymplecticSpace:
             raise ValueError("Gram matrix must be square of even size")
         if omega.rows == 0:
             raise ValueError("Gram matrix must be nonempty")
-        if omega.rows != 2 * self.n:
-            raise ValueError(f"Gram matrix must be 2n x 2n for n = {self.n}")
         if not (omega + omega.T).is_zero():
             raise ValueError("Gram matrix must be skew-symmetric")
         if rank(omega) != omega.rows:
             raise ValueError("Gram matrix is degenerate")
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def standard(n: int) -> "SymplecticSpace":
+        """The space of ``standard_gram(n)``, one shared instance per n."""
         if n < 1:
             raise ValueError("n must be positive")
-        return SymplecticSpace(n, standard_gram(n))
-
-    @staticmethod
-    def from_omega(omega: Matrix) -> "SymplecticSpace":
-        return SymplecticSpace(omega.rows // 2, omega)
+        return SymplecticSpace(standard_gram(n))
 
     def is_standard(self) -> bool:
-        std = standard_gram(self.n)
-        return (self.omega.num, self.omega.den) == (std.num, std.den)
+        return self == SymplecticSpace.standard(self.n)
+
+    @property
+    def n(self) -> int:
+        return self.omega.rows // 2
 
     @property
     def dim(self) -> int:
-        return 2 * self.n
+        return self.omega.rows
 
     def omega_as(self, mode: str) -> Matrix:
-        return self.omega if mode == EXACT else self.omega.to_approx()
+        # at the default tol: equal spaces make equal approx decisions
+        return self.omega if mode == EXACT else self.omega.to_approx(DEFAULT_TOL)
 
     @cached_property
     def omega_inverse(self) -> Matrix:
@@ -143,20 +146,18 @@ def symplectic_complement(sub: Subspace) -> Subspace:
 
 
 def classify_subspace(sub: Subspace) -> str:
-    """One of isotropic / coisotropic / lagrangian / symplectic / generic."""
-    perp = symplectic_complement(sub)
-    inside = span_contains(perp.frame, sub.frame)
-    contains = span_contains(sub.frame, perp.frame)
-    if inside and contains:
-        return "lagrangian"
-    if inside:
-        return "isotropic"
-    if contains:
+    """One of isotropic / coisotropic / lagrangian / symplectic / generic.
+
+    With k = dim E and r = rank(F^T Omega F), E meet E^perp has dimension
+    k - r and E^perp dimension 2n - k, so E is isotropic iff r = 0,
+    coisotropic iff r = 2(k - n) and symplectic iff r = k."""
+    f, k, n = sub.frame, sub.dim, sub.space.n
+    r = rank(f.T @ sub.space.omega_as(f.mode) @ f)
+    if r == 0:
+        return "lagrangian" if k == n else "isotropic"
+    if r == 2 * (k - n):
         return "coisotropic"
-    meet = intersect_frames(sub.frame, perp.frame)
-    if meet.cols == 0:
-        return "symplectic"
-    return "generic"
+    return "symplectic" if r == k else "generic"
 
 
 def intersect_frames(f: Matrix, g: Matrix) -> Matrix:

@@ -650,6 +650,96 @@ def test_float_commands_load_numpy(tmp_path, argv):
     assert _cli_loads_numpy(tmp_path, argv)
 
 
+# -- invalid input ------------------------------------------------------------------
+
+
+_F2 = {"rows": 2, "cols": 1, "entries": [1, 1]}
+_G4 = matrix_to_json(Matrix.identity(4))
+_CTX = {"n": 1, "base": {"rows": 2, "cols": 1, "entries": [0, 1]}}
+
+# (argv, files, message): every "{name}" in argv and message is the path of
+# files[name] under tmp_path, name.csv for text, name.json otherwise; a
+# None content names a file that is not written
+_REFUSALS = [
+    (["maslov", "kashiwara", "--angles", "0;1;2", "--space", "foo"], {},
+     "space must look like std:n, got 'foo'"),
+    (["scan", "lagrangian", "--space", "std:x", "--samples", "s.json"], {},
+     "space must look like std:n, got 'std:x'"),
+    (["maslov", "arnold", "--angles", "0;1;2", "--space", "std:0"], {},
+     "space size must be positive"),
+    (["maslov", "kashiwara", "--tuple", "{t}"], {"t": {"frames": [_FRAME] * 3}},
+     "no symplectic space given (need 'n', 'omega' or --space)"),
+    (["maslov", "wall", "--tuple", "{t}"], {"t": {"n": 1}},
+     "{t} must be an object with a 'frames' list"),
+    (["maslov", "kashiwara", "--tuple", "{t}"], {"t": {"n": 1, "frames": []}},
+     "'frames' must be a nonempty list of matrices"),
+    (["maslov", "kashiwara", "--angles", "0,1;0;0,1"], {},
+     "every angle group must have the same length"),
+    (["maslov", "kashiwara", "--angles", "0;1;2", "--space", "std:2"], {},
+     "angle groups have 1 entries but space is std:2"),
+    (["maslov", "kashiwara", "--directions", "1,0,1;1,1;0,1"], {},
+     "each direction needs exactly two components"),
+    (["maslov", "arnold", "--directions", "1,x;1,1;0,1"], {},
+     "bad direction '1,x'"),
+    (["maslov", "kashiwara", "--directions", "0,0;1,1;0,1"], {},
+     "direction must be nonzero"),
+    (["maslov", "arnold", "--directions", "1,0"], {},
+     "need at least two directions"),
+    (["maslov", "kashiwara", "--directions", "1,0;0,1"], {},
+     "need at least three directions"),
+    (["maslov", "kashiwara", "--angles", "0;1"], {},
+     "need at least three Lagrangians"),
+    (["maslov", "arnold", "--angles", "0;1"], {},
+     "the triple index needs exactly three angles"),
+    (["maslov", "arnold"], {}, "give --angles or --directions"),
+    (["maslov", "wall", "--tuple", "{t}"], {"t": {"n": 1, "frames": [_FRAME, _F2]}},
+     "the Wall invariant needs exactly three frames"),
+    (["maslov", "leray", "--lifts", "1"], {}, "need at least two lifts"),
+    (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
+     {"c": {"n": 1}, "a": {"w": 0, "g": _G4}},
+     "context JSON needs a 'base' Lagrangian frame"),
+    (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
+     {"c": _CTX, "a": {"w": 0}}, "{a} must be an object with 'w' and 'g'"),
+    # a 4 x 4 g over a space of dimension 2
+    (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
+     {"c": _CTX, "a": {"w": 0, "g": _G4}},
+     "matrix is not symplectic for this space"),
+    (["jet", "max-isotropic", "--n", "2", "--m", "1", "--k", "2", "--p", "3"],
+     {}, "p must satisfy 0 <= p <= n"),
+    (["jet", "max-isotropic", "--n", "2", "--m", "1", "--k", "2", "--p", "1",
+      "--xi", "{x}"], {"x": {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}},
+     "xi must be 2 x 1"),
+    (["scan", "corank", "--samples", "{s}"], {"s": None},
+     "cannot read {s}: [Errno 2] No such file or directory: '{s}'"),
+    (["scan", "corank", "--samples", "{s}", "--grid", "1,2,3"],
+     {"s": "0,0\n"}, "--grid must be 'rows,cols'"),
+    (["bordism", "weak", "--betti", "1,x", "--n", "2"], {},
+     "expected comma-separated integers, got '1,x'"),
+    (["bordism", "weak", "--betti", "1", "--n", "2", "--omega-table", "{o}"],
+     {"o": [1]}, "--omega-table file must hold an object"),
+    (["bordism", "weak", "--betti", "1", "--n", "2", "--omega-table", "{o}"],
+     {"o": {"x": 1}}, "omega table keys must be integers"),
+    (["witt", "class", "--diag", "1,x"], {}, "bad diagonal entry 'x'"),
+    (["witt", "class"], {}, "give --diag or --form"),
+]
+
+
+@pytest.mark.parametrize("argv, files, message", _REFUSALS,
+                         ids=[m for _, _, m in _REFUSALS])
+def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv,
+                                                   files, message):
+    paths = {}
+    for name, content in files.items():
+        suffix = ".csv" if isinstance(content, str) else ".json"
+        paths[name] = str(tmp_path / (name + suffix))
+        if content is not None:
+            _write(tmp_path, name + suffix, content)
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message.format(**paths)}\n"
+
+
 # -- usage errors -------------------------------------------------------------------
 
 

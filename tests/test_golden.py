@@ -280,8 +280,7 @@ def _write_mp1_samples(directory) -> None:
     rng = Random("golden:mp1")
     std = SymplecticSpace.standard(2)
     a = _rand_full_rank(rng, 4, 4)
-    custom = SymplecticSpace.from_omega(
-        (a.T @ standard_gram(2) @ a).scale(F(2, 3)))
+    custom = SymplecticSpace((a.T @ standard_gram(2) @ a).scale(F(2, 3)))
     base = inverse(a) @ random_lagrangian(std, rng).frame
     vertical = Matrix.zeros(2, 2).vstack(Matrix.identity(2))
     files = {"std.json": {"n": 2, "base": matrix_to_json(vertical)},

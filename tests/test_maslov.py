@@ -90,16 +90,30 @@ def test_tuple_reduce_matches_index():
     sp = SymplecticSpace.standard(2)
     for _ in range(15):
         ls = tuple(random_lagrangian(sp, rng) for _ in range(rng.randint(3, 6)))
-        tup = LagrangianTuple(sp, ls)
+        tup = LagrangianTuple(ls)
         assert tuple_reduce(tup) == kashiwara_index(tup)
+
+
+def test_tuple_of_refuses_mixed_spaces_and_modes():
+    sp = SymplecticSpace.standard(2)
+    rng = Random("tuple-of")
+    a, b = random_lagrangian(sp, rng), random_lagrangian(sp, rng)
+    double = SymplecticSpace(standard_gram(2).scale(2))
+    with pytest.raises(ValueError,
+                       match="^tuple members live in different spaces$"):
+        LagrangianTuple.of(a, b, LagrangianFrame(double, a.frame))
+    with pytest.raises(ValueError, match="^tuple members mix scalar modes$"):
+        LagrangianTuple.of(a, LagrangianFrame(sp, b.frame.to_approx()))
+    tup = LagrangianTuple.of(a, b)
+    assert tup.space is sp and len(tup) == 2
 
 
 def test_kashiwara_space_signature_decomposes_index():
     rng = Random(4)
     sp = SymplecticSpace.standard(2)
     for _ in range(10):
-        tup = LagrangianTuple(sp, tuple(random_lagrangian(sp, rng)
-                                        for _ in range(4)))
+        tup = LagrangianTuple(tuple(random_lagrangian(sp, rng)
+                                    for _ in range(4)))
         gram = kashiwara_space(tup)
         sig = sym_signature(gram)
         assert sig.dim == gram.rows
@@ -176,7 +190,7 @@ def test_direct_sum_index_on_a_rational_omega():
     for n in (1, 2, 3):
         a = _rand_full_rank(rng, 2 * n, 2 * n)
         omega = (a.T @ standard_gram(n) @ a).scale(F(2, 3))
-        custom = SymplecticSpace.from_omega(omega)
+        custom = SymplecticSpace(omega)
         # A^-1 maps standard Lagrangians to Omega-Lagrangians and pulls Omega
         # back to 2/3 J, a positive multiple, so the index is unchanged
         to_custom = inverse(a)
@@ -275,8 +289,7 @@ def test_quotient_forms_match_the_closure_references_on_a_rational_omega():
     rng = Random("closure-references:omega")
     for n in (1, 2):
         a = _rand_full_rank(rng, 2 * n, 2 * n)
-        custom = SymplecticSpace.from_omega(
-            (a.T @ standard_gram(n) @ a).scale(F(3, 5)))
+        custom = SymplecticSpace((a.T @ standard_gram(n) @ a).scale(F(3, 5)))
         to_custom = inverse(a)
         std = SymplecticSpace.standard(n)
         for _ in range(4):

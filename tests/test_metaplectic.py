@@ -26,7 +26,7 @@ def _custom_space(n: int, rng: Random) -> tuple:
     """(Omega = 2/3 A^T J A, A^-1): A^-1 maps standard Lagrangians to
     Omega-Lagrangians."""
     a = _rand_full_rank(rng, 2 * n, 2 * n)
-    space = SymplecticSpace.from_omega((a.T @ standard_gram(n) @ a).scale(F(2, 3)))
+    space = SymplecticSpace((a.T @ standard_gram(n) @ a).scale(F(2, 3)))
     return space, inverse(a)
 
 
@@ -130,7 +130,7 @@ def test_base_from_another_space_is_refused():
             Mp1Context(SymplecticSpace.standard(n),
                        LagrangianFrame(custom, to_custom @ _vertical(n)))
     # an equal Omega built apart is the same space
-    twin = SymplecticSpace.standard(2)
+    twin = SymplecticSpace(standard_gram(2))
     ctx = Mp1Context(SymplecticSpace.standard(2), LagrangianFrame(twin, _vertical(2)))
     assert ctx.base.space is not ctx.space
 
@@ -181,6 +181,23 @@ def test_element_rejects_big_non_symplectic(diag):
     a, b = F(diag[0]), F(diag[1])
     ok = Mp1Element.of(ctx, 1, Matrix.diagonal([a, b, 1 / a, 1 / b]))
     assert ok.g.den > 2 ** 79
+
+
+def test_mul_accepts_contexts_equal_up_to_tol():
+    """A context over the standard Omega and base built with another tol
+    is the standard context: products agree with the one-context ones."""
+    std = Mp1Context.standard(1)
+    omega = Matrix.from_rows([[0, 1], [-1, 0]], "exact", tol=1e-6)
+    twin_space = SymplecticSpace(omega)
+    twin = Mp1Context(twin_space, LagrangianFrame(
+        twin_space, Matrix.from_rows([[0], [1]], "exact", tol=1e-6)))
+    assert twin == std
+    rng = Random("mp1:tol-twin")
+    for _ in range(5):
+        a, b = random_mp1(std, rng), random_mp1(std, rng)
+        b_twin = Mp1Element.of(twin, b.w, b.g)
+        assert mp1_mul(a, b_twin) == mp1_mul(a, b)
+        assert mp1_mul(b_twin, a) == mp1_mul(b, a)
 
 
 def test_element_refuses_approx_before_checking():

@@ -1,12 +1,13 @@
 """Symplectic spaces, Lagrangian frames, and the unitary representation."""
 
 import math
+import re
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
-from symgeo.linalg import Matrix, _rand_full_rank, inverse, rank
+from symgeo.linalg import Matrix, _rand_full_rank, inverse, rank, span_contains
 from symgeo.symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
                                classify_subspace, det_squared, eigen_angles,
                                graph_lagrangian, intersect_frames,
@@ -22,22 +23,42 @@ def test_standard_gram_shape():
     assert rank(g) == 4
 
 
-def test_from_omega_rejects_degenerate():
-    bad = Matrix.exact([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    with pytest.raises(ValueError):
-        SymplecticSpace.from_omega(bad)
-
-
-@pytest.mark.parametrize("n, omega, message", [
+@pytest.mark.parametrize("omega, message", [
     # not skew: the frame [[1], [0]] would otherwise pass as isotropic
-    (1, Matrix.exact([[1, 0], [0, 0]]), "Gram matrix must be skew-symmetric"),
-    (2, Matrix.exact([[0, 1], [-1, 0]]), "Gram matrix must be 2n x 2n for n = 2"),
-    (1, Matrix.approx([[0, 1], [-1, 0]]),
+    (Matrix.exact([[1, 0], [0, 0]]), "Gram matrix must be skew-symmetric"),
+    (Matrix.exact([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+     "Gram matrix is degenerate"),
+    (Matrix.approx([[0, 1], [-1, 0]]),
      "custom Gram matrices must be exact rationals"),
 ])
-def test_direct_construction_checks_the_gram(n, omega, message):
+def test_direct_construction_checks_the_gram(omega, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SymplecticSpace(n, omega)
+        SymplecticSpace(omega)
+
+
+def test_a_space_is_its_omega():
+    """A space built from the standard Gram with another tol is the
+    standard space; ``standard(n)`` is one shared instance per n."""
+    omega = Matrix.from_rows([[0, 1], [-1, 0]], "exact", tol=1e-6)
+    space = SymplecticSpace(omega)
+    assert space.is_standard()
+    assert space == SymplecticSpace.standard(1)
+    assert hash(space) == hash(SymplecticSpace.standard(1))
+    assert (space.n, space.dim) == (1, 2)
+    for n in (1, 2, 3):
+        assert SymplecticSpace.standard(n) is SymplecticSpace.standard(n)
+    assert SymplecticSpace(standard_gram(2)) == SymplecticSpace.standard(2)
+    assert space != SymplecticSpace(omega.scale(2))
+
+
+def test_equal_spaces_make_equal_approx_decisions():
+    """Omega's own tol does not reach approx thresholds: a 2-plane in R^2
+    is the whole space over either of two equal spaces."""
+    loose = SymplecticSpace(Matrix.from_rows([[0, 1], [-1, 0]], "exact",
+                                             tol=1e-3))
+    frame = Matrix.approx([[1.0, 0.0], [0.0, 1e-4]])
+    for space in (loose, SymplecticSpace.standard(1)):
+        assert classify_subspace(Subspace(space, frame)) == "coisotropic"
 
 
 def test_lagrangian_frame_validation():
@@ -92,8 +113,7 @@ def test_exact_isotropy_refusal_on_a_rational_omega():
     rng = Random(22)
     for n in (2, 3, 4):
         a = _rand_full_rank(rng, 2 * n, 2 * n)
-        custom = SymplecticSpace.from_omega(
-            (a.T @ standard_gram(n) @ a).scale(F(2, 3)))
+        custom = SymplecticSpace((a.T @ standard_gram(n) @ a).scale(F(2, 3)))
         to_custom = inverse(a) @ random_symplectic(
             SymplecticSpace.standard(n), rng)
         axes = [[int(r == c) for c in range(n)] for r in range(2 * n)]
@@ -113,6 +133,49 @@ def test_classify_subspace():
     assert classify_subspace(Subspace(sp, line)) == "isotropic"
     assert classify_subspace(Subspace(sp, sympl)) == "symplectic"
     assert classify_subspace(Subspace(sp, coiso)) == "coisotropic"
+
+
+def _classify_by_complement(sub: Subspace) -> str:
+    """The classification read off E^perp: containments, then the meet."""
+    perp = symplectic_complement(sub)
+    inside = span_contains(perp.frame, sub.frame)
+    contains = span_contains(sub.frame, perp.frame)
+    if inside and contains:
+        return "lagrangian"
+    if inside:
+        return "isotropic"
+    if contains:
+        return "coisotropic"
+    meet = intersect_frames(sub.frame, perp.frame)
+    return "symplectic" if meet.cols == 0 else "generic"
+
+
+def test_classify_subspace_by_rank_matches_the_complement_route():
+    """p axes e_i and q symplectic pairs (e_j, f_j), moved by a random
+    symplectic g and a random change of frame basis: every (p, q) with
+    p + q <= n at n = 1..3, which reaches all five classes, k = 0 and
+    k = 2n; random frames of every size k add the typical cases."""
+    rng = Random("classify-by-rank")
+    seen = set()
+    for n in (1, 2, 3):
+        sp = SymplecticSpace.standard(n)
+        frames = []
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
+                cols = list(range(p + q)) + [n + j for j in range(p, p + q)]
+                frames.append(Matrix.exact(
+                    [[int(r == c) for c in cols] for r in range(2 * n)]))
+        frames += [_rand_full_rank(rng, 2 * n, k) for k in range(1, 2 * n + 1)]
+        for frame in frames:
+            g = random_symplectic(sp, rng)
+            if frame.cols:
+                frame = frame @ _rand_full_rank(rng, frame.cols, frame.cols)
+            sub = Subspace(sp, g @ frame)
+            got = classify_subspace(sub)
+            assert got == _classify_by_complement(sub)
+            seen.add(got)
+    assert seen == {"isotropic", "lagrangian", "coisotropic", "symplectic",
+                    "generic"}
 
 
 def test_symplectic_complement_involution():
@@ -195,6 +258,33 @@ def test_loop_degree_generator_and_double():
     assert loop_degree(path1) == 1
     assert loop_degree(path2) == 2
     assert loop_degree(list(reversed(path1))) == -1
+
+
+def test_loop_degree_refusals():
+    sp = SymplecticSpace.standard(1)
+    std = [lagrangian_from_angles(sp, [math.pi * i / 8]) for i in range(8)]
+    std.append(std[0])
+    other = LagrangianFrame(SymplecticSpace(standard_gram(1).scale(2)),
+                            std[3].frame)
+    for path, message in (
+            ([std[0], std[-1]], "a loop needs at least three samples"),
+            (std[:-1], "path is not closed (first and last spans differ)"),
+            ([std[0], other, std[-1]], "loop members must share one space")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loop_degree(path)
+
+
+def test_loop_degree_over_a_space_equal_up_to_tol():
+    """Members over the standard Omega built with another tol share the
+    standard space."""
+    sp = SymplecticSpace.standard(1)
+    twin = SymplecticSpace(Matrix.from_rows([[0, 1], [-1, 0]], "exact",
+                                            tol=1e-6))
+    path = [LagrangianFrame(twin if i % 2 else sp,
+                            lagrangian_from_angles(sp, [math.pi * i / 16]).frame)
+            for i in range(16)]
+    path.append(path[0])
+    assert loop_degree(path) == 1
 
 
 def test_loop_degree_constant_is_zero():
