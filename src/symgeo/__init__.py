@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # defining submodule -> its public names
     "linalg": "APPROX EXACT Matrix ModeMixError Signature inverse kernel_basis rank "
-              "rref span_contains spans_equal sym_signature",
+              "rref spans_equal sym_signature",
     "witt": "ideal_power_member_real witt_of_form_complex witt_of_form_real",
     "symplectic": "LagrangianFrame Subspace SymplecticSpace classify_subspace "
                   "det_squared eigen_angles graph_lagrangian intersect_frames "
                   "lagrangian_from_angles line_lagrangian loop_degree "
-                  "random_lagrangian random_symplectic standard_gram "
-                  "symplectic_complement",
+                  "random_lagrangian random_symplectic standard_gram",
     "maslov": "LagrangianTuple LerayLift arnold_index_triple arnold_triple_lines "
               "kashiwara_index kashiwara_space leray_cyclic_sum leray_m tuple_reduce "
               "wall_invariant",

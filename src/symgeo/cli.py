@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from math import comb, isfinite
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .jsonio import (ValidationError, dumps, is_int, matrix_from_json,
                      parse_angle, parse_angle_list, to_jsonable)
@@ -606,7 +606,7 @@ def _add_command(parser, fn, specs) -> None:
     parser.set_defaults(fn=fn)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     out = common.add_mutually_exclusive_group()
     out.add_argument("--json", dest="table", action="store_false", default=False,
@@ -620,18 +620,37 @@ def build_parser() -> argparse.ArgumentParser:
                       help="force float matrix inputs")
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance (default 1e-9 algebraic, 1e-6 scan)")
+    return common
 
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every noun and verb name is registered, so
+    usage, choices and help pages are whole; only the first noun named in
+    ``argv`` and the first of its verbs named after it, the only parsers
+    argparse can reach, get their arguments and the common flags."""
+    argv = list(argv)
+    at = next((i for i, arg in enumerate(argv) if arg in _COMMANDS), None)
+    chosen = argv[at] if at is not None else None
+    common = [_common_flags()] if chosen else []
     parser = _Parser(prog="symgeo", description=__doc__.splitlines()[0])
     nouns = parser.add_subparsers(dest="noun", required=True, parser_class=_Parser)
     for noun, (help_text, body) in _COMMANDS.items():
-        noun_parser = nouns.add_parser(noun, help=help_text, parents=[common])
+        live = noun == chosen
+        noun_parser = nouns.add_parser(noun, help=help_text,
+                                       parents=common if live else [])
         if isinstance(body, tuple):
-            _add_command(noun_parser, *body)
+            if live:
+                _add_command(noun_parser, *body)
             continue
         verbs = noun_parser.add_subparsers(dest="verb", required=True,
                                            parser_class=_Parser)
-        for verb, (fn, specs) in body.items():
-            _add_command(verbs.add_parser(verb, parents=[common]), fn, specs)
+        verb = (next((arg for arg in argv[at + 1:] if arg in body), None)
+                if live else None)
+        for name, (fn, specs) in body.items():
+            if name == verb:
+                _add_command(verbs.add_parser(name, parents=common), fn, specs)
+            else:
+                verbs.add_parser(name)
     return parser
 
 
@@ -644,8 +663,8 @@ def _check_positive_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         _check_positive_flags(args)
         return args.fn(args)

@@ -18,7 +18,10 @@ lambda of the polarization table ``symtensor._delta_terms(n, m, k)``.
 ``metasymplectic_eval`` runs on integers.  A ``ModelVector`` caches, on
 first use, one common denominator with the nonzero (position, numerator)
 entries of X and of theta; a ``CovectorSlot`` caches its nonzero (slot,
-numerator) pairs the same way.  A pair whose two mixed products are empty
+numerator) pairs the same way.  ``vectors_from_matrix`` builds each vector
+from one integer column of an exact matrix and stores that column over the
+matrix's denominator as the vector's view, so no lcm over ``Fraction``s is
+taken for plane vectors.  A pair whose two mixed products are empty
 (both horizontal, both vertical) is 0 at once; otherwise the sum runs over
 the nonzero slots and the nonzero horizontal entries, and the result is
 divided once.  The caches live on the instances, outside the dataclass
@@ -26,8 +29,12 @@ fields, so equality and hashing are unchanged.
 
 A maximal isotropic plane is one exact frame: Ann(Xi) padded with zero
 theta rows, next to the columns of S^k(Xi) tensor nu.  Those products of
-covectors are expanded on the integer numerators of Xi and divided once by
-den(Xi)^k; the dimension audit is the rank of that frame.
+covectors are expanded on the integer numerators of Xi into the integer
+block Q (one row per degree-k monomial, one column per product) and
+divided once by den(Xi)^k.  Up to the order of rows and columns the frame
+is diag(Ann(Xi), Q tensor I_m), so its rank is dim Ann(Xi) + m rank(Q):
+one elimination of Xi^T gives the annihilator and the rank of Xi, and the
+dimension audit eliminates Q alone.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 
-from ..linalg import Matrix, kernel_basis, rank
+from ..linalg import EXACT, Matrix, ModeMixError, kernel_basis, rank
 from .symtensor import JetSignature, SymTensor, _delta_terms
 
 
@@ -51,6 +58,13 @@ def _int_view(values) -> tuple[int, tuple[tuple[int, int], ...]]:
     den = lcm(*(v.denominator for v in values))
     return den, tuple((p, v.numerator * (den // v.denominator))
                       for p, v in enumerate(values) if v)
+
+
+def _vector_view(n: int, den: int, entries) -> tuple[int, tuple, dict[int, int]]:
+    """A model vector's view: ``den``, then its nonzero (position,
+    numerator) ``entries`` split into X pairs and a theta dict."""
+    return (den, tuple(e for e in entries if e[0] < n),
+            {p - n: a for p, a in entries if p >= n})
 
 
 @dataclass(frozen=True)
@@ -91,10 +105,7 @@ class ModelVector:
     def _ints(self) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
         """Common denominator d with the nonzero entries of d X as
         (position, numerator) pairs and of d theta as {position: numerator}."""
-        n = self.sig.n
-        den, entries = _int_view(self.x + self.theta.coeffs)
-        return (den, tuple(e for e in entries if e[0] < n),
-                {p - n: a for p, a in entries if p >= n})
+        return _vector_view(self.sig.n, *_int_view(self.x + self.theta.coeffs))
 
 
 def model_dim(sig: JetSignature) -> int:
@@ -164,7 +175,20 @@ def span_matrix(vectors: list[ModelVector]) -> Matrix:
 
 
 def vectors_from_matrix(sig: JetSignature, mat: Matrix) -> list[ModelVector]:
-    return [unflatten(sig, mat.col(j)) for j in range(mat.cols)]
+    """One vector per column of the exact ``mat``; each keeps its integer
+    column over ``mat.den`` as its view for the pairing."""
+    if mat.mode != EXACT:
+        raise ModeMixError("model vectors are exact-mode only")
+    # one Fraction per distinct numerator, shared by every column
+    frac = {a: Fraction(a, mat.den) for a in set(chain.from_iterable(mat.num))}
+    out = []
+    for col in mat._columns():
+        vec = unflatten(sig, map(frac.__getitem__, col))
+        # fill the cached property: the instance dict is outside the fields
+        entries = [(p, a) for p, a in enumerate(col) if a]
+        vars(vec)["_ints"] = _vector_view(sig.n, mat.den, entries)
+        out.append(vec)
+    return out
 
 
 def meta_orthogonal_frame(sig: JetSignature, frame: Matrix) -> Matrix:
@@ -230,7 +254,9 @@ def max_isotropic(sig: JetSignature, xi: Matrix) -> IntegralPlaneModel:
     p = xi.cols
     if xi.rows != n:
         raise ValueError("covector frame must have n rows")
-    if rank(xi) != p:
+    # one elimination of Xi: rank Xi = n - dim Ann(Xi)
+    ann = kernel_basis(xi.T)
+    if ann.cols != n - p:
         raise ValueError("covector frame must have independent columns")
     # the products of k columns of Xi, expanded on its numerators: x^beta
     # times a covector c is sum_i c_i x^(beta + e_i), read off the table
@@ -244,15 +270,20 @@ def max_isotropic(sig: JetSignature, xi: Matrix) -> IntegralPlaneModel:
                     nxt[pos] += cv * col[i]
             poly = nxt
         polys.append(poly)
+    # Q: one row per degree-k monomial, one column per product
+    q = Matrix.exact([tuple(c[t] for c in polys) for t in range(comb(n + k - 1, k))])
+    # the frame is diag(Ann(Xi), Q tensor I_m) up to row and column order
+    if ann.cols + m * rank(q) != m * comb(p + k - 1, k) + n - p:
+        raise ValueError("isotropic plane failed its dimension audit")
     # column (combo, j) carries its product in fiber slot j, over den^k;
     # Ann(Xi) sits beside it with zero theta rows
     width = len(polys) * m
-    rows = [(0,) * width] * n + [
-        tuple(c[t] if jj == j else 0 for c in polys for jj in range(m))
-        for t in range(comb(n + k - 1, k)) for j in range(m)]
+    rows = [(0,) * width] * n
+    for row in q.num:
+        for j in range(m):
+            spread = [0] * width
+            spread[j::m] = row
+            rows.append(tuple(spread))
     vertical = xi._new(len(rows), width, tuple(rows), xi.den ** k, xi.tol)
-    ann = kernel_basis(xi.T)
     frame = ann.vstack(Matrix.zeros(len(rows) - n, ann.cols)).hstack(vertical)
-    if rank(frame) != m * comb(p + k - 1, k) + n - p:
-        raise ValueError("isotropic plane failed its dimension audit")
     return IntegralPlaneModel(sig, frame)

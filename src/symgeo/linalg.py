@@ -97,6 +97,9 @@ class Matrix:
             return Matrix(nr, nc, tuple(tuple(map(float, r)) for r in rows), 1, APPROX, tol)
         if mode != EXACT:
             raise ValueError(f"unknown mode {mode!r}")
+        if all(type(x) is int for r in rows for x in r):
+            # integer rows over denominator 1 are already canonical
+            return Matrix(nr, nc, tuple(map(tuple, rows)), 1, EXACT, tol)
         vals = [[x if isinstance(x, (int, Fraction)) else _to_exact(x) for x in r]
                 for r in rows]
         # over the lcm of the reduced denominators the form is canonical
@@ -358,11 +361,6 @@ def inverse(m: Matrix) -> Matrix:
                       d, m.tol)
     import numpy as np
     return Matrix.approx(np.linalg.inv(m.to_numpy()).tolist(), m.tol)
-
-
-def span_contains(big: Matrix, small: Matrix) -> bool:
-    """True if every column of ``small`` lies in the column span of ``big``."""
-    return rank(big.hstack(small)) == rank(big)
 
 
 def spans_equal(a: Matrix, b: Matrix) -> bool:

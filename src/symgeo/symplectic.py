@@ -138,13 +138,6 @@ class Subspace:
         return self.frame.cols
 
 
-def symplectic_complement(sub: Subspace) -> Subspace:
-    """The omega-orthogonal E^perp; dim = 2n - dim E for any E."""
-    f = sub.frame
-    mat = f.T @ sub.space.omega_as(f.mode)
-    return Subspace(sub.space, kernel_basis(mat))
-
-
 def classify_subspace(sub: Subspace) -> str:
     """One of isotropic / coisotropic / lagrangian / symplectic / generic.
 

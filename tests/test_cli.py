@@ -759,3 +759,55 @@ def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bordism", "weak", "--n", "3"])
     assert exc.value.code == 64
+
+
+_TOP_USAGE = "usage: symgeo [-h] {maslov,mp1,jet,scan,bordism,witt,selftest} ...\n"
+_NOUN_CHOICES = ("(choose from 'maslov', 'mp1', 'jet', 'scan', 'bordism', "
+                 "'witt', 'selftest')")
+_MASLOV_USAGE = (
+    "usage: symgeo maslov [-h] [--json | --table] [--exact | --approx] [--tol TOL]\n"
+    "                     {kashiwara,arnold,wall,leray} ...\n")
+
+# (argv, exit code, stderr): usage and error lines come from the parser of
+# the noun or verb argparse reached, so they pin which parsers are built
+_USAGE_ERRORS = [
+    ([], 64, _TOP_USAGE + "symgeo: error: the following arguments are "
+     "required: noun\n"),
+    (["nonsense"], 64, _TOP_USAGE + "symgeo: error: argument noun: invalid "
+     f"choice: 'nonsense' {_NOUN_CHOICES}\n"),
+    (["maslov", "frobnicate"], 64, _MASLOV_USAGE + "symgeo maslov: error: "
+     "argument verb: invalid choice: 'frobnicate' (choose from 'kashiwara', "
+     "'arnold', 'wall', 'leray')\n"),
+    (["maslov"], 64, _MASLOV_USAGE + "symgeo maslov: error: the following "
+     "arguments are required: verb\n"),
+    # a verb name as the value of --tol: the noun's parser refuses it
+    (["maslov", "--tol", "wall", "kashiwara"], 64, _MASLOV_USAGE +
+     "symgeo maslov: error: argument --tol: invalid float value: 'wall'\n"),
+    # the first verb named is the one parsed
+    (["maslov", "--tol", "1e-3", "wall", "kashiwara"], 64,
+     "usage: symgeo maslov wall [-h] [--json | --table] [--exact | --approx]\n"
+     "                          [--tol TOL] [--space SPACE] --tuple TUPLE\n"
+     "symgeo maslov wall: error: the following arguments are required: "
+     "--tuple\n"),
+    # a common flag before the verb
+    (["witt", "--table", "class", "--diag=1,-1"], 0, ""),
+    # a flag before the noun: the verb still parses its own flags
+    (["--table", "witt", "class", "--diag=1"], 64, _TOP_USAGE +
+     "symgeo: error: unrecognized arguments: --table\n"),
+    (["--", "witt", "class", "--diag=1"], 64, _TOP_USAGE + "symgeo: error: "
+     f"argument noun: invalid choice: '--' {_NOUN_CHOICES}\n"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse wording differs between Python versions")
+@pytest.mark.parametrize("argv, code, err", _USAGE_ERRORS,
+                         ids=[" ".join(a) or "no-arguments" for a, _, _ in _USAGE_ERRORS])
+def test_usage_errors_pin_exit_code_and_stderr(capsys, monkeypatch, argv, code,
+                                               err):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, capsys.readouterr().err) == (code, err)

