@@ -19,8 +19,8 @@ _EXPORTS = {  # defining submodule -> its public names
     "maslov": "LagrangianTuple LerayLift arnold_index_triple arnold_triple_lines "
               "kashiwara_index kashiwara_space leray_cyclic_sum leray_m tuple_reduce "
               "wall_invariant",
-    "metaplectic": "Mp1Context Mp1Element mp1_central_check mp1_identity mp1_inverse "
-                   "mp1_mul mp2_member random_mp1",
+    "metaplectic": "Mp1Context Mp1Element mp1_identity mp1_inverse mp1_mul "
+                   "mp2_member random_mp1",
     "jets": "JetSignature SymTensor delta_spencer jet_dim lagrangian_pde_dims "
             "legendrian_pde_dims max_isotropic meta_orthogonal metasymplectic_eval "
             "multi_indices singularity_condition spencer_sequence_audit "

@@ -606,19 +606,26 @@ def _add_command(parser, fn, specs) -> None:
     parser.set_defaults(fn=fn)
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _common_flags(defaults: bool = True) -> argparse.ArgumentParser:
+    """The output, mode and tolerance flags.  A verb's copy is built with
+    ``defaults=False``: its flags default to ``SUPPRESS``, so a flag given
+    between the noun and the verb keeps the value the noun's parser read."""
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
     common = _Parser(add_help=False)
     out = common.add_mutually_exclusive_group()
-    out.add_argument("--json", dest="table", action="store_false", default=False,
-                     help="JSON output (default)")
+    out.add_argument("--json", dest="table", action="store_false",
+                     default=default(False), help="JSON output (default)")
     out.add_argument("--table", dest="table", action="store_true",
-                     help="flat key/value output")
+                     default=default(False), help="flat key/value output")
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="mode", action="store_const", const=EXACT,
+                      default=default(None),
                       help="force exact rational matrix inputs")
     mode.add_argument("--approx", dest="mode", action="store_const", const=APPROX,
-                      help="force float matrix inputs")
-    common.add_argument("--tol", type=float, default=None,
+                      default=default(None), help="force float matrix inputs")
+    common.add_argument("--tol", type=float, default=default(None),
                         help="tolerance (default 1e-9 algebraic, 1e-6 scan)")
     return common
 
@@ -648,7 +655,9 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
                 if live else None)
         for name, (fn, specs) in body.items():
             if name == verb:
-                _add_command(verbs.add_parser(name, parents=common), fn, specs)
+                verb_parser = verbs.add_parser(
+                    name, parents=[_common_flags(defaults=False)])
+                _add_command(verb_parser, fn, specs)
             else:
                 verbs.add_parser(name)
     return parser

@@ -13,7 +13,7 @@ import pytest
 import symgeo
 import symgeo.jets
 import symgeo.selftest
-from symgeo.cli import main
+from symgeo.cli import build_parser, main
 from symgeo.jets import spencer_sequence_audit
 from symgeo.jsonio import dumps, matrix_to_json
 from symgeo.linalg import Matrix
@@ -811,3 +811,23 @@ def test_usage_errors_pin_exit_code_and_stderr(capsys, monkeypatch, argv, code,
     except SystemExit as exc:
         got = exc.code
     assert (got, capsys.readouterr().err) == (code, err)
+
+
+def test_common_flag_between_noun_and_verb_is_kept(capsys):
+    """The verb's copy of the common flags has no defaults, so a flag the
+    noun's parser read survives, and a verb-level flag still wins."""
+    assert run(capsys, "witt", "--table", "class", "--diag=1,-1") == \
+        (0, 'field: "R"\nwitt: 0\n')
+    assert run(capsys, "witt", "class", "--diag=1,-1", "--table") == \
+        (0, 'field: "R"\nwitt: 0\n')
+    code, payload = run_json(capsys, "witt", "--table", "class", "--json",
+                             "--diag=1,-1")
+    assert (code, payload) == (0, {"field": "R", "witt": 0})
+    for argv, tol, mode in (
+            (["maslov", "--tol", "1e-3", "kashiwara", "--directions", "1,0"],
+             1e-3, None),
+            (["maslov", "--tol", "1e-3", "--approx", "kashiwara", "--tol",
+              "1e-2", "--directions", "1,0"], 1e-2, "approx"),
+            (["maslov", "kashiwara", "--directions", "1,0"], None, None)):
+        args = build_parser(argv).parse_args(argv)
+        assert (args.tol, args.mode, args.table) == (tol, mode, False)

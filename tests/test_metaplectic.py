@@ -7,11 +7,12 @@ import pytest
 
 from symgeo.linalg import Matrix, _rand_full_rank, inverse
 from symgeo.maslov import LerayLift, kashiwara_index
-from symgeo.metaplectic import (Mp1Context, Mp1Element, _cocycle,
-                                is_symplectic, mp1_central_check, mp1_identity,
-                                mp1_inverse, mp1_mul, mp2_member, random_mp1)
+from symgeo.metaplectic import (Mp1Context, Mp1Element, _cocycle, _frame_block,
+                                is_symplectic, mp1_identity, mp1_inverse,
+                                mp1_mul, mp2_member, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
-                               random_lagrangian, standard_gram)
+                               random_lagrangian, random_symplectic,
+                               standard_gram)
 
 
 def _eq(a, b):
@@ -74,7 +75,85 @@ def test_cocycle_matches_checked_frames(ctx, triples):
     for a, b, c in triples:
         for g1, g2 in ((a.g, b.g), (b.g, c.g), (a.g, inverse(a.g))):
             g = g1 @ g2
-            assert _cocycle(ctx, g1, g) == _checked_cocycle(ctx, g1, g)
+            blocks = (_frame_block(ctx, h) for h in (g1, g, g2))
+            assert _cocycle(*blocks) == _checked_cocycle(ctx, g1, g)
+
+
+def _transvection(space: SymplecticSpace, u: list, c) -> Matrix:
+    """I + c u (Omega u)^T, symplectic for every Omega."""
+    col = Matrix.exact([[x] for x in u])
+    return Matrix.identity(space.dim) + col @ (space.omega @ col).T.scale(c)
+
+
+def _big_elements(ctx: Mp1Context) -> list:
+    """Two transvections with 2**80 in their denominators and their
+    product, checked elements of ctx."""
+    dim = ctx.space.dim
+    t1 = _transvection(ctx.space, [F(k + 1, 3) for k in range(dim)], F(1, 2 ** 80))
+    t2 = _transvection(ctx.space, [(-1) ** k for k in range(dim)],
+                       F(5, 2 ** 80 + 1))
+    return [Mp1Element.of(ctx, w, g) for w, g in ((1, t1), (-2, t2), (0, t1 @ t2))]
+
+
+@pytest.mark.parametrize("ctx, triples", SEEDED)
+def test_block_cocycle_matches_checked_frames(ctx, triples):
+    """The twist of ``mp1_mul``, read from the factors' cached blocks,
+    is the Kashiwara index on fully checked image frames."""
+    e = mp1_identity(ctx)
+    big = _big_elements(ctx)
+    assert all(el.g.den > 2 ** 79 for el in big)
+    for a, b, _ in triples:
+        inv, ab = mp1_inverse(a), mp1_mul(a, b)
+        for x, y in ((a, b), (a, inv), (inv, a), (e, a), (a, e), (e, e),
+                     (ab, inv), (big[0], a), (a, big[1]), (big[0], big[1]),
+                     (big[2], ab), (inv, big[2])):
+            got = mp1_mul(x, y).w - x.w - y.w
+            assert got == _checked_cocycle(ctx, x.g, x.g @ y.g)
+
+
+def test_cached_block_leaves_eq_hash_and_repr():
+    rng = Random("mp1:cached-block")
+    ctx = Mp1Context.standard(2)
+    a, b = random_mp1(ctx, rng), random_mp1(ctx, rng)
+    prod = mp1_mul(a, b)
+    for el in (a, b, prod):
+        assert "_block" in vars(el)
+        twin = Mp1Element.of(ctx, el.w, el.g)
+        assert "_block" not in vars(twin)
+        assert (el == twin, hash(el), repr(el)) == (True, hash(twin), repr(twin))
+        assert twin._block == el._block
+
+
+def _dense_is_symplectic(space: SymplecticSpace, g: Matrix) -> bool:
+    return g.T @ space.omega @ g == space.omega
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_symplectic_matches_dense_check(n):
+    """The below-diagonal check on Omega's nonzeros agrees with the dense
+    g^T Omega g = Omega on seeded symplectic g, on every single-entry
+    perturbation of them, on scalings, and refuses wrong shapes."""
+    rng = Random(f"mp1:is-symplectic:{n}")
+    for ctx in _contexts(n, rng).values():
+        space = ctx.space
+        for _ in range(2):
+            g = random_symplectic(space, rng, transvections=5)
+            assert is_symplectic(space, g) and _dense_is_symplectic(space, g)
+            for i in range(space.dim):
+                for j in range(space.dim):
+                    rows = [list(r) for r in g.entries]
+                    rows[i][j] += F(1, 3)
+                    h = Matrix.exact(rows)
+                    assert is_symplectic(space, h) == _dense_is_symplectic(space, h)
+            for k in (-1, 2, F(1, 2), F(-3, 5)):
+                h = g.scale(k)
+                assert is_symplectic(space, h) == _dense_is_symplectic(space, h) \
+                    == (k * k == 1)
+            for shape in ((space.dim + 1, space.dim), (space.dim, space.dim + 1),
+                          (space.dim - 1, space.dim - 1)):
+                bad = Matrix.exact([[int(r == c) for c in range(shape[1])]
+                                    for r in range(shape[0])])
+                assert not is_symplectic(space, bad)
 
 
 @pytest.mark.parametrize("ctx, triples", SEEDED)
@@ -242,12 +321,18 @@ def test_projection_is_homomorphism():
         assert ((mp1_mul(a, b).g) - (a.g @ b.g)).is_zero()
 
 
+def _central(ctx: Mp1Context, w: int, others: list) -> bool:
+    """True iff (w, id) commutes with every listed element."""
+    c = Mp1Element.of(ctx, w, Matrix.identity(ctx.space.dim))
+    return all(mp1_mul(c, el) == mp1_mul(el, c) for el in others)
+
+
 def test_center_contains_witt_summands():
     rng = Random(3)
     ctx = Mp1Context.standard(1)
     others = [random_mp1(ctx, rng) for _ in range(8)]
     for w in (-2, 0, 1, 3):
-        assert mp1_central_check(ctx, w, others)
+        assert _central(ctx, w, others)
 
 
 def test_mp2_membership_by_witt_square():
