@@ -1,11 +1,15 @@
 """Bordism-group arithmetic for weak Lagrangian/Legendrian bordism.
 
 Every group in scope is an elementary abelian 2-group, so a group is just
-its Z2-rank.  The weak bordism group of immersions into a 2n-dimensional
-ambient space splits as the direct sum over r + s = n - 1 of
-H_r(W; Z2) tensor Omega_s, with Omega_s the unoriented smooth bordism
-group in degree s.  The built-in Omega table covers s <= 3; higher
-degrees must be supplied by the caller, never guessed.
+its Z2-rank and Z2 is the one coefficient ring.  The weak bordism group of
+immersions into a 2n-dimensional ambient space splits as the direct sum
+over r + s = n - 1 of H_r(W; Z2) tensor Omega_s, with Omega_s the
+unoriented smooth bordism group in degree s.  By Thom's theorem the
+unoriented bordism ring is Z2[x_i : i != 2^j - 1], so rank Omega_s is the
+number of partitions of s into parts not of the form 2^j - 1 (R. Thom,
+Comment. Math. Helv. 28 (1954); R. E. Stong, Notes on Cobordism Theory,
+1968).  The ranks for degrees 0..n-1 come from one coin-change pass per
+top degree; n is bounded by ``MAX_N``.
 
 The singular-bordism computation is a plain homology lookup: the bordism
 group in a given degree is canonically isomorphic to the corresponding
@@ -21,12 +25,12 @@ are lists of text lines.
 
 from __future__ import annotations
 
-from types import MappingProxyType
+from functools import lru_cache
 
 from .jsonio import ValidationError, is_int
 
-# unoriented smooth bordism Z2-ranks for degrees 0..3; immutable on purpose
-BUILTIN_OMEGA_RANKS = MappingProxyType({0: 1, 1: 0, 2: 1, 3: 0})
+# the largest ambient half-dimension answered: Omega ranks up to degree 1000
+MAX_N = 1001
 
 _LABELS = ("lagrangian", "legendrian")
 
@@ -41,27 +45,18 @@ def _check_betti(betti) -> list:
     return vals
 
 
-def omega_table(extra_ranks=None) -> dict:
-    """Unoriented bordism ranks: the builtin table plus caller extensions.
-
-    Extensions may only add degrees > 3; the builtin entries are fixed.
-    """
-    table = dict(BUILTIN_OMEGA_RANKS)
-    if extra_ranks:
-        for s, r in extra_ranks.items():
-            s = int(s)
-            if s in BUILTIN_OMEGA_RANKS:
-                raise ValidationError(
-                    f"builtin bordism rank for degree {s} cannot be overridden")
-            if s < 0 or not is_int(r) or r < 0:
-                raise ValidationError("extra ranks must map nonneg degree to "
-                                      "nonneg integer rank")
-            table[s] = r
-    return table
+@lru_cache(maxsize=8)
+def _omega_ranks(top: int) -> tuple:
+    """Z2-ranks of Omega_0..Omega_top: partitions into parts != 2^j - 1."""
+    ranks = [1] + [0] * top
+    for part in range(1, top + 1):
+        if part & (part + 1):  # part + 1 is not a power of two
+            for s in range(part, top + 1):
+                ranks[s] += ranks[s - part]
+    return tuple(ranks)
 
 
-def weak_bordism_group(betti, n: int, extra_ranks=None,
-                       label: str = "lagrangian") -> dict:
+def weak_bordism_group(betti, n: int, label: str = "lagrangian") -> dict:
     """Rank of the closed weak bordism group in ambient dimension 2n.
 
     betti lists the mod-2 Betti numbers of the base W starting at degree 0;
@@ -72,21 +67,20 @@ def weak_bordism_group(betti, n: int, extra_ranks=None,
     vals = _check_betti(betti)
     if n < 1:
         raise ValidationError("n must be a positive integer")
+    if n > MAX_N:
+        raise ValidationError(f"n must be at most {MAX_N}")
     if label not in _LABELS:
         raise ValidationError(f"label must be one of {_LABELS}")
-    table = omega_table(extra_ranks)
+    omega = _omega_ranks(n - 1)
     lines = []
     rank = 0
     for r in range(n):
         s = n - 1 - r
         br = vals[r] if r < len(vals) else 0
-        if br and s not in table:
-            raise ValidationError(
-                f"no bordism rank available for degree {s}; supply it explicitly")
-        term = br * table.get(s, 0)
+        term = br * omega[s]
         rank += term
         lines.append(
-            f"H_{r}(W; Z2) tensor Omega_{s}: {br} x {table.get(s, 0)} -> rank {term}")
+            f"H_{r}(W; Z2) tensor Omega_{s}: {br} x {omega[s]} -> rank {term}")
     lines.append(f"total Z2-rank over r + s = {n - 1}: {rank}")
     return {
         "rank": rank,
@@ -99,11 +93,10 @@ def weak_bordism_group(betti, n: int, extra_ranks=None,
     }
 
 
-def g_singular_bordism(homology_ranks, degree: int,
-                       coefficients: str = "Z2") -> dict:
+def g_singular_bordism(homology_ranks, degree: int) -> dict:
     """Singular bordism group over the singularity locus in one degree.
 
-    homology_ranks lists rank H_d(W; G) for d = 0..len-1.  The computation
+    homology_ranks lists rank H_d(W; Z2) for d = 0..len-1.  The computation
     is a lookup: the group is canonically isomorphic to that homology
     group, after retracting the completed locus onto the jet space of W.
     """
@@ -119,8 +112,7 @@ def g_singular_bordism(homology_ranks, degree: int,
         "== reduced bar homology of that locus",
         "the completed locus strong-deformation retracts onto the second "
         "jet space of W, which is fibrewise contractible over W",
-        f"hence the group in degree {degree} is "
-        f"H_{degree}(W; {coefficients}) of rank {rank}",
+        f"hence the group in degree {degree} is H_{degree}(W; Z2) of rank {rank}",
     ]
     return {"rank": rank, "group": f"(Z2)^{rank}", "degree": degree,
             "derivation": chain}

@@ -168,7 +168,7 @@ def _int_list(text: str) -> list:
 
 def _quadratic_report(frames) -> dict:
     from .maslov import LagrangianTuple, kashiwara_space
-    tup = LagrangianTuple(tuple(frames))
+    tup = LagrangianTuple.of(*frames)
     g = kashiwara_space(tup)
     sig = sym_signature(g)
     return {
@@ -421,23 +421,13 @@ def _cmd_scan_legendrian(args) -> int:
 
 def _cmd_bordism_weak(args) -> int:
     from .bordism import weak_bordism_group
-    extra = None
-    if args.omega_table:
-        raw = _read_json(args.omega_table)
-        if not isinstance(raw, dict):
-            raise ValidationError("--omega-table file must hold an object")
-        try:
-            extra = {int(k): v for k, v in raw.items()}
-        except ValueError as exc:
-            raise ValidationError("omega table keys must be integers") from exc
     return _emit(args, weak_bordism_group(_int_list(args.betti), args.n,
-                                          extra_ranks=extra, label=args.label))
+                                          label=args.label))
 
 
 def _cmd_bordism_gsingular(args) -> int:
     from .bordism import g_singular_bordism
-    return _emit(args, g_singular_bordism(_int_list(args.homology), args.degree,
-                                          coefficients=args.coefficients))
+    return _emit(args, g_singular_bordism(_int_list(args.homology), args.degree))
 
 
 def _cmd_bordism_split_check(args) -> int:
@@ -568,16 +558,13 @@ _COMMANDS = {
         "weak": (_cmd_bordism_weak, [
             ("--betti", {"required": True, "help": "comma-separated mod-2 betti"}),
             ("--n", _INT_REQUIRED),
-            ("--omega-table", {"help": "JSON object of extra bordism ranks "
-                                       "for degrees > 3"}),
             ("--label", {"default": "lagrangian",
                          "choices": ("lagrangian", "legendrian")}),
         ]),
         "gsingular": (_cmd_bordism_gsingular, [
             ("--homology", {"required": True,
-                            "help": "comma-separated ranks of H_d(W; G)"}),
+                            "help": "comma-separated ranks of H_d(W; Z2)"}),
             ("--degree", _INT_REQUIRED),
-            ("--coefficients", {"default": "Z2"}),
         ]),
         "split-check": (_cmd_bordism_split_check, [
             ("--closed", _INT_REQUIRED), ("--bor", _INT_REQUIRED),

@@ -1,19 +1,38 @@
-"""Bordism rank arithmetic: the builtin unoriented table, the weak
+"""Bordism rank arithmetic: unoriented ranks from Thom's theorem, the weak
 bordism splitting, singular-locus lookups, and split exactness."""
 
+import inspect
 from random import Random
 
 import pytest
 
-from symgeo.bordism import (BUILTIN_OMEGA_RANKS, g_singular_bordism,
-                            omega_table, split_check, weak_bordism_group)
+from symgeo.bordism import (MAX_N, g_singular_bordism, split_check,
+                            weak_bordism_group)
 from symgeo.jsonio import ValidationError
 
 
-def test_builtin_table_is_immutable():
-    assert dict(BUILTIN_OMEGA_RANKS) == {0: 1, 1: 0, 2: 1, 3: 0}
-    with pytest.raises(TypeError):
-        BUILTIN_OMEGA_RANKS[4] = 5
+def _omega(s: int) -> int:
+    # a contractible base pairs H_0 with Omega_{n-1} alone
+    return weak_bordism_group([1], s + 1)["rank"]
+
+
+def _thom_series(top: int) -> list:
+    """Coefficients of prod over i != 2^j - 1 of 1/(1 - x^i), to degree top,
+    multiplying in one geometric series at a time."""
+    skipped = {2 ** j - 1 for j in range(1, top.bit_length() + 2)}
+    coeffs = [1] + [0] * top
+    for i in range(1, top + 1):
+        if i in skipped:
+            continue
+        series = [1 if d % i == 0 else 0 for d in range(top + 1)]
+        coeffs = [sum(coeffs[a] * series[d - a] for a in range(d + 1))
+                  for d in range(top + 1)]
+    return coeffs
+
+
+def test_omega_ranks_follow_thom():
+    assert [_omega(s) for s in range(11)] == [1, 0, 1, 0, 2, 1, 3, 1, 5, 3, 8]
+    assert [_omega(s) for s in range(31)] == _thom_series(30)
 
 
 def test_group_presentation_is_uniform():
@@ -54,23 +73,16 @@ def test_short_betti_vectors_pad_with_zero():
 
 
 def test_high_degree_needs_explicit_rank():
-    # n = 5 pairs H_0 with Omega_4, which is past the builtin table
-    with pytest.raises(ValidationError):
-        weak_bordism_group([1], 5)
-    assert weak_bordism_group([1], 5, extra_ranks={4: 1})["rank"] == 1
-    # a zero Betti number never touches the missing degree
-    assert weak_bordism_group([0, 1], 5)["rank"] == 0
-
-
-def test_builtin_entries_cannot_be_overridden():
-    with pytest.raises(ValidationError):
-        omega_table({2: 5})
-    with pytest.raises(ValidationError):
-        omega_table({4: -1})
-    with pytest.raises(ValidationError):
-        omega_table({4: True})
-    table = omega_table({4: 1, 5: 0})
-    assert table[4] == 1 and table[2] == 1
+    # n = 5 pairs H_0 with Omega_4 = (Z2)^2, a rank Thom's count supplies
+    assert weak_bordism_group([1], 5)["rank"] == 2
+    # a zero Betti number still reads the true rank in its derivation line
+    d = weak_bordism_group([0, 1], 5)
+    assert d["rank"] == 0
+    assert d["derivation"][0] == "H_0(W; Z2) tensor Omega_4: 0 x 2 -> rank 0"
+    assert MAX_N == 1001
+    assert weak_bordism_group([1], MAX_N)["n"] == MAX_N
+    with pytest.raises(ValidationError, match="n must be at most 1001"):
+        weak_bordism_group([1], MAX_N + 1)
 
 
 def test_betti_validation():
@@ -115,6 +127,12 @@ def test_singular_bordism_degree_errors():
         g_singular_bordism([1, 2], -1)
     with pytest.raises(ValidationError):
         g_singular_bordism([], 0)
+
+
+def test_singular_bordism_coefficients_are_z2():
+    assert "coefficients" not in inspect.signature(g_singular_bordism).parameters
+    d = g_singular_bordism([1, 2], 1)
+    assert d["derivation"][-1] == "hence the group in degree 1 is H_1(W; Z2) of rank 2"
 
 
 def test_split_check():

@@ -476,13 +476,16 @@ def test_bordism_weak_anchors(capsys):
     assert code == 0 and out["rank"] == 0 and out["group"] == "(Z2)^0"
 
 
-def test_bordism_weak_table_extension(capsys, tmp_path):
-    code, _ = run(capsys, "bordism", "weak", "--betti", "1", "--n", "5")
-    assert code == 2
-    table = _write(tmp_path, "omega.json", {"4": 1})
-    code, out = run_json(capsys, "bordism", "weak", "--betti", "1", "--n", "5",
-                         "--omega-table", table)
-    assert code == 0 and out["rank"] == 1
+def test_bordism_weak_table_extension(capsys):
+    # Omega_4 = (Z2)^2 comes from Thom's count, with no table file
+    code, out = run_json(capsys, "bordism", "weak", "--betti", "1", "--n", "5")
+    assert code == 0 and out["rank"] == 2
+    for argv in (["weak", "--betti", "1", "--n", "5", "--omega-table", "x"],
+                 ["gsingular", "--homology", "1,2", "--degree", "1",
+                  "--coefficients", "Z"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bordism", *argv])
+        assert exc.value.code == 64
 
 
 def test_bordism_gsingular_and_split(capsys):
@@ -654,6 +657,7 @@ def test_float_commands_load_numpy(tmp_path, argv):
 
 
 _F2 = {"rows": 2, "cols": 1, "entries": [1, 1]}
+_FLOAT_FRAME = {"rows": 2, "cols": 1, "entries": [0.5, 1.0]}
 _G4 = matrix_to_json(Matrix.identity(4))
 _CTX = {"n": 1, "base": {"rows": 2, "cols": 1, "entries": [0, 1]}}
 
@@ -694,6 +698,12 @@ _REFUSALS = [
     (["maslov", "arnold"], {}, "give --angles or --directions"),
     (["maslov", "wall", "--tuple", "{t}"], {"t": {"n": 1, "frames": [_FRAME, _F2]}},
      "the Wall invariant needs exactly three frames"),
+    (["maslov", "kashiwara", "--tuple", "{t}"],
+     {"t": {"n": 1, "frames": [_FRAME, _F2, _FLOAT_FRAME]}},
+     "tuple members mix scalar modes"),
+    (["maslov", "wall", "--tuple", "{t}"],
+     {"t": {"n": 1, "frames": [_FRAME, _F2, _FLOAT_FRAME]}},
+     "tuple members mix scalar modes"),
     (["maslov", "leray", "--lifts", "1"], {}, "need at least two lifts"),
     (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
      {"c": {"n": 1}, "a": {"w": 0, "g": _G4}},
@@ -715,10 +725,8 @@ _REFUSALS = [
      {"s": "0,0\n"}, "--grid must be 'rows,cols'"),
     (["bordism", "weak", "--betti", "1,x", "--n", "2"], {},
      "expected comma-separated integers, got '1,x'"),
-    (["bordism", "weak", "--betti", "1", "--n", "2", "--omega-table", "{o}"],
-     {"o": [1]}, "--omega-table file must hold an object"),
-    (["bordism", "weak", "--betti", "1", "--n", "2", "--omega-table", "{o}"],
-     {"o": {"x": 1}}, "omega table keys must be integers"),
+    (["bordism", "weak", "--betti", "0", "--n", "1002"], {},
+     "n must be at most 1001"),
     (["witt", "class", "--diag", "1,x"], {}, "bad diagonal entry 'x'"),
     (["witt", "class"], {}, "give --diag or --form"),
 ]

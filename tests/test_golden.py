@@ -133,11 +133,11 @@ MORE_COMMANDS = {
         "3cec2f20c8ae4cdd76e131280e5491e04c0e89acf3ef687475ede202b355a366",
     "bordism split-check --closed 1 --bor 3 --cyc 2":
         "4f89fe0768ee84ea09feb3b1d4fc1dc698cc711142fe8907dbe177f10e346180",
-    "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian "
-    "--omega-table omega.json":
+    "bordism weak --betti 1 --n 9":
+        "ec0c1f106bf1d872526e832f7a326e284aa13b7dd15484da7dc7c53f0901256b",
+    "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian":
         "195a3e0df3b8828e0255982143bdae78717d2ddd056f706ea33959827be41f72",
-    "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian "
-    "--omega-table omega.json --table":
+    "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian --table":
         "cab2b99549308babd7817ba5990ad456fb4463c1c3a174aa7256e7b6703ae4e0",
     "witt class --form form.json --field C":
         "34f858261454e3d6bcb2188d634f67304d6e1cdb2dfe19f1ef3882b53a16eb7f",
@@ -200,9 +200,9 @@ HELP_PAGES = {
     "bordism":
         "70004463ec8b75b1a9bdb31e4e8bc0354013bb6a164e7d97a7b6ad29ed8ffe9e",
     "bordism weak":
-        "938154cad1b314687f385af9e3e3f01c03d7dd118197c5e7841efbf7620408f5",
+        "d8971033c66177daea7913eff8a9e350e1f5460687b1eed682990295281af894",
     "bordism gsingular":
-        "8317706204248ff498f732d3652763ff5169a8afe61613704274a4bccd0bec2a",
+        "b506dd1e83e12d914aaef0645552bc15c93cfcfda2d63887ff8942686a10e070",
     "bordism split-check":
         "84cf7bd54aada5ca20b2e5fdc165880d7bfbc4f61287041bb7157fd2d67314ce",
     "witt":
@@ -304,8 +304,8 @@ def _write_jet_samples(directory) -> None:
 def _write_tuple_samples(directory) -> None:
     """``triple.json`` (Omega = 2J on R^4, three frames) and ``quad.json``
     (std:2, four frames): the vertical and horizontal planes and graphs of
-    symmetric matrices; ``omega.json`` (bordism rank 2 in degree 4) and
-    ``form.json`` (a rational 3 x 3 symmetric form)."""
+    symmetric matrices; and ``form.json`` (a rational 3 x 3 symmetric
+    form)."""
     def graph(s11, s12, s22) -> dict:
         return {"rows": 4, "cols": 2, "entries": [1, 0, 0, 1, s11, s12, s12, s22]}
 
@@ -317,7 +317,6 @@ def _write_tuple_samples(directory) -> None:
             vertical, horizontal, graph("1", "1/2", "2")]},
         "quad.json": {"n": 2, "frames": [
             vertical, graph("1/3", 0, 1), horizontal, graph(-1, "2/5", "-3")]},
-        "omega.json": {"4": 2},
         "form.json": {"rows": 3, "cols": 3,
                       "entries": [2, "1/2", 0, "1/2", -1, 3, 0, 3, "5/7"]},
     }
