@@ -13,7 +13,7 @@ _EXPORTS = {  # defining submodule -> its public names
               "rref spans_equal sym_signature",
     "witt": "ideal_power_member_real witt_of_form_complex witt_of_form_real",
     "symplectic": "LagrangianFrame Subspace SymplecticSpace classify_subspace "
-                  "det_squared eigen_angles graph_lagrangian intersect_frames "
+                  "det_squared graph_lagrangian intersect_frames "
                   "lagrangian_from_angles line_lagrangian loop_degree "
                   "random_lagrangian random_symplectic standard_gram",
     "maslov": "LagrangianTuple LerayLift arnold_index_triple arnold_triple_lines "

@@ -65,7 +65,7 @@ def weak_bordism_group(betti, n: int, label: str = "lagrangian") -> dict:
     report.
     """
     vals = _check_betti(betti)
-    if n < 1:
+    if not is_int(n) or n < 1:
         raise ValidationError("n must be a positive integer")
     if n > MAX_N:
         raise ValidationError(f"n must be at most {MAX_N}")
@@ -101,7 +101,7 @@ def g_singular_bordism(homology_ranks, degree: int) -> dict:
     group, after retracting the completed locus onto the jet space of W.
     """
     ranks = _check_betti(homology_ranks)
-    if degree < 0:
+    if not is_int(degree) or degree < 0:
         raise ValidationError("degree must be nonnegative")
     if degree >= len(ranks):
         raise ValidationError(

@@ -23,8 +23,8 @@ the forms read it:
 
 Other routes to the same circle of invariants:
 
-* ``arnold_index_triple`` -- closed angle formula on the Lagrangian
-  Grassmannian, tau(L(theta)) = 1 - 2 theta / pi off the cycle.
+* ``arnold_index_triple`` -- sum over the planes span(e_j, e_{n+j}) of the
+  cyclic sign of three diagonal line angles, as ``arnold_triple_lines``.
 * ``leray_m``         -- integer cochain on pairs of lifted lines (n = 1)
   whose cyclic sums reproduce the Kashiwara index of the projected tuple.
 
@@ -41,9 +41,12 @@ from typing import Sequence
 
 from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, integer_signature,
                      kernel_basis, rank, rref, sym_signature)
-from .symplectic import (ANGLE_SNAP, LagrangianFrame, SymplecticSpace,
-                         _pairing, _support, eigen_angles, line_lagrangian)
+from .symplectic import (LagrangianFrame, SymplecticSpace, _pairing, _support,
+                         line_lagrangian)
 from .witt import witt_of_form_real
+
+# float line angles closer than this, mod pi, are the same line
+ANGLE_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -185,32 +188,45 @@ def wall_invariant(l1: LagrangianFrame, l2: LagrangianFrame,
     return witt_of_form_real((g + g.T).scale(half))
 
 
-# -- Arnold angle formulas (eigen-angle route) -------------------------------
+# -- Arnold line-angle formulas ----------------------------------------------
 
 
-def _pair_value(t1: float, t2: float) -> float:
-    if abs(t1 - t2) <= ANGLE_SNAP:
-        return 0.0
-    if t1 < t2:
-        return 1.0 - 2.0 * (t2 - t1) / math.pi
-    return -(1.0 - 2.0 * (t1 - t2) / math.pi)
+def _cyclic_sign(c12: int, c23: int, c13: int) -> int:
+    """Triple index of three lines from their pairwise angle comparisons:
+    0 when two coincide, otherwise +1 for increasing cyclic order."""
+    if 0 in (c12, c23, c13):
+        return 0
+    return -c12 * c23 * c13
 
 
-def _arnold_index_pair(l1: LagrangianFrame, l2: LagrangianFrame) -> float:
-    """Componentwise two-argument index; antisymmetric, diagonal inputs only."""
-    a1, a2 = eigen_angles(l1), eigen_angles(l2)
-    return sum(_pair_value(t1, t2) for t1, t2 in zip(a1, a2))
+def _angle_compare(t1: float, t2: float) -> int:
+    """-1, 0, +1 ordering of two line angles in [0, pi]; angles within
+    ANGLE_SNAP of each other mod pi (0 and pi included) are one line."""
+    d = t1 - t2
+    if min(abs(d), math.pi - abs(d)) <= ANGLE_SNAP:
+        return 0
+    return -1 if d < 0 else 1
+
+
+def _diagonal_angles(lag: LagrangianFrame) -> list[float]:
+    """theta_j = atan2(F[n+j][j], F[j][j]) mod pi of a diagonal frame F."""
+    n, rows = lag.space.n, lag.frame.num
+    if any(x for i, row in enumerate(rows) for j, x in enumerate(row)
+           if i % n != j):
+        raise ValueError("the angle index needs diagonal frames")
+    return [math.atan2(rows[n + j][j], rows[j][j]) % math.pi for j in range(n)]
 
 
 def arnold_index_triple(l1: LagrangianFrame, l2: LagrangianFrame,
                         l3: LagrangianFrame) -> int:
-    """Cyclic sum of pair indices; integer-valued."""
-    s = (_arnold_index_pair(l1, l2) + _arnold_index_pair(l2, l3)
-         + _arnold_index_pair(l3, l1))
-    out = round(s)
-    if abs(s - out) > 1e-6:
-        raise ValueError("triple index failed to be an integer")
-    return int(out)
+    """Triple index of diagonal frames of one standard space: the cyclic
+    signs of their angles theta_j summed over the planes span(e_j, e_{n+j}),
+    as the index is additive over symplectic sums (Cappell-Lee-Miller)."""
+    if not l1.space.is_standard() or not (l1.space == l2.space == l3.space):
+        raise ValueError("the angle index needs one standard space")
+    return sum(_cyclic_sign(_angle_compare(a, b), _angle_compare(b, c),
+                            _angle_compare(a, c))
+               for a, b, c in zip(*map(_diagonal_angles, (l1, l2, l3))))
 
 
 # -- Leray function on lifted lines (n = 1 only) -----------------------------
@@ -270,12 +286,8 @@ def arnold_triple_lines(d1, d2, d3) -> int:
     cyclic order of the three line angles, +1 for increasing angles.
     """
     a, b, c = (_upper_direction(d) for d in (d1, d2, d3))
-    c12 = _line_angle_compare(a, b)
-    c23 = _line_angle_compare(b, c)
-    c13 = _line_angle_compare(a, c)
-    if 0 in (c12, c23, c13):
-        return 0
-    return -c12 * c23 * c13
+    return _cyclic_sign(_line_angle_compare(a, b), _line_angle_compare(b, c),
+                        _line_angle_compare(a, c))
 
 
 def leray_m(l1: LerayLift, l2: LerayLift, tol: float = DEFAULT_TOL):
@@ -288,14 +300,11 @@ def leray_m(l1: LerayLift, l2: LerayLift, tol: float = DEFAULT_TOL):
         flr = (k1 - k2) + (0 if cmp > 0 else -1)
         return -2 * flr - 1
     t1, t2 = l1.theta_tilde, l2.theta_tilde
-    if isinstance(t1, Fraction) and isinstance(t2, Fraction):
-        d = t1 - t2
-        if d.denominator == 1:
-            return -2 * int(d)
-        return -2 * math.floor(d) - 1
-    x = (l1.angle() - l2.angle()) / math.pi
+    exact = isinstance(t1, Fraction) and isinstance(t2, Fraction)
+    # exact pi-multiples snap only on pi Z itself, float lifts within tol
+    x = t1 - t2 if exact else (l1.angle() - l2.angle()) / math.pi
     nearest = round(x)
-    if abs(x - nearest) <= tol:
+    if abs(x - nearest) <= (0 if exact else tol):
         return -2 * nearest
     return -2 * math.floor(x) - 1
 

@@ -22,7 +22,6 @@ imported inside those functions only, so exact code never loads it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -35,8 +34,6 @@ from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
 
 if TYPE_CHECKING:
     import numpy as np
-
-ANGLE_SNAP = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -269,34 +266,13 @@ def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
     return u @ vh
 
 
-def _polar_unitary(lag: LagrangianFrame) -> np.ndarray:
-    return _polar_unitaries(lag.space, lag.frame.to_numpy()[None],
-                            lag.frame.tol)[0]
-
-
 def det_squared(lag: LagrangianFrame) -> complex:
     """Coset-invariant squared determinant; e^{2 i theta} on L(theta)."""
     import numpy as np
-    zu = _polar_unitary(lag)
+    zu = _polar_unitaries(lag.space, lag.frame.to_numpy()[None],
+                          lag.frame.tol)[0]
     d2 = np.linalg.det(zu) ** 2
     return complex(d2 / abs(d2))
-
-
-def eigen_angles(lag: LagrangianFrame) -> tuple[float, ...]:
-    """Angles theta_j in [0, pi) of L relative to the real axes (sorted)."""
-    import numpy as np
-    zu = _polar_unitary(lag)
-    w = np.linalg.eigvals(zu @ zu.T)
-    out = []
-    for lam in w:
-        a = cmath.phase(complex(lam))  # (-pi, pi]
-        if a < 0:
-            a += 2 * math.pi
-        th = a / 2.0
-        if th < ANGLE_SNAP or th > math.pi - ANGLE_SNAP:
-            th = 0.0
-        out.append(th)
-    return tuple(sorted(out))
 
 
 def loop_degree(path: Sequence[LagrangianFrame]) -> int:

@@ -93,6 +93,15 @@ def test_betti_validation():
         weak_bordism_group([1], 0)
 
 
+def test_n_and_degree_must_be_integers():
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValidationError, match="^n must be a positive integer$"):
+            weak_bordism_group([1], bad)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValidationError, match="^degree must be nonnegative$"):
+            g_singular_bordism([1, 2], bad)
+
+
 def test_labels():
     rep = weak_bordism_group([1, 1], 3, label="legendrian")
     assert rep["label"] == "legendrian"

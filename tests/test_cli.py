@@ -162,6 +162,17 @@ def test_arnold_matches_kashiwara(capsys):
     assert code == 2
 
 
+def test_arnold_angles_agree_with_kashiwara_at_n2(capsys):
+    # the planes read (0.1, 2.5, 1.0) and (2.0, 0.5, 1.5): -1 + 1 = 0
+    angles = "0.1,2.0;2.5,0.5;1.0,1.5"
+    code, out = run_json(capsys, "maslov", "arnold", "--angles", angles)
+    assert code == 0
+    assert out == {"index": 0, "mode": "approx"}
+    code, out = run_json(capsys, "maslov", "kashiwara", "--angles", angles)
+    assert code == 0
+    assert out["index"] == 0
+
+
 def test_wall_agrees_with_kashiwara(capsys, tmp_path):
     path = _write(tmp_path, "triple.json", {
         "n": 1,

@@ -16,9 +16,9 @@ from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
 from symgeo.metaplectic import (Mp1Context, Mp1Element, mp1_identity,
                                 mp1_inverse, mp1_mul, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
-                               lagrangian_from_angles, line_lagrangian,
-                               random_lagrangian, random_symplectic,
-                               standard_gram)
+                               graph_lagrangian, lagrangian_from_angles,
+                               line_lagrangian, random_lagrangian,
+                               random_symplectic, standard_gram)
 from symgeo.selftest import _rand_line_dir
 from symgeo.witt import witt_of_form_complex, witt_of_form_real
 
@@ -320,19 +320,50 @@ def test_arnold_triple_lines_properties():
         assert arnold_triple_lines(ds[1], ds[2], ds[0]) == a
         frames = [line_lagrangian(sp, d) for d in ds]
         assert kashiwara_index(frames) == a
+        # exact n = 1 frames read the same sign through their angles
+        assert arnold_index_triple(*frames) == a
 
 
 def test_arnold_float_agrees_on_separated_angles():
-    sp = SymplecticSpace.standard(1)
+    # seeded diagonal triples at n = 1..3: component j of every member lies
+    # in the plane span(e_j, e_{n+j}), where the index adds up
     rng = Random(7)
-    for _ in range(25):
-        thetas = sorted(rng.uniform(0.05, math.pi - 0.05) for _ in range(3))
-        if thetas[1] - thetas[0] < 0.05 or thetas[2] - thetas[1] < 0.05:
-            continue
-        order = [0, 1, 2]
-        rng.shuffle(order)
-        frames = [lagrangian_from_angles(sp, [thetas[i]]) for i in order]
-        assert arnold_index_triple(*frames) == kashiwara_index(frames)
+    # lines within ANGLE_SNAP of 0 and pi are the line at 0
+    near = [0.0, 1e-12, 3e-10, math.pi - 3e-10, math.pi - 1e-12]
+    for n in (1, 2, 3):
+        sp = SymplecticSpace.standard(n)
+        for _ in range(110):
+            members = []
+            for _ in range(3):
+                members.append([
+                    rng.uniform(0, math.pi) if rng.random() < 0.5 else
+                    rng.choice(near + [m[j] for m in members])  # repeats
+                    for j in range(n)])
+            rng.shuffle(members)
+            frames = [lagrangian_from_angles(sp, t) for t in members]
+            index = arnold_index_triple(*frames)
+            assert index == kashiwara_index(frames)
+            perm = rng.sample(range(n), n)
+            assert arnold_index_triple(*(
+                lagrangian_from_angles(sp, [t[j] for j in perm])
+                for t in members)) == index
+    # plane 1 reads (0.1, 2.5, 1.0), sign -1; plane 2 (2.0, 0.5, 1.5), +1
+    sp = SymplecticSpace.standard(2)
+    frames = [lagrangian_from_angles(sp, t)
+              for t in ((0.1, 2.0), (2.5, 0.5), (1.0, 1.5))]
+    assert arnold_index_triple(*frames) == kashiwara_index(frames) == 0
+
+
+def test_arnold_refuses_non_diagonal_frames_and_custom_spaces():
+    sp = SymplecticSpace.standard(2)
+    diag = lagrangian_from_angles(sp, [0.5, 1.0])
+    tilted = graph_lagrangian(sp, Matrix.exact([[1, 2], [2, 3]]))
+    with pytest.raises(ValueError, match="^the angle index needs diagonal frames$"):
+        arnold_index_triple(diag, diag, tilted)
+    custom = SymplecticSpace(standard_gram(1).scale(2))
+    lines = [line_lagrangian(custom, d) for d in ((1, 0), (1, 1), (0, 1))]
+    with pytest.raises(ValueError, match="^the angle index needs one standard space$"):
+        arnold_index_triple(*lines)
 
 
 def test_leray_m_antisymmetric():
@@ -350,6 +381,18 @@ def test_leray_m_anchors():
     assert leray_m(flat, up) == 1
     # same line, different winding
     assert leray_m(LerayLift.from_direction(1, 0, 1), flat) == -2
+
+
+def test_leray_m_snaps_far_multiples_of_pi():
+    # |nearest| >= 2: float lifts within tol of 2 pi, exact lifts on 3 pi
+    zero = LerayLift(0.0)
+    for t in (2 * math.pi + 1e-12, 2 * math.pi - 1e-12):
+        assert leray_m(LerayLift(t), zero) == -4
+        assert leray_m(zero, LerayLift(t)) == 4
+    assert leray_m(LerayLift(F(3)), LerayLift(F(0))) == -6
+    # exact lifts snap on pi Z only, not within tol of it
+    assert leray_m(LerayLift(F(2) + F(1, 10 ** 12)), LerayLift(F(0))) == -5
+    assert leray_m(LerayLift(F(-5, 2)), LerayLift(F(0))) == 5
 
 
 def test_leray_sum_matches_index():

@@ -9,10 +9,9 @@ import pytest
 
 from symgeo.linalg import Matrix, _rand_full_rank, inverse, kernel_basis, rank
 from symgeo.symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
-                               classify_subspace, det_squared, eigen_angles,
-                               graph_lagrangian, intersect_frames,
-                               lagrangian_from_angles, line_lagrangian,
-                               loop_degree, random_lagrangian,
+                               classify_subspace, det_squared, graph_lagrangian,
+                               intersect_frames, lagrangian_from_angles,
+                               line_lagrangian, loop_degree, random_lagrangian,
                                random_symplectic, standard_gram)
 
 
@@ -239,14 +238,6 @@ def test_line_lagrangian_rejects_zero():
     sp = SymplecticSpace.standard(1)
     with pytest.raises(ValueError):
         line_lagrangian(sp, (0, 0))
-
-
-def test_unitary_angles_match_construction():
-    sp = SymplecticSpace.standard(1)
-    for theta in (0.0, 0.3, math.pi / 3, 2.1):
-        lag = lagrangian_from_angles(sp, [theta % math.pi])
-        got = eigen_angles(lag)[0]
-        assert abs(got - theta % math.pi) < 1e-9
 
 
 def test_det_squared_unit_modulus():
