@@ -139,9 +139,12 @@ def _angles_to_frames(args, text: str):
             for g in groups]
 
 
-def _parse_direction_list(text: str) -> list:
+def _parse_direction_list(args) -> list:
+    # directions are lines in the plane, so a given --space must be std:1
+    if args.space and (n := _space_std(args.space).n) != 1:
+        raise ValidationError(f"directions are n=1 lines but space is std:{n}")
     out = []
-    for part in text.split(";"):
+    for part in args.directions.split(";"):
         comps = [c for c in part.strip().split(",") if c]
         if len(comps) != 2:
             raise ValidationError("each direction needs exactly two components")
@@ -183,7 +186,7 @@ def _quadratic_report(frames) -> dict:
 def _cmd_maslov_kashiwara(args) -> int:
     from .symplectic import SymplecticSpace, line_lagrangian
     if args.directions:
-        ds = _parse_direction_list(args.directions)
+        ds = _parse_direction_list(args)
         if len(ds) < 3:
             raise ValidationError("need at least three directions")
         frames = [line_lagrangian(SymplecticSpace.standard(1), d) for d in ds]
@@ -201,7 +204,7 @@ def _cmd_maslov_kashiwara(args) -> int:
 def _cmd_maslov_arnold(args) -> int:
     from .maslov import arnold_index_triple, arnold_triple_lines
     if args.directions:
-        ds = _parse_direction_list(args.directions)
+        ds = _parse_direction_list(args)
         if len(ds) != 3:
             raise ValidationError("the triple index needs exactly three directions")
         payload = {"index": arnold_triple_lines(*ds), "mode": "exact"}
@@ -364,7 +367,9 @@ def _scan_tol(args) -> float:
 
 def _scan_batch(args, runner) -> int:
     reports = [runner(_load_immersion(args, p)) for p in args.samples]
-    return _emit(args, reports[0] if len(reports) == 1 else {"batch": reports})
+    # a batch fails its check when any sample's audit does
+    return _emit(args, reports[0] if len(reports) == 1 else {"batch": reports},
+                 all(r.get("pass", True) for r in reports))
 
 
 def _cmd_scan_lagrangian(args) -> int:

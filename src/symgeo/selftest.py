@@ -7,10 +7,14 @@ top-level seed by suite name, which keeps reports byte-identical for
 identical (seed, quick) inputs.  Details deliberately carry integers
 only, never timings.
 
-Every suite takes its counts and instance lists as keyword parameters and
-returns ``{"cases", "passed", "detail"}``; the first failing case ends the
-suite and its detail names it.  ``_SUITES`` holds the quick and full
-parameters, and the acceptance tests run the same suites at their own.
+Every suite is a generator that takes its counts and instance lists as
+keyword parameters, yields once per case (a falsy value when the case
+passes, the failure detail when it fails) and returns its closing detail.
+``_run_suite`` alone turns a suite into ``{"cases", "passed", "detail"}``:
+it stops at the first failing case, and ``cases`` is then that case's
+0-based index, so the seed, the suite name and ``cases`` replay it.
+``_SUITES`` holds the quick and full parameters, and the acceptance tests
+run the same suites at their own through ``_run_suite``.
 """
 
 from __future__ import annotations
@@ -49,8 +53,7 @@ def _rand_line_dir(rng: Random) -> tuple:
             return Fraction(p), Fraction(q)
 
 
-def _suite_kashiwara_cocycle(rng: Random, per_dim: int) -> dict:
-    cases = 0
+def _suite_kashiwara_cocycle(rng: Random, per_dim: int):
     for n in (1, 2, 3):
         sp = SymplecticSpace.standard(n)
         for _ in range(per_dim):
@@ -59,43 +62,33 @@ def _suite_kashiwara_cocycle(rng: Random, per_dim: int) -> dict:
                  - kashiwara_index([ls[0], ls[2], ls[3]])
                  + kashiwara_index([ls[0], ls[1], ls[3]])
                  - kashiwara_index(ls[:3]))
-            if s != 0:
-                return {"cases": cases, "passed": False,
-                        "detail": f"cocycle defect {s} in dim {2 * n}"}
-            cases += 1
-    return {"cases": cases, "passed": True, "detail": "alternating sum zero"}
+            yield s != 0 and f"cocycle defect {s} in dim {2 * n}"
+    return "alternating sum zero"
 
 
-def _suite_wall_kashiwara(rng: Random, per_dim: int) -> dict:
-    cases = 0
+def _suite_wall_kashiwara(rng: Random, per_dim: int):
     for n in (1, 2, 3):
         sp = SymplecticSpace.standard(n)
         for _ in range(per_dim):
             l1, l2, l3 = (random_lagrangian(sp, rng) for _ in range(3))
             w = wall_invariant(l1, l2, l3)
             t = kashiwara_index([l1, l2, l3])
-            if w != t:
-                return {"cases": cases, "passed": False,
-                        "detail": f"wall {w} vs kashiwara {t} in dim {2 * n}"}
-            cases += 1
-    return {"cases": cases, "passed": True, "detail": "invariants agree"}
+            yield w != t and f"wall {w} vs kashiwara {t} in dim {2 * n}"
+    return "invariants agree"
 
 
-def _suite_arnold_kashiwara(rng: Random, total: int) -> dict:
+def _suite_arnold_kashiwara(rng: Random, total: int):
     sp = SymplecticSpace.standard(1)
-    for i in range(total):
+    for _ in range(total):
         ds = [_rand_line_dir(rng) for _ in range(3)]
         a = arnold_triple_lines(*ds)
         t = kashiwara_index([line_lagrangian(sp, d) for d in ds])
-        if a != t:
-            return {"cases": i, "passed": False,
-                    "detail": f"arnold {a} vs kashiwara {t}"}
-    return {"cases": total, "passed": True, "detail": "line triples agree"}
+        yield a != t and f"arnold {a} vs kashiwara {t}"
+    return "line triples agree"
 
 
 def _suite_transvection_invariance(rng: Random, tuples: int, moves: int,
-                                   dims=(1, 2)) -> dict:
-    cases = 0
+                                   dims=(1, 2)):
     for n in dims:
         sp = SymplecticSpace.standard(n)
         for _ in range(tuples):
@@ -103,47 +96,38 @@ def _suite_transvection_invariance(rng: Random, tuples: int, moves: int,
             t0 = kashiwara_index(ls)
             for _ in range(moves):
                 g = random_symplectic(sp, rng)
-                moved = [LagrangianFrame(sp, g @ l.frame) for l in ls]
-                t1 = kashiwara_index(moved)
-                if t1 != t0:
-                    return {"cases": cases, "passed": False,
-                            "detail": f"index moved {t0} -> {t1}"}
-                cases += 1
-    return {"cases": cases, "passed": True, "detail": "index is invariant"}
+                t1 = kashiwara_index([LagrangianFrame(sp, g @ l.frame) for l in ls])
+                yield t1 != t0 and f"index moved {t0} -> {t1}"
+    return "index is invariant"
 
 
-def _suite_leray_sum(rng: Random, total: int) -> dict:
+def _suite_leray_sum(rng: Random, total: int):
     sp = SymplecticSpace.standard(1)
-    for i in range(total):
+    for _ in range(total):
         r = rng.randint(3, 6)
         lifts = [LerayLift.from_direction(*_rand_line_dir(rng), rng.randint(-2, 2))
                  for _ in range(r)]
         s = leray_cyclic_sum(lifts)
         t = kashiwara_index([lf.line(sp) for lf in lifts])
-        if s != t:
-            return {"cases": i, "passed": False,
-                    "detail": f"cyclic sum {s} vs index {t} at r={r}"}
-    return {"cases": total, "passed": True, "detail": "lift sums match indices"}
+        yield s != t and f"cyclic sum {s} vs index {t} at r={r}"
+    return "lift sums match indices"
 
 
-def _suite_mp1_associativity(rng: Random, per_ctx: int) -> dict:
-    cases = 0
+def _suite_mp1_associativity(rng: Random, per_ctx: int):
     for n in (1, 2):
         ctx = Mp1Context.standard(n)
         identity = mp1_identity(ctx)
         for _ in range(per_ctx):
             a, b, c = (random_mp1(ctx, rng) for _ in range(3))
-            if mp1_mul(mp1_mul(a, b), c) != mp1_mul(a, mp1_mul(b, c)):
-                return {"cases": cases, "passed": False,
-                        "detail": f"associativity failed in Sp({n})"}
-            if mp1_mul(a, mp1_inverse(a)) != identity:
-                return {"cases": cases, "passed": False,
-                        "detail": f"inverse failed in Sp({n})"}
-            cases += 1
-    return {"cases": cases, "passed": True, "detail": "group laws hold"}
+            # one case per triple: associativity, then the inverse of a
+            yield (mp1_mul(mp1_mul(a, b), c) != mp1_mul(a, mp1_mul(b, c))
+                   and f"associativity failed in Sp({n})"
+                   or mp1_mul(a, mp1_inverse(a)) != identity
+                   and f"inverse failed in Sp({n})")
+    return "group laws hold"
 
 
-def _suite_loop_degree(rng: Random) -> dict:
+def _suite_loop_degree(rng: Random):
     sp = SymplecticSpace.standard(1)
     m = 64
     path1 = [lagrangian_from_angles(sp, [(math.pi * i / m) % math.pi])
@@ -151,40 +135,39 @@ def _suite_loop_degree(rng: Random) -> dict:
     path2 = [lagrangian_from_angles(sp, [(2 * math.pi * i / m) % math.pi])
              for i in range(m + 1)]
     d1, d2 = loop_degree(path1), loop_degree(path2)
-    ok = d1 == 1 and d2 == 2
-    return {"cases": 2, "passed": ok, "detail": f"degrees {d1}, {d2}"}
+    detail = f"degrees {d1}, {d2}"
+    yield d1 != 1 and detail
+    yield d2 != 2 and detail
+    return detail
 
 
-def _suite_spencer_exact(rng: Random, sigs) -> dict:
+def _suite_spencer_exact(rng: Random, sigs):
     for s in sigs:
         audit = spencer_sequence_audit(JetSignature(*s))
-        if not audit["exact"]:
-            return {"cases": len(sigs), "passed": False,
-                    "detail": f"sequence not exact at {s}"}
-    return {"cases": len(sigs), "passed": True, "detail": "all sequences exact"}
+        yield not audit["exact"] and f"sequence not exact at {s}"
+    return "all sequences exact"
 
 
-def _suite_pde_dims(rng: Random, ns) -> dict:
+def _suite_pde_dims(rng: Random, ns):
+    # two cases per n, the Lagrangian audit and then the Legendrian one,
+    # each failing on its audit or else on its closed-form anchor at n = 2
     for n in ns:
         seed = rng.randint(0, 10 ** 6)
         lag = lagrangian_pde_dims(n, seed=seed)
+        yield (not lag["verified"] and f"dimension audit failed at n={n}"
+               or n == 2 and (lag["dim_system"], lag["dim_prolongation"],
+                              lag["dim_prolongation_fiber"]) != (7, 11, 4)
+               and "closed-form anchor failed at n=2")
         leg = legendrian_pde_dims(n, seed=seed)
-        if not (lag["verified"] and leg["verified"] and leg["cascade_sum_ok"]):
-            return {"cases": 2 * len(ns), "passed": False,
-                    "detail": f"dimension audit failed at n={n}"}
-        if n == 2 and (lag["dim_system"], lag["dim_prolongation"],
-                       lag["dim_prolongation_fiber"]) != (7, 11, 4):
-            return {"cases": 2 * len(ns), "passed": False,
-                    "detail": "closed-form anchor failed at n=2"}
-        if n == 2 and (leg["dim_system"], leg["dim_prolongation"],
-                       leg["dim_symbol_prolongation"]) != (9, 15, 6):
-            return {"cases": 2 * len(ns), "passed": False,
-                    "detail": "contact anchor failed at n=2"}
-    return {"cases": 2 * len(ns), "passed": True, "detail": "audits verified"}
+        yield (not (leg["verified"] and leg["cascade_sum_ok"])
+               and f"dimension audit failed at n={n}"
+               or n == 2 and (leg["dim_system"], leg["dim_prolongation"],
+                              leg["dim_symbol_prolongation"]) != (9, 15, 6)
+               and "contact anchor failed at n=2")
+    return "audits verified"
 
 
-def _suite_max_isotropic(rng: Random, sigs) -> dict:
-    cases = 0
+def _suite_max_isotropic(rng: Random, sigs):
     for s in sigs:
         sig = JetSignature(*s)
         lams = lambda_basis(sig)
@@ -192,18 +175,15 @@ def _suite_max_isotropic(rng: Random, sigs) -> dict:
             xi = _rand_full_rank(rng, sig.n, p) if p else Matrix.zeros(sig.n, 0)
             plane = max_isotropic(sig, xi)
             want = sig.m * comb(p + sig.k - 1, sig.k) + sig.n - p
+            # one case per p: the dimension, then isotropy on every pair
             if plane.dim != want:
-                return {"cases": cases, "passed": False,
-                        "detail": f"dim {plane.dim} != {want} at {s}, p={p}"}
+                yield f"dim {plane.dim} != {want} at {s}, p={p}"
+                continue
             vecs = plane.vectors()
-            for lam in lams:
-                for i, v in enumerate(vecs):
-                    for w in vecs[i:]:
-                        if metasymplectic_eval(lam, v, w) != 0:
-                            return {"cases": cases, "passed": False,
-                                    "detail": f"isotropy failed at {s}, p={p}"}
-            cases += 1
-    return {"cases": cases, "passed": True, "detail": "dimensions and isotropy"}
+            yield (any(metasymplectic_eval(lam, v, w) != 0 for lam in lams
+                       for i, v in enumerate(vecs) for w in vecs[i:])
+                   and f"isotropy failed at {s}, p={p}")
+    return "dimensions and isotropy"
 
 
 def _rand_span(rng: Random, sig: JetSignature) -> Matrix:
@@ -212,8 +192,7 @@ def _rand_span(rng: Random, sig: JetSignature) -> Matrix:
     return _rand_full_rank(rng, dim, cols)
 
 
-def _suite_orthogonal_laws(rng: Random, sigs, pairs: int) -> dict:
-    cases = 0
+def _suite_orthogonal_laws(rng: Random, sigs, pairs: int):
     for s in sigs:
         sig = JetSignature(*s)
         for _ in range(pairs):
@@ -226,37 +205,30 @@ def _suite_orthogonal_laws(rng: Random, sigs, pairs: int) -> dict:
             law_c = spans_equal(
                 meta_orthogonal_frame(sig, intersect_frames(p1, p2)),
                 Matrix.hstack(o1, o2))
-            if not (law_a and law_b and law_c):
-                return {"cases": cases, "passed": False,
-                        "detail": f"law failed at {s}: a={law_a} b={law_b} c={law_c}"}
-            cases += 1
-    return {"cases": cases, "passed": True, "detail": "duality laws hold"}
+            yield (not (law_a and law_b and law_c)
+                   and f"law failed at {s}: a={law_a} b={law_b} c={law_c}")
+    return "duality laws hold"
 
 
-def _suite_witt_ring(rng: Random, total: int) -> dict:
-    for i in range(total):
+def _suite_witt_ring(rng: Random, total: int):
+    for _ in range(total):
         diag1 = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))]
         diag2 = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))]
         w1 = witt_of_form_real(Matrix.diagonal(diag1))
         w2 = witt_of_form_real(Matrix.diagonal(diag2))
         w12 = witt_of_form_real(Matrix.diagonal(diag1 + diag2))
-        if w12 != w1 + w2:
-            return {"cases": i, "passed": False, "detail": "additivity failed"}
-        for k in range(4):
-            want = w1 % (2 ** k) == 0
-            if ideal_power_member_real(w1, k) != want:
-                return {"cases": i, "passed": False,
-                        "detail": f"ideal filtration failed at k={k}"}
-    return {"cases": total, "passed": True, "detail": "ring laws hold"}
+        # one case per pair: additivity, then the filtration of w1
+        yield (w12 != w1 + w2 and "additivity failed"
+               or next((f"ideal filtration failed at k={k}" for k in range(4)
+                        if ideal_power_member_real(w1, k) != (w1 % 2 ** k == 0)),
+                       None))
+    return "ring laws hold"
 
 
-def _suite_bordism_table(rng: Random, reps: int) -> dict:
-    want = {1: 1, 2: 0, 3: 1, 4: 0}
-    for n, r in want.items():
+def _suite_bordism_table(rng: Random, reps: int):
+    for n, r in {1: 1, 2: 0, 3: 1, 4: 0}.items():
         got = weak_bordism_group([1], n)["rank"]
-        if got != r:
-            return {"cases": 4, "passed": False,
-                    "detail": f"contractible rank {got} != {r} at n={n}"}
+        yield got != r and f"contractible rank {got} != {r} at n={n}"
     for _ in range(reps):
         n = rng.randint(1, 4)
         b1 = [rng.randint(0, 3) for _ in range(n)]
@@ -264,14 +236,13 @@ def _suite_bordism_table(rng: Random, reps: int) -> dict:
         lhs = weak_bordism_group([a + b for a, b in zip(b1, b2)], n)["rank"]
         rhs = (weak_bordism_group(b1, n)["rank"]
                + weak_bordism_group(b2, n)["rank"])
-        if lhs != rhs:
-            return {"cases": 4 + reps, "passed": False,
-                    "detail": "betti additivity failed"}
-    ok = split_check(0, 5, 5) and split_check(2, 7, 5) and not split_check(1, 5, 5)
-    return {"cases": 4 + reps + 3, "passed": ok, "detail": "table and additivity"}
+        yield lhs != rhs and "betti additivity failed"
+    for args, want in (((0, 5, 5), True), ((2, 7, 5), True), ((1, 5, 5), False)):
+        yield split_check(*args) != want and f"split check {args} is not {want}"
+    return "table and additivity"
 
 
-def _suite_scan_circle(rng: Random) -> dict:
+def _suite_scan_circle(rng: Random):
     sp = SymplecticSpace.standard(1)
     m = 64
     ts = [2 * math.pi * i / m for i in range(m)]
@@ -280,7 +251,9 @@ def _suite_scan_circle(rng: Random) -> dict:
         params=[(t,) for t in ts],
         points=[(math.cos(t), math.sin(t)) for t in ts])
     lag = check_lagrangian(circle, sp, tol=1e-6)
+    yield not lag["pass"] and "circle not Lagrangian"
     deg = loop_maslov(circle, sp, tol=1e-6)
+    yield deg != 2 and f"circle degree {deg} != 2"
     ts8 = [2 * math.pi * i / 8 for i in range(8)]
     analytic = SampledImmersion(
         param_dim=1, ambient_dim=2, topology="loop",
@@ -288,15 +261,25 @@ def _suite_scan_circle(rng: Random) -> dict:
         points=[(math.cos(t), math.sin(t)) for t in ts8],
         frames=[[[-math.sin(t)], [math.cos(t)]] for t in ts8])
     strata = corank_profile(analytic, tol=1e-6)["strata"]
+    yield strata != {"0": [0, 4]} and f"analytic strata {sorted(strata)}"
     graph = SampledImmersion(
         param_dim=1, ambient_dim=2, topology="line",
         params=[(i / 7.0,) for i in range(8)],
         points=[(i / 7.0, (i / 7.0) ** 2) for i in range(8)])
-    flat = corank_profile(graph, tol=1e-6)
-    ok = (lag["pass"] and deg == 2 and strata == {"0": [0, 4]}
-          and all(c == 0 for c in flat["coranks"]))
-    return {"cases": 4, "passed": ok,
-            "detail": f"degree {deg}, strata {sorted(strata)}"}
+    yield any(corank_profile(graph, tol=1e-6)["coranks"]) and "graph has corank"
+    return f"degree {deg}, strata {sorted(strata)}"
+
+
+def _run_suite(suite, rng: Random, **params) -> dict:
+    """Run one suite to its end or to its first failing case; ``cases`` is
+    then the number of cases run, or the 0-based index of the failing one."""
+    cases, index = suite(rng, **params), 0
+    try:
+        while not (failure := next(cases)):
+            index += 1
+    except StopIteration as done:
+        return {"cases": index, "passed": True, "detail": done.value}
+    return {"cases": index, "passed": False, "detail": failure}
 
 
 # name -> (suite, quick parameters, full parameters), in report order
@@ -332,15 +315,10 @@ _SUITES = {
 
 def run_selftest(seed: int = 0, quick: bool = False) -> dict:
     """Run every suite; the report is a plain dict, stable under repetition."""
-    suites = []
-    failures = []
-    for name, (fn, quick_params, full_params) in _SUITES.items():
-        out = fn(_suite_rng(seed, name), **(quick_params if quick else full_params))
-        entry = {"name": name, "cases": out["cases"], "passed": out["passed"],
-                 "detail": out["detail"]}
-        suites.append(entry)
-        if not out["passed"]:
-            failures.append(name)
+    suites = [{"name": name, **_run_suite(fn, _suite_rng(seed, name),
+                                          **(fast if quick else full))}
+              for name, (fn, fast, full) in _SUITES.items()]
+    failures = [s["name"] for s in suites if not s["passed"]]
     return {
         "seed": seed,
         "quick": quick,

@@ -555,20 +555,48 @@ def _inexact_audit(sig):
     return dict(spencer_sequence_audit(sig), exact=False)
 
 
+def _flat_grid():
+    """The 3 x 3 grid (u, 0, v, 0): Ω pairs its two tangents to 1."""
+    grid = _plane_grid()
+    return dict(grid, points=[[u, 0, v, 0] for u, v in grid["params"]])
+
+
+def _slope_line():
+    """The line (t, 0, t) in contact 3-space: dz - y dx reads 1 on it."""
+    ts = [i / 7 for i in range(8)]
+    return {"param_dim": 1, "ambient_dim": 3, "topology": "line",
+            "params": [[t] for t in ts], "points": [[t, 0, t] for t in ts]}
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["jet", "spencer-audit", "--n", "2", "--m", "1", "--k", "2"], "exact", False),
     (["selftest", "--quick"], "failures", ["spencer_exact"]),
-], ids=["spencer-audit", "selftest"])
+    (["scan", "lagrangian", "--space", "std:2", "--samples", "{flat}"],
+     "pass", False),
+    (["scan", "legendrian", "--samples", "{slope}"], "pass", False),
+], ids=["spencer-audit", "selftest", "scan-lagrangian", "scan-legendrian"])
 def test_failed_check_exits_3_and_prints_the_report_once(capsys, monkeypatch,
-                                                         argv, key, value):
+                                                         tmp_path, argv, key,
+                                                         value):
     monkeypatch.setattr(symgeo.jets, "spencer_sequence_audit", _inexact_audit)
     monkeypatch.setattr(symgeo.selftest, "spencer_sequence_audit", _inexact_audit)
-    code = main(argv)
+    files = {"flat": _write(tmp_path, "flat.json", _flat_grid()),
+             "slope": _write(tmp_path, "slope.json", _slope_line())}
+    code = main([arg.format(**files) for arg in argv])
     captured = capsys.readouterr()
     assert code == 3 and captured.err == ""
     report = json.loads(captured.out)
     assert report[key] == value
     assert captured.out == dumps(report) + "\n"
+
+
+def test_scan_batch_exits_3_when_any_sample_fails(capsys, tmp_path):
+    plane = _write(tmp_path, "plane.json", _plane_grid())
+    flat = _write(tmp_path, "flat.json", _flat_grid())
+    code, out = run_json(capsys, "scan", "lagrangian", "--space", "std:2",
+                         "--samples", plane, flat)
+    assert code == 3
+    assert [r["pass"] for r in out["batch"]] == [True, False]
 
 
 def test_table_mode_round_trips(capsys):
@@ -702,6 +730,10 @@ _REFUSALS = [
      "need at least two directions"),
     (["maslov", "kashiwara", "--directions", "1,0;0,1"], {},
      "need at least three directions"),
+    (["maslov", "kashiwara", "--directions", "1,0;1,1;0,1", "--space", "std:3"],
+     {}, "directions are n=1 lines but space is std:3"),
+    (["maslov", "arnold", "--directions", "1,0;1,1;0,1", "--space", "bogus"],
+     {}, "space must look like std:n, got 'bogus'"),
     (["maslov", "kashiwara", "--angles", "0;1"], {},
      "need at least three Lagrangians"),
     (["maslov", "arnold", "--angles", "0;1"], {},
