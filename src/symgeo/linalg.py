@@ -4,9 +4,9 @@ Two scalar modes exist and are never mixed silently:
 
 * ``exact``  -- integer row tuples ``num`` over one positive int ``den``,
   kept canonical (gcd(den, every entry of num) = 1), so equal matrices have
-  equal fields.  Arithmetic runs on the integers; rref, rank, kernel and
-  inverse use Bareiss fraction-free elimination and divide once at the end,
-  the signature fraction-free symmetric elimination.  ``entries``, ``row``,
+  equal fields.  Arithmetic runs on the integers; rref, rank and kernel use
+  Bareiss elimination, inverse its Gauss-Jordan form on [A | I], and the
+  signature fraction-free symmetric elimination.  ``entries``, ``row``,
   ``col`` and ``m[i, j]`` are ``Fraction`` views for input and output.
 * ``approx`` -- float rows ``num`` over ``den`` = 1 and a per-matrix
   tolerance; rank uses singular values, signature symmetric eigenvalues,
@@ -304,6 +304,25 @@ def _bareiss(num: Sequence[Sequence[int]],
     return a, pivots, prev * scale
 
 
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list] | None:
+    """(d, d A^-1) with d = +-det A for the square integer A = ``rows``, or
+    None if A is singular: fraction-free Gauss-Jordan on [A | I] (as in
+    ``_bareiss``, no column contents) ends as [d I | d A^-1], d the last pivot."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot_row is None:
+            return None
+        a[c], a[pivot_row] = a[pivot_row], a[c]
+        prow, p = a[c], a[c][c]
+        a = [row if r == c else [(p * x - row[c] * y) // prev
+                                 for x, y in zip(row, prow)] for r, row in enumerate(a)]
+        prev = p
+    return prev, [r[n:] for r in a]
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if m.mode != EXACT:
         raise ModeMixError("rref is exact-mode only")
@@ -351,13 +370,11 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     if m.mode == EXACT:
-        n = m.rows
-        # [num | I] reduces to d [I | num^-1], and m^-1 = den num^-1
-        a, pivots, d = _bareiss([r + tuple(int(i == j) for j in range(n))
-                                 for i, r in enumerate(m.num)])
-        if pivots[:n] != list(range(n)):
+        inv = _adjugate(m.num)
+        if inv is None:
             raise ValueError("matrix is singular")
-        return m._new(n, n, tuple(tuple(m.den * x for x in r[n:]) for r in a),
+        d, adj = inv   # m^-1 = den num^-1 = den (d num^-1) / d
+        return m._new(m.rows, m.cols, tuple(tuple(m.den * x for x in r) for r in adj),
                       d, m.tol)
     import numpy as np
     return Matrix.approx(np.linalg.inv(m.to_numpy()).tolist(), m.tol)

@@ -9,9 +9,9 @@ the forms read it:
 * ``kashiwara_index`` -- pos - neg of P + P^T, the symmetrized q on the
   direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
   pairs primitive integer frame columns through Omega's numerators
-  (positive congruences) and hands P itself to the integer signature,
-  which reads only the lower triangle; approx mode orthonormalizes each
-  frame by QR and symmetrizes P, and only that branch imports numpy.
+  (positive congruences) and sums ``_triple_index`` over (L_1, L_k, L_k+1)
+  by the chain rule: an n x n Schur form, or the 3n Gram if det A = 0.
+  Approx mode symmetrizes P of QR frames; only it imports numpy.
 * ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
   T = ker(sum) / im(boundary), for representatives R of T built from
   consecutive intersections of the tuple; it has the same signature.  The
@@ -37,10 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, integer_signature,
-                     kernel_basis, rank, rref, sym_signature)
+from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _adjugate,
+                     integer_signature, kernel_basis, rank, rref, sym_signature)
 from .symplectic import (LagrangianFrame, SymplecticSpace, _pairing, _support,
                          line_lagrangian)
 from .witt import witt_of_form_real
@@ -150,29 +151,54 @@ def _primitive_column(col: Sequence[int]) -> list[int]:
     return [x // content for x in col]
 
 
+def _triple_index(a: list, b: list, c: list) -> int:
+    """tau(L_1, L_2, L_3) from the blocks (2,1) = A, (3,1) = B and (3,2) = C
+    of its integer pairing: -sgn(d) sig(W + W^T), W = B (d A^-1) C^T, from the
+    Schur complement of the hyperbolic [[0, A^T], [A, 0]] if L_1, L_2 are
+    transverse (Lion & Vergne 1980), else the signature of the whole 3n Gram.
+    Positive factors on the blocks are member scalings, which tau ignores."""
+    inv = _adjugate(a)
+    if inv is None:   # the 3n Gram; integer_signature reads row k up to entry k
+        zeros = [0] * len(a)
+        sig = integer_signature([zeros] * len(a) + [r + zeros for r in a]
+                                + [r + t + zeros for r, t in zip(b, c)])
+        return sig.pos - sig.neg
+    w = [[sum(map(mul, row, col)) for col in zip(*inv[1])] for row in b]
+    w = [[sum(map(mul, row, crow)) for crow in c] for row in w]
+    sig = integer_signature([[w[i][j] + w[j][i] for j in range(i + 1)]
+                             for i in range(len(w))])
+    return sig.neg - sig.pos if inv[0] > 0 else sig.pos - sig.neg
+
+
 def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
-    """Witt class (signature) of the canonical form of the tuple."""
+    """Witt class (signature) of the canonical form of the tuple; exact mode
+    sums tau(L_1, L_k, L_k+1) (chain rule; Cappell, Lee & Miller, CPAM 47
+    (1994)), each by the transverse-pair formula or, if det A = 0, its 3n Gram."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
     space = tup.space
     if tup.members[0].frame.mode == EXACT:
         # positive scalings of columns and of Omega are congruences
-        cols = [_primitive_column(c) for m in tup.members for c in m.frame.T.num]
-        # P is strictly block-lower, so its lower triangle is that of P + P^T
-        sig = integer_signature(_pairing(cols, space.omega_support, space.n))
-    else:
-        import numpy as np
-        cols = [q for m in tup.members
-                for q in np.linalg.qr(m.frame.to_numpy())[0].T.tolist()]
-        support = _support(space.omega_as(APPROX).num)
-        pair = Matrix.approx(_pairing(cols, support, space.n),
-                             max(m.frame.tol for m in tup.members))
-        sig = sym_signature(pair + pair.T)
+        cols = [[_primitive_column(c) for c in m.frame.T.num] for m in tup.members]
+        images = [[[sum(o * c[j] for j, o in row) for row in space.omega_support]
+                   for c in f] for f in cols[:-1]]
+        # F_i^T Omega F_j for each i > 0 with j = 0 and j = i - 1 (once at i = 1)
+        blocks = [[[[sum(map(mul, x, y)) for y in images[j]] for x in cols[i]]
+                   for j in (0, i - 1)[:i]] for i in range(1, len(cols))]
+        return sum(_triple_index(p[0], q[0], q[1]) for p, q in zip(blocks, blocks[1:]))
+    import numpy as np
+    cols = [q for m in tup.members
+            for q in np.linalg.qr(m.frame.to_numpy())[0].T.tolist()]
+    support = _support(space.omega_as(APPROX).num)
+    pair = Matrix.approx(_pairing(cols, support, space.n),
+                         max(m.frame.tol for m in tup.members))
+    sig = sym_signature(pair + pair.T)
     return sig.pos - sig.neg
 
 
 def tuple_reduce(tup: LagrangianTuple) -> int:
-    """Index via the triple reduction sum_{j=2}^{r-1} tau(L1, Lj, Lj+1)."""
+    """Index via the chain rule sum_{j=2}^{r-1} tau(L1, Lj, Lj+1), one call per
+    triple: the transverse-pair Schur form, or the 3n Gram when det A = 0."""
     mem = tup.members
     return sum(kashiwara_index(LagrangianTuple.of(mem[0], mem[j], mem[j + 1]))
                for j in range(1, len(mem) - 1))

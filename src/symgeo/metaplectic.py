@@ -8,16 +8,16 @@ extension is central: (w, id) commutes with everything.
 The twist is read from blocks.  For the base frame F each element carries
 X(g) = F^T g^T (Omega F), the pairing of gL with L (Lion & Vergne, The
 Weil representation, Maslov index and theta series, 1980).
-tau(L, g1 L, g1 g2 L) is the signature of the block-lower Gram whose
-blocks are X(g1), X(g1 g2) and (g1 g2 F)^T Omega (g1 F) (Cappell, Lee &
-Miller, CPAM 47 (1994)), and g1^T Omega g1 = Omega makes the last one
-X(g2).  A product computes one new block, its own, and keeps it for later
-products; it forms no image frame gL.
+tau(L, g1 L, g1 g2 L) is ``maslov._triple_index`` of the blocks A = X(g1),
+X(g1 g2) and (g1 g2 F)^T Omega (g1 F) = X(g2), as g1^T Omega g1 = Omega:
+the transverse-pair formula, an n x n form (Rao's cocycle), or the 3n
+Gram when det A = 0, as for g1 = id.  A product computes one new block,
+its own, and keeps it for later products; it forms no image frame gL.
 
 Each fact is proved once.  ``Mp1Element(...)``/``Mp1Element.of`` check
-g^T Omega g = Omega, and ``LagrangianFrame`` checks the base, for every
-caller.  The group operations build their results with ``_trusted``,
-which skips those checks, where a theorem already gives them:
+that w is an int and g^T Omega g = Omega, and ``LagrangianFrame`` checks
+the base, for every caller.  The group operations build their results
+with ``_trusted``, which skips those checks, where a theorem gives them:
 
 * ``mp1_mul``     -- a product of symplectic matrices is symplectic;
 * ``mp1_inverse`` -- g^-1 = Omega^-1 g^T Omega is symplectic, and the
@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from random import Random
 
-from .linalg import EXACT, Matrix, integer_signature
-from .maslov import LerayLift, _primitive_column, leray_m
+from .linalg import EXACT, Matrix
+from .maslov import LerayLift, _primitive_column, _triple_index, leray_m
 # unused here; perfbench's tracer test checks that this binding is wrapped
 from .maslov import kashiwara_index  # noqa: F401
 from .symplectic import (LagrangianFrame, SymplecticSpace, _pairing, _support,
@@ -105,6 +105,8 @@ class Mp1Element:
     g: Matrix
 
     def __post_init__(self):
+        if type(self.w) is not int:
+            raise ValueError("the Witt part w must be an int")
         if self.g.mode != EXACT:
             raise ValueError("group elements use exact matrices")
         if not is_symplectic(self.ctx.space, self.g):
@@ -112,7 +114,7 @@ class Mp1Element:
 
     @staticmethod
     def of(ctx: Mp1Context, w: int, g: Matrix) -> "Mp1Element":
-        return Mp1Element(ctx, int(w), g)
+        return Mp1Element(ctx, w, g)
 
     @cached_property
     def _block(self) -> list[list[int]]:
@@ -136,20 +138,6 @@ def _trusted(cls, *values):
     return obj
 
 
-def _cocycle(x1: list, x12: list, x32: list) -> int:
-    """The Kashiwara index of the triple whose Gram is block-lower with
-    blocks (2,1) = x1, (3,1) = x12 and (3,2) = x32.  Each block may carry
-    its own positive factor: scaling the three members by p, q, r > 0
-    scales the blocks by pq, pr and qr, which reach any three positive
-    factors, so the signature does not see them."""
-    zeros = [0] * len(x1)
-    # integer_signature reads row k up to entry k only
-    rows = ([zeros] * len(x1) + [r + zeros for r in x1]
-            + [r + t + zeros for r, t in zip(x12, x32)])
-    sig = integer_signature(rows)
-    return sig.pos - sig.neg
-
-
 def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
     """The product (w, g)(w', g') = (w + w' + tau(L, gL, gg'L), gg').
 
@@ -161,8 +149,7 @@ def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:
             raise ValueError("elements use different base Lagrangians")
     g = a.g @ b.g
     x = _frame_block(a.ctx, g)
-    # block (3,2) is (g g' F)^T Omega (g F) = X(g'), because g^T Omega g = Omega
-    tw = _cocycle(a._block, x, b._block)
+    tw = _triple_index(a._block, x, b._block)
     # a product of two symplectic matrices is symplectic
     out = _trusted(Mp1Element, a.ctx, a.w + b.w + tw, g)
     vars(out)["_block"] = x

@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from symgeo.linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
-                           integer_signature, inverse, kernel_basis, rank, rref,
-                           spans_equal, sym_signature)
+                           _adjugate, _bareiss, integer_signature, inverse,
+                           kernel_basis, rank, rref, spans_equal, sym_signature)
 
 
 def _rand_exact(rng, r, c, lo=-5, hi=5):
@@ -48,6 +48,83 @@ def test_inverse_rejects_singular():
     m = Matrix.exact([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         inverse(m)
+
+
+def _fraction_inverse(rows):
+    """Gauss-Jordan over Fractions: (det A, A^-1), or (0, None)."""
+    n = len(rows)
+    a = [[F(x) for x in r] + [F(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    det = F(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return 0, None
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return det, [r[n:] for r in a]
+
+
+def test_adjugate_matches_fraction_inverse():
+    """(d, d A^-1) with d = +-det A on seeded integer matrices, some of
+    which need row swaps and some of which have det A < 0."""
+    rng = Random("adjugate")
+    signs = set()
+    for n in range(1, 7):
+        for _ in range(12):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            det, inv = _fraction_inverse(rows)
+            got = _adjugate(rows)
+            if inv is None:
+                assert got is None
+                continue
+            d, adj = got
+            assert abs(d) == abs(det)
+            assert adj == [[d * x for x in r] for r in inv]
+            assert all(type(x) is int for r in adj for x in r)
+            signs.add((d > 0, det > 0))
+    # d follows det A up to the sign of the row swaps, and every case occurs
+    assert signs == {(True, True), (True, False), (False, True), (False, False)}
+    assert _adjugate([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
+    assert _adjugate([[-2]]) == (-2, [[1]])
+
+
+def test_adjugate_refuses_singular_input():
+    for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
+                 [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[0, 1], [0, 2]]):
+        assert _adjugate(rows) is None
+
+
+def _bareiss_inverse(m: Matrix) -> Matrix:
+    """The exact inverse by Bareiss on [num | I] with column contents
+    divided out: the route ``inverse`` took before ``_adjugate``."""
+    n = m.rows
+    a, pivots, d = _bareiss([r + tuple(int(i == j) for j in range(n))
+                             for i, r in enumerate(m.num)])
+    assert pivots[:n] == list(range(n))
+    return m._new(n, n, tuple(tuple(m.den * x for x in r[n:]) for r in a), d, m.tol)
+
+
+def test_inverse_is_field_equal_to_the_bareiss_route():
+    rng = Random("inverse-fields")
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 6)
+        m = Matrix.exact([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                          for _ in range(n)])
+        if rank(m) < n:
+            continue
+        inv = inverse(m)
+        old = _bareiss_inverse(m)
+        assert (inv.num, inv.den) == (old.num, old.den)
+        assert inv == Matrix.exact(_fraction_inverse(m.entries)[1])
+        done += 1
 
 
 def test_rank_product_bound():

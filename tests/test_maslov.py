@@ -6,16 +6,16 @@ from random import Random
 
 import pytest
 
-from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, inverse,
-                           kernel_basis, rank, sym_signature)
+from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, integer_signature,
+                           inverse, kernel_basis, rank, sym_signature)
 from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
-                           arnold_index_triple,
+                           _primitive_column, _triple_index, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
                            kashiwara_space, leray_cyclic_sum, leray_m,
                            tuple_reduce, wall_invariant)
 from symgeo.metaplectic import (Mp1Context, Mp1Element, mp1_identity,
                                 mp1_inverse, mp1_mul, random_mp1)
-from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
+from symgeo.symplectic import (LagrangianFrame, SymplecticSpace, _pairing,
                                graph_lagrangian, lagrangian_from_angles,
                                line_lagrangian, random_lagrangian,
                                random_symplectic, standard_gram)
@@ -202,6 +202,114 @@ def test_direct_sum_index_on_a_rational_omega():
             want = kashiwara_index(ls)
             assert kashiwara_index(moved) == want
             assert _oracle(moved) == want
+
+
+def full_gram_index(tup) -> int:
+    """The exact index as one signature: pos - neg of P + P^T for the
+    block-lower rn x rn pairing P of the primitive member columns, whose
+    lower triangle is the one ``integer_signature`` reads.  No triple, no
+    chain rule and no Schur form: the oracle of ``kashiwara_index``."""
+    if not isinstance(tup, LagrangianTuple):
+        tup = LagrangianTuple.of(*tup)
+    space = tup.space
+    cols = [_primitive_column(c) for m in tup.members for c in m.frame.T.num]
+    sig = integer_signature(_pairing(cols, space.omega_support, space.n))
+    return sig.pos - sig.neg
+
+
+def block_gram_index(a, b, c) -> int:
+    """The index of the 3n block-lower Gram with blocks (2,1) = a,
+    (3,1) = b and (3,2) = c: the oracle of ``_triple_index``."""
+    n = len(a)
+    gram = [[0] * (3 * n) for _ in range(3 * n)]
+    for (r0, c0), blk in (((n, 0), a), ((2 * n, 0), b), ((2 * n, n), c)):
+        for i, row in enumerate(blk):
+            gram[r0 + i][c0:c0 + n] = row
+    sig = integer_signature(gram)
+    return sig.pos - sig.neg
+
+
+def _triple_blocks(l1, l2, l3) -> tuple:
+    """Blocks (2,1), (3,1) and (3,2) of the triple's pairing."""
+    n = l1.space.n
+    cols = [_primitive_column(c) for m in (l1, l2, l3) for c in m.frame.T.num]
+    p = _pairing(cols, l1.space.omega_support, n)
+    return ([r[:n] for r in p[n:2 * n]], [r[:n] for r in p[2 * n:]],
+            [r[n:2 * n] for r in p[2 * n:]])
+
+
+def _pool_tuple(rng, sp, r, tie):
+    """Seeded members as in the perfbench ``index`` pools: the last member
+    is another frame of the first or shares the first member's lines, or
+    neither; with ``tie`` a middle member does the same, so L_1 and that
+    member meet and the chain reaches det A = 0."""
+    ls = [random_lagrangian(sp, rng, twists=rng.randint(3, 6)) for _ in range(r)]
+    dst = rng.randrange(1, r - 1) if tie else r - 1
+    kind = rng.randrange(2 if tie else 3)
+    if kind == 0:
+        ls[dst] = LagrangianFrame(sp, ls[0].frame @ _rand_full_rank(rng, sp.n, sp.n))
+    elif kind == 1:
+        ls[dst] = _sharing(rng, ls[0], rng.randint(1, sp.n))
+    return ls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chain_rule_index_matches_full_gram_and_quotient(n, triple_branches):
+    """``kashiwara_index`` and ``tuple_reduce`` against the full rn Gram and
+    the quotient form, for r = 3..6, tied and untied tuples; both branches
+    of ``_triple_index`` run at every n."""
+    rng = Random(f"chain-rule:{n}")
+    sp = SymplecticSpace.standard(n)
+    for r in (3, 4, 5, 6):
+        for tie in (False, True):
+            tup = LagrangianTuple.of(*_pool_tuple(rng, sp, r, tie))
+            want = full_gram_index(tup)
+            assert kashiwara_index(tup) == want == tuple_reduce(tup)
+            if r <= (6 if n < 5 else 4):
+                assert _oracle(tup) == want
+    assert triple_branches["schur"] and triple_branches["gram"]
+    pair = LagrangianTuple.of(*_pool_tuple(rng, sp, 3, False)[:2])
+    assert kashiwara_index(pair) == 0 == full_gram_index(pair)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_triple_index_matches_the_3n_gram(n, triple_branches):
+    """``_triple_index`` on the blocks of seeded triples, tied or not,
+    against the whole 3n Gram; positive factors on the blocks change
+    nothing."""
+    rng = Random(f"triple-blocks:{n}")
+    sp = SymplecticSpace.standard(n)
+    for i in range(12):
+        blocks = _triple_blocks(*_pool_tuple(rng, sp, 3, tie=i % 3 == 0))
+        want = block_gram_index(*blocks)
+        assert _triple_index(*blocks) == want
+        scaled = [[[k * x for x in row] for row in blk]
+                  for k, blk in zip((rng.randint(1, 9) for _ in range(3)), blocks)]
+        assert _triple_index(*scaled) == want
+    assert triple_branches["schur"] and triple_branches["gram"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_meeting_pair_takes_the_3n_gram(n, triple_branches):
+    """det A = 0 by construction: L_2 is L_1 (the same frame or another
+    one) or shares k = 1..n lines with it.  Each such triple takes the
+    3n branch and agrees with both oracles."""
+    rng = Random(f"meeting-pair:{n}")
+    sp = SymplecticSpace.standard(n)
+    for k in range(n + 1):
+        l1, l3 = (random_lagrangian(sp, rng, twists=4) for _ in range(2))
+        if k == 0:
+            l2s = [l1, LagrangianFrame(sp, l1.frame @ _rand_full_rank(rng, n, n))]
+        else:
+            l2s = [_sharing(rng, l1, k)]
+        for l2 in l2s:
+            tup = LagrangianTuple.of(l1, l2, l3)
+            before = triple_branches["gram"]
+            assert kashiwara_index(tup) == full_gram_index(tup) == _oracle(tup)
+            assert triple_branches["gram"] == before + 1
+            assert _triple_index(*_triple_blocks(l1, l2, l3)) == block_gram_index(
+                *_triple_blocks(l1, l2, l3))
+    assert triple_branches["schur"] == 0
 
 
 def test_approx_index_matches_exact_on_converted_tuples():

@@ -6,13 +6,14 @@ from random import Random
 import pytest
 
 from symgeo.linalg import Matrix, _rand_full_rank, inverse
-from symgeo.maslov import LerayLift, kashiwara_index
-from symgeo.metaplectic import (Mp1Context, Mp1Element, _cocycle, _frame_block,
+from symgeo.maslov import LerayLift, _triple_index
+from symgeo.metaplectic import (Mp1Context, Mp1Element, _frame_block,
                                 is_symplectic, mp1_identity, mp1_inverse,
                                 mp1_mul, mp2_member, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                random_lagrangian, random_symplectic,
                                standard_gram)
+from test_maslov import full_gram_index
 
 
 def _eq(a, b):
@@ -59,9 +60,9 @@ SEEDED = _seeded_cases()
 
 
 def _checked_cocycle(ctx: Mp1Context, g1: Matrix, g12: Matrix) -> int:
-    """tau(L, g1 L, g1 g2 L) on fully checked frames."""
+    """tau(L, g1 L, g1 g2 L) on fully checked frames, by the full 3n Gram."""
     lag = ctx.base
-    return kashiwara_index([lag, LagrangianFrame(ctx.space, g1 @ lag.frame),
+    return full_gram_index([lag, LagrangianFrame(ctx.space, g1 @ lag.frame),
                             LagrangianFrame(ctx.space, g12 @ lag.frame)])
 
 
@@ -76,7 +77,7 @@ def test_cocycle_matches_checked_frames(ctx, triples):
         for g1, g2 in ((a.g, b.g), (b.g, c.g), (a.g, inverse(a.g))):
             g = g1 @ g2
             blocks = (_frame_block(ctx, h) for h in (g1, g, g2))
-            assert _cocycle(*blocks) == _checked_cocycle(ctx, g1, g)
+            assert _triple_index(*blocks) == _checked_cocycle(ctx, g1, g)
 
 
 def _transvection(space: SymplecticSpace, u: list, c) -> Matrix:
@@ -96,9 +97,10 @@ def _big_elements(ctx: Mp1Context) -> list:
 
 
 @pytest.mark.parametrize("ctx, triples", SEEDED)
-def test_block_cocycle_matches_checked_frames(ctx, triples):
+def test_block_cocycle_matches_checked_frames(ctx, triples, triple_branches):
     """The twist of ``mp1_mul``, read from the factors' cached blocks,
-    is the Kashiwara index on fully checked image frames."""
+    is the Kashiwara index on fully checked image frames.  An identity
+    first factor has X(id) = F^T Omega F = 0, so both branches run."""
     e = mp1_identity(ctx)
     big = _big_elements(ctx)
     assert all(el.g.den > 2 ** 79 for el in big)
@@ -109,6 +111,21 @@ def test_block_cocycle_matches_checked_frames(ctx, triples):
                      (big[2], ab), (inv, big[2])):
             got = mp1_mul(x, y).w - x.w - y.w
             assert got == _checked_cocycle(ctx, x.g, x.g @ y.g)
+    assert triple_branches["schur"] and triple_branches["gram"]
+
+
+@pytest.mark.parametrize("w", [2.5, True, "2", 2.0])
+def test_witt_part_must_be_an_int(w):
+    """A w that is not an int is refused by the checked constructor and by
+    ``of``, not truncated or carried into products."""
+    ctx = Mp1Context.standard(1)
+    g = Matrix.identity(2)
+    with pytest.raises(ValueError, match="must be an int"):
+        Mp1Element(ctx, w, g)
+    with pytest.raises(ValueError, match="must be an int"):
+        Mp1Element.of(ctx, w, g)
+    a = Mp1Element.of(ctx, 2, g)
+    assert type(mp1_mul(a, a).w) is int and type(mp1_inverse(a).w) is int
 
 
 def test_cached_block_leaves_eq_hash_and_repr():
