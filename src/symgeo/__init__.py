@@ -8,7 +8,28 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_EXPORTS = {  # defining submodule -> its public names
+
+def _lazy_exports(namespace: dict, exports: dict) -> tuple:
+    """``__all__``, ``__getattr__`` and ``__dir__`` (PEP 562) of the package
+    with globals ``namespace`` and submodules ``exports`` (module -> names);
+    a name's first access imports its module and keeps the object."""
+    package = namespace["__name__"]
+    module_of = {name: mod for mod, names in exports.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in module_of:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f".{module_of[name]}", package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list:
+        return sorted({*namespace, *module_of})
+
+    return list(module_of), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "linalg": "APPROX EXACT Matrix ModeMixError Signature inverse kernel_basis rank "
               "rref spans_equal sym_signature",
     "witt": "ideal_power_member_real witt_of_form_complex witt_of_form_real",
@@ -30,18 +51,4 @@ _EXPORTS = {  # defining submodule -> its public names
             "reeb_field",
     "bordism": "g_singular_bordism split_check weak_bordism_group",
     "selftest": "run_selftest",
-}
-_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
-__all__ = list(_MODULE_OF)
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted({*globals(), *__all__})
+})

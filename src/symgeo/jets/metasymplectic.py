@@ -24,8 +24,8 @@ matrix's denominator as the vector's view, so no lcm over ``Fraction``s is
 taken for plane vectors.  A pair whose two mixed products are empty
 (both horizontal, both vertical) is 0 at once; otherwise the sum runs over
 the nonzero slots and the nonzero horizontal entries, and the result is
-divided once.  The caches live on the instances, outside the dataclass
-fields, so equality and hashing are unchanged.
+divided once.  The caches live on the instances, outside the fields, so
+equality and hashing are unchanged.
 
 A maximal isotropic plane is one exact frame: Ann(Xi) padded with zero
 theta rows, next to the columns of S^k(Xi) tensor nu.  Those products of
@@ -39,14 +39,15 @@ dimension audit eliminates Q alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 
-from ..linalg import EXACT, Matrix, ModeMixError, kernel_basis, rank
-from .symtensor import JetSignature, SymTensor, _delta_terms
+from ..linalg import (EXACT, Matrix, ModeMixError, Value, _set, kernel_basis,
+                      rank)
+from .symtensor import (JetSignature, SymTensor, _delta_terms, lambda_dim,
+                        model_dim)
 
 
 _ZERO = Fraction(0)
@@ -67,13 +68,16 @@ def _vector_view(n: int, den: int, entries) -> tuple[int, tuple, dict[int, int]]
             {p - n: a for p, a in entries if p >= n})
 
 
-@dataclass(frozen=True)
-class CovectorSlot:
+class CovectorSlot(Value):
     """Element of S^{k-1}(T) tensor nu* (dual slot for the two-form);
     ``coeffs`` in the storage order of degree k - 1."""
 
-    sig: JetSignature
-    coeffs: tuple
+    _fields = ("sig", "coeffs")
+
+    def __init__(self, sig: JetSignature, coeffs: tuple):
+        _set(self, "sig", sig)
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coeffs) != lambda_dim(self.sig):
@@ -85,13 +89,16 @@ class CovectorSlot:
         return _int_view(self.coeffs)
 
 
-@dataclass(frozen=True)
-class ModelVector:
+class ModelVector(Value):
     """A single vector (X, theta) in the model fiber."""
 
-    sig: JetSignature
-    x: tuple
-    theta: SymTensor
+    _fields = ("sig", "x", "theta")
+
+    def __init__(self, sig: JetSignature, x: tuple, theta: SymTensor):
+        _set(self, "sig", sig)
+        _set(self, "x", x)
+        _set(self, "theta", theta)
+        self.__post_init__()
 
     def __post_init__(self):
         sig, theta = self.sig, self.theta
@@ -106,14 +113,6 @@ class ModelVector:
         """Common denominator d with the nonzero entries of d X as
         (position, numerator) pairs and of d theta as {position: numerator}."""
         return _vector_view(self.sig.n, *_int_view(self.x + self.theta.coeffs))
-
-
-def model_dim(sig: JetSignature) -> int:
-    return sig.n + sig.m * comb(sig.n + sig.k - 1, sig.k)
-
-
-def lambda_dim(sig: JetSignature) -> int:
-    return sig.m * comb(sig.n + sig.k - 2, sig.k - 1)
 
 
 def lambda_basis(sig: JetSignature) -> list[CovectorSlot]:
@@ -229,12 +228,14 @@ def singularity_condition(sig: JetSignature, p: int) -> bool:
     return sig.m * comb(p + sig.k - 1, sig.k) >= sig.n
 
 
-@dataclass(frozen=True)
-class IntegralPlaneModel:
+class IntegralPlaneModel(Value):
     """A subspace of the model fiber, spanned by the columns of ``frame``."""
 
-    sig: JetSignature
-    frame: Matrix
+    _fields = ("sig", "frame")
+
+    def __init__(self, sig: JetSignature, frame: Matrix):
+        _set(self, "sig", sig)
+        _set(self, "frame", frame)
 
     @property
     def dim(self) -> int:

@@ -164,7 +164,12 @@ def _jacobian(eqs, point: list[Fraction]) -> Matrix:
 
 def lagrangian_pde_dims(n: int, seed: int = 0) -> dict:
     """Closed dimension formulas for the Lagrangian graph system with an
-    exact rank verification at a random on-locus rational point."""
+    exact rank verification at a random on-locus rational point.
+
+    ``verified`` can hold only for n <= 7: the order-1 rows have no
+    second-order entries, so the prolonged rank is at most the symbol rank
+    plus ``dim_jet1``, which reaches eq1 + eq2 only while C(n, 2) + C(n, 3)
+    <= n^2 + 2n.  At n = 8 that bound is 168 + 80 = 248 < 252 (rank 240)."""
     if n < 1:
         raise ValueError("n must be positive")
     eq1 = n * (n - 1) // 2

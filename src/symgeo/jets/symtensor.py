@@ -13,24 +13,26 @@ matrices and the metasymplectic pairing all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from ..linalg import Matrix, rank
+from ..linalg import Matrix, Value, _set, rank
 
 SIZE_GUARD = 5000
 
 
-@dataclass(frozen=True)
-class JetSignature:
+class JetSignature(Value):
     """Base dimension n, fiber dimension m, order k."""
 
-    n: int
-    m: int
-    k: int
+    _fields = ("n", "m", "k")
+
+    def __init__(self, n: int, m: int, k: int):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.k < 1:
@@ -47,6 +49,14 @@ def jet_dim(sig: JetSignature) -> int:
 def symbol_layer_dim(sig: JetSignature) -> int:
     """Dimension of the top symbol layer S^k(T*) tensor nu."""
     return sig.m * comb(sig.n + sig.k - 1, sig.k)
+
+
+def model_dim(sig: JetSignature) -> int:
+    return sig.n + sig.m * comb(sig.n + sig.k - 1, sig.k)
+
+
+def lambda_dim(sig: JetSignature) -> int:
+    return sig.m * comb(sig.n + sig.k - 2, sig.k - 1)
 
 
 @lru_cache(maxsize=None)
@@ -71,14 +81,17 @@ def flat_index(m: int, alpha: tuple[int, ...], j: int) -> int:
     return _monomial_positions(len(alpha), sum(alpha))[alpha] * m + j
 
 
-@dataclass(frozen=True)
-class SymTensor:
+class SymTensor(Value):
     """Element of S^degree(T*) tensor nu over Q; ``coeffs`` in storage order."""
 
-    n: int
-    m: int
-    degree: int
-    coeffs: tuple
+    _fields = ("n", "m", "degree", "coeffs")
+
+    def __init__(self, n: int, m: int, degree: int, coeffs: tuple):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "degree", degree)
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.degree < 0:

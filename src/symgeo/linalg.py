@@ -17,7 +17,6 @@ Thresholds in approx mode are ``tol * max(largest entry magnitude, 1)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -42,6 +41,54 @@ def _to_exact(x) -> Fraction:
     if isinstance(x, float):
         raise ModeMixError("float entry in an exact-mode matrix")
     return Fraction(x)
+
+
+_set = object.__setattr__
+
+
+class Value:
+    """Frozen record: a subclass's ``__init__`` sets its ``_fields`` with
+    ``_set``, then calls ``self.__post_init__()`` if it has checks.  ``==``
+    (same class only) and ``hash`` read ``_key()``, the fields by default;
+    ``repr`` shows them all.  Copies and pickles rebuild through
+    ``_trusted``, without the checks, which held for the original."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _trusted, (type(self), *[getattr(self, f) for f in self._fields])
+
+
+def _trusted(cls, *values):
+    """An instance of the ``Value`` class ``cls`` with ``values`` as its
+    fields, built without running ``__post_init__``.  Each caller names the
+    theorem that makes the skipped checks hold."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _set(obj, name, value)
+    return obj
 
 
 def _rand_fraction(rng: Random) -> Fraction:
@@ -70,18 +117,24 @@ def _rescale(num: tuple, k) -> tuple:
     return num if k == 1 else tuple(tuple(k * x for x in r) for r in num)
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix: the row tuples ``num`` over ``den``.
     ``==`` and ``hash`` compare values and mode; ``tol`` is the threshold
     of approx decisions, not part of the value."""
 
-    rows: int
-    cols: int
-    num: tuple
-    den: int
-    mode: str = EXACT
-    tol: float = field(default=DEFAULT_TOL, compare=False)
+    __slots__ = _fields = ("rows", "cols", "num", "den", "mode", "tol")
+
+    def __init__(self, rows: int, cols: int, num: tuple, den: int,
+                 mode: str = EXACT, tol: float = DEFAULT_TOL):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "mode", mode)
+        _set(self, "tol", tol)
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.num, self.den, self.mode
 
     # -- construction -----------------------------------------------------
 
@@ -386,11 +439,13 @@ def spans_equal(a: Matrix, b: Matrix) -> bool:
     return rank(a.hstack(b)) == rank(a) == rank(b)
 
 
-@dataclass(frozen=True)
-class Signature:
-    pos: int
-    zero: int
-    neg: int
+class Signature(Value):
+    _fields = ("pos", "zero", "neg")
+
+    def __init__(self, pos: int, zero: int, neg: int):
+        _set(self, "pos", pos)
+        _set(self, "zero", zero)
+        _set(self, "neg", neg)
 
     @property
     def dim(self) -> int:

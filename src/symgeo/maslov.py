@@ -35,13 +35,13 @@ tuple negates its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _adjugate,
-                     integer_signature, kernel_basis, rank, rref, sym_signature)
+from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, Value, _adjugate,
+                     _set, integer_signature, kernel_basis, rank, rref,
+                     sym_signature)
 from .symplectic import (LagrangianFrame, SymplecticSpace, _pairing, _support,
                          line_lagrangian)
 from .witt import witt_of_form_real
@@ -50,11 +50,13 @@ from .witt import witt_of_form_real
 ANGLE_SNAP = 1e-9
 
 
-@dataclass(frozen=True)
-class LagrangianTuple:
+class LagrangianTuple(Value):
     """Lagrangians of one space in one scalar mode; ``of`` checks both."""
 
-    members: tuple[LagrangianFrame, ...]
+    _fields = ("members",)
+
+    def __init__(self, members: tuple[LagrangianFrame, ...]):
+        _set(self, "members", members)
 
     @staticmethod
     def of(*lags: LagrangianFrame) -> "LagrangianTuple":
@@ -258,8 +260,7 @@ def arnold_index_triple(l1: LagrangianFrame, l2: LagrangianFrame,
 # -- Leray function on lifted lines (n = 1 only) -----------------------------
 
 
-@dataclass(frozen=True)
-class LerayLift:
+class LerayLift(Value):
     """A point of the universal cover of the line Grassmannian (n = 1).
 
     ``theta_tilde`` is the lifted angle in radians.  Exact variants: a
@@ -267,8 +268,12 @@ class LerayLift:
     means angle-of-(p, q) + k pi with rational p, q (exact floors).
     """
 
-    theta_tilde: float | Fraction
-    direction: tuple[Fraction, Fraction, int] | None = None
+    _fields = ("theta_tilde", "direction")
+
+    def __init__(self, theta_tilde: float | Fraction,
+                 direction: tuple[Fraction, Fraction, int] | None = None):
+        _set(self, "theta_tilde", theta_tilde)
+        _set(self, "direction", direction)
 
     @staticmethod
     def from_direction(p, q, k: int = 0) -> "LerayLift":

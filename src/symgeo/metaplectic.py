@@ -33,11 +33,10 @@ depends on the chosen lifts and is invariant under 2 pi lift shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from random import Random
 
-from .linalg import EXACT, Matrix
+from .linalg import EXACT, Matrix, Value, _set, _trusted
 from .maslov import LerayLift, _primitive_column, _triple_index, leray_m
 # unused here; perfbench's tracer test checks that this binding is wrapped
 from .maslov import kashiwara_index  # noqa: F401
@@ -58,12 +57,15 @@ def is_symplectic(space: SymplecticSpace, g: Matrix) -> bool:
                for x, (row, want) in enumerate(zip(pair, space.omega.num)))
 
 
-@dataclass(frozen=True)
-class Mp1Context:
+class Mp1Context(Value):
     """A symplectic space with a fixed base Lagrangian for the cocycle."""
 
-    space: SymplecticSpace
-    base: LagrangianFrame
+    _fields = ("space", "base")
+
+    def __init__(self, space: SymplecticSpace, base: LagrangianFrame):
+        _set(self, "space", space)
+        _set(self, "base", base)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.base.space != self.space:
@@ -98,11 +100,14 @@ def _frame_block(ctx: Mp1Context, g: Matrix) -> list[list[int]]:
             for row in ctx._block_terms]
 
 
-@dataclass(frozen=True)
-class Mp1Element:
-    ctx: Mp1Context
-    w: int
-    g: Matrix
+class Mp1Element(Value):
+    _fields = ("ctx", "w", "g")
+
+    def __init__(self, ctx: Mp1Context, w: int, g: Matrix):
+        _set(self, "ctx", ctx)
+        _set(self, "w", w)
+        _set(self, "g", g)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.w) is not int:
@@ -121,21 +126,6 @@ class Mp1Element:
         """``_frame_block`` of g, kept outside the fields: ``==``, ``hash``
         and ``repr`` do not see it."""
         return _frame_block(self.ctx, self.g)
-
-
-@lru_cache(maxsize=None)
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _trusted(cls, *values):
-    """An instance of the frozen dataclass ``cls`` with ``values`` as its
-    fields, built without running ``__post_init__``.  Each caller names the
-    theorem that makes the skipped checks hold."""
-    obj = object.__new__(cls)
-    for name, value in zip(_field_names(cls), values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def mp1_mul(a: Mp1Element, b: Mp1Element) -> Mp1Element:

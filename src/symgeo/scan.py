@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .jsonio import ValidationError, is_int
+from .linalg import Value, _set
 from .symplectic import (SymplecticSpace, check_lagrangian_frames,
                          frames_loop_degree)
 
@@ -52,18 +52,27 @@ def _stencil_derivative(ts, fs, te):
             + w2[..., None] * fs[2])
 
 
-@dataclass
-class SampledImmersion:
+class SampledImmersion(Value):
     """An ordered grid of samples of an immersion, with declared topology;
     params, points and frames are kept as float arrays, one row per sample."""
 
-    param_dim: int
-    ambient_dim: int
-    topology: str
-    params: np.ndarray
-    points: np.ndarray
-    frames: np.ndarray | None = None
-    grid_shape: tuple | None = None
+    _fields = ("param_dim", "ambient_dim", "topology", "params", "points",
+               "frames", "grid_shape")
+    __hash__ = None  # mutable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, param_dim: int, ambient_dim: int, topology: str,
+                 params: np.ndarray, points: np.ndarray,
+                 frames: np.ndarray | None = None, grid_shape: tuple | None = None):
+        self.param_dim = param_dim
+        self.ambient_dim = ambient_dim
+        self.topology = topology
+        self.params = params
+        self.points = points
+        self.frames = frames
+        self.grid_shape = grid_shape
+        self.__post_init__()
 
     def __post_init__(self):
         if self.topology not in _TOPOLOGIES:
@@ -242,20 +251,23 @@ def loop_maslov(s: SampledImmersion, space: SymplecticSpace,
     return frames_loop_degree(space, np.concatenate([frames, frames[:1]]), tol)
 
 
-@dataclass(frozen=True)
-class ChiSpec:
+class ChiSpec(Value):
     """Contact form family scale * (dz - sum_a y_coeffs[a] y_a dx^a) on
     coordinates ordered (x_1..x_n, y_1..y_n, z)."""
 
-    n: int
-    scale: float = 1.0
-    y_coeffs: tuple = ()
+    _fields = ("n", "scale", "y_coeffs")
+
+    def __init__(self, n: int, scale: float = 1.0, y_coeffs: tuple = ()):
+        _set(self, "n", n)
+        _set(self, "scale", scale)
+        _set(self, "y_coeffs", y_coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("n must be positive")
         coeffs = self.y_coeffs or tuple(1.0 for _ in range(self.n))
-        object.__setattr__(self, "y_coeffs", tuple(float(c) for c in coeffs))
+        _set(self, "y_coeffs", tuple(float(c) for c in coeffs))
         if len(self.y_coeffs) != self.n:
             raise ValidationError("one y coefficient per slot required")
         # chi ^ (d chi)^n <> 0 iff the scale and every coefficient are nonzero

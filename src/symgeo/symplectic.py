@@ -23,14 +23,14 @@ imported inside those functions only, so exact code never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_fraction,
-                     inverse, kernel_basis, rank, spans_equal)
+from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, Value,
+                     _rand_fraction, _set, inverse, kernel_basis, rank,
+                     spans_equal)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,11 +42,14 @@ def standard_gram(n: int) -> Matrix:
     return zero.hstack(one).vstack((-one).hstack(zero))
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(Value):
     """R^{2n} with a fixed rational skew nondegenerate Gram matrix."""
 
-    omega: Matrix
+    _fields = ("omega",)
+
+    def __init__(self, omega: Matrix):
+        _set(self, "omega", omega)
+        self.__post_init__()
 
     def __post_init__(self):
         omega = self.omega
@@ -119,10 +122,13 @@ def _pairing(cols: Sequence[Sequence], support: Sequence, n: int,
     return pair
 
 
-@dataclass(frozen=True)
-class Subspace:
-    space: SymplecticSpace
-    frame: Matrix
+class Subspace(Value):
+    _fields = ("space", "frame")
+
+    def __init__(self, space: SymplecticSpace, frame: Matrix):
+        _set(self, "space", space)
+        _set(self, "frame", frame)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.frame.rows != self.space.dim:
@@ -163,7 +169,6 @@ def intersect_frames(f: Matrix, g: Matrix) -> Matrix:
     return f @ coeffs
 
 
-@dataclass(frozen=True)
 class LagrangianFrame(Subspace):
     """A Lagrangian subspace given by a 2n x n frame."""
 

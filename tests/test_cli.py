@@ -644,20 +644,23 @@ def test_unwritable_stdout_is_invalid_output(capsys, monkeypatch, mode):
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(symgeo.__file__)))
 
 # Runs one argv through cli.main in a fresh interpreter, then prints the
-# exit code and whether numpy was loaded.
-_LOADS_NUMPY = """import sys, symgeo.cli as c
-code = c.main(sys.argv[1:])
-print(code, 'numpy' in sys.modules)
+# exit code and which of the modules in _WATCHED were loaded.
+_WATCHED = ("numpy", "dataclasses", "inspect", "symgeo.jets.symtensor",
+            "symgeo.jets.metasymplectic", "symgeo.jets.pde_audit")
+_HEAVY = {"numpy", "dataclasses", "inspect"}
+_LOADED = """import sys, symgeo.cli as c
+code = c.main(sys.argv[2:])
+print(code, *(m for m in sys.argv[1].split(',') if m in sys.modules))
 """
 
 
-def _cli_loads_numpy(tmp_path, argv):
-    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY, *argv],
+def _cli_loads(tmp_path, argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", _LOADED, ",".join(_WATCHED), *argv],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=_SRC),
                           capture_output=True, text=True, timeout=120)
-    code, loaded = proc.stdout.split()[-2:]
+    code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
-    return loaded == "True"
+    return set(loaded)
 
 
 _EXACT_ARGVS = [
@@ -679,8 +682,14 @@ _EXACT_ARGVS = [
 
 @pytest.mark.parametrize("argv", _EXACT_ARGVS, ids=" ".join)
 def test_exact_commands_do_not_load_numpy(tmp_path, argv):
+    # nor dataclasses and inspect, which cost more than the command
     _mp1_files(tmp_path)
-    assert not _cli_loads_numpy(tmp_path, argv)
+    assert not _cli_loads(tmp_path, argv) & _HEAVY
+
+
+def test_jet_dims_loads_only_symtensor(tmp_path):
+    loaded = _cli_loads(tmp_path, ["jet", "dims", "--n", "2", "--m", "1", "--k", "2"])
+    assert {m for m in loaded if m.startswith("symgeo.jets.")} == {"symgeo.jets.symtensor"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -689,7 +698,7 @@ def test_exact_commands_do_not_load_numpy(tmp_path, argv):
 ], ids=" ".join)
 def test_float_commands_load_numpy(tmp_path, argv):
     _circle_file(tmp_path)
-    assert _cli_loads_numpy(tmp_path, argv)
+    assert "numpy" in _cli_loads(tmp_path, argv)
 
 
 # -- invalid input ------------------------------------------------------------------

@@ -8,17 +8,35 @@ import sys
 import pytest
 
 import symgeo
+import symgeo.jets
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(symgeo.__file__)))
 
 
-def test_import_symgeo_loads_no_submodule():
-    probe = ("import sys, symgeo\n"
+def _loaded_after(statement: str) -> str:
+    """The symgeo submodules loaded in a fresh interpreter by ``statement``."""
+    probe = (f"import sys; {statement}\n"
              "print(sorted(m for m in sys.modules if m.startswith('symgeo.')))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=_SRC),
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_symgeo_loads_no_submodule():
+    assert _loaded_after("import symgeo") == "[]"
+
+
+def test_import_symgeo_jets_loads_no_jets_submodule():
+    assert _loaded_after("import symgeo.jets") == "['symgeo.jets']"
+
+
+@pytest.mark.parametrize("name", symgeo.jets.__all__)
+def test_jets_name_is_the_defining_modules_object(name):
+    value = getattr(symgeo.jets, name)
+    owner = sys.modules[value.__module__]
+    assert owner.__name__.startswith("symgeo.jets.")
+    assert getattr(owner, name) is value
 
 
 @pytest.mark.parametrize("name", symgeo.__all__)
