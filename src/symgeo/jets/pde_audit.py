@@ -169,9 +169,13 @@ def lagrangian_pde_dims(n: int, seed: int = 0) -> dict:
     ``verified`` can hold only for n <= 7: the order-1 rows have no
     second-order entries, so the prolonged rank is at most the symbol rank
     plus ``dim_jet1``, which reaches eq1 + eq2 only while C(n, 2) + C(n, 3)
-    <= n^2 + 2n.  At n = 8 that bound is 168 + 80 = 248 < 252 (rank 240)."""
+    <= n^2 + 2n.  At n = 8 that bound is 168 + 80 = 248 < 252 (rank 240),
+    and the gap grows with n, so n >= 8 is refused before any rank."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n >= 8:
+        raise ValueError("n must be at most 7: from n = 8 the prolonged rank "
+                         "cannot reach equations_order1 + equations_order2")
     eq1 = n * (n - 1) // 2
     eq2 = n * eq1
     dim_jet1 = 2 * n + n * n

@@ -5,10 +5,11 @@ checks.
 Samples carry explicit grid topology (line, loop, or rectangular grid);
 tangent frames default to central finite differences on the parameter
 grid, and analytic frames, when provided, take precedence.  Either way the
-m samples give one (m, dim, k) stack of frames, which the corank and
-winding audits read in array passes.  Corank decisions threshold singular
-values of the projected frame against the largest singular value of the
-full frame, so complete collapse at a sample is still classified.
+m samples give one (m, dim, k) stack of frames, which every audit reads in
+array passes: the isotropy and contact residuals, the coranks and the
+winding.  Corank decisions threshold singular values of the projected
+frame against the largest singular value of the full frame, so complete
+collapse at a sample is still classified.
 """
 
 from __future__ import annotations
@@ -126,6 +127,14 @@ class SampledImmersion(Value):
                 raise ValidationError("frame shape mismatch")
             self.frames = np.stack(frames)
 
+    def __eq__(self, other):
+        # arrays compare by their entries: == on them gives no single truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(u, v)
+                   if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else u == v
+                   for u, v in zip(self._key(), other._key()))
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -193,7 +202,8 @@ def check_lagrangian(s: SampledImmersion, space: SymplecticSpace,
     if s.ambient_dim != 2 * space.n:
         raise ValidationError("ambient dimension must be twice n")
     omega = space.omega_as("approx").to_numpy()
-    return _residual_report(s, lambda p, f: f.T @ omega @ f, tol)
+    return _residual_report(
+        s, lambda points, frames: np.swapaxes(frames, 1, 2) @ omega @ frames, tol)
 
 
 def corank_profile(s: SampledImmersion, tol: float = DEFAULT_SCAN_TOL,
@@ -270,15 +280,20 @@ class ChiSpec(Value):
         _set(self, "y_coeffs", tuple(float(c) for c in coeffs))
         if len(self.y_coeffs) != self.n:
             raise ValidationError("one y coefficient per slot required")
+        if not all(map(math.isfinite, (self.scale, *self.y_coeffs))):
+            raise ValidationError("contact form scale and coefficients must be finite")
         # chi ^ (d chi)^n <> 0 iff the scale and every coefficient are nonzero
         if self.scale == 0.0 or any(c == 0.0 for c in self.y_coeffs):
             raise ValidationError("degenerate contact form")
 
-    def value(self, point, vector) -> float:
+    def pullback(self, points: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        """The form on every column of an (m, 2n + 1, k) frame stack based
+        at (m, 2n + 1) points: an (m, k) array, each entry formed in the
+        order scale * (dz - c_1 y_1 dx^1 - ... - c_n y_n dx^n)."""
         n = self.n
-        acc = vector[2 * n]
+        acc = frames[:, 2 * n]
         for a in range(n):
-            acc -= self.y_coeffs[a] * point[n + a] * vector[a]
+            acc = acc - (self.y_coeffs[a] * points[:, n + a])[:, None] * frames[:, a]
         return self.scale * acc
 
 
@@ -291,31 +306,34 @@ def check_legendrian(s: SampledImmersion, chi: ChiSpec | None = None,
     chi = chi if chi is not None else ChiSpec(n)
     if chi.n != n:
         raise ValidationError("contact form has the wrong number of slots")
-    return _residual_report(
-        s, lambda p, f: [chi.value(p, f[:, j]) for j in range(f.shape[1])], tol)
+    return _residual_report(s, chi.pullback, tol)
 
 
 def _residual_report(s: SampledImmersion, residual, tol: float) -> dict:
-    """Max of |residual(point, F)| / |F| over the samples; pass iff
-    |residual| <= tol * |F|^2 at every sample.  A norm or residual that
-    overflows a float is refused: no comparison with it holds.  A loop
-    over the samples, so the reported floats are per-sample norms.
+    """Max of |residual(points, F)| / |F| over the samples; pass iff
+    |residual| <= tol * |F|^2 at every sample.  One pass over the
+    (m, dim, k) frame stack: ``residual`` maps the stack to one residual
+    per sample, and each norm is the square root of ``vecdot`` on a
+    flattened row, the dot kernel of ``np.linalg.norm``, so every float is
+    the per-sample one.  The first sample whose residual or frame norm is
+    not finite (it overflowed: no comparison with it holds) or whose frame
+    is zero is refused.
     """
-    worst = 0.0
-    ok = True
-    try:
-        with np.errstate(over="raise"):
-            for p, f in zip(s.points, s.tangent_frames()):
-                raw = float(np.linalg.norm(residual(p, f)))
-                scale = float(np.linalg.norm(f))
-                if scale == 0.0:
-                    raise ValidationError("zero tangent frame")
-                if not math.isfinite(raw):  # Python floats overflow silently
-                    raise FloatingPointError
-                worst = max(worst, raw / scale)
-                ok = ok and raw <= tol * scale * scale
-    except FloatingPointError:
-        raise ValidationError("tangent frame overflows a float") from None
+    frames = s.tangent_frames()
+    m = len(frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = residual(s.points, frames).reshape(m, -1)
+        flat = frames.reshape(m, -1)
+        raw = np.sqrt(np.vecdot(res, res))
+        scale = np.sqrt(np.vecdot(flat, flat))
+        finite = np.isfinite(raw) & np.isfinite(scale)
+        bad = ~finite | (scale == 0.0)
+        if bad.any():
+            first = bad.argmax()
+            raise ValidationError("zero tangent frame" if finite[first]
+                                  else "tangent frame overflows a float")
+        worst = float((raw / scale).max())
+        ok = bool((raw <= tol * scale * scale).all())
     return {"samples": len(s), "max_residual": worst, "tol": tol, "pass": ok}
 
 

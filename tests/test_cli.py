@@ -268,6 +268,15 @@ def test_jet_audits(capsys):
     assert code == 0 and out["dim"] == out["expected_dim"] == 2
 
 
+def test_lagrangian_pde_refuses_n_at_least_8_before_any_rank(capsys):
+    code = main(["jet", "lagrangian-pde", "--n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: n must be at most 7: from n = 8 the prolonged "
+                            "rank cannot reach equations_order1 + "
+                            "equations_order2\n")
+
+
 # -- scan ---------------------------------------------------------------------------
 
 

@@ -638,5 +638,8 @@ def test_legendrian_cascade_table():
 def test_audits_reject_bad_n():
     with pytest.raises(ValueError):
         lagrangian_pde_dims(0)
+    for n in (8, 9, 40):  # verified cannot hold there; refused before any rank
+        with pytest.raises(ValueError, match="n must be at most 7"):
+            lagrangian_pde_dims(n)
     with pytest.raises(ValueError):
         legendrian_pde_dims(-1)

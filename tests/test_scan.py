@@ -139,6 +139,12 @@ def test_chi_spec_validation():
         ChiSpec(2, y_coeffs=(1.0, 0.0))
     with pytest.raises(ValidationError):
         ChiSpec(2, y_coeffs=(1.0,))
+    # a non-finite form is refused before any frame is read
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ChiSpec(1, scale=bad)
+        with pytest.raises(ValidationError, match="must be finite"):
+            ChiSpec(2, y_coeffs=(1.0, bad))
 
 
 # -- Lagrangian checks --------------------------------------------------------------
@@ -514,8 +520,8 @@ def _old_check_lagrangian(s, space):
     return _old_residual_report(s, lambda p, f: f.T @ omega @ f)
 
 
-def _old_check_legendrian(s):
-    chi = ChiSpec((s.ambient_dim - 1) // 2)
+def _old_check_legendrian(s, chi=None):
+    chi = chi or ChiSpec((s.ambient_dim - 1) // 2)
     n = chi.n
 
     def value(point, vector):
@@ -648,6 +654,24 @@ def _jet_curve(rng, m):
         [[x, 2 * a * x + b, a * x * x + b * x + c + e * x] for x in xs])
 
 
+def _jet_grid(rng, rows, coeffs):
+    """The 1-jet lift of a random quadratic f(x1, x2) on a jittered grid in
+    R^5, with y_a = f_a / c_a, so Legendrian for dz - sum_a c_a y_a dx^a;
+    sometimes broken by e x1 x2 in z."""
+    a, b, c, d, e0 = (rng.uniform(-2, 2) for _ in range(5))
+    e = rng.choice((0.0, rng.uniform(-1, 1)))
+    us = [i / rows + rng.uniform(-0.2, 0.2) / rows for i in range(rows)]
+    params, points = [], []
+    for u in us:
+        for v in us:
+            f1, f2 = 2 * a * u + b * v + d, 2 * c * v + b * u + e0
+            params.append([u, v])
+            points.append([u, v, f1 / coeffs[0], f2 / coeffs[1],
+                           a * u * u + b * u * v + c * v * v + d * u + e0 * v
+                           + e * u * v])
+    return SampledImmersion(2, 5, "grid", params, points, grid_shape=(rows, rows))
+
+
 def _assert_same_audits(s, space):
     assert s.tangent_frames().tobytes() == np.stack(_old_frames(s)).tobytes()
     assert repr(check_lagrangian(s, space)) == repr(_old_check_lagrangian(s, space))
@@ -670,6 +694,24 @@ def test_stacked_audits_match_per_sample_route(seed):
         s = _jet_curve(rng, m)
         assert s.tangent_frames().tobytes() == np.stack(_old_frames(s)).tobytes()
         assert repr(check_legendrian(s)) == repr(_old_check_legendrian(s))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_legendrian_reports_with_chosen_forms_match_per_sample_route(seed):
+    rng = Random(f"scan-chi-oracle:{seed}")
+    for m in (64, 200):
+        s = _jet_curve(rng, m)
+        for chi in (ChiSpec(1, scale=5.0), ChiSpec(1, y_coeffs=(2.0,)),
+                    ChiSpec(1, scale=rng.uniform(-3, 3),
+                            y_coeffs=(rng.uniform(0.5, 2),))):
+            assert repr(check_legendrian(s, chi)) == \
+                repr(_old_check_legendrian(s, chi))
+    for rows in (5, 11):
+        coeffs = (rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0))
+        s = _jet_grid(rng, rows, coeffs)
+        for chi in (ChiSpec(2, y_coeffs=coeffs), ChiSpec(2, 0.5, coeffs[::-1])):
+            assert repr(check_legendrian(s, chi)) == \
+                repr(_old_check_legendrian(s, chi))
 
 
 def _refusal(fn, *args) -> str:
@@ -761,3 +803,27 @@ def test_legendrian_overflow_matches_per_sample_route():
     message = "tangent frame overflows a float"
     assert _refusal(check_legendrian, s) == _refusal(_old_check_legendrian, s) == message
     assert _refusal(corank_profile, s) == _refusal(_old_corank_profile, s) == message
+
+
+@pytest.mark.parametrize("first,message", [
+    ("zero", "zero tangent frame"),
+    ("overflow", "tangent frame overflows a float"),
+])
+def test_mixed_refusals_match_per_sample_route(first, message):
+    """A zero frame and a frame whose norm overflows on one stack: the
+    first failing sample decides, in both residual audits."""
+    late = {"zero": "overflow", "overflow": "zero"}[first]
+    ts = [i / 4 for i in range(10)]
+    for dim, space in ((2, SymplecticSpace.standard(1)), (3, None)):
+        frames = [[[1.0]] + [[0.5]] * (dim - 1) for _ in ts]
+        bad = {"zero": [[0.0]] * dim, "overflow": [[1e200]] * dim}
+        frames[3], frames[7] = bad[first], bad[late]
+        points = [[t, 1.0, t][:dim] for t in ts]
+        s = SampledImmersion(1, dim, "line", [[t] for t in ts], points,
+                             frames=frames)
+        if space is None:
+            got = (_refusal(check_legendrian, s), _refusal(_old_check_legendrian, s))
+        else:
+            got = (_refusal(check_lagrangian, s, space),
+                   _refusal(_old_check_lagrangian, s, space))
+        assert got == (message, message)

@@ -179,6 +179,20 @@ def test_copies_and_pickles_equal_the_original_without_rerunning_checks(
         monkeypatch.setattr(cls, "__post_init__", refuse)
     for twin in (copy.copy(obj), copy.deepcopy(obj),
                  pickle.loads(pickle.dumps(obj))):
-        assert twin is not obj and _same(twin, obj)
+        assert twin is not obj and _same(twin, obj) and twin == obj
         if name not in _MUTABLE:
-            assert twin == obj and hash(twin) == hash(obj)
+            assert hash(twin) == hash(obj)
+
+
+def test_sampled_immersions_compare_arrays_by_entries():
+    s = _instances()["SampledImmersion"]
+    params, points = [[0.0], [1.0]], [[0.0, 0.0], [1.0, 1.0]]
+    moved = SampledImmersion(1, 2, "line", params, [[0.0, 0.0], [1.0, 2.0]])
+    framed = SampledImmersion(1, 2, "line", params, points,
+                              frames=[[[1.0], [1.0]]] * 2)
+    assert s == copy.deepcopy(s) and not s != copy.deepcopy(s)
+    assert s != moved and not s == moved
+    assert s != framed and framed != s and framed == copy.deepcopy(framed)
+    tilted = copy.deepcopy(framed)
+    tilted.frames[1, 0, 0] = 2.0
+    assert framed != tilted
