@@ -30,16 +30,17 @@ def _lazy_exports(namespace: dict, exports: dict) -> tuple:
 
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
-    "linalg": "APPROX EXACT Matrix ModeMixError Signature inverse kernel_basis rank "
-              "rref spans_equal sym_signature",
+    "linalg": "EXACT Matrix Signature inverse kernel_basis rank rref spans_equal "
+              "sym_signature",
     "witt": "ideal_power_member_real witt_of_form_complex witt_of_form_real",
     "symplectic": "LagrangianFrame Subspace SymplecticSpace classify_subspace "
-                  "det_squared graph_lagrangian intersect_frames "
+                  "det_squared float_lagrangian graph_lagrangian intersect_frames "
                   "lagrangian_from_angles line_lagrangian loop_degree "
                   "random_lagrangian random_symplectic standard_gram",
     "maslov": "LagrangianTuple LerayLift arnold_index_triple arnold_triple_lines "
-              "kashiwara_index kashiwara_space leray_cyclic_sum leray_m tuple_reduce "
-              "wall_invariant",
+              "kashiwara_index kashiwara_index_float kashiwara_signature_float "
+              "kashiwara_space leray_cyclic_sum leray_m tuple_reduce wall_invariant "
+              "wall_invariant_float",
     "metaplectic": "Mp1Context Mp1Element mp1_identity mp1_inverse mp1_mul "
                    "mp2_member random_mp1",
     "jets": "JetSignature SymTensor delta_spencer jet_dim lagrangian_pde_dims "

@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 invalid input or unwritable output, 3 a property
 check inside an audit subcommand failed, 64 usage error.  Every handler
 ends by handing its payload and its check to ``_emit``, which writes the
 output and picks 0 or 3.  Each handler imports the modules it uses, so
-exact commands never load numpy.
+exact commands never load numpy.  Exact or float is picked here, once:
+an exact frame becomes a ``LagrangianFrame``, a float one a (2n, n) array.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from math import comb, isfinite
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .jsonio import (ValidationError, dumps, is_int, matrix_from_json,
+from .jsonio import (APPROX, ValidationError, dumps, is_int, matrix_from_json,
                      parse_angle, parse_angle_list, to_jsonable)
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, _rand_full_rank,
-                     sym_signature)
+from .linalg import DEFAULT_TOL, EXACT, Matrix, _rand_full_rank, sym_signature
 
 if TYPE_CHECKING:
     from .jets import JetSignature
@@ -111,8 +111,15 @@ def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
     raise ValidationError("no symplectic space given (need 'n', 'omega' or --space)")
 
 
+def _tol(args) -> float:
+    return args.tol if args.tol is not None else DEFAULT_TOL
+
+
 def _frames_from_file(args, path: str):
-    from .symplectic import LagrangianFrame
+    """The space and the checked frames of a tuple file, each loaded and
+    checked in turn: exact ones as ``LagrangianFrame``s, float ones as
+    arrays."""
+    from .symplectic import LagrangianFrame, float_lagrangian
     obj = _read_json(path)
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ValidationError(f"{path} must be an object with a 'frames' list")
@@ -120,12 +127,13 @@ def _frames_from_file(args, path: str):
     frames = obj["frames"]
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    return [LagrangianFrame(space, matrix_from_json(f, args.mode, tol))
-            for f in frames]
+    mats = (matrix_from_json(f, args.mode) for f in frames)
+    return space, [LagrangianFrame(space, m) if isinstance(m, Matrix)
+                   else float_lagrangian(space, m, _tol(args)) for m in mats]
 
 
 def _angles_to_frames(args, text: str):
+    """The standard space and float angle frames of ``--angles``."""
     from .symplectic import SymplecticSpace, lagrangian_from_angles
     groups = parse_angle_list(text)
     n = len(groups[0])
@@ -134,9 +142,8 @@ def _angles_to_frames(args, text: str):
     space = _space_std(args.space) if args.space else SymplecticSpace.standard(n)
     if space.n != n:
         raise ValidationError(f"angle groups have {n} entries but space is std:{space.n}")
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    return [lagrangian_from_angles(space, [a[0] for a in g], tol=tol)
-            for g in groups]
+    return space, [lagrangian_from_angles(space, [a[0] for a in g], _tol(args))
+                   for g in groups]
 
 
 def _parse_direction_list(args) -> list:
@@ -169,17 +176,26 @@ def _int_list(text: str) -> list:
 # -- maslov ---------------------------------------------------------------------
 
 
-def _quadratic_report(frames) -> dict:
-    from .maslov import LagrangianTuple, kashiwara_space
-    tup = LagrangianTuple.of(*frames)
-    g = kashiwara_space(tup)
-    sig = sym_signature(g)
+def _quadratic_report(args, space: SymplecticSpace, frames,
+                      wall: bool = False) -> dict:
+    """dim T, the signature of q on T and its index (or the Wall invariant)
+    by the float routes if no frame is exact, else by the exact ones."""
+    from .maslov import (LagrangianTuple, kashiwara_signature_float,
+                         kashiwara_space, wall_invariant, wall_invariant_float)
+    from .symplectic import LagrangianFrame
+    if not any(isinstance(f, LagrangianFrame) for f in frames):
+        sig = kashiwara_signature_float(space, frames, _tol(args))
+        index = (wall_invariant_float(space, frames, _tol(args)) if wall
+                 else sig.pos - sig.neg)
+    else:
+        sig = sym_signature(kashiwara_space(LagrangianTuple.of(*frames)))
+        index = wall_invariant(*frames) if wall else sig.pos - sig.neg
     return {
-        "index": sig.pos - sig.neg,
-        "t_dim": g.rows,
+        "index": index,
+        "t_dim": sig.dim,
         "signature": list(sig.as_tuple()),
         "r": len(frames),
-        "n": tup.space.n,
+        "n": space.n,
     }
 
 
@@ -189,16 +205,17 @@ def _cmd_maslov_kashiwara(args) -> int:
         ds = _parse_direction_list(args)
         if len(ds) < 3:
             raise ValidationError("need at least three directions")
-        frames = [line_lagrangian(SymplecticSpace.standard(1), d) for d in ds]
+        space = SymplecticSpace.standard(1)
+        frames = [line_lagrangian(space, d) for d in ds]
     elif args.angles:
-        frames = _angles_to_frames(args, args.angles)
+        space, frames = _angles_to_frames(args, args.angles)
     elif args.tuple:
-        frames = _frames_from_file(args, args.tuple)
+        space, frames = _frames_from_file(args, args.tuple)
     else:
         raise ValidationError("give one of --angles, --directions or --tuple")
     if len(frames) < 3:
         raise ValidationError("need at least three Lagrangians")
-    return _emit(args, _quadratic_report(frames))
+    return _emit(args, _quadratic_report(args, space, frames))
 
 
 def _cmd_maslov_arnold(args) -> int:
@@ -209,23 +226,21 @@ def _cmd_maslov_arnold(args) -> int:
             raise ValidationError("the triple index needs exactly three directions")
         payload = {"index": arnold_triple_lines(*ds), "mode": "exact"}
     elif args.angles:
-        frames = _angles_to_frames(args, args.angles)
+        space, frames = _angles_to_frames(args, args.angles)
         if len(frames) != 3:
             raise ValidationError("the triple index needs exactly three angles")
-        payload = {"index": arnold_index_triple(*frames), "mode": "approx"}
+        payload = {"index": arnold_index_triple(space, frames, _tol(args)),
+                   "mode": "approx"}
     else:
         raise ValidationError("give --angles or --directions")
     return _emit(args, payload)
 
 
 def _cmd_maslov_wall(args) -> int:
-    from .maslov import wall_invariant
-    frames = _frames_from_file(args, args.tuple)
+    space, frames = _frames_from_file(args, args.tuple)
     if len(frames) != 3:
         raise ValidationError("the Wall invariant needs exactly three frames")
-    report = _quadratic_report(frames)
-    report["index"] = wall_invariant(*frames)
-    return _emit(args, report)
+    return _emit(args, _quadratic_report(args, space, frames, wall=True))
 
 
 def _cmd_maslov_leray(args) -> int:
@@ -236,7 +251,7 @@ def _cmd_maslov_leray(args) -> int:
         lifts.append(LerayLift(frac) if frac is not None else LerayLift(val))
     if len(lifts) < 2:
         raise ValidationError("need at least two lifts")
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    tol = _tol(args)
     ms = [leray_m(lifts[i], lifts[(i + 1) % len(lifts)], tol)
           for i in range(len(lifts))]
     return _emit(args, {"m_values": ms, "cyclic_sum": sum(ms)})

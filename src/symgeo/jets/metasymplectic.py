@@ -44,8 +44,7 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 
-from ..linalg import (EXACT, Matrix, ModeMixError, Value, _set, kernel_basis,
-                      rank)
+from ..linalg import Matrix, Value, _set, kernel_basis, rank
 from .symtensor import (JetSignature, SymTensor, _delta_terms, lambda_dim,
                         model_dim)
 
@@ -176,8 +175,8 @@ def span_matrix(vectors: list[ModelVector]) -> Matrix:
 def vectors_from_matrix(sig: JetSignature, mat: Matrix) -> list[ModelVector]:
     """One vector per column of the exact ``mat``; each keeps its integer
     column over ``mat.den`` as its view for the pairing."""
-    if mat.mode != EXACT:
-        raise ModeMixError("model vectors are exact-mode only")
+    if not isinstance(mat, Matrix):
+        raise ValueError("model vectors are exact-mode only")
     # one Fraction per distinct numerator, shared by every column
     frac = {a: Fraction(a, mat.den) for a in set(chain.from_iterable(mat.num))}
     out = []
@@ -285,6 +284,6 @@ def max_isotropic(sig: JetSignature, xi: Matrix) -> IntegralPlaneModel:
             spread = [0] * width
             spread[j::m] = row
             rows.append(tuple(spread))
-    vertical = xi._new(len(rows), width, tuple(rows), xi.den ** k, xi.tol)
+    vertical = xi._new(len(rows), width, tuple(rows), xi.den ** k)
     frame = ann.vstack(Matrix.zeros(len(rows) - n, ann.cols)).hstack(vertical)
     return IntegralPlaneModel(sig, frame)

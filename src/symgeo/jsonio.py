@@ -2,7 +2,8 @@
 
 Matrix files: ``{"rows": r, "cols": c, "entries": [...]}`` row-major, with
 rational entries as ``"p/q"`` strings or integers and float entries as JSON
-numbers.  Rationals print back as ``"p/q"``.  Angles accept ``p/q pi`` syntax
+numbers; a matrix loads as a ``Matrix``, or in approx mode as a float numpy
+array.  Rationals print back as ``"p/q"``.  Angles accept ``p/q pi`` syntax
 ("1/3pi", "pi", "0.25pi") or plain decimals.
 """
 
@@ -11,9 +12,14 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING
 
-from .linalg import APPROX, DEFAULT_TOL, EXACT, Matrix
+from .linalg import EXACT, Matrix
+
+if TYPE_CHECKING:
+    import numpy as np
+
+APPROX = "approx"
 
 
 class ValidationError(ValueError):
@@ -51,12 +57,8 @@ def parse_scalar(x) -> Fraction | float:
     raise ValidationError(f"bad matrix entry {x!r}")
 
 
-def scalar_to_json(x) -> Any:
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return int(x) if float(x).is_integer() and abs(x) < 2**53 else x
-    return x
+def scalar_to_json(x: Fraction) -> int | str:
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -67,8 +69,9 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict, mode: str | None = None,
-                     tol: float = DEFAULT_TOL) -> Matrix:
+def matrix_from_json(obj: dict, mode: str | None = None) -> Matrix | np.ndarray:
+    """An exact ``Matrix``, or in approx mode (the default when an entry is
+    a float) a float (rows, cols) array."""
     try:
         r, c = obj["rows"], obj["cols"]
         flat = list(obj["entries"])
@@ -84,9 +87,9 @@ def matrix_from_json(obj: dict, mode: str | None = None,
     if mode == EXACT and any(isinstance(v, float) for v in vals):
         raise ValidationError("float entries present but exact mode requested")
     if mode == APPROX:
-        vals = [_finite_entry(v) for v in vals]
-    rows = [vals[i * c:(i + 1) * c] for i in range(r)]
-    return Matrix.from_rows(rows, mode, tol)
+        import numpy as np
+        return np.array([_finite_entry(v) for v in vals], dtype=float).reshape(r, c)
+    return Matrix.exact([vals[i * c:(i + 1) * c] for i in range(r)])
 
 
 def parse_angle(text: str) -> tuple[float, Fraction | None]:

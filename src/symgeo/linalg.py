@@ -1,18 +1,14 @@
-"""Dense linear algebra over exact rationals and tolerance-governed floats.
+"""Dense linear algebra over the exact rationals.
 
-Two scalar modes exist and are never mixed silently:
-
-* ``exact``  -- integer row tuples ``num`` over one positive int ``den``,
-  kept canonical (gcd(den, every entry of num) = 1), so equal matrices have
-  equal fields.  Arithmetic runs on the integers; rref, rank and kernel use
-  Bareiss elimination, inverse its Gauss-Jordan form on [A | I], and the
-  signature fraction-free symmetric elimination.  ``entries``, ``row``,
-  ``col`` and ``m[i, j]`` are ``Fraction`` views for input and output.
-* ``approx`` -- float rows ``num`` over ``den`` = 1 and a per-matrix
-  tolerance; rank uses singular values, signature symmetric eigenvalues,
-  with numpy imported inside these routines only: exact mode never loads it.
-
-Thresholds in approx mode are ``tol * max(largest entry magnitude, 1)``.
+A ``Matrix`` is integer row tuples ``num`` over one positive int ``den``,
+kept canonical (gcd(den, every entry of num) = 1), so equal matrices have
+equal fields.  Arithmetic runs on the integers; rref, rank and kernel use
+Bareiss elimination, inverse its Gauss-Jordan form on [A | I], and the
+signature fraction-free symmetric elimination.  ``entries``, ``row``,
+``col`` and ``m[i, j]`` are ``Fraction`` views for input and output, and
+``to_numpy`` is the one conversion to floats.  Float data never becomes a
+``Matrix``: the float routes of ``symplectic`` and ``maslov`` take numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -28,18 +24,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 EXACT = "exact"
-APPROX = "approx"
 
+# the zero cut of the float routes is DEFAULT_TOL * max(max |a|, 1)
 DEFAULT_TOL = 1e-9
-
-
-class ModeMixError(ValueError):
-    """Exact and approx values met in one computation."""
 
 
 def _to_exact(x) -> Fraction:
     if isinstance(x, float):
-        raise ModeMixError("float entry in an exact-mode matrix")
+        raise ValueError("float entry in an exact-mode matrix")
     return Fraction(x)
 
 
@@ -118,87 +110,66 @@ def _rescale(num: tuple, k) -> tuple:
 
 
 class Matrix(Value):
-    """Immutable dense matrix: the row tuples ``num`` over ``den``.
-    ``==`` and ``hash`` compare values and mode; ``tol`` is the threshold
-    of approx decisions, not part of the value."""
+    """Immutable dense exact matrix: the row tuples ``num`` over ``den``.
+    ``mode`` is the class constant ``EXACT``, kept for the perfbench tracer,
+    which reads it."""
 
-    __slots__ = _fields = ("rows", "cols", "num", "den", "mode", "tol")
+    __slots__ = _fields = ("rows", "cols", "num", "den")
+    mode = EXACT
 
-    def __init__(self, rows: int, cols: int, num: tuple, den: int,
-                 mode: str = EXACT, tol: float = DEFAULT_TOL):
+    def __init__(self, rows: int, cols: int, num: tuple, den: int):
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "num", num)
         _set(self, "den", den)
-        _set(self, "mode", mode)
-        _set(self, "tol", tol)
-
-    def _key(self) -> tuple:
-        return self.rows, self.cols, self.num, self.den, self.mode
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], mode: str = EXACT,
-                  tol: float = DEFAULT_TOL) -> "Matrix":
+    def exact(rows: Sequence[Sequence]) -> "Matrix":
         rows = [list(r) for r in rows]
         nr = len(rows)
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        if mode == APPROX:
-            return Matrix(nr, nc, tuple(tuple(map(float, r)) for r in rows), 1, APPROX, tol)
-        if mode != EXACT:
-            raise ValueError(f"unknown mode {mode!r}")
         if all(type(x) is int for r in rows for x in r):
             # integer rows over denominator 1 are already canonical
-            return Matrix(nr, nc, tuple(map(tuple, rows)), 1, EXACT, tol)
+            return Matrix(nr, nc, tuple(map(tuple, rows)), 1)
         vals = [[x if isinstance(x, (int, Fraction)) else _to_exact(x) for x in r]
                 for r in rows]
         # over the lcm of the reduced denominators the form is canonical
         den = lcm(*(x.denominator for r in vals for x in r))
         return Matrix(nr, nc, tuple(tuple(x.numerator * (den // x.denominator)
-                                          for x in r) for r in vals), den, EXACT, tol)
+                                          for x in r) for r in vals), den)
 
     @staticmethod
-    def exact(rows: Sequence[Sequence]) -> "Matrix":
-        return Matrix.from_rows(rows, EXACT)
+    def identity(n: int) -> "Matrix":
+        return Matrix(n, n, tuple(tuple(int(i == j) for j in range(n))
+                                  for i in range(n)), 1)
 
     @staticmethod
-    def approx(rows: Sequence[Sequence], tol: float = DEFAULT_TOL) -> "Matrix":
-        return Matrix.from_rows(rows, APPROX, tol)
-
-    @staticmethod
-    def identity(n: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
-        one, zero = (1, 0) if mode == EXACT else (1.0, 0.0)
-        return Matrix(n, n, tuple(tuple(one if i == j else zero for j in range(n))
-                                  for i in range(n)), 1, mode, tol)
-
-    @staticmethod
-    def zeros(r: int, c: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
-        return Matrix(r, c, ((0 if mode == EXACT else 0.0,) * c,) * r, 1, mode, tol)
+    def zeros(r: int, c: int) -> "Matrix":
+        return Matrix(r, c, ((0,) * c,) * r, 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Matrix":
-        """Exact square matrix with ``entries`` on the diagonal."""
+        """Square matrix with ``entries`` on the diagonal."""
         size = len(entries)
         return Matrix.exact([[entries[r] if r == c else 0 for c in range(size)]
                              for r in range(size)])
 
-    def _new(self, rows: int, cols: int, num: tuple, den: int, tol: float) -> "Matrix":
-        """A matrix of this mode, exact numerators put in canonical form."""
-        if self.mode == EXACT:
-            num, den = _canon(num, den)
-        return Matrix(rows, cols, num, den, self.mode, tol)
+    def _new(self, rows: int, cols: int, num: tuple, den: int) -> "Matrix":
+        """A matrix of ``num`` over ``den``, put in canonical form."""
+        return Matrix(rows, cols, *_canon(num, den))
 
     # -- views ---------------------------------------------------------------
 
     def _scalars(self, xs: Iterable) -> tuple:
-        return tuple(xs) if self.mode == APPROX else tuple(Fraction(x, self.den) for x in xs)
+        return tuple(Fraction(x, self.den) for x in xs)
 
     @property
     def entries(self) -> tuple:
-        """Row tuples of ``Fraction``s (exact) or floats (approx)."""
+        """Row tuples of ``Fraction``s."""
         return tuple(map(self._scalars, self.num))
 
     def __getitem__(self, ij):
@@ -210,14 +181,14 @@ class Matrix(Value):
     def col(self, j: int) -> tuple:
         return self._scalars(r[j] for r in self.num)
 
-    def _floats(self) -> tuple:
-        """Float rows of the entries: the one exact-to-float conversion."""
-        if self.mode == APPROX:
-            return self.num
+    def to_numpy(self) -> np.ndarray:
+        """The float entries: the one exact-to-float conversion."""
+        import numpy as np
         try:
-            return tuple(tuple(x / self.den for x in r) for r in self.num)
+            rows = [[x / self.den for x in r] for r in self.num]
         except OverflowError:
             raise ValueError("matrix entry overflows a float") from None
+        return np.array(rows, dtype=float).reshape(self.rows, self.cols)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -226,36 +197,29 @@ class Matrix(Value):
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self._columns(), self.den, self.mode, self.tol)
-
-    def _check(self, other: "Matrix") -> float:
-        if self.mode != other.mode:
-            raise ModeMixError("cannot combine exact and approx matrices")
-        return max(self.tol, other.tol)
+        return Matrix(self.cols, self.rows, self._columns(), self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        tol = self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         ocols = other._columns()
         num = tuple(tuple(sum(map(mul, row, ocol)) for ocol in ocols)
                     for row in self.num)
-        return self._new(self.rows, other.cols, num, self.den * other.den, tol)
+        return self._new(self.rows, other.cols, num, self.den * other.den)
 
-    def _common(self, other: "Matrix") -> tuple[tuple, tuple, int, float]:
-        """Both numerators over the lcm of the denominators, and the tol;
-        stacking canonical matrices over the lcm keeps them canonical."""
-        tol = self._check(other)
+    def _common(self, other: "Matrix") -> tuple[tuple, tuple, int]:
+        """Both numerators over the lcm of the denominators; stacking
+        canonical matrices over the lcm keeps them canonical."""
         den = lcm(self.den, other.den)
         return (_rescale(self.num, den // self.den),
-                _rescale(other.num, den // other.den), den, tol)
+                _rescale(other.num, den // other.den), den)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sum")
-        a, b, den, tol = self._common(other)
+        a, b, den = self._common(other)
         num = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(a, b))
-        return self._new(self.rows, self.cols, num, den, tol)
+        return self._new(self.rows, self.cols, num, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, add)
@@ -267,53 +231,33 @@ class Matrix(Value):
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        k, d = (float(c), 1) if self.mode == APPROX else _to_exact(c).as_integer_ratio()
-        return self._new(self.rows, self.cols, _rescale(self.num, k), self.den * d,
-                         self.tol)
+        k, d = _to_exact(c).as_integer_ratio()
+        return self._new(self.rows, self.cols, _rescale(self.num, k), self.den * d)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        a, b, den, tol = self._common(other)
+        a, b, den = self._common(other)
         return Matrix(self.rows, self.cols + other.cols,
-                      tuple(r1 + r2 for r1, r2 in zip(a, b)), den, self.mode, tol)
+                      tuple(r1 + r2 for r1, r2 in zip(a, b)), den)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        a, b, den, tol = self._common(other)
-        return Matrix(self.rows + other.rows, self.cols, a + b, den, self.mode, tol)
+        a, b, den = self._common(other)
+        return Matrix(self.rows + other.rows, self.cols, a + b, den)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         num = tuple(r[c0:c1] for r in self.num[r0:r1])
-        return self._new(r1 - r0, c1 - c0, num, self.den, self.tol)
+        return self._new(r1 - r0, c1 - c0, num, self.den)
 
     def columns(self, idx: Iterable[int]) -> "Matrix":
         idx = list(idx)
         num = tuple(tuple(r[j] for j in idx) for r in self.num)
-        return self._new(self.rows, len(idx), num, self.den, self.tol)
-
-    # -- magnitudes and conversion ---------------------------------------
-
-    def max_abs(self) -> float:
-        return max((abs(x) for r in self._floats() for x in r), default=0.0)
-
-    def threshold(self) -> float:
-        # approx-mode zero cutoff: tol * max(largest entry magnitude, 1)
-        return self.tol * max(self.max_abs(), 1.0)
+        return self._new(self.rows, len(idx), num, self.den)
 
     def is_zero(self) -> bool:
-        if self.mode == EXACT:
-            return not any(map(any, self.num))
-        return self.max_abs() <= self.threshold()
-
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self._floats(), dtype=float)
-
-    def to_approx(self, tol: float | None = None) -> "Matrix":
-        return Matrix(self.rows, self.cols, self._floats(), 1, APPROX,
-                      self.tol if tol is None else tol)
+        return not any(map(any, self.num))
 
 
 def _bareiss(num: Sequence[Sequence[int]],
@@ -377,65 +321,42 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list] | None:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    if m.mode != EXACT:
-        raise ModeMixError("rref is exact-mode only")
     a, pivots, d = _bareiss(m.num)
-    return m._new(m.rows, m.cols, tuple(map(tuple, a)), d, m.tol), tuple(pivots)
+    return m._new(m.rows, m.cols, tuple(map(tuple, a)), d), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.mode == EXACT:
-        return len(_bareiss(m.num, jordan=False)[1])
-    import numpy as np
-    sv = np.linalg.svd(m.to_numpy(), compute_uv=False)
-    return int(np.sum(sv > m.threshold()))
+    return len(_bareiss(m.num, jordan=False)[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of the right kernel, one column per free direction.
-
-    Exact mode normalizes each basis vector so its first nonzero
-    coordinate is 1 (deterministic representatives).
-    """
-    if m.mode == EXACT:
-        a, pivots, d = _bareiss(m.num)   # a = d rref(m)
-        # d times the vector with 1 at a free f and -rref[r][f] at pivot r
-        vecs = [[d if j == f else -a[pivots.index(j)][f] if j in pivots else 0
-                 for j in range(m.cols)] for f in range(m.cols) if f not in pivots]
-        leads = [next(x for x in v if x) for v in vecs]
-        den = lcm(*leads)
-        ker = tuple(tuple(x * (den // lead) for x in v) for v, lead in zip(vecs, leads))
-        return m._new(m.cols, len(ker), tuple(zip(*ker)) if ker else ((),) * m.cols,
-                      den, m.tol)
-    arr = m.to_numpy()
-    if m.rows == 0:
-        return Matrix.identity(m.cols, APPROX, m.tol)
-    import numpy as np
-    u, sv, vh = np.linalg.svd(arr)
-    thr = m.threshold()
-    nz = int(np.sum(sv > thr))
-    return Matrix.approx(vh[nz:].T.tolist(), m.tol)  # orthonormal columns
+    """Basis of the right kernel, one column per free direction, each
+    normalized so its first nonzero coordinate is 1 (deterministic
+    representatives)."""
+    a, pivots, d = _bareiss(m.num)   # a = d rref(m)
+    # d times the vector with 1 at a free f and -rref[r][f] at pivot r
+    vecs = [[d if j == f else -a[pivots.index(j)][f] if j in pivots else 0
+             for j in range(m.cols)] for f in range(m.cols) if f not in pivots]
+    leads = [next(x for x in v if x) for v in vecs]
+    den = lcm(*leads)
+    ker = tuple(tuple(x * (den // lead) for x in v) for v, lead in zip(vecs, leads))
+    return m._new(m.cols, len(ker), tuple(zip(*ker)) if ker else ((),) * m.cols, den)
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    if m.mode == EXACT:
-        inv = _adjugate(m.num)
-        if inv is None:
-            raise ValueError("matrix is singular")
-        d, adj = inv   # m^-1 = den num^-1 = den (d num^-1) / d
-        return m._new(m.rows, m.cols, tuple(tuple(m.den * x for x in r) for r in adj),
-                      d, m.tol)
-    import numpy as np
-    return Matrix.approx(np.linalg.inv(m.to_numpy()).tolist(), m.tol)
+    inv = _adjugate(m.num)
+    if inv is None:
+        raise ValueError("matrix is singular")
+    d, adj = inv   # m^-1 = den num^-1 = den (d num^-1) / d
+    return m._new(m.rows, m.cols, tuple(tuple(m.den * x for x in r) for r in adj), d)
 
 
 def spans_equal(a: Matrix, b: Matrix) -> bool:
-    """True if the column spans agree: both ranks equal the joint rank.
-    The stack comes first, so mixed modes are refused, not compared."""
+    """True if the column spans agree: both ranks equal the joint rank."""
     return rank(a.hstack(b)) == rank(a) == rank(b)
 
 
@@ -522,16 +443,7 @@ def sym_signature(g: Matrix) -> Signature:
         raise ValueError("Gram matrix must be square")
     if g.rows == 0:
         return Signature(0, 0, 0)
-    if g.mode == EXACT:
-        if g.T.num != g.num:
-            raise ValueError("Gram matrix is not symmetric")
-        # dropping the positive denominator is a congruence
-        return integer_signature(g.num)
-    import numpy as np
-    arr = g.to_numpy()
-    arr = 0.5 * (arr + arr.T)
-    w = np.linalg.eigvalsh(arr)
-    thr = g.threshold()
-    pos = int(np.sum(w > thr))
-    neg = int(np.sum(w < -thr))
-    return Signature(pos, g.rows - pos - neg, neg)
+    if g.T.num != g.num:
+        raise ValueError("Gram matrix is not symmetric")
+    # dropping the positive denominator is a congruence
+    return integer_signature(g.num)

@@ -7,11 +7,10 @@ F_i^T Omega F_j, so x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j)
 the forms read it:
 
 * ``kashiwara_index`` -- pos - neg of P + P^T, the symmetrized q on the
-  direct sum L_1 + ... + L_r; no kernel or quotient is formed.  Exact mode
-  pairs primitive integer frame columns through Omega's numerators
-  (positive congruences) and sums ``_triple_index`` over (L_1, L_k, L_k+1)
-  by the chain rule: an n x n Schur form, or the 3n Gram if det A = 0.
-  Approx mode symmetrizes P of QR frames; only it imports numpy.
+  direct sum L_1 + ... + L_r; no kernel or quotient is formed.  It pairs
+  primitive integer frame columns through Omega's numerators (positive
+  congruences) and sums ``_triple_index`` over (L_1, L_k, L_k+1) by the
+  chain rule: an n x n Schur form, or the 3n Gram if det A = 0.
 * ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
   T = ker(sum) / im(boundary), for representatives R of T built from
   consecutive intersections of the tuple; it has the same signature.  The
@@ -21,10 +20,15 @@ the forms read it:
   psi(x, y) = omega(x_2, y_1) on the same quotient (triples only): R^T P R
   with P cut to its block F_2^T Omega F_1.
 
+The float twins ``kashiwara_index_float``, ``kashiwara_signature_float``
+and ``wall_invariant_float`` take (2n, n) float arrays as ``(space, frames,
+tol)``, run ``check_lagrangian_frames`` first and cut at ``_float_cut``.
+
 Other routes to the same circle of invariants:
 
 * ``arnold_index_triple`` -- sum over the planes span(e_j, e_{n+j}) of the
-  cyclic sign of three diagonal line angles, as ``arnold_triple_lines``.
+  cyclic sign of three diagonal float line angles, as
+  ``arnold_triple_lines``.
 * ``leray_m``         -- integer cochain on pairs of lifted lines (n = 1)
   whose cyclic sums reproduce the Kashiwara index of the projected tuple.
 
@@ -37,21 +41,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, Value, _adjugate,
-                     _set, integer_signature, kernel_basis, rank, rref,
-                     sym_signature)
-from .symplectic import (LagrangianFrame, SymplecticSpace, _pairing, _support,
-                         line_lagrangian)
+# ``rank`` is unused here, but perfbench wraps ``maslov.rank``
+from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _adjugate, _set,
+                     integer_signature, kernel_basis, rank, rref)
+from .symplectic import (LagrangianFrame, SymplecticSpace, _float_cut,
+                         _float_rank, _pairing, _support,
+                         check_lagrangian_frames, line_lagrangian)
 from .witt import witt_of_form_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # float line angles closer than this, mod pi, are the same line
 ANGLE_SNAP = 1e-9
 
 
 class LagrangianTuple(Value):
-    """Lagrangians of one space in one scalar mode; ``of`` checks both."""
+    """Exact Lagrangians of one space; ``of`` checks both, and refuses a
+    float frame among them as a mix of scalar modes."""
 
     _fields = ("members",)
 
@@ -62,12 +71,10 @@ class LagrangianTuple(Value):
     def of(*lags: LagrangianFrame) -> "LagrangianTuple":
         if len(lags) < 2:
             raise ValueError("a Lagrangian tuple needs at least two members")
-        first = lags[0]
-        for lag in lags[1:]:
-            if lag.space != first.space:
-                raise ValueError("tuple members live in different spaces")
-            if lag.frame.mode != first.frame.mode:
-                raise ValueError("tuple members mix scalar modes")
+        if not all(isinstance(lag, LagrangianFrame) for lag in lags):
+            raise ValueError("tuple members mix scalar modes")
+        if any(lag.space != lags[0].space for lag in lags[1:]):
+            raise ValueError("tuple members live in different spaces")
         return LagrangianTuple(lags)
 
     @property
@@ -91,45 +98,27 @@ def _boundary_columns(tup: LagrangianTuple) -> Matrix:
             vec[i * n:i * n + n] = x[:n]
             vec[j * n:j * n + n] = [-v for v in x[n:]]
             cols.append(vec)
-    mode, tol = frames[0].mode, frames[0].tol
     if not cols:
-        return Matrix.zeros(r * n, 0, mode, tol)
-    return Matrix.from_rows(list(zip(*cols)), mode, tol)
-
-
-def _independent_over(base: Matrix, cands: Matrix) -> list[int]:
-    """Indices of candidate columns independent modulo the base span, each
-    taken greedily against the base and the candidates before it."""
-    if base.mode == EXACT:
-        _, pivots = rref(base.hstack(cands))
-        return [c - base.cols for c in pivots if c >= base.cols]
-    picked: list[int] = []
-    cur = base
-    cur_rank = rank(base)
-    for j in range(cands.cols):
-        trial = cur.hstack(cands.columns([j]))
-        r = rank(trial)
-        if r > cur_rank:
-            picked.append(j)
-            cur, cur_rank = trial, r
-    return picked
+        return Matrix.zeros(r * n, 0)
+    return Matrix.exact(list(zip(*cols)))
 
 
 def _quotient_gram(tup: LagrangianTuple,
                    block: tuple[int, int] | None = None) -> Matrix:
     """R^T P R for the pairing P (or one block of it) and representatives R
     of T: kernel columns of the sum map Sigma = (F_1 ... F_r) independent
-    modulo the boundary; q(a, b) = a^T P b.  P pairs the numerators of
-    Sigma and Omega."""
+    modulo the boundary, each taken greedily against the boundary and the
+    columns before it (the rref pivots past the boundary); q(a, b) =
+    a^T P b.  P pairs the numerators of Sigma and Omega."""
     sigma = tup.members[0].frame
     for m in tup.members[1:]:
         sigma = sigma.hstack(m.frame)
-    ker = kernel_basis(sigma)
-    reps = ker.columns(_independent_over(_boundary_columns(tup), ker))
-    omega = tup.space.omega_as(sigma.mode)
-    pair = Matrix.from_rows(_pairing(sigma.T.num, _support(omega.num),
-                                     tup.space.n, block), sigma.mode, reps.tol)
-    return reps.T @ pair.scale(Fraction(1, sigma.den ** 2 * omega.den)) @ reps
+    ker, base = kernel_basis(sigma), _boundary_columns(tup)
+    _, pivots = rref(base.hstack(ker))
+    reps = ker.columns(c - base.cols for c in pivots if c >= base.cols)
+    space = tup.space
+    pair = Matrix.exact(_pairing(sigma.T.num, space.omega_support, space.n, block))
+    return reps.T @ pair.scale(Fraction(1, sigma.den ** 2 * space.omega.den)) @ reps
 
 
 def kashiwara_space(tup: LagrangianTuple) -> Matrix:
@@ -140,11 +129,8 @@ def kashiwara_space(tup: LagrangianTuple) -> Matrix:
     q(a, b) = sum over i > j of omega(a_i, b_j); dim T is its row count.
     """
     g = _quotient_gram(tup)
-    if g.mode == EXACT:
-        if g.T != g:
-            raise ValueError("kernel form failed to be symmetric")
-    else:
-        g = (g + g.T).scale(0.5)
+    if g.T != g:
+        raise ValueError("kernel form failed to be symmetric")
     return g
 
 
@@ -173,29 +159,20 @@ def _triple_index(a: list, b: list, c: list) -> int:
 
 
 def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
-    """Witt class (signature) of the canonical form of the tuple; exact mode
-    sums tau(L_1, L_k, L_k+1) (chain rule; Cappell, Lee & Miller, CPAM 47
+    """Witt class (signature) of the canonical form of the tuple: the sum of
+    tau(L_1, L_k, L_k+1) (chain rule; Cappell, Lee & Miller, CPAM 47
     (1994)), each by the transverse-pair formula or, if det A = 0, its 3n Gram."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
-    space = tup.space
-    if tup.members[0].frame.mode == EXACT:
-        # positive scalings of columns and of Omega are congruences
-        cols = [[_primitive_column(c) for c in m.frame.T.num] for m in tup.members]
-        images = [[[sum(o * c[j] for j, o in row) for row in space.omega_support]
-                   for c in f] for f in cols[:-1]]
-        # F_i^T Omega F_j for each i > 0 with j = 0 and j = i - 1 (once at i = 1)
-        blocks = [[[[sum(map(mul, x, y)) for y in images[j]] for x in cols[i]]
-                   for j in (0, i - 1)[:i]] for i in range(1, len(cols))]
-        return sum(_triple_index(p[0], q[0], q[1]) for p, q in zip(blocks, blocks[1:]))
-    import numpy as np
-    cols = [q for m in tup.members
-            for q in np.linalg.qr(m.frame.to_numpy())[0].T.tolist()]
-    support = _support(space.omega_as(APPROX).num)
-    pair = Matrix.approx(_pairing(cols, support, space.n),
-                         max(m.frame.tol for m in tup.members))
-    sig = sym_signature(pair + pair.T)
-    return sig.pos - sig.neg
+    support = tup.space.omega_support
+    # positive scalings of columns and of Omega are congruences
+    cols = [[_primitive_column(c) for c in m.frame.T.num] for m in tup.members]
+    images = [[[sum(o * c[j] for j, o in row) for row in support] for c in f]
+              for f in cols[:-1]]
+    # F_i^T Omega F_j for each i > 0 with j = 0 and j = i - 1 (once at i = 1)
+    blocks = [[[[sum(map(mul, x, y)) for y in images[j]] for x in cols[i]]
+               for j in (0, i - 1)[:i]] for i in range(1, len(cols))]
+    return sum(_triple_index(p[0], q[0], q[1]) for p, q in zip(blocks, blocks[1:]))
 
 
 def tuple_reduce(tup: LagrangianTuple) -> int:
@@ -212,8 +189,95 @@ def wall_invariant(l1: LagrangianFrame, l2: LagrangianFrame,
     W = {x1 + x2 + x3 = 0} / (pairwise intersections), psi(x, y) = omega(x_2, y_1).
     """
     g = _quotient_gram(LagrangianTuple.of(l1, l2, l3), block=(1, 0))
-    half = Fraction(1, 2) if g.mode == EXACT else 0.5
-    return witt_of_form_real((g + g.T).scale(half))
+    return witt_of_form_real((g + g.T).scale(Fraction(1, 2)))
+
+
+# -- float twins: Lagrangians as (2n, n) arrays ------------------------------
+
+
+def _float_tuple(space: SymplecticSpace, frames, tol: float) -> np.ndarray:
+    """The checked (r, 2n, n) stack of a float tuple of r >= 2 members."""
+    frames = check_lagrangian_frames(space, frames, tol)
+    if len(frames) < 2:
+        raise ValueError("a Lagrangian tuple needs at least two members")
+    return frames
+
+
+def _float_kernel(a: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the right kernel of ``a``: the right
+    singular vectors past the singular values above ``_float_cut``."""
+    import numpy as np
+    _, sv, vh = np.linalg.svd(a)
+    return vh[int(np.sum(sv > _float_cut(a, tol))):].T
+
+
+def _float_signature(g: np.ndarray, tol: float) -> Signature:
+    """Signature of the symmetric float ``g``, its eigenvalues cut at
+    plus and minus ``_float_cut``."""
+    import numpy as np
+    w, cut = np.linalg.eigvalsh(g), _float_cut(g, tol)
+    pos, neg = int(np.sum(w > cut)), int(np.sum(w < -cut))
+    return Signature(pos, len(g) - pos - neg, neg)
+
+
+def _float_form(space: SymplecticSpace, frames, tol: float,
+                block: tuple[int, int] | None = None) -> Signature:
+    """The signature of the symmetrized ``_quotient_gram`` of float frames.
+    The sum map's kernel and the boundary (each consecutive pair's kernel)
+    come from ``_float_kernel``; a kernel column is taken when it raises the
+    ``_float_rank`` of the boundary and the columns taken before it."""
+    import numpy as np
+    frames = _float_tuple(space, frames, tol)
+    r, n = len(frames), space.n
+    sigma = np.hstack(list(frames))
+    base = np.zeros((r * n, 0))
+    for i in range(r):
+        j = (i + 1) % r
+        meet = _float_kernel(np.hstack([frames[i], -frames[j]]), tol)
+        cols = np.zeros((r * n, meet.shape[1]))
+        cols[i * n:i * n + n], cols[j * n:j * n + n] = meet[:n], -meet[n:]
+        base = np.hstack([base, cols])
+    ker, picked, base_rank = _float_kernel(sigma, tol), [], _float_rank(base, tol)
+    for k in range(ker.shape[1]):
+        trial = np.hstack([base, ker[:, k:k + 1]])
+        if (trial_rank := _float_rank(trial, tol)) > base_rank:
+            picked.append(k)
+            base, base_rank = trial, trial_rank
+    reps = ker[:, picked]
+    support = _support(space.omega.to_numpy().tolist())
+    pair = np.array(_pairing(sigma.T.tolist(), support, n, block), dtype=float)
+    g = reps.T @ pair @ reps
+    return _float_signature(0.5 * (g + g.T), tol)
+
+
+def kashiwara_index_float(space: SymplecticSpace, frames,
+                          tol: float = DEFAULT_TOL) -> int:
+    """``kashiwara_index`` of float Lagrangians: pos - neg of P + P^T, P
+    paired from the orthonormal Q factors of the frames (raw frames with
+    entries near 1e6 lose the signature to rounding)."""
+    import numpy as np
+    cols = [q for f in _float_tuple(space, frames, tol)
+            for q in np.linalg.qr(f)[0].T.tolist()]
+    support = _support(space.omega.to_numpy().tolist())
+    pair = np.array(_pairing(cols, support, space.n), dtype=float)
+    sig = _float_signature(pair + pair.T, tol)
+    return sig.pos - sig.neg
+
+
+def kashiwara_signature_float(space: SymplecticSpace, frames,
+                              tol: float = DEFAULT_TOL) -> Signature:
+    """The signature of ``kashiwara_space`` of float Lagrangians, q on
+    T = ker(sum) / im(boundary); its ``dim`` is dim T."""
+    return _float_form(space, frames, tol)
+
+
+def wall_invariant_float(space: SymplecticSpace, frames,
+                         tol: float = DEFAULT_TOL) -> int:
+    """``wall_invariant`` of three float Lagrangians."""
+    if len(frames) != 3:
+        raise ValueError("the Wall invariant needs exactly three frames")
+    sig = _float_form(space, frames, tol, block=(1, 0))
+    return sig.pos - sig.neg
 
 
 # -- Arnold line-angle formulas ----------------------------------------------
@@ -236,25 +300,29 @@ def _angle_compare(t1: float, t2: float) -> int:
     return -1 if d < 0 else 1
 
 
-def _diagonal_angles(lag: LagrangianFrame) -> list[float]:
-    """theta_j = atan2(F[n+j][j], F[j][j]) mod pi of a diagonal frame F."""
-    n, rows = lag.space.n, lag.frame.num
+def _diagonal_angles(frame: np.ndarray) -> list[float]:
+    """theta_j = atan2(F[n+j][j], F[j][j]) mod pi of a diagonal float frame F."""
+    n, rows = frame.shape[1], frame.tolist()
     if any(x for i, row in enumerate(rows) for j, x in enumerate(row)
            if i % n != j):
         raise ValueError("the angle index needs diagonal frames")
     return [math.atan2(rows[n + j][j], rows[j][j]) % math.pi for j in range(n)]
 
 
-def arnold_index_triple(l1: LagrangianFrame, l2: LagrangianFrame,
-                        l3: LagrangianFrame) -> int:
-    """Triple index of diagonal frames of one standard space: the cyclic
-    signs of their angles theta_j summed over the planes span(e_j, e_{n+j}),
-    as the index is additive over symplectic sums (Cappell-Lee-Miller)."""
-    if not l1.space.is_standard() or not (l1.space == l2.space == l3.space):
+def arnold_index_triple(space: SymplecticSpace, frames,
+                        tol: float = DEFAULT_TOL) -> int:
+    """Triple index of three diagonal float Lagrangians of the standard
+    space: the cyclic signs of their angles theta_j summed over the planes
+    span(e_j, e_{n+j}), as the index is additive over symplectic sums
+    (Cappell-Lee-Miller)."""
+    frames = check_lagrangian_frames(space, frames, tol)
+    if not space.is_standard():
         raise ValueError("the angle index needs one standard space")
+    if len(frames) != 3:
+        raise ValueError("the triple index needs exactly three frames")
     return sum(_cyclic_sign(_angle_compare(a, b), _angle_compare(b, c),
                             _angle_compare(a, c))
-               for a, b, c in zip(*map(_diagonal_angles, (l1, l2, l3))))
+               for a, b, c in zip(*map(_diagonal_angles, frames)))
 
 
 # -- Leray function on lifted lines (n = 1 only) -----------------------------
@@ -287,10 +355,10 @@ class LerayLift(Value):
         return float(self.theta_tilde)
 
     def line(self, space: SymplecticSpace) -> LagrangianFrame:
-        if self.direction is not None:
-            return line_lagrangian(space, (self.direction[0], self.direction[1]))
-        th = self.angle() % math.pi
-        return line_lagrangian(space, (math.cos(th), math.sin(th)))
+        """The exact line of a direction lift; other lifts have none."""
+        if self.direction is None:
+            raise ValueError("only a direction lift has an exact line")
+        return line_lagrangian(space, self.direction[:2])
 
 
 def _line_angle_compare(d1, d2) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from random import Random
 
-from .linalg import EXACT, Matrix, Value, _set, _trusted
+from .linalg import Matrix, Value, _set, _trusted
 from .maslov import LerayLift, _primitive_column, _triple_index, leray_m
 # unused here; perfbench's tracer test checks that this binding is wrapped
 from .maslov import kashiwara_index  # noqa: F401
@@ -112,7 +112,7 @@ class Mp1Element(Value):
     def __post_init__(self):
         if type(self.w) is not int:
             raise ValueError("the Witt part w must be an int")
-        if self.g.mode != EXACT:
+        if not isinstance(self.g, Matrix):
             raise ValueError("group elements use exact matrices")
         if not is_symplectic(self.ctx.space, self.g):
             raise ValueError("matrix is not symplectic for this space")

@@ -59,20 +59,18 @@ class SampledImmersion(Value):
 
     _fields = ("param_dim", "ambient_dim", "topology", "params", "points",
                "frames", "grid_shape")
-    __hash__ = None  # mutable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    __hash__ = None  # arrays are unhashable
 
     def __init__(self, param_dim: int, ambient_dim: int, topology: str,
                  params: np.ndarray, points: np.ndarray,
                  frames: np.ndarray | None = None, grid_shape: tuple | None = None):
-        self.param_dim = param_dim
-        self.ambient_dim = ambient_dim
-        self.topology = topology
-        self.params = params
-        self.points = points
-        self.frames = frames
-        self.grid_shape = grid_shape
+        _set(self, "param_dim", param_dim)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "topology", topology)
+        _set(self, "params", params)
+        _set(self, "points", points)
+        _set(self, "frames", frames)
+        _set(self, "grid_shape", grid_shape)
         self.__post_init__()
 
     def __post_init__(self):
@@ -89,8 +87,8 @@ class SampledImmersion(Value):
         if any(len(p) != self.ambient_dim for p in self.points):
             raise ValidationError("ambient width mismatch")
         try:
-            self.params = np.asarray(self.params, dtype=float)
-            self.points = np.asarray(self.points, dtype=float)
+            _set(self, "params", np.asarray(self.params, dtype=float))
+            _set(self, "points", np.asarray(self.points, dtype=float))
         except OverflowError as exc:
             raise ValidationError("sample value overflows a float") from exc
         if self.params.ndim != 2 or self.points.ndim != 2:
@@ -104,7 +102,7 @@ class SampledImmersion(Value):
                 raise ValidationError("grid topology needs param_dim = 2")
             if self.grid_shape is None:
                 raise ValidationError("grid topology needs grid_shape")
-            self.grid_shape = (int(self.grid_shape[0]), int(self.grid_shape[1]))
+            _set(self, "grid_shape", (int(self.grid_shape[0]), int(self.grid_shape[1])))
             if self.grid_shape[0] * self.grid_shape[1] != len(self.points):
                 raise ValidationError("grid_shape does not match sample count")
         elif self.param_dim != 1:
@@ -125,7 +123,7 @@ class SampledImmersion(Value):
                     or not self.param_dim <= frames[0].shape[1] \
                     or frames[0].shape[0] != self.ambient_dim:
                 raise ValidationError("frame shape mismatch")
-            self.frames = np.stack(frames)
+            _set(self, "frames", np.stack(frames))
 
     def __eq__(self, other):
         # arrays compare by their entries: == on them gives no single truth value
@@ -201,7 +199,7 @@ def check_lagrangian(s: SampledImmersion, space: SymplecticSpace,
     """
     if s.ambient_dim != 2 * space.n:
         raise ValidationError("ambient dimension must be twice n")
-    omega = space.omega_as("approx").to_numpy()
+    omega = space.omega.to_numpy()
     return _residual_report(
         s, lambda points, frames: np.swapaxes(frames, 1, 2) @ omega @ frames, tol)
 

@@ -134,7 +134,7 @@ def _suite_loop_degree(rng: Random):
              for i in range(m + 1)]
     path2 = [lagrangian_from_angles(sp, [(2 * math.pi * i / m) % math.pi])
              for i in range(m + 1)]
-    d1, d2 = loop_degree(path1), loop_degree(path2)
+    d1, d2 = loop_degree(sp, path1), loop_degree(sp, path2)
     detail = f"degrees {d1}, {d2}"
     yield d1 != 1 and detail
     yield d2 != 2 and detail

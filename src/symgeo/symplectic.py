@@ -1,10 +1,10 @@
 """Symplectic vector spaces, their subspaces, and the Lagrangian Grassmannian.
 
 A space is its Gram matrix Omega: ``SymplecticSpace(omega)`` checks that
-Omega is exact, skew and nondegenerate, and two spaces are equal iff their
-Omegas are (``Matrix`` equality compares values, not ``tol``).  The
-standard space on R^{2n} uses coordinates (x_1..x_n, y_1..y_n) with
-Gram matrix [[0, I], [-I, 0]], i.e. omega(x_i-axis, y_j-axis) = delta_ij;
+Omega is an exact ``Matrix``, skew and nondegenerate, and two spaces are
+equal iff their Omegas are.  The standard space on R^{2n} uses coordinates
+(x_1..x_n, y_1..y_n) with Gram matrix [[0, I], [-I, 0]], i.e.
+omega(x_i-axis, y_j-axis) = delta_ij;
 for n = 1 this is omega(u, v) = u_x v_y - u_y v_x.  ``standard(n)`` is one
 shared instance per n, so its checks and caches are built once.  Custom
 rational Grams are used as given; angle, graph and unitary
@@ -16,8 +16,11 @@ cos(theta_j) e_j + sin(theta_j) e_{n+j}.  det_squared is normalized so that
 det2(L(theta)) = e^{2 i theta}: it is the squared determinant of any unitary
 matrix mapping R^n onto L.
 
-Approx frame checks, unitary representatives and loop winding run in numpy,
-imported inside those functions only, so exact code never loads it.
+Float Lagrangians are (2n, n) numpy arrays, passed as lists or (k, 2n, n)
+stacks to the float routes (frame checks, angle frames, unitary
+representatives and loop winding), which take one ``tol`` per call and
+import numpy inside the function, so exact code never loads it.  Every
+float rank cut is ``_float_cut``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from operator import mul
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (APPROX, DEFAULT_TOL, EXACT, Matrix, Value,
-                     _rand_fraction, _set, inverse, kernel_basis, rank,
-                     spans_equal)
+from .linalg import (DEFAULT_TOL, Matrix, Value, _rand_fraction, _set,
+                     inverse, kernel_basis, rank)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,7 +55,7 @@ class SymplecticSpace(Value):
 
     def __post_init__(self):
         omega = self.omega
-        if omega.mode != EXACT:
+        if not isinstance(omega, Matrix):
             raise ValueError("custom Gram matrices must be exact rationals")
         if omega.rows != omega.cols or omega.rows % 2:
             raise ValueError("Gram matrix must be square of even size")
@@ -82,10 +84,6 @@ class SymplecticSpace(Value):
     @property
     def dim(self) -> int:
         return self.omega.rows
-
-    def omega_as(self, mode: str) -> Matrix:
-        # at the default tol: equal spaces make equal approx decisions
-        return self.omega if mode == EXACT else self.omega.to_approx(DEFAULT_TOL)
 
     @cached_property
     def omega_inverse(self) -> Matrix:
@@ -148,7 +146,7 @@ def classify_subspace(sub: Subspace) -> str:
     k - r and E^perp dimension 2n - k, so E is isotropic iff r = 0,
     coisotropic iff r = 2(k - n) and symplectic iff r = k."""
     f, k, n = sub.frame, sub.dim, sub.space.n
-    r = rank(f.T @ sub.space.omega_as(f.mode) @ f)
+    r = rank(f.T @ sub.space.omega @ f)
     if r == 0:
         return "lagrangian" if k == n else "isotropic"
     if r == 2 * (k - n):
@@ -159,46 +157,79 @@ def classify_subspace(sub: Subspace) -> str:
 def intersect_frames(f: Matrix, g: Matrix) -> Matrix:
     """Frame of (col span f) intersect (col span g)."""
     if f.cols == 0 or g.cols == 0:
-        return Matrix.zeros(f.rows, 0, f.mode, f.tol)
+        return Matrix.zeros(f.rows, 0)
     stacked = f.hstack(g.scale(-1))
     ker = kernel_basis(stacked)
     if ker.cols == 0:
-        return Matrix.zeros(f.rows, 0, f.mode, f.tol)
+        return Matrix.zeros(f.rows, 0)
     coeffs = ker.block(0, f.cols, 0, ker.cols)
     # full-column-rank inputs make these images automatically independent
     return f @ coeffs
 
 
 class LagrangianFrame(Subspace):
-    """A Lagrangian subspace given by a 2n x n frame."""
+    """A Lagrangian subspace given by an exact 2n x n frame."""
 
     def __post_init__(self):
         super().__post_init__()
         if self.frame.cols != self.space.n:
             raise ValueError("a Lagrangian frame needs exactly n columns")
-        if self.frame.mode == EXACT:
-            # omega(c_x, c_y) for y < x; a skew Omega has omega(c, c) = 0
-            if any(map(any, _pairing(self.frame.T.num,
-                                     self.space.omega_support, 1))):
-                raise ValueError("frame is not isotropic")
-        else:
-            check_lagrangian_frames(self.space, self.frame.to_numpy()[None],
-                                    self.frame.tol)
+        # omega(c_x, c_y) for y < x; a skew Omega has omega(c, c) = 0
+        if any(map(any, _pairing(self.frame.T.num, self.space.omega_support, 1))):
+            raise ValueError("frame is not isotropic")
 
 
-def check_lagrangian_frames(space: SymplecticSpace, frames: np.ndarray,
-                            tol: float) -> None:
-    """The approx ``LagrangianFrame`` checks in one pass over a (k, 2n, n)
-    stack: rank by singular values > tol * max(max|F|, 1), isotropy by
-    max|F^T Omega F| <= tol * max(max|F|^2, 1).  The first failing frame
-    is refused, its rank checked before its size and isotropy."""
+# -- float Lagrangians: (2n, n) arrays -------------------------------------
+
+
+def _float_cut(a: np.ndarray, tol: float) -> float:
+    """The zero cut of every float rank, kernel and signature decision:
+    tol * max(max |a|, 1)."""
     import numpy as np
+    return tol * max(float(np.abs(a).max(initial=0.0)), 1.0)
+
+
+def _float_rank(a: np.ndarray, tol: float) -> int:
+    """The number of singular values of ``a`` above ``_float_cut``."""
+    import numpy as np
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > _float_cut(a, tol)))
+
+
+def float_lagrangian(space: SymplecticSpace, frame,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``frame`` as a float (2n, n) array, refused as ``LagrangianFrame``
+    refuses an exact one: rows, dependent columns (by ``_float_rank``), n
+    columns, then ``check_lagrangian_frames``."""
+    import numpy as np
+    frame = np.asarray(frame, dtype=float)
+    if frame.ndim != 2 or frame.shape[0] != space.dim:
+        raise ValueError("frame rows must match the ambient dimension")
+    if _float_rank(frame, tol) != frame.shape[1]:
+        raise ValueError("frame columns are linearly dependent")
+    if frame.shape[1] != space.n:
+        raise ValueError("a Lagrangian frame needs exactly n columns")
+    check_lagrangian_frames(space, frame[None], tol)
+    return frame
+
+
+def check_lagrangian_frames(space: SymplecticSpace, frames,
+                            tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The float Lagrangian checks in one pass over a list or (k, 2n, n)
+    stack of frames, returned as the stack: rank by singular values
+    > tol * max(max|F|, 1), isotropy by max|F^T Omega F| <= tol *
+    max(max|F|^2, 1).  The first failing frame is refused, its rank checked
+    before its size and isotropy."""
+    import numpy as np
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 3 or frames.shape[1:] != (space.dim, space.n):
+        raise ValueError("float Lagrangians must be a (k, 2n, n) stack")
+    omega = space.omega.to_numpy()
     big = np.abs(frames).max(axis=(1, 2))
     sv = np.linalg.svd(frames, compute_uv=False)
     dependent = sv[:, -1] <= tol * np.maximum(big, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(big ** 2, 1.0)
-        gram = np.swapaxes(frames, 1, 2) @ space.omega_as(APPROX).to_numpy() @ frames
+        gram = np.swapaxes(frames, 1, 2) @ omega @ frames
         skew = np.abs(gram).max(axis=(1, 2)) > tol * scale
     too_large = np.isinf(scale)
     failed = dependent | too_large | skew
@@ -208,11 +239,13 @@ def check_lagrangian_frames(space: SymplecticSpace, frames: np.ndarray,
             "frame columns are linearly dependent" if dependent[k] else
             "frame entries are too large for approx mode" if too_large[k] else
             "frame is not isotropic within tolerance")
+    return frames
 
 
 def lagrangian_from_angles(space: SymplecticSpace, thetas: Sequence[float],
-                           tol: float = DEFAULT_TOL) -> LagrangianFrame:
-    """Diagonal-angle Lagrangian; requires the standard space.
+                           tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Diagonal-angle float Lagrangian, checked by ``float_lagrangian``;
+    requires the standard space.
 
     Column j is cos(theta_j) e_j + sin(theta_j) e_{n+j} with theta in [0, pi).
     """
@@ -221,26 +254,19 @@ def lagrangian_from_angles(space: SymplecticSpace, thetas: Sequence[float],
     if len(thetas) != space.n:
         raise ValueError("need one angle per dimension")
     n = space.n
-    cols = []
-    for j, th in enumerate(thetas):
-        th = float(th)
+    rows = [[0.0] * n for _ in range(2 * n)]
+    for j, th in enumerate(map(float, thetas)):
         if not (0.0 <= th < math.pi):
             raise ValueError("angles must lie in [0, pi)")
-        col = [0.0] * (2 * n)
-        col[j] = math.cos(th)
-        col[n + j] = math.sin(th)
-        cols.append(col)
-    frame = Matrix.approx([[c[i] for c in cols] for i in range(2 * n)], tol)
-    return LagrangianFrame(space, frame)
+        rows[j][j], rows[n + j][j] = math.cos(th), math.sin(th)
+    return float_lagrangian(space, rows, tol)
 
 
 def line_lagrangian(space: SymplecticSpace, direction: Sequence) -> LagrangianFrame:
-    """n = 1 line through a nonzero (typically rational) direction vector."""
+    """n = 1 line through a nonzero rational direction vector."""
     if space.n != 1:
         raise ValueError("line_lagrangian is for n = 1")
-    mode = APPROX if any(isinstance(x, float) for x in direction) else EXACT
-    frame = Matrix.from_rows([[x] for x in direction], mode)
-    return LagrangianFrame(space, frame)
+    return LagrangianFrame(space, Matrix.exact([[x] for x in direction]))
 
 
 def graph_lagrangian(space: SymplecticSpace, phi: Matrix) -> LagrangianFrame:
@@ -250,17 +276,16 @@ def graph_lagrangian(space: SymplecticSpace, phi: Matrix) -> LagrangianFrame:
         raise ValueError("phi must be n x n")
     if not space.is_standard():
         raise ValueError("graph parametrization needs the standard space")
-    ident = Matrix.identity(n) if phi.mode == EXACT else Matrix.identity(n, APPROX, phi.tol)
-    return LagrangianFrame(space, ident.vstack(phi))
+    return LagrangianFrame(space, Matrix.identity(n).vstack(phi))
 
 
 # -- unitary representatives and the determinant-squared map ---------------
 
 
 def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
-                     tol) -> np.ndarray:
+                     tol: float) -> np.ndarray:
     """Unitary polar factors of X + iY for a (k, 2n, n) stack of frames
-    (X over Y); ``tol`` is one tolerance or one per frame."""
+    (X over Y)."""
     import numpy as np
     if not space.is_standard():
         raise ValueError("unitary representatives need the standard space")
@@ -271,34 +296,34 @@ def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
     return u @ vh
 
 
-def det_squared(lag: LagrangianFrame) -> complex:
-    """Coset-invariant squared determinant; e^{2 i theta} on L(theta)."""
+def det_squared(space: SymplecticSpace, frame,
+                tol: float = DEFAULT_TOL) -> complex:
+    """Coset-invariant squared determinant of a float (2n, n) Lagrangian;
+    e^{2 i theta} on L(theta)."""
     import numpy as np
-    zu = _polar_unitaries(lag.space, lag.frame.to_numpy()[None],
-                          lag.frame.tol)[0]
-    d2 = np.linalg.det(zu) ** 2
+    frames = check_lagrangian_frames(space, [frame], tol)
+    d2 = np.linalg.det(_polar_unitaries(space, frames, tol)[0]) ** 2
     return complex(d2 / abs(d2))
 
 
-def loop_degree(path: Sequence[LagrangianFrame]) -> int:
-    """Winding number of det-squared along a closed Lagrangian loop whose
-    first and last members span the same subspace (``frames_loop_degree``
-    on the stacked frames)."""
-    if len(path) < 3:
-        raise ValueError("a loop needs at least three samples")
-    first, last = path[0].frame, path[-1].frame
-    if not spans_equal(first.to_approx(), last.to_approx()):
-        raise ValueError("path is not closed (first and last spans differ)")
-    space = path[0].space
-    if any(lag.space != space for lag in path):
-        raise ValueError("loop members must share one space")
+def loop_degree(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> int:
+    """Winding number of det-squared along a closed loop of float
+    Lagrangians whose first and last members span the same subspace (equal
+    ``_float_rank`` of each and of both; ``frames_loop_degree`` on the
+    stack)."""
     import numpy as np
-    return frames_loop_degree(space,
-                              np.stack([lag.frame.to_numpy() for lag in path]),
-                              np.array([lag.frame.tol for lag in path]))
+    frames = check_lagrangian_frames(space, frames, tol)
+    if len(frames) < 3:
+        raise ValueError("a loop needs at least three samples")
+    first, last = frames[0], frames[-1]
+    if not (_float_rank(np.hstack([first, last]), tol) == _float_rank(first, tol)
+            == _float_rank(last, tol)):
+        raise ValueError("path is not closed (first and last spans differ)")
+    return frames_loop_degree(space, frames, tol)
 
 
-def frames_loop_degree(space: SymplecticSpace, frames: np.ndarray, tol) -> int:
+def frames_loop_degree(space: SymplecticSpace, frames: np.ndarray,
+                       tol: float) -> int:
     """Winding number of det-squared along a (k, 2n, n) stack of Lagrangian
     frames whose last member closes the loop.  Each det2 argument jump must
     stay below pi/2 (sampling guard) and the jumps must close to whole turns.

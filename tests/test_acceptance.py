@@ -15,7 +15,7 @@ from symgeo.bordism import weak_bordism_group
 from symgeo.jets import (JetSignature, lagrangian_pde_dims, lambda_dim,
                          legendrian_pde_dims)
 from symgeo.jsonio import dumps
-from symgeo.maslov import kashiwara_index
+from symgeo.maslov import kashiwara_index_float
 from symgeo.scan import SampledImmersion, check_lagrangian, corank_profile, \
     loop_maslov
 from symgeo.selftest import (_suite_arnold_kashiwara,
@@ -51,8 +51,8 @@ def test_criterion_01_triple_index_anchor():
     sp = SymplecticSpace.standard(1)
     ls = [lagrangian_from_angles(sp, [a])
           for a in (0.0, math.pi / 3, 2 * math.pi / 3)]
-    fwd = int(kashiwara_index(ls))
-    rev = int(kashiwara_index(list(reversed(ls))))
+    fwd = int(kashiwara_index_float(sp, ls))
+    rev = int(kashiwara_index_float(sp, list(reversed(ls))))
     elapsed = time.monotonic() - start
     ok = fwd == 1 and rev == -1 and elapsed < 1.0
     _report(1, "triple index anchor", ok,

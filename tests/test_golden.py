@@ -31,7 +31,8 @@ from symgeo.jets.pde_audit import (_jacobian, _LagrangianInstance,
                                    lagrangian_pde_dims)
 from symgeo.jsonio import dumps, matrix_to_json
 from symgeo.linalg import Matrix, _rand_full_rank, inverse, sym_signature
-from symgeo.maslov import LagrangianTuple, kashiwara_space, wall_invariant
+from symgeo.maslov import (LagrangianTuple, kashiwara_signature_float,
+                           kashiwara_space, wall_invariant, wall_invariant_float)
 from symgeo.selftest import run_selftest
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                random_lagrangian, random_symplectic,
@@ -384,15 +385,15 @@ def _maslov_forms_dump() -> str:
         sp = SymplecticSpace.standard(n)
         for _ in range(12):
             ls = _rand_tuple(rng, sp, rng.randint(3, 5))
-            floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
+            floats = [l.frame.to_numpy() for l in ls]
             g = kashiwara_space(LagrangianTuple.of(*ls))
-            fg = kashiwara_space(LagrangianTuple.of(*floats))
+            fsig = kashiwara_signature_float(sp, floats)
             gram = "; ".join(" ".join(str(x) for x in row) for row in g.entries)
             lines.append(f"space n={n} r={len(ls)} dim={g.rows} "
                          f"sig={sym_signature(g).as_tuple()} gram={gram}")
-            lines.append(f"float dim={fg.rows} sig={sym_signature(fg).as_tuple()}")
+            lines.append(f"float dim={fsig.dim} sig={fsig.as_tuple()}")
             lines.append(f"wall {wall_invariant(*ls[:3])} "
-                         f"{wall_invariant(*floats[:3])}")
+                         f"{wall_invariant_float(sp, floats[:3])}")
     return "\n".join(lines)
 
 

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from random import Random
 
+import numpy as np
 import pytest
 
 from symgeo.jets import (CovectorSlot, JetSignature, ModelVector, SymTensor,
@@ -18,7 +19,7 @@ from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, span_matrix, unflatten,
                                         vectors_from_matrix)
 from symgeo.jets.symtensor import _spencer_matrix
-from symgeo.linalg import Matrix, ModeMixError, kernel_basis, rank, spans_equal
+from symgeo.linalg import Matrix, kernel_basis, rank, spans_equal
 from symgeo.symplectic import intersect_frames
 
 
@@ -224,13 +225,6 @@ def test_orthogonal_laws_hold_in_single_lambda_fibers():
             assert spans_equal(meta_orthogonal_frame(sig,
                                                      intersect_frames(p1, p2)),
                                Matrix.hstack(o1, o2))
-
-
-def test_orthogonal_frame_refuses_approx_frames():
-    # the rows are exact, so float frame entries would be a silent mode mix
-    sig = JetSignature(2, 1, 1)
-    with pytest.raises(ModeMixError):
-        meta_orthogonal_frame(sig, Matrix.approx([[1.0], [0.5], [0.25], [1.0]]))
 
 
 def test_meta_orthogonal_vector_interface():
@@ -532,14 +526,12 @@ def test_max_isotropic_rejects_bad_xi():
         max_isotropic(sig, Matrix.exact([[1, 0, 1], [0, 1, 1]]))   # p = 3 > n
     with pytest.raises(ValueError, match="^covector frame must have n rows$"):
         max_isotropic(sig, Matrix.exact([[1], [0], [0]]))    # wrong row count
-    with pytest.raises(ModeMixError):
-        max_isotropic(sig, Matrix.approx([[1.0], [0.0]]))     # float frame
 
 
 def test_vectors_from_matrix_refuses_approx_matrices():
     sig = JetSignature(2, 1, 1)
-    with pytest.raises(ModeMixError):
-        vectors_from_matrix(sig, Matrix.approx([[1.0], [0.5], [0.25], [1.0]]))
+    with pytest.raises(ValueError, match="^model vectors are exact-mode only$"):
+        vectors_from_matrix(sig, np.array([[1.0], [0.5], [0.25], [1.0]]))
 
 
 def test_plane_vectors_integer_views_match_fresh_vectors():

@@ -1,13 +1,17 @@
-"""Exact/approx matrix layer: rref, rank, kernels, span comparisons."""
+"""Exact matrix layer: rref, rank, kernels, span comparisons; and the float
+rank cut of the float routes."""
 
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
-from symgeo.linalg import (APPROX, EXACT, Matrix, ModeMixError, Signature,
-                           _adjugate, _bareiss, integer_signature, inverse,
-                           kernel_basis, rank, rref, spans_equal, sym_signature)
+import numpy as np
+
+from symgeo.linalg import (Matrix, Signature, _adjugate, _bareiss,
+                           integer_signature, inverse, kernel_basis, rank, rref,
+                           spans_equal, sym_signature)
+from symgeo.symplectic import _float_rank
 
 
 def _rand_exact(rng, r, c, lo=-5, hi=5):
@@ -108,7 +112,7 @@ def _bareiss_inverse(m: Matrix) -> Matrix:
     a, pivots, d = _bareiss([r + tuple(int(i == j) for j in range(n))
                              for i, r in enumerate(m.num)])
     assert pivots[:n] == list(range(n))
-    return m._new(n, n, tuple(tuple(m.den * x for x in r[n:]) for r in a), d, m.tol)
+    return m._new(n, n, tuple(tuple(m.den * x for x in r[n:]) for r in a), d)
 
 
 def test_inverse_is_field_equal_to_the_bareiss_route():
@@ -136,17 +140,19 @@ def test_rank_product_bound():
 
 
 def test_mode_mixing_rejected():
-    e = Matrix.exact([[1, 0], [0, 1]])
-    a = Matrix.approx([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ModeMixError):
-        _ = e @ a
+    """Float entries and float scalars never enter an exact matrix."""
+    float_entry = "^float entry in an exact-mode matrix$"
+    with pytest.raises(ValueError, match=float_entry):
+        Matrix.exact([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=float_entry):
+        Matrix.exact([[1, 0], [0, 1]]).scale(0.5)
 
 
 def test_approx_threshold_kills_noise():
-    a = Matrix.approx([[1.0, 1e-13], [0.0, 1.0]], tol=1e-9)
-    assert rank(a) == 2
-    noisy = Matrix.approx([[1.0, 1.0], [1.0, 1.0 + 1e-13]], tol=1e-9)
-    assert rank(noisy) == 1
+    a = np.array([[1.0, 1e-13], [0.0, 1.0]])
+    assert _float_rank(a, 1e-9) == 2
+    noisy = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    assert _float_rank(noisy, 1e-9) == 1
 
 
 def span_contains(big, small):

@@ -11,8 +11,9 @@ from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, integer_signature,
 from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
                            _primitive_column, _triple_index, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
+                           kashiwara_index_float, kashiwara_signature_float,
                            kashiwara_space, leray_cyclic_sum, leray_m,
-                           tuple_reduce, wall_invariant)
+                           tuple_reduce, wall_invariant, wall_invariant_float)
 from symgeo.metaplectic import (Mp1Context, Mp1Element, mp1_identity,
                                 mp1_inverse, mp1_mul, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace, _pairing,
@@ -35,8 +36,8 @@ def test_triple_anchor_angles():
     sp = SymplecticSpace.standard(1)
     ls = [lagrangian_from_angles(sp, [t])
           for t in (0.0, math.pi / 3, 2 * math.pi / 3)]
-    assert kashiwara_index(ls) == 1
-    assert kashiwara_index(list(reversed(ls))) == -1
+    assert kashiwara_index_float(sp, ls) == 1
+    assert kashiwara_index_float(sp, list(reversed(ls))) == -1
 
 
 def test_degenerate_triples_vanish():
@@ -103,7 +104,7 @@ def test_tuple_of_refuses_mixed_spaces_and_modes():
                        match="^tuple members live in different spaces$"):
         LagrangianTuple.of(a, b, LagrangianFrame(double, a.frame))
     with pytest.raises(ValueError, match="^tuple members mix scalar modes$"):
-        LagrangianTuple.of(a, LagrangianFrame(sp, b.frame.to_approx()))
+        LagrangianTuple.of(a, b.frame.to_numpy())
     tup = LagrangianTuple.of(a, b)
     assert tup.space is sp and len(tup) == 2
 
@@ -126,13 +127,14 @@ def test_invariants_are_plain_ints():
     rng = Random("plain-ints")
     sp = SymplecticSpace.standard(2)
     ls = [random_lagrangian(sp, rng) for _ in range(4)]
-    floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
+    floats = [l.frame.to_numpy() for l in ls]
     tup = LagrangianTuple.of(*ls)
     form = Matrix.exact([[1, 2], [2, -1]])
     ctx = Mp1Context.standard(2)
     a, b = random_mp1(ctx, rng), random_mp1(ctx, rng)
-    values = [kashiwara_index(tup), kashiwara_index(floats), tuple_reduce(tup),
-              wall_invariant(*ls[:3]), wall_invariant(*floats[:3]),
+    values = [kashiwara_index(tup), kashiwara_index_float(sp, floats),
+              tuple_reduce(tup), wall_invariant(*ls[:3]),
+              wall_invariant_float(sp, floats[:3]),
               witt_of_form_real(form), witt_of_form_complex(form)]
     values += [el.w for el in (a, mp1_mul(a, b), mp1_inverse(a),
                                mp1_identity(ctx), Mp1Element.of(ctx, 2, a.g))]
@@ -315,13 +317,18 @@ def test_meeting_pair_takes_the_3n_gram(n, triple_branches):
 def test_approx_index_matches_exact_on_converted_tuples():
     # float copies of these rational frames reach entries near 1.7e6; with
     # the raw frames in place of their QR factors, 32 of the 150 indices
-    # come out wrong without any error
+    # come out wrong without any error.  The float quotient form's dim T and
+    # signature and the float Wall invariant of the first three members
+    # match their exact routes too.
     rng = Random(21)
     for _ in range(150):
         sp = SymplecticSpace.standard(rng.randint(1, 4))
         ls = _rand_tuple(rng, sp, rng.randint(3, 6))
-        floats = [LagrangianFrame(sp, l.frame.to_approx()) for l in ls]
-        assert kashiwara_index(floats) == kashiwara_index(ls)
+        floats = [l.frame.to_numpy() for l in ls]
+        assert kashiwara_index_float(sp, floats) == kashiwara_index(ls)
+        assert kashiwara_signature_float(sp, floats) == sym_signature(
+            kashiwara_space(LagrangianTuple.of(*ls)))
+        assert wall_invariant_float(sp, floats[:3]) == wall_invariant(*ls[:3])
 
 
 def _reference_reps(tup):
@@ -428,8 +435,8 @@ def test_arnold_triple_lines_properties():
         assert arnold_triple_lines(ds[1], ds[2], ds[0]) == a
         frames = [line_lagrangian(sp, d) for d in ds]
         assert kashiwara_index(frames) == a
-        # exact n = 1 frames read the same sign through their angles
-        assert arnold_index_triple(*frames) == a
+        # exact n = 1 frames read the same sign through their float angles
+        assert arnold_index_triple(sp, [f.frame.to_numpy() for f in frames]) == a
 
 
 def test_arnold_float_agrees_on_separated_angles():
@@ -449,17 +456,17 @@ def test_arnold_float_agrees_on_separated_angles():
                     for j in range(n)])
             rng.shuffle(members)
             frames = [lagrangian_from_angles(sp, t) for t in members]
-            index = arnold_index_triple(*frames)
-            assert index == kashiwara_index(frames)
+            index = arnold_index_triple(sp, frames)
+            assert index == kashiwara_index_float(sp, frames)
             perm = rng.sample(range(n), n)
-            assert arnold_index_triple(*(
+            assert arnold_index_triple(sp, [
                 lagrangian_from_angles(sp, [t[j] for j in perm])
-                for t in members)) == index
+                for t in members]) == index
     # plane 1 reads (0.1, 2.5, 1.0), sign -1; plane 2 (2.0, 0.5, 1.5), +1
     sp = SymplecticSpace.standard(2)
     frames = [lagrangian_from_angles(sp, t)
               for t in ((0.1, 2.0), (2.5, 0.5), (1.0, 1.5))]
-    assert arnold_index_triple(*frames) == kashiwara_index(frames) == 0
+    assert arnold_index_triple(sp, frames) == kashiwara_index_float(sp, frames) == 0
 
 
 def test_arnold_refuses_non_diagonal_frames_and_custom_spaces():
@@ -467,11 +474,11 @@ def test_arnold_refuses_non_diagonal_frames_and_custom_spaces():
     diag = lagrangian_from_angles(sp, [0.5, 1.0])
     tilted = graph_lagrangian(sp, Matrix.exact([[1, 2], [2, 3]]))
     with pytest.raises(ValueError, match="^the angle index needs diagonal frames$"):
-        arnold_index_triple(diag, diag, tilted)
+        arnold_index_triple(sp, [diag, diag, tilted.frame.to_numpy()])
     custom = SymplecticSpace(standard_gram(1).scale(2))
     lines = [line_lagrangian(custom, d) for d in ((1, 0), (1, 1), (0, 1))]
     with pytest.raises(ValueError, match="^the angle index needs one standard space$"):
-        arnold_index_triple(*lines)
+        arnold_index_triple(custom, [line.frame.to_numpy() for line in lines])
 
 
 def test_leray_m_antisymmetric():

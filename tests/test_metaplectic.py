@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from random import Random
 
+import numpy as np
 import pytest
 
 from symgeo.linalg import Matrix, _rand_full_rank, inverse
@@ -280,13 +281,13 @@ def test_element_rejects_big_non_symplectic(diag):
 
 
 def test_mul_accepts_contexts_equal_up_to_tol():
-    """A context over the standard Omega and base built with another tol
-    is the standard context: products agree with the one-context ones."""
+    """A context over its own copies of the standard Omega and base (a
+    matrix carries no tol, so equal up to tol is plain equality) is the
+    standard context: products agree with the one-context ones."""
     std = Mp1Context.standard(1)
-    omega = Matrix.from_rows([[0, 1], [-1, 0]], "exact", tol=1e-6)
-    twin_space = SymplecticSpace(omega)
+    twin_space = SymplecticSpace(Matrix.exact([[0, 1], [-1, 0]]))
     twin = Mp1Context(twin_space, LagrangianFrame(
-        twin_space, Matrix.from_rows([[0], [1]], "exact", tol=1e-6)))
+        twin_space, Matrix.exact([[0], [1]])))
     assert twin == std
     rng = Random("mp1:tol-twin")
     for _ in range(5):
@@ -299,7 +300,7 @@ def test_mul_accepts_contexts_equal_up_to_tol():
 def test_element_refuses_approx_before_checking():
     ctx = Mp1Context.standard(1)
     with pytest.raises(ValueError, match="^group elements use exact matrices$"):
-        Mp1Element.of(ctx, 0, Matrix.approx([[1.0, 1.0], [1.0, 1.0]]))
+        Mp1Element.of(ctx, 0, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_is_symplectic_guard():

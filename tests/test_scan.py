@@ -12,7 +12,6 @@ import pytest
 
 from symgeo import scan
 from symgeo.jsonio import ValidationError
-from symgeo.linalg import Matrix, rank
 from symgeo.scan import (DEFAULT_SCAN_TOL, NEAR_SINGULAR_BAND, ChiSpec,
                          SampledImmersion, check_lagrangian, check_legendrian,
                          corank_profile, immersion_from_csv,
@@ -516,7 +515,7 @@ def _old_residual_report(s, residual, tol=DEFAULT_SCAN_TOL):
 
 
 def _old_check_lagrangian(s, space):
-    omega = space.omega_as("approx").to_numpy()
+    omega = space.omega.to_numpy()
     return _old_residual_report(s, lambda p, f: f.T @ omega @ f)
 
 
@@ -552,24 +551,24 @@ def _old_corank_profile(s, tol=DEFAULT_SCAN_TOL):
 
 
 def _old_lagrangian_frame(space, f, tol):
-    """The approx-mode frame checks, one Python-list Matrix per sample."""
-    frame = Matrix.approx(f.tolist(), tol)
-    if rank(frame) != frame.cols:
+    """The float frame checks one sample at a time: rank by singular values
+    above tol * max(max|F|, 1), isotropy of F^T Omega F."""
+    big = float(np.abs(f).max())
+    if np.sum(np.linalg.svd(f, compute_uv=False) > tol * max(big, 1.0)) != f.shape[1]:
         raise ValueError("frame columns are linearly dependent")
-    g = frame.T @ space.omega_as("approx") @ frame
     try:
-        scale = max(frame.max_abs() ** 2, 1.0)
+        scale = max(big ** 2, 1.0)
     except OverflowError:
         raise ValueError("frame entries are too large for approx mode") from None
-    if g.max_abs() > tol * scale:
+    if np.abs(f.T @ space.omega.to_numpy() @ f).max() > tol * scale:
         raise ValueError("frame is not isotropic within tolerance")
-    return frame
+    return f
 
 
-def _old_det_squared(space, frame):
-    f, n = frame.to_numpy(), space.n
+def _old_det_squared(space, f, tol):
+    n = space.n
     u, sv, vh = np.linalg.svd(f[:n, :] + 1j * f[n:, :])
-    if sv[-1] <= frame.tol * max(sv[0], 1.0):
+    if sv[-1] <= tol * max(sv[0], 1.0):
         raise ValueError("polar factor ill-conditioned beyond tolerance")
     d2 = np.linalg.det(u @ vh) ** 2
     return complex(d2 / abs(d2))
@@ -578,7 +577,7 @@ def _old_det_squared(space, frame):
 def _old_loop_maslov(s, space, tol=DEFAULT_SCAN_TOL):
     tol = max(tol, 1e-7)
     frames = [_old_lagrangian_frame(space, f, tol) for f in _old_frames(s)]
-    vals = [_old_det_squared(space, f) for f in frames + frames[:1]]
+    vals = [_old_det_squared(space, f, tol) for f in frames + frames[:1]]
     total = 0.0
     for a, b in zip(vals, vals[1:]):
         step = cmath.phase(b / a)

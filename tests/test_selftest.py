@@ -64,7 +64,7 @@ def test_inexact_spencer_audit_fails_at_case_0(monkeypatch):
 
 
 def test_wrong_loop_degree_fails_at_case_0(monkeypatch):
-    monkeypatch.setattr(selftest, "loop_degree", lambda path: 0)
+    monkeypatch.setattr(selftest, "loop_degree", lambda space, frames: 0)
     rep = run_selftest(seed=0, quick=True)
     assert rep["failures"] == ["loop_degree"]
     assert _suite_report(rep, "loop_degree") == {
