@@ -123,7 +123,10 @@ def _frames_from_file(args, path: str):
     obj = _read_json(path)
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ValidationError(f"{path} must be an object with a 'frames' list")
-    space = _space_from_obj(obj, getattr(args, "space", None))
+    space = _space_from_obj(obj, args.space)
+    if args.space and (std := _space_std(args.space)) != space:
+        what = f"n = {space.n}" if space.n != std.n else "another omega"
+        raise ValidationError(f"tuple file has {what} but space is std:{std.n}")
     frames = obj["frames"]
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")

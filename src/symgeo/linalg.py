@@ -301,23 +301,23 @@ def _bareiss(num: Sequence[Sequence[int]],
     return a, pivots, prev * scale
 
 
-def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list] | None:
-    """(d, d A^-1) with d = +-det A for the square integer A = ``rows``, or
-    None if A is singular: fraction-free Gauss-Jordan on [A | I] (as in
-    ``_bareiss``, no column contents) ends as [d I | d A^-1], d the last pivot."""
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+def _solve(a: Sequence, b: Sequence) -> tuple[int, list] | None:
+    """(d, d A^-1 B), d = +-det A, for the square integer A = ``a`` and rows
+    ``b``, or None if A is singular: fraction-free Gauss-Jordan on [A | B] (as
+    in ``_bareiss``, no column contents) ends as [d I | d A^-1 B], d the last pivot."""
+    n = len(a)
+    m = [list(r) + list(s) for r, s in zip(a, b)]
     prev = 1
     for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
+        pivot_row = next((r for r in range(c, n) if m[r][c]), None)
         if pivot_row is None:
             return None
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        prow, p = a[c], a[c][c]
-        a = [row if r == c else [(p * x - row[c] * y) // prev
-                                 for x, y in zip(row, prow)] for r, row in enumerate(a)]
+        m[c], m[pivot_row] = m[pivot_row], m[c]
+        prow, p = m[c], m[c][c]
+        m = [row if r == c else [(p * x - row[c] * y) // prev
+                                 for x, y in zip(row, prow)] for r, row in enumerate(m)]
         prev = p
-    return prev, [r[n:] for r in a]
+    return prev, [r[n:] for r in m]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -326,9 +326,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(_bareiss(m.num, jordan=False)[1])
+    # the side with fewer rows: Bareiss stops after min(rows, cols) pivots
+    return len(_bareiss(m.num if m.rows <= m.cols else m._columns(), jordan=False)[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -348,7 +347,7 @@ def kernel_basis(m: Matrix) -> Matrix:
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    inv = _adjugate(m.num)
+    inv = _solve(m.num, Matrix.identity(m.rows).num)
     if inv is None:
         raise ValueError("matrix is singular")
     d, adj = inv   # m^-1 = den num^-1 = den (d num^-1) / d

@@ -7,10 +7,10 @@ F_i^T Omega F_j, so x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j)
 the forms read it:
 
 * ``kashiwara_index`` -- pos - neg of P + P^T, the symmetrized q on the
-  direct sum L_1 + ... + L_r; no kernel or quotient is formed.  It pairs
-  primitive integer frame columns through Omega's numerators (positive
-  congruences) and sums ``_triple_index`` over (L_1, L_k, L_k+1) by the
-  chain rule: an n x n Schur form, or the 3n Gram if det A = 0.
+  direct sum L_1 + ... + L_r, as the sum of ``_triple_index`` over
+  (L_1, L_k, L_k+1) (chain rule).  Its blocks pair the primitive integer
+  member columns with their Omega.num images (positive congruences), which
+  each ``LagrangianFrame`` caches once, in its isotropy check.
 * ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
   T = ker(sum) / im(boundary), for representatives R of T built from
   consecutive intersections of the tuple; it has the same signature.  The
@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 # ``rank`` is unused here, but perfbench wraps ``maslov.rank``
-from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _adjugate, _set,
+from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _set, _solve,
                      integer_signature, kernel_basis, rank, rref)
 from .symplectic import (LagrangianFrame, SymplecticSpace, _float_cut,
                          _float_rank, _pairing, _support,
@@ -110,9 +111,7 @@ def _quotient_gram(tup: LagrangianTuple,
     modulo the boundary, each taken greedily against the boundary and the
     columns before it (the rref pivots past the boundary); q(a, b) =
     a^T P b.  P pairs the numerators of Sigma and Omega."""
-    sigma = tup.members[0].frame
-    for m in tup.members[1:]:
-        sigma = sigma.hstack(m.frame)
+    sigma = reduce(Matrix.hstack, (m.frame for m in tup.members))
     ker, base = kernel_basis(sigma), _boundary_columns(tup)
     _, pivots = rref(base.hstack(ker))
     reps = ker.columns(c - base.cols for c in pivots if c >= base.cols)
@@ -134,28 +133,25 @@ def kashiwara_space(tup: LagrangianTuple) -> Matrix:
     return g
 
 
-def _primitive_column(col: Sequence[int]) -> list[int]:
-    content = math.gcd(*col)
-    return [x // content for x in col]
-
-
 def _triple_index(a: list, b: list, c: list) -> int:
-    """tau(L_1, L_2, L_3) from the blocks (2,1) = A, (3,1) = B and (3,2) = C
-    of its integer pairing: -sgn(d) sig(W + W^T), W = B (d A^-1) C^T, from the
-    Schur complement of the hyperbolic [[0, A^T], [A, 0]] if L_1, L_2 are
-    transverse (Lion & Vergne 1980), else the signature of the whole 3n Gram.
-    Positive factors on the blocks are member scalings, which tau ignores."""
-    inv = _adjugate(a)
-    if inv is None:   # the 3n Gram; integer_signature reads row k up to entry k
+    """tau(L_1, L_2, L_3) from the blocks (2,1) = A, (3,1) = B, (3,2) = C of
+    its integer pairing: if L_1, L_2 are transverse, -sgn(d) sig(W) for the
+    Schur complement W = B (d A^-1 C^T) of [[0, A^T], [A, 0]] (Lion & Vergne
+    1980), from one ``_solve`` of [A | C^T]; else the signature of the 3n Gram.
+    W is symmetric, so only its lower triangle is formed: if F_3 = F_1 P +
+    F_2 Q, isotropic L_1, L_2 give B = Q^T A, C = -P^T A^T, W = -d Q^T A P,
+    and isotropic L_3 gives Q^T A P = P^T A^T Q.  Positive factors on the
+    blocks are member scalings, which tau ignores."""
+    solved = _solve(a, list(zip(*c)))   # [A | C^T]
+    if solved is None:   # the 3n Gram; integer_signature reads row k up to entry k
         zeros = [0] * len(a)
         sig = integer_signature([zeros] * len(a) + [r + zeros for r in a]
                                 + [r + t + zeros for r, t in zip(b, c)])
         return sig.pos - sig.neg
-    w = [[sum(map(mul, row, col)) for col in zip(*inv[1])] for row in b]
-    w = [[sum(map(mul, row, crow)) for crow in c] for row in w]
-    sig = integer_signature([[w[i][j] + w[j][i] for j in range(i + 1)]
-                             for i in range(len(w))])
-    return sig.neg - sig.pos if inv[0] > 0 else sig.pos - sig.neg
+    x = list(zip(*solved[1]))
+    sig = integer_signature([[sum(map(mul, row, col)) for col in x[:i + 1]]
+                             for i, row in enumerate(b)])
+    return sig.neg - sig.pos if solved[0] > 0 else sig.pos - sig.neg
 
 
 def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
@@ -164,11 +160,7 @@ def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
     (1994)), each by the transverse-pair formula or, if det A = 0, its 3n Gram."""
     if not isinstance(tup, LagrangianTuple):
         tup = LagrangianTuple.of(*tup)
-    support = tup.space.omega_support
-    # positive scalings of columns and of Omega are congruences
-    cols = [[_primitive_column(c) for c in m.frame.T.num] for m in tup.members]
-    images = [[[sum(o * c[j] for j, o in row) for row in support] for c in f]
-              for f in cols[:-1]]
+    cols, images = zip(*(m._integer_columns for m in tup.members))
     # F_i^T Omega F_j for each i > 0 with j = 0 and j = i - 1 (once at i = 1)
     blocks = [[[[sum(map(mul, x, y)) for y in images[j]] for x in cols[i]]
                for j in (0, i - 1)[:i]] for i in range(1, len(cols))]

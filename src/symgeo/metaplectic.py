@@ -37,7 +37,7 @@ from functools import cached_property
 from random import Random
 
 from .linalg import Matrix, Value, _set, _trusted
-from .maslov import LerayLift, _primitive_column, _triple_index, leray_m
+from .maslov import LerayLift, _triple_index, leray_m
 # unused here; perfbench's tracer test checks that this binding is wrapped
 from .maslov import kashiwara_index  # noqa: F401
 from .symplectic import (LagrangianFrame, SymplecticSpace, _pairing, _support,
@@ -80,12 +80,9 @@ class Mp1Context(Value):
 
     @cached_property
     def _block_terms(self) -> tuple:
-        """Per block entry (a, b), the terms (r, s, c), c = F[s][a] (Omega
-        F)[r][b], over the nonzeros of the primitive integer columns of F
-        and of Omega.num F, so that X[a][b] = sum of c g.num[r][s]."""
-        cols = [_primitive_column(c) for c in zip(*self.base.frame.num)]
-        images = [[sum(o * c[j] for j, o in row) for row in self.space.omega_support]
-                  for c in cols]
+        """Terms (r, s, c = F[s][a] (Omega F)[r][b]) per block entry (a, b) over
+        the nonzeros of the base's cached columns: X[a][b] = sum c g.num[r][s]."""
+        cols, images = self.base._integer_columns
         return tuple(tuple(tuple((r, s, f * o) for s, f in fa for r, o in ob)
                            for ob in _support(images))
                      for fa in _support(cols))

@@ -167,6 +167,11 @@ def intersect_frames(f: Matrix, g: Matrix) -> Matrix:
     return f @ coeffs
 
 
+def _primitive_column(col: Sequence[int]) -> list[int]:
+    content = math.gcd(*col)
+    return [x // content for x in col]
+
+
 class LagrangianFrame(Subspace):
     """A Lagrangian subspace given by an exact 2n x n frame."""
 
@@ -175,8 +180,17 @@ class LagrangianFrame(Subspace):
         if self.frame.cols != self.space.n:
             raise ValueError("a Lagrangian frame needs exactly n columns")
         # omega(c_x, c_y) for y < x; a skew Omega has omega(c, c) = 0
-        if any(map(any, _pairing(self.frame.T.num, self.space.omega_support, 1))):
+        cols, images = self._integer_columns
+        if any(sum(map(mul, c, i)) for x, c in enumerate(cols) for i in images[:x]):
             raise ValueError("frame is not isotropic")
+
+    @cached_property
+    def _integer_columns(self) -> tuple[list, list]:
+        """The primitive integer columns c and their images Omega.num c, kept
+        outside the fields, so ``==``, ``hash``, copies and pickles skip them."""
+        cols = [_primitive_column(c) for c in zip(*self.frame.num)]
+        return cols, [[sum(o * c[j] for j, o in r) for r in self.space.omega_support]
+                      for c in cols]
 
 
 # -- float Lagrangians: (2n, n) arrays -------------------------------------

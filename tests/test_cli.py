@@ -78,6 +78,45 @@ def test_kashiwara_tuple_file(capsys, tmp_path):
     assert code == 0 and out["index"] == 1
 
 
+_N2_TUPLE = {"n": 2, "frames": [
+    {"rows": 4, "cols": 2, "entries": [1, 0, 0, 1, 0, 0, 0, 0]},
+    {"rows": 4, "cols": 2, "entries": [1, 0, 0, 1, 1, 0, 0, 1]},
+    {"rows": 4, "cols": 2, "entries": [0, 0, 0, 0, 1, 0, 0, 1]},
+]}
+
+
+@pytest.mark.parametrize("verb", ["kashiwara", "wall"])
+@pytest.mark.parametrize("obj, space, message", [
+    (_N2_TUPLE, "std:3", "tuple file has n = 2 but space is std:3"),
+    (_N2_TUPLE, "std:1", "tuple file has n = 2 but space is std:1"),
+    (_N2_TUPLE, "bogus", "space must look like std:n, got 'bogus'"),
+    ({"omega": {"rows": 4, "cols": 4,
+                "entries": [0, 0, 2, 0, 0, 0, 0, 1, -2, 0, 0, 0, 0, -1, 0, 0]},
+      "frames": _N2_TUPLE["frames"]},
+     "std:2", "tuple file has another omega but space is std:2"),
+    (_N2_TUPLE, "std:2", None),
+    ({"omega": {"rows": 4, "cols": 4,
+                "entries": [0, 0, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, -1, 0, 0]},
+      "frames": _N2_TUPLE["frames"]}, "std:2", None),
+    ({"frames": _N2_TUPLE["frames"]}, "std:2", None),
+])
+def test_tuple_file_refuses_a_space_that_disagrees(capsys, tmp_path, verb, obj,
+                                                   space, message):
+    """A --space that disagrees with the file's n or omega exits 2 with one
+    line; one that agrees prints what the file alone prints."""
+    path = _write(tmp_path, "tuple.json", obj)
+    code = main(["maslov", verb, "--tuple", path, "--space", space])
+    captured = capsys.readouterr()
+    if message is not None:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
+        return
+    assert (code, captured.err) == (0, "")
+    alone = _write(tmp_path, "alone.json", {**_N2_TUPLE, **obj, "n": 2})
+    assert main(["maslov", verb, "--tuple", alone]) == 0
+    assert capsys.readouterr().out == captured.out
+
+
 @pytest.mark.parametrize("entries,flags,message", [
     ([1e308, 0.0], [], "frame entries are too large for approx mode"),
     ([math.nan, 0.0], [], "matrix entry nan is not finite"),

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from symgeo.linalg import (Matrix, Signature, _adjugate, _bareiss,
+from symgeo.linalg import (Matrix, Signature, _bareiss, _solve,
                            integer_signature, inverse, kernel_basis, rank, rref,
                            spans_equal, sym_signature)
 from symgeo.symplectic import _float_rank
@@ -75,7 +75,7 @@ def _fraction_inverse(rows):
     return det, [r[n:] for r in a]
 
 
-def test_adjugate_matches_fraction_inverse():
+def test_solve_matches_fraction_inverse():
     """(d, d A^-1) with d = +-det A on seeded integer matrices, some of
     which need row swaps and some of which have det A < 0."""
     rng = Random("adjugate")
@@ -84,7 +84,7 @@ def test_adjugate_matches_fraction_inverse():
         for _ in range(12):
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             det, inv = _fraction_inverse(rows)
-            got = _adjugate(rows)
+            got = _solve(rows, Matrix.identity(n).num)
             if inv is None:
                 assert got is None
                 continue
@@ -95,19 +95,63 @@ def test_adjugate_matches_fraction_inverse():
             signs.add((d > 0, det > 0))
     # d follows det A up to the sign of the row swaps, and every case occurs
     assert signs == {(True, True), (True, False), (False, True), (False, False)}
-    assert _adjugate([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
-    assert _adjugate([[-2]]) == (-2, [[1]])
+    assert _solve([[0, 1], [1, 0]], [[1, 0], [0, 1]]) == (1, [[0, 1], [1, 0]])
+    assert _solve([[-2]], [[1]]) == (-2, [[1]])
 
 
-def test_adjugate_refuses_singular_input():
+def test_solve_matches_fraction_elimination_on_any_right_side():
+    """d A^-1 B for right sides B of 0..7 columns, against A^-1 B over the
+    Fractions, with the same d as the solve of [A | I]."""
+    rng = Random("solve")
+    done = 0
+    while done < 60:
+        n, k = rng.randint(1, 6), rng.randint(0, 7)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        det, inv = _fraction_inverse(a)
+        got = _solve(a, b)
+        if inv is None:
+            assert got is None
+            continue
+        d, x = got
+        assert d == _solve(a, Matrix.identity(n).num)[0]
+        want = [[sum(p * q for p, q in zip(row, col)) for col in zip(*b)]
+                for row in inv]
+        assert x == [[d * v for v in r] for r in want]
+        assert all(type(v) is int for r in x for v in r)
+        done += 1
+
+
+def test_solve_refuses_singular_input():
     for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]],
                  [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[0, 1], [0, 2]]):
-        assert _adjugate(rows) is None
+        n = len(rows)
+        assert _solve(rows, Matrix.identity(n).num) is None
+        assert _solve(rows, [[1, -2, 3]] * n) is None
+        assert _solve(rows, [[]] * n) is None
+
+
+def test_rank_reads_either_side():
+    """rank(m) = rank(m^T) = the rank by forward Bareiss on m's own rows,
+    on tall, wide, square and rank-deficient matrices, and 0 on matrices
+    with no rows or no columns."""
+    rng = Random("rank-sides")
+    for _ in range(60):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        m = _rand_exact(rng, r, c, -3, 3)
+        if rng.random() < 0.5:   # rank at most k < min(r, c)
+            k = rng.randint(0, min(r, c) - 1)
+            m = (_rand_exact(rng, r, k, -3, 3) @ _rand_exact(rng, k, c, -3, 3)
+                 if k else Matrix.zeros(r, c))
+        m = m.scale(F(1, rng.randint(1, 6)))
+        assert rank(m) == rank(m.T) == len(_bareiss(m.num, jordan=False)[1])
+    for r, c in ((0, 0), (0, 3), (3, 0)):
+        assert rank(Matrix.zeros(r, c)) == rank(Matrix.zeros(c, r)) == 0
 
 
 def _bareiss_inverse(m: Matrix) -> Matrix:
     """The exact inverse by Bareiss on [num | I] with column contents
-    divided out: the route ``inverse`` took before ``_adjugate``."""
+    divided out: the route ``inverse`` took before its Gauss-Jordan solve."""
     n = m.rows
     a, pivots, d = _bareiss([r + tuple(int(i == j) for j in range(n))
                              for i, r in enumerate(m.num)])

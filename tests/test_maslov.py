@@ -2,14 +2,16 @@
 
 import math
 from fractions import Fraction as F
+from operator import mul
 from random import Random
 
 import pytest
 
-from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, integer_signature,
-                           inverse, kernel_basis, rank, sym_signature)
+from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, _solve,
+                           integer_signature, inverse, kernel_basis, rank,
+                           sym_signature)
 from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
-                           _primitive_column, _triple_index, arnold_index_triple,
+                           _triple_index, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
                            kashiwara_index_float, kashiwara_signature_float,
                            kashiwara_space, leray_cyclic_sum, leray_m,
@@ -17,9 +19,10 @@ from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
 from symgeo.metaplectic import (Mp1Context, Mp1Element, mp1_identity,
                                 mp1_inverse, mp1_mul, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace, _pairing,
-                               graph_lagrangian, lagrangian_from_angles,
-                               line_lagrangian, random_lagrangian,
-                               random_symplectic, standard_gram)
+                               _primitive_column, graph_lagrangian,
+                               lagrangian_from_angles, line_lagrangian,
+                               random_lagrangian, random_symplectic,
+                               standard_gram)
 from symgeo.selftest import _rand_line_dir
 from symgeo.witt import witt_of_form_complex, witt_of_form_real
 
@@ -272,6 +275,45 @@ def test_chain_rule_index_matches_full_gram_and_quotient(n, triple_branches):
     assert triple_branches["schur"] and triple_branches["gram"]
     pair = LagrangianTuple.of(*_pool_tuple(rng, sp, 3, False)[:2])
     assert kashiwara_index(pair) == 0 == full_gram_index(pair)
+
+
+def schur_product(a, b, c):
+    """The whole n x n product B (d A^-1 C^T) of ``_triple_index``'s Schur
+    branch for the blocks (2,1) = a, (3,1) = b, (3,2) = c, or None when
+    det A = 0."""
+    solved = _solve(a, list(zip(*c)))
+    if solved is None:
+        return None
+    return [[sum(map(mul, row, col)) for col in zip(*solved[1])] for row in b]
+
+
+def is_symmetric(w) -> bool:
+    return all(w[i][j] == w[j][i] for i in range(len(w)) for j in range(i))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_schur_product_is_symmetric(n):
+    """B (d A^-1 C^T) is symmetric, the theorem that lets ``_triple_index``
+    form and read its lower triangle only: on every transverse triple
+    (L_1, L_k, L_k+1) of seeded pool tuples, standard and moved into a
+    custom 2/3 A^T J A space."""
+    rng = Random(f"schur-symmetric:{n}")
+    std = SymplecticSpace.standard(n)
+    a = _rand_full_rank(rng, 2 * n, 2 * n)
+    custom = SymplecticSpace((a.T @ standard_gram(n) @ a).scale(F(2, 3)))
+    to_custom = inverse(a)
+    transverse = 0
+    for r in (3, 4, 5, 6):
+        for tie in (False, True):
+            ls = _pool_tuple(rng, std, r, tie)
+            moved = [LagrangianFrame(custom, to_custom @ lag.frame) for lag in ls]
+            for tup in (ls, moved):
+                for k in range(1, r - 1):
+                    w = schur_product(*_triple_blocks(tup[0], tup[k], tup[k + 1]))
+                    if w is not None:
+                        assert is_symmetric(w)
+                        transverse += 1
+    assert transverse >= 16
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -14,7 +14,7 @@ from symgeo.metaplectic import (Mp1Context, Mp1Element, _frame_block,
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                random_lagrangian, random_symplectic,
                                standard_gram)
-from test_maslov import full_gram_index
+from test_maslov import full_gram_index, is_symmetric, schur_product
 
 
 def _eq(a, b):
@@ -113,6 +113,21 @@ def test_block_cocycle_matches_checked_frames(ctx, triples, triple_branches):
             got = mp1_mul(x, y).w - x.w - y.w
             assert got == _checked_cocycle(ctx, x.g, x.g @ y.g)
     assert triple_branches["schur"] and triple_branches["gram"]
+
+
+@pytest.mark.parametrize("ctx, triples", SEEDED)
+def test_schur_product_of_the_cocycle_blocks_is_symmetric(ctx, triples):
+    """B (d A^-1 C^T) on the blocks (X(a), X(ab), X(b)) that ``mp1_mul``
+    hands to ``_triple_index`` is symmetric whenever det X(a) != 0."""
+    transverse = 0
+    for a, b, c in triples:
+        ab = mp1_mul(a, b)
+        for x, y in ((a, b), (b, c), (ab, c), (a, mp1_inverse(a)), (c, ab)):
+            w = schur_product(x._block, mp1_mul(x, y)._block, y._block)
+            if w is not None:
+                assert is_symmetric(w)
+                transverse += 1
+    assert transverse
 
 
 @pytest.mark.parametrize("w", [2.5, True, "2", 2.0])

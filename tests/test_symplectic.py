@@ -1,6 +1,8 @@
 """Symplectic spaces, Lagrangian frames, and the unitary representation."""
 
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction as F
 from random import Random
@@ -8,7 +10,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from symgeo.linalg import Matrix, _rand_full_rank, inverse, kernel_basis, rank
+from symgeo.linalg import (Matrix, _rand_full_rank, _trusted, inverse,
+                           kernel_basis, rank)
 from symgeo.symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
                                classify_subspace, det_squared, graph_lagrangian,
                                intersect_frames, lagrangian_from_angles,
@@ -110,6 +113,32 @@ def test_exact_isotropy_refusal_on_a_rational_omega():
         axes[2 * n - 2][n - 1] = 1
         with pytest.raises(ValueError, match="^frame is not isotropic$"):
             LagrangianFrame(custom, to_custom @ Matrix.exact(axes))
+
+
+def test_frame_cache_leaves_eq_hash_repr_copies_and_pickles():
+    """The check leaves the primitive integer columns and their Omega.num
+    images on the frame, outside its fields: a twin, copy or pickle equals
+    it, hashes and prints the same, and works the same cache out anew."""
+    rng = Random("frame-cache")
+    a = _rand_full_rank(rng, 4, 4)
+    custom = SymplecticSpace((a.T @ standard_gram(2) @ a).scale(F(2, 3)))
+    for lag in (random_lagrangian(SymplecticSpace.standard(3), rng),
+                LagrangianFrame(custom, inverse(a) @ random_lagrangian(
+                    SymplecticSpace.standard(2), rng).frame)):
+        assert "_integer_columns" in vars(lag)
+        cols, images = lag._integer_columns
+        for c, col in zip(cols, zip(*lag.frame.num)):
+            assert math.gcd(*c) == 1 and [math.gcd(*col) * x for x in c] == list(col)
+        assert [list(r) for r in zip(*images)] == [list(r) for r in (
+            Matrix.exact(lag.space.omega.num) @ Matrix.exact(list(zip(*cols)))).num]
+        twins = (LagrangianFrame(lag.space, lag.frame), copy.copy(lag),
+                 copy.deepcopy(lag), pickle.loads(pickle.dumps(lag)),
+                 _trusted(LagrangianFrame, lag.space, lag.frame))
+        assert not any("_integer_columns" in vars(twin) for twin in twins[1:])
+        for twin in twins:
+            assert (twin == lag, hash(twin), repr(twin)) == (True, hash(lag), repr(lag))
+            assert twin._integer_columns == lag._integer_columns
+        assert "_integer_columns" not in repr(lag)
 
 
 def test_classify_subspace():
