@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .jsonio import (APPROX, ValidationError, dumps, is_int, matrix_from_json,
                      parse_angle, parse_angle_list, to_jsonable)
-from .linalg import DEFAULT_TOL, EXACT, Matrix, _rand_full_rank, sym_signature
+from .linalg import DEFAULT_TOL, EXACT, Matrix, _rand_full_rank
 
 if TYPE_CHECKING:
     from .jets import JetSignature
@@ -179,22 +179,13 @@ def _int_list(text: str) -> list:
 # -- maslov ---------------------------------------------------------------------
 
 
-def _quadratic_report(args, space: SymplecticSpace, frames,
-                      wall: bool = False) -> dict:
-    """dim T, the signature of q on T and its index (or the Wall invariant)
-    by the float routes if no frame is exact, else by the exact ones."""
-    from .maslov import (LagrangianTuple, kashiwara_signature_float,
-                         kashiwara_space, wall_invariant, wall_invariant_float)
-    from .symplectic import LagrangianFrame
-    if not any(isinstance(f, LagrangianFrame) for f in frames):
-        sig = kashiwara_signature_float(space, frames, _tol(args))
-        index = (wall_invariant_float(space, frames, _tol(args)) if wall
-                 else sig.pos - sig.neg)
-    else:
-        sig = sym_signature(kashiwara_space(LagrangianTuple.of(*frames)))
-        index = wall_invariant(*frames) if wall else sig.pos - sig.neg
+def _quadratic_report(args, space: SymplecticSpace, frames) -> dict:
+    """The index, dim T and the signature of q on T, exact unless no frame
+    is; for a triple the index is also Wall's invariant (criterion 03)."""
+    from .maslov import kashiwara_signature
+    sig = kashiwara_signature(space, frames, _tol(args))
     return {
-        "index": index,
+        "index": sig.pos - sig.neg,
         "t_dim": sig.dim,
         "signature": list(sig.as_tuple()),
         "r": len(frames),
@@ -243,7 +234,7 @@ def _cmd_maslov_wall(args) -> int:
     space, frames = _frames_from_file(args, args.tuple)
     if len(frames) != 3:
         raise ValidationError("the Wall invariant needs exactly three frames")
-    return _emit(args, _quadratic_report(args, space, frames, wall=True))
+    return _emit(args, _quadratic_report(args, space, frames))
 
 
 def _cmd_maslov_leray(args) -> int:

@@ -41,8 +41,8 @@ _set = object.__setattr__
 class Value:
     """Frozen record: a subclass's ``__init__`` sets its ``_fields`` with
     ``_set``, then calls ``self.__post_init__()`` if it has checks.  ``==``
-    (same class only) and ``hash`` read ``_key()``, the fields by default;
-    ``repr`` shows them all.  Copies and pickles rebuild through
+    (same class only; an instance equals itself at once) and ``hash`` read
+    ``_key()``, the fields by default; ``repr`` shows them all.  Copies and pickles rebuild through
     ``_trusted``, without the checks, which held for the original."""
 
     __slots__ = ()
@@ -52,6 +52,8 @@ class Value:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented

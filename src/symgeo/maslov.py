@@ -1,28 +1,33 @@
 """Indices of Lagrangian tuples.
 
-One pairing, three readings.  The pairing of a tuple (L_1, ..., L_r) with
-frames F_i is the block-lower matrix P whose block (i, j), i > j, is
-F_i^T Omega F_j, so x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j)
-(Lion-Vergne; Cappell-Lee-Miller).  ``symplectic._pairing`` assembles it;
-the forms read it:
+One pairing.  The pairing of a tuple (L_1, ..., L_r) with frames F_i is
+the block-lower matrix P whose block (i, j), i > j, is F_i^T Omega F_j, so
+x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j) (Lion-Vergne;
+Cappell-Lee-Miller).  ``symplectic._pairing`` assembles it; the index and
+the oracles read it:
 
 * ``kashiwara_index`` -- pos - neg of P + P^T, the symmetrized q on the
   direct sum L_1 + ... + L_r, as the sum of ``_triple_index`` over
   (L_1, L_k, L_k+1) (chain rule).  Its blocks pair the primitive integer
   member columns with their Omega.num images (positive congruences), which
   each ``LagrangianFrame`` caches once, in its isotropy check.
-* ``kashiwara_space`` -- the Gram matrix R^T P R of q on the quotient
-  T = ker(sum) / im(boundary), for representatives R of T built from
-  consecutive intersections of the tuple; it has the same signature.  The
-  CLI reports its dimension and signature, and the tests use it as the
-  oracle for ``kashiwara_index``.
+* ``kashiwara_signature`` -- the signature (p, 0, m) of q on the quotient
+  T = ker(sum) / im(boundary), p - m the index and p + m = dim T counted
+  from r + 1 ranks, with no quotient built.  The CLI reports it.
+
+``kashiwara_index_float`` takes (2n, n) float arrays as ``(space, frames,
+tol)``, runs ``check_lagrangian_frames`` first and cuts at ``_float_cut``.
+``kashiwara_signature`` makes the same float decisions and refuses any
+that lies within ``FLOAT_MARGIN`` of its cut.
+
+Oracles, kept for the tests and the ``wall_kashiwara`` selftest suite:
+
+* ``kashiwara_space`` -- the Gram matrix R^T P R of q on T, for
+  representatives R of T built from consecutive intersections of the tuple.
 * ``wall_invariant``  -- signature of the symmetrized kernel form
   psi(x, y) = omega(x_2, y_1) on the same quotient (triples only): R^T P R
   with P cut to its block F_2^T Omega F_1.
-
-The float twins ``kashiwara_index_float``, ``kashiwara_signature_float``
-and ``wall_invariant_float`` take (2n, n) float arrays as ``(space, frames,
-tol)``, run ``check_lagrangian_frames`` first and cut at ``_float_cut``.
+* ``tuple_reduce``    -- the chain rule, one ``kashiwara_index`` per triple.
 
 Other routes to the same circle of invariants:
 
@@ -44,12 +49,11 @@ from functools import reduce
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-# ``rank`` is unused here, but perfbench wraps ``maslov.rank``
 from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _set, _solve,
                      integer_signature, kernel_basis, rank, rref)
 from .symplectic import (LagrangianFrame, SymplecticSpace, _float_cut,
-                         _float_rank, _pairing, _support,
-                         check_lagrangian_frames, line_lagrangian)
+                         _pairing, _support, check_lagrangian_frames,
+                         line_lagrangian)
 from .witt import witt_of_form_real
 
 if TYPE_CHECKING:
@@ -122,7 +126,7 @@ def _quotient_gram(tup: LagrangianTuple,
 
 def kashiwara_space(tup: LagrangianTuple) -> Matrix:
     """Symmetric Gram matrix of the canonical quadratic space of a
-    Lagrangian tuple.
+    Lagrangian tuple; an oracle for ``kashiwara_signature``.
 
     T = ker(sum map) / im(boundary), with the symmetric form
     q(a, b) = sum over i > j of omega(a_i, b_j); dim T is its row count.
@@ -169,7 +173,8 @@ def kashiwara_index(tup: LagrangianTuple | Sequence[LagrangianFrame]) -> int:
 
 def tuple_reduce(tup: LagrangianTuple) -> int:
     """Index via the chain rule sum_{j=2}^{r-1} tau(L1, Lj, Lj+1), one call per
-    triple: the transverse-pair Schur form, or the 3n Gram when det A = 0."""
+    triple: the transverse-pair Schur form, or the 3n Gram when det A = 0.
+    An oracle for the tests and perfbench."""
     mem = tup.members
     return sum(kashiwara_index(LagrangianTuple.of(mem[0], mem[j], mem[j + 1]))
                for j in range(1, len(mem) - 1))
@@ -179,97 +184,100 @@ def wall_invariant(l1: LagrangianFrame, l2: LagrangianFrame,
                    l3: LagrangianFrame) -> int:
     """Signature of the symmetrized kernel form on
     W = {x1 + x2 + x3 = 0} / (pairwise intersections), psi(x, y) = omega(x_2, y_1).
+    An oracle: it equals tau(l1, l2, l3), which the CLI reports.
     """
     g = _quotient_gram(LagrangianTuple.of(l1, l2, l3), block=(1, 0))
     return witt_of_form_real((g + g.T).scale(Fraction(1, 2)))
 
 
-# -- float twins: Lagrangians as (2n, n) arrays ------------------------------
+# -- the float index, and the payload of both modes --------------------------
+
+# a float eigenvalue or singular value within this factor of its cut is
+# undecidable at tol: ``kashiwara_signature`` refuses it
+FLOAT_MARGIN = 10.0
 
 
-def _float_tuple(space: SymplecticSpace, frames, tol: float) -> np.ndarray:
-    """The checked (r, 2n, n) stack of a float tuple of r >= 2 members."""
+def _float_spectrum(space: SymplecticSpace, frames, tol: float):
+    """The orthonormal Q factors of r >= 2 float Lagrangians, checked by
+    ``check_lagrangian_frames``, and the eigenvalues of P + P^T paired from
+    them, with their ``_float_cut`` (raw frames with entries near 1e6 lose
+    the signature to rounding)."""
+    import numpy as np
     frames = check_lagrangian_frames(space, frames, tol)
     if len(frames) < 2:
         raise ValueError("a Lagrangian tuple needs at least two members")
-    return frames
-
-
-def _float_kernel(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the right kernel of ``a``: the right
-    singular vectors past the singular values above ``_float_cut``."""
-    import numpy as np
-    _, sv, vh = np.linalg.svd(a)
-    return vh[int(np.sum(sv > _float_cut(a, tol))):].T
-
-
-def _float_signature(g: np.ndarray, tol: float) -> Signature:
-    """Signature of the symmetric float ``g``, its eigenvalues cut at
-    plus and minus ``_float_cut``."""
-    import numpy as np
-    w, cut = np.linalg.eigvalsh(g), _float_cut(g, tol)
-    pos, neg = int(np.sum(w > cut)), int(np.sum(w < -cut))
-    return Signature(pos, len(g) - pos - neg, neg)
-
-
-def _float_form(space: SymplecticSpace, frames, tol: float,
-                block: tuple[int, int] | None = None) -> Signature:
-    """The signature of the symmetrized ``_quotient_gram`` of float frames.
-    The sum map's kernel and the boundary (each consecutive pair's kernel)
-    come from ``_float_kernel``; a kernel column is taken when it raises the
-    ``_float_rank`` of the boundary and the columns taken before it."""
-    import numpy as np
-    frames = _float_tuple(space, frames, tol)
-    r, n = len(frames), space.n
-    sigma = np.hstack(list(frames))
-    base = np.zeros((r * n, 0))
-    for i in range(r):
-        j = (i + 1) % r
-        meet = _float_kernel(np.hstack([frames[i], -frames[j]]), tol)
-        cols = np.zeros((r * n, meet.shape[1]))
-        cols[i * n:i * n + n], cols[j * n:j * n + n] = meet[:n], -meet[n:]
-        base = np.hstack([base, cols])
-    ker, picked, base_rank = _float_kernel(sigma, tol), [], _float_rank(base, tol)
-    for k in range(ker.shape[1]):
-        trial = np.hstack([base, ker[:, k:k + 1]])
-        if (trial_rank := _float_rank(trial, tol)) > base_rank:
-            picked.append(k)
-            base, base_rank = trial, trial_rank
-    reps = ker[:, picked]
-    support = _support(space.omega.to_numpy().tolist())
-    pair = np.array(_pairing(sigma.T.tolist(), support, n, block), dtype=float)
-    g = reps.T @ pair @ reps
-    return _float_signature(0.5 * (g + g.T), tol)
+    qs = np.linalg.qr(frames)[0]
+    pair = np.array(_pairing([c for q in qs for c in q.T.tolist()],
+                             _support(space.omega.to_numpy().tolist()),
+                             space.n), dtype=float)
+    return qs, np.linalg.eigvalsh(pair + pair.T), _float_cut(pair + pair.T, tol)
 
 
 def kashiwara_index_float(space: SymplecticSpace, frames,
                           tol: float = DEFAULT_TOL) -> int:
-    """``kashiwara_index`` of float Lagrangians: pos - neg of P + P^T, P
-    paired from the orthonormal Q factors of the frames (raw frames with
-    entries near 1e6 lose the signature to rounding)."""
-    import numpy as np
-    cols = [q for f in _float_tuple(space, frames, tol)
-            for q in np.linalg.qr(f)[0].T.tolist()]
-    support = _support(space.omega.to_numpy().tolist())
-    pair = np.array(_pairing(cols, support, space.n), dtype=float)
-    sig = _float_signature(pair + pair.T, tol)
-    return sig.pos - sig.neg
+    """``kashiwara_index`` of r >= 2 float Lagrangians: pos - neg of the
+    ``_float_spectrum`` of P + P^T, cut at plus and minus ``_float_cut``."""
+    _, w, cut = _float_spectrum(space, frames, tol)
+    return int((w > cut).sum() - (w < -cut).sum())
 
 
-def kashiwara_signature_float(space: SymplecticSpace, frames,
-                              tol: float = DEFAULT_TOL) -> Signature:
-    """The signature of ``kashiwara_space`` of float Lagrangians, q on
-    T = ker(sum) / im(boundary); its ``dim`` is dim T."""
-    return _float_form(space, frames, tol)
+def _decided(values: np.ndarray, cut: float) -> int:
+    """How many ``values`` exceed ``cut`` less how many lie below -``cut``;
+    refused when one lies within a factor ``FLOAT_MARGIN`` of the cut."""
+    size = abs(values)
+    if ((size > cut / FLOAT_MARGIN) & (size < cut * FLOAT_MARGIN)).any():
+        raise ValueError("undecidable at tol: a float eigenvalue or singular "
+                         f"value lies within a factor {FLOAT_MARGIN:g} of its cut")
+    return int((values > cut).sum() - (values < -cut).sum())
 
 
-def wall_invariant_float(space: SymplecticSpace, frames,
-                         tol: float = DEFAULT_TOL) -> int:
-    """``wall_invariant`` of three float Lagrangians."""
-    if len(frames) != 3:
-        raise ValueError("the Wall invariant needs exactly three frames")
-    sig = _float_form(space, frames, tol, block=(1, 0))
-    return sig.pos - sig.neg
+def kashiwara_signature(space: SymplecticSpace, frames,
+                        tol: float = DEFAULT_TOL) -> Signature:
+    """The signature (p, 0, m) of q on T = ker(sum) / im(boundary): tau =
+    p - m by ``kashiwara_index`` (members of ``space``) or, with no exact
+    frame, the float index, and t = p + m = dim T.  Refused for a float
+    eigenvalue or singular value within ``FLOAT_MARGIN`` of its cut, and
+    unless |tau| <= t and tau = t mod 2, which exact input always meets.
+
+    q is nondegenerate on T (Kashiwara & Schapira, Sheaves on Manifolds,
+    App. A.3): take x, y in ker(sum), b_k = y_1 + ... + y_k (b_0 = b_r = 0).
+    As omega(x_k, y_k) = 0, 2 q(x, y) = sum_{k<r} omega(x_k + x_k+1, b_k).
+    The admissible b (b_k - b_k-1 in L_k) have, each L_k being Lagrangian,
+    the annihilator {(l_k - l_k+1)_k : l_k in L_k}, so x is in the radical
+    iff x_k + x_k+1 = l_k - l_k+1 for some such l.  Then m_k = l_k - x_k =
+    l_k+1 + x_k+1 is in L_k cap L_k+1 (k = r closes by sum x = 0) and
+    x = boundary(-m/2); conversely boundary(mu) takes l_k = -mu_k - mu_k-1.
+    So the radical is im(boundary).
+
+    dim T: with I = L_1 cap ... cap L_r, the sum map's image is I^omega and
+    the boundary's kernel the diagonal copy of I, so t = (r - 2)n + 2 dim I
+    - sum_k dim(L_k cap L_k+1), each dimension 2n - rank of the stacked
+    frames: ``linalg.rank``, or the singular values above ``_float_cut`` of
+    the stacked orthonormal Q factors, since the cut on a raw pair grows
+    with the larger frame and can swallow a singular value of the smaller
+    one."""
+    r, n = len(frames), space.n
+    stacks = [range(r)] + [(k, (k + 1) % r) for k in range(r)]
+    if any(isinstance(f, LagrangianFrame) for f in frames):
+        tup = LagrangianTuple.of(*frames)
+        if tup.space != space:
+            raise ValueError("tuple members live in a different space")
+        tau = kashiwara_index(tup)
+        ranks = [rank(reduce(Matrix.hstack, (tup.members[k].frame for k in ks)))
+                 for ks in stacks]
+    else:
+        import numpy as np
+        qs, w, cut = _float_spectrum(space, frames, tol)
+        tau, ranks = _decided(w, cut), []
+        for a in (np.hstack([qs[k] for k in ks]) for ks in stacks):
+            ranks.append(_decided(np.linalg.svd(a, compute_uv=False),
+                                  _float_cut(a, tol)))
+    dims = [2 * n - k for k in ranks]   # dim I, then each dim(L_k cap L_k+1)
+    t = (r - 2) * n + 2 * dims[0] - sum(dims[1:])
+    if abs(tau) > t or (t - tau) % 2:
+        raise ValueError(f"index {tau} does not fit dim T = {t}: the tuple is "
+                         "within tol of a degenerate one")
+    return Signature((t + tau) // 2, 0, (t - tau) // 2)
 
 
 # -- Arnold line-angle formulas ----------------------------------------------

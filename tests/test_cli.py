@@ -756,6 +756,14 @@ _F2 = {"rows": 2, "cols": 1, "entries": [1, 1]}
 _FLOAT_FRAME = {"rows": 2, "cols": 1, "entries": [0.5, 1.0]}
 _G4 = matrix_to_json(Matrix.identity(4))
 _CTX = {"n": 1, "base": {"rows": 2, "cols": 1, "entries": [0, 1]}}
+# the n = 1 lines at pi - 4e-10, 0 and 4e-10 (exact index +1, float index
+# -1): values near 4e-10 sit within the margin of their 1e-9 cut, so the
+# payload is refused
+_NEAR = "3.141592653189793;0;4e-10"
+_NEAR_FRAMES = [{"rows": 2, "cols": 1, "entries": [math.cos(t), math.sin(t)]}
+                for t in map(float, _NEAR.split(";"))]
+_NEAR_MESSAGE = ("undecidable at tol: a float eigenvalue or singular value "
+                 "lies within a factor 10 of its cut")
 
 # (argv, files, message): every "{name}" in argv and message is the path of
 # files[name] under tmp_path, name.csv for text, name.json otherwise; a
@@ -804,6 +812,9 @@ _REFUSALS = [
     (["maslov", "wall", "--tuple", "{t}"],
      {"t": {"n": 1, "frames": [_FRAME, _F2, _FLOAT_FRAME]}},
      "tuple members mix scalar modes"),
+    (["maslov", "kashiwara", "--angles", _NEAR], {}, _NEAR_MESSAGE),
+    (["maslov", "wall", "--tuple", "{t}", "--approx"],
+     {"t": {"n": 1, "frames": _NEAR_FRAMES}}, _NEAR_MESSAGE),
     (["maslov", "leray", "--lifts", "1"], {}, "need at least two lifts"),
     (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
      {"c": {"n": 1}, "a": {"w": 0, "g": _G4}},

@@ -31,8 +31,8 @@ from symgeo.jets.pde_audit import (_jacobian, _LagrangianInstance,
                                    lagrangian_pde_dims)
 from symgeo.jsonio import dumps, matrix_to_json
 from symgeo.linalg import Matrix, _rand_full_rank, inverse, sym_signature
-from symgeo.maslov import (LagrangianTuple, kashiwara_signature_float,
-                           kashiwara_space, wall_invariant, wall_invariant_float)
+from symgeo.maslov import (LagrangianTuple, kashiwara_signature,
+                           kashiwara_space, wall_invariant)
 from symgeo.selftest import run_selftest
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace,
                                random_lagrangian, random_symplectic,
@@ -377,8 +377,9 @@ def _pde_dump() -> str:
 
 def _maslov_forms_dump() -> str:
     """Exact Gram entries, dims and signatures of ``kashiwara_space``, the
-    dims and signatures of float copies, and exact and float Wall values of
-    the first three members, for 48 seeded tuples over n = 1..4, r = 3..5."""
+    dims and signatures of float copies by ``kashiwara_signature``, and the
+    exact Wall value and float index of the first three members, for 48
+    seeded tuples over n = 1..4, r = 3..5."""
     rng = Random("golden:maslov-forms")
     lines = []
     for n in range(1, 5):
@@ -387,13 +388,13 @@ def _maslov_forms_dump() -> str:
             ls = _rand_tuple(rng, sp, rng.randint(3, 5))
             floats = [l.frame.to_numpy() for l in ls]
             g = kashiwara_space(LagrangianTuple.of(*ls))
-            fsig = kashiwara_signature_float(sp, floats)
+            fsig = kashiwara_signature(sp, floats)
             gram = "; ".join(" ".join(str(x) for x in row) for row in g.entries)
             lines.append(f"space n={n} r={len(ls)} dim={g.rows} "
                          f"sig={sym_signature(g).as_tuple()} gram={gram}")
             lines.append(f"float dim={fsig.dim} sig={fsig.as_tuple()}")
-            lines.append(f"wall {wall_invariant(*ls[:3])} "
-                         f"{wall_invariant_float(sp, floats[:3])}")
+            triple = kashiwara_signature(sp, floats[:3])
+            lines.append(f"wall {wall_invariant(*ls[:3])} {triple.pos - triple.neg}")
     return "\n".join(lines)
 
 

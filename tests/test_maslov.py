@@ -5,17 +5,19 @@ from fractions import Fraction as F
 from operator import mul
 from random import Random
 
+import numpy as np
 import pytest
 
+from symgeo import maslov
 from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, _solve,
                            integer_signature, inverse, kernel_basis, rank,
                            sym_signature)
 from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
                            _triple_index, arnold_index_triple,
                            arnold_triple_lines, kashiwara_index,
-                           kashiwara_index_float, kashiwara_signature_float,
+                           kashiwara_index_float, kashiwara_signature,
                            kashiwara_space, leray_cyclic_sum, leray_m,
-                           tuple_reduce, wall_invariant, wall_invariant_float)
+                           tuple_reduce, wall_invariant)
 from symgeo.metaplectic import (Mp1Context, Mp1Element, mp1_identity,
                                 mp1_inverse, mp1_mul, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace, _pairing,
@@ -113,6 +115,11 @@ def test_tuple_of_refuses_mixed_spaces_and_modes():
 
 
 def test_kashiwara_space_signature_decomposes_index():
+    """The quotient signature splits as the index, and ``kashiwara_signature``
+    (tau and dim T from ranks, zero = 0) equals it, with Wall's invariant of
+    the first three members their index: on seeded tuples, on tuples that
+    repeat a member's span or share lines with an earlier member, and on
+    the latter moved into a custom 2/3 A^T J A space."""
     rng = Random(4)
     sp = SymplecticSpace.standard(2)
     for _ in range(10):
@@ -122,6 +129,25 @@ def test_kashiwara_space_signature_decomposes_index():
         sig = sym_signature(gram)
         assert sig.dim == gram.rows
         assert sig.pos - sig.neg == kashiwara_index(tup)
+        assert kashiwara_signature(sp, tup.members) == sig
+    for n in (1, 2, 3, 4):
+        std = SymplecticSpace.standard(n)
+        a = _rand_full_rank(rng, 2 * n, 2 * n)
+        custom = SymplecticSpace((a.T @ standard_gram(n) @ a).scale(F(2, 3)))
+        for r in (3, 4, 5, 6):
+            ls = [random_lagrangian(std, rng) for _ in range(r)]
+            src = rng.randrange(r - 1)
+            dst = rng.randrange(src + 1, r)
+            repeated, shared = list(ls), list(ls)
+            repeated[dst] = LagrangianFrame(std, ls[src].frame @ _rand_full_rank(rng, n, n))
+            shared[dst] = _sharing(rng, ls[src], rng.randint(1, n))
+            moved = [LagrangianFrame(custom, inverse(a) @ l.frame) for l in shared]
+            for space, members in ((std, repeated), (std, shared), (custom, moved)):
+                sig = kashiwara_signature(space, members)
+                assert sig.zero == 0
+                assert sig == sym_signature(kashiwara_space(LagrangianTuple.of(*members)))
+                triple = kashiwara_signature(space, members[:3])
+                assert wall_invariant(*members[:3]) == triple.pos - triple.neg
 
 
 def test_invariants_are_plain_ints():
@@ -137,7 +163,8 @@ def test_invariants_are_plain_ints():
     a, b = random_mp1(ctx, rng), random_mp1(ctx, rng)
     values = [kashiwara_index(tup), kashiwara_index_float(sp, floats),
               tuple_reduce(tup), wall_invariant(*ls[:3]),
-              wall_invariant_float(sp, floats[:3]),
+              *kashiwara_signature(sp, ls).as_tuple(),
+              *kashiwara_signature(sp, floats).as_tuple(),
               witt_of_form_real(form), witt_of_form_complex(form)]
     values += [el.w for el in (a, mp1_mul(a, b), mp1_inverse(a),
                                mp1_identity(ctx), Mp1Element.of(ctx, 2, a.g))]
@@ -359,18 +386,64 @@ def test_meeting_pair_takes_the_3n_gram(n, triple_branches):
 def test_approx_index_matches_exact_on_converted_tuples():
     # float copies of these rational frames reach entries near 1.7e6; with
     # the raw frames in place of their QR factors, 32 of the 150 indices
-    # come out wrong without any error.  The float quotient form's dim T and
-    # signature and the float Wall invariant of the first three members
-    # match their exact routes too.
+    # come out wrong without any error.  The float payload (dim T from
+    # float ranks, and its signature) matches the exact quotient form, and
+    # the float index of the first three members their Wall invariant.
     rng = Random(21)
     for _ in range(150):
         sp = SymplecticSpace.standard(rng.randint(1, 4))
         ls = _rand_tuple(rng, sp, rng.randint(3, 6))
         floats = [l.frame.to_numpy() for l in ls]
         assert kashiwara_index_float(sp, floats) == kashiwara_index(ls)
-        assert kashiwara_signature_float(sp, floats) == sym_signature(
+        assert kashiwara_signature(sp, floats) == sym_signature(
             kashiwara_space(LagrangianTuple.of(*ls)))
-        assert wall_invariant_float(sp, floats[:3]) == wall_invariant(*ls[:3])
+        triple = kashiwara_signature(sp, floats[:3])
+        assert triple.pos - triple.neg == wall_invariant(*ls[:3])
+
+
+def test_float_payload_ranks_read_spans_not_frame_scales():
+    """Lines at angles 0, about 1e-4 and pi/2 give index +1 on dim T = 1,
+    as exact and as float frames.  The raw float pair [(1, 0) | (1e6, 100)]
+    has its smallest singular value 1e-4 under its cut 1e-3, so the float
+    ranks read the members' orthonormal Q factors."""
+    sp = SymplecticSpace.standard(1)
+    ls = [LagrangianFrame(sp, Matrix.exact([[p], [q]]))
+          for p, q in ((1, 0), (1000000, 100), (0, 1))]
+    floats = [l.frame.to_numpy() for l in ls]
+    assert kashiwara_signature(sp, ls).as_tuple() == (1, 0, 0)
+    assert kashiwara_signature(sp, floats).as_tuple() == (1, 0, 0)
+
+
+def test_payload_refuses_float_decisions_near_their_cut(monkeypatch):
+    """The n = 1 lines at pi - 4e-10, 0 and 4e-10 have exact index +1 as
+    rational copies of their floats; the float index reads -1 (an eigenvalue
+    -1.09e-9 against the 1e-9 cut) and the float ranks dim T = 0.  Those
+    values lie within ``FLOAT_MARGIN`` of their cuts, so the float payload
+    is refused.  Without the margin, |tau| <= t still refuses it.  Gaps of
+    1e-5 and 1e-14 are decided: signed and zero."""
+    sp = SymplecticSpace.standard(1)
+
+    def lines(*angles):
+        return [np.array([[math.cos(t)], [math.sin(t)]]) for t in angles]
+
+    near = lines(math.pi - 4e-10, 0.0, 4e-10)
+    exact = [LagrangianFrame(sp, Matrix.exact([[F(x)] for x in f[:, 0]]))
+             for f in near]
+    assert kashiwara_index(exact) == 1
+    with pytest.raises(ValueError, match="^undecidable at tol: "):
+        kashiwara_signature(sp, near)
+    assert kashiwara_signature(sp, lines(0.0, 1e-5, 2.0)).as_tuple() == (1, 0, 0)
+    assert kashiwara_signature(sp, lines(0.0, 1e-14, 2.0)).as_tuple() == (0, 0, 0)
+    monkeypatch.setattr(maslov, "FLOAT_MARGIN", 1.0)
+    with pytest.raises(ValueError, match="^index -1 does not fit dim T = 0"):
+        kashiwara_signature(sp, near)
+
+
+def test_payload_refuses_exact_members_of_another_space():
+    ls = [line_lagrangian(SymplecticSpace.standard(1), d)
+          for d in ((1, 0), (1, 1), (0, 1))]
+    with pytest.raises(ValueError, match="^tuple members live in a different space$"):
+        kashiwara_signature(SymplecticSpace.standard(2), ls)
 
 
 def _reference_reps(tup):

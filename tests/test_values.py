@@ -11,7 +11,7 @@ import pytest
 
 from symgeo.jets.metasymplectic import CovectorSlot, IntegralPlaneModel, ModelVector
 from symgeo.jets.symtensor import JetSignature, SymTensor
-from symgeo.linalg import Matrix, Signature, _trusted
+from symgeo.linalg import Matrix, Signature, Value, _trusted
 from symgeo.maslov import LagrangianTuple, LerayLift
 from symgeo.metaplectic import Mp1Context, Mp1Element
 from symgeo.scan import ChiSpec, SampledImmersion
@@ -125,6 +125,25 @@ def test_equality_and_hash_read_the_compared_fields(name):
             hash(obj)
     else:
         assert hash(obj) == hash(tuple(getattr(obj, f) for f in compared))
+
+
+@pytest.mark.parametrize("name", _CONTRACT)
+def test_an_instance_equals_itself_as_an_equal_copy_does(name, monkeypatch):
+    """``==`` of an instance with itself answers without reading ``_key``
+    (``SampledImmersion`` compares its arrays itself), and ``==``, ``!=``
+    and ``hash`` give what the field comparison with an equal copy gives."""
+    obj = _instances()[name]
+    twin = copy.deepcopy(obj)
+    assert (obj == twin, obj != twin, twin == obj) == (True, False, True)
+    if name not in _UNHASHABLE:
+        assert hash(obj) == hash(twin)
+
+    def refuse(self):
+        raise AssertionError("an identity comparison read the fields")
+
+    if type(obj).__eq__ is Value.__eq__:
+        monkeypatch.setattr(type(obj), "_key", refuse)
+    assert (obj == obj, obj != obj) == (True, False)
 
 
 def test_subspace_and_lagrangian_frame_with_equal_fields_differ():
