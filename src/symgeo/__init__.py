@@ -37,9 +37,9 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
                   "det_squared float_lagrangian graph_lagrangian intersect_frames "
                   "lagrangian_from_angles line_lagrangian loop_degree "
                   "random_lagrangian random_symplectic standard_gram",
-    "maslov": "LagrangianTuple LerayLift arnold_index_triple arnold_triple_lines "
-              "kashiwara_index kashiwara_index_float kashiwara_signature "
-              "kashiwara_space leray_cyclic_sum leray_m tuple_reduce wall_invariant",
+    "maslov": "LagrangianTuple LerayLift arnold_triple_lines kashiwara_index "
+              "kashiwara_index_float kashiwara_signature kashiwara_space "
+              "leray_cyclic_sum leray_m tuple_reduce wall_invariant",
     "metaplectic": "Mp1Context Mp1Element mp1_identity mp1_inverse mp1_mul "
                    "mp2_member random_mp1",
     "jets": "JetSignature SymTensor delta_spencer jet_dim lagrangian_pde_dims "

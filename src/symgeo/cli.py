@@ -135,10 +135,14 @@ def _frames_from_file(args, path: str):
                    else float_lagrangian(space, m, _tol(args)) for m in mats]
 
 
-def _angles_to_frames(args, text: str):
-    """The standard space and float angle frames of ``--angles``."""
-    from .symplectic import SymplecticSpace, lagrangian_from_angles
-    groups = parse_angle_list(text)
+def _line_or_angle_frames(args):
+    """The space and frames of ``--directions``, exact n = 1 lines, or else
+    of ``--angles``, float angle frames of the standard space."""
+    from .symplectic import SymplecticSpace, lagrangian_from_angles, line_lagrangian
+    if args.directions:
+        space = SymplecticSpace.standard(1)
+        return space, [line_lagrangian(space, d) for d in _parse_direction_list(args)]
+    groups = parse_angle_list(args.angles)
     n = len(groups[0])
     if any(len(g) != n for g in groups):
         raise ValidationError("every angle group must have the same length")
@@ -194,15 +198,10 @@ def _quadratic_report(args, space: SymplecticSpace, frames) -> dict:
 
 
 def _cmd_maslov_kashiwara(args) -> int:
-    from .symplectic import SymplecticSpace, line_lagrangian
-    if args.directions:
-        ds = _parse_direction_list(args)
-        if len(ds) < 3:
+    if args.directions or args.angles:
+        space, frames = _line_or_angle_frames(args)
+        if args.directions and len(frames) < 3:
             raise ValidationError("need at least three directions")
-        space = SymplecticSpace.standard(1)
-        frames = [line_lagrangian(space, d) for d in ds]
-    elif args.angles:
-        space, frames = _angles_to_frames(args, args.angles)
     elif args.tuple:
         space, frames = _frames_from_file(args, args.tuple)
     else:
@@ -213,21 +212,17 @@ def _cmd_maslov_kashiwara(args) -> int:
 
 
 def _cmd_maslov_arnold(args) -> int:
-    from .maslov import arnold_index_triple, arnold_triple_lines
-    if args.directions:
-        ds = _parse_direction_list(args)
-        if len(ds) != 3:
-            raise ValidationError("the triple index needs exactly three directions")
-        payload = {"index": arnold_triple_lines(*ds), "mode": "exact"}
-    elif args.angles:
-        space, frames = _angles_to_frames(args, args.angles)
-        if len(frames) != 3:
-            raise ValidationError("the triple index needs exactly three angles")
-        payload = {"index": arnold_index_triple(space, frames, _tol(args)),
-                   "mode": "approx"}
-    else:
+    from .maslov import kashiwara_index, kashiwara_index_float
+    if not (args.directions or args.angles):
         raise ValidationError("give --angles or --directions")
-    return _emit(args, payload)
+    space, frames = _line_or_angle_frames(args)
+    if len(frames) != 3:
+        what = "directions" if args.directions else "angles"
+        raise ValidationError(f"the triple index needs exactly three {what}")
+    if args.directions:
+        return _emit(args, {"index": kashiwara_index(frames), "mode": "exact"})
+    return _emit(args, {"index": kashiwara_index_float(space, frames, _tol(args)),
+                        "mode": "approx"})
 
 
 def _cmd_maslov_wall(args) -> int:
@@ -272,7 +267,7 @@ def _mp1_element(ctx: Mp1Context, path: str) -> Mp1Element:
         raise ValidationError(f"{path} must be an object with 'w' and 'g'")
     if not is_int(obj["w"]):
         raise ValidationError("'w' must be an integer")
-    return Mp1Element.of(ctx, obj["w"], matrix_from_json(obj["g"], mode=EXACT))
+    return Mp1Element(ctx, obj["w"], matrix_from_json(obj["g"], mode=EXACT))
 
 
 def _cmd_mp1_mul(args) -> int:

@@ -28,6 +28,7 @@ from math import comb
 from random import Random
 
 from ..linalg import Matrix, _rand_fraction, kernel_basis, rank
+from .symtensor import SIZE_GUARD
 
 _MAX_ATTEMPTS = 25
 
@@ -291,18 +292,21 @@ def _cascade_dim(n: int, g1: Matrix, flag: list[list[Fraction]]) -> int:
 
 def legendrian_pde_dims(n: int, seed: int = 0) -> dict:
     """Closed dimension formulas for the Legendrian graph system with
-    exact rank verification and the symbol involutivity cascade."""
+    exact rank verification and the symbol involutivity cascade; dense
+    matrices with dim J^2 > ``SIZE_GUARD`` columns (n >= 21) are refused."""
     if n < 1:
         raise ValueError("n must be positive")
+    dim_jet2 = (2 * n + 1) + (n * n + n) + (n + 1) * (n * (n + 1) // 2)
+    if dim_jet2 > SIZE_GUARD:
+        raise ValueError("model size exceeds the desk-scale guard")
     dim_system = (n + 1) ** 2
     dim_prolongation = (n + 1) * (n * n + 2 * n + 2) // 2
     hidden = n * (n - 1) // 2
     dim_symbol = n * n
     dim_symbol_prol = n * n * (n + 1) // 2
 
-    sys_m, prol_m, (nv0, nv1, nv2) = _legendrian_matrices(n)
+    sys_m, prol_m, (nv0, nv1, _) = _legendrian_matrices(n)
     dim_jet1 = nv0 + nv1
-    dim_jet2 = dim_jet1 + nv2
     rank_system = rank(sys_m)
     rank_prol = rank(prol_m)
     rank_prol_symbol = rank(prol_m.block(0, prol_m.rows, dim_jet1, prol_m.cols))

@@ -17,8 +17,8 @@ the oracles read it:
 
 ``kashiwara_index_float`` takes (2n, n) float arrays as ``(space, frames,
 tol)``, runs ``check_lagrangian_frames`` first and cuts at ``_float_cut``.
-``kashiwara_signature`` makes the same float decisions and refuses any
-that lies within ``FLOAT_MARGIN`` of its cut.
+It and ``kashiwara_signature`` make one float decision: each refuses an
+eigenvalue or singular value within ``FLOAT_MARGIN`` of its cut.
 
 Oracles, kept for the tests and the ``wall_kashiwara`` selftest suite:
 
@@ -31,9 +31,9 @@ Oracles, kept for the tests and the ``wall_kashiwara`` selftest suite:
 
 Other routes to the same circle of invariants:
 
-* ``arnold_index_triple`` -- sum over the planes span(e_j, e_{n+j}) of the
-  cyclic sign of three diagonal float line angles, as
-  ``arnold_triple_lines``.
+* ``arnold_triple_lines`` -- the cyclic sign of three rational lines
+  (n = 1), an oracle for the ``arnold_kashiwara`` selftest suite; ``maslov
+  arnold`` reads ``kashiwara_index`` and ``kashiwara_index_float``.
 * ``leray_m``         -- integer cochain on pairs of lifted lines (n = 1)
   whose cyclic sums reproduce the Kashiwara index of the projected tuple.
 
@@ -58,9 +58,6 @@ from .witt import witt_of_form_real
 
 if TYPE_CHECKING:
     import numpy as np
-
-# float line angles closer than this, mod pi, are the same line
-ANGLE_SNAP = 1e-9
 
 
 class LagrangianTuple(Value):
@@ -193,7 +190,7 @@ def wall_invariant(l1: LagrangianFrame, l2: LagrangianFrame,
 # -- the float index, and the payload of both modes --------------------------
 
 # a float eigenvalue or singular value within this factor of its cut is
-# undecidable at tol: ``kashiwara_signature`` refuses it
+# undecidable at tol: every float index and float rank refuses it
 FLOAT_MARGIN = 10.0
 
 
@@ -213,14 +210,6 @@ def _float_spectrum(space: SymplecticSpace, frames, tol: float):
     return qs, np.linalg.eigvalsh(pair + pair.T), _float_cut(pair + pair.T, tol)
 
 
-def kashiwara_index_float(space: SymplecticSpace, frames,
-                          tol: float = DEFAULT_TOL) -> int:
-    """``kashiwara_index`` of r >= 2 float Lagrangians: pos - neg of the
-    ``_float_spectrum`` of P + P^T, cut at plus and minus ``_float_cut``."""
-    _, w, cut = _float_spectrum(space, frames, tol)
-    return int((w > cut).sum() - (w < -cut).sum())
-
-
 def _decided(values: np.ndarray, cut: float) -> int:
     """How many ``values`` exceed ``cut`` less how many lie below -``cut``;
     refused when one lies within a factor ``FLOAT_MARGIN`` of the cut."""
@@ -229,6 +218,15 @@ def _decided(values: np.ndarray, cut: float) -> int:
         raise ValueError("undecidable at tol: a float eigenvalue or singular "
                          f"value lies within a factor {FLOAT_MARGIN:g} of its cut")
     return int((values > cut).sum() - (values < -cut).sum())
+
+
+def kashiwara_index_float(space: SymplecticSpace, frames,
+                          tol: float = DEFAULT_TOL) -> int:
+    """``kashiwara_index`` of r >= 2 float Lagrangians: pos - neg of the
+    ``_float_spectrum`` of P + P^T, ``_decided`` at its ``_float_cut``, so
+    refused for an eigenvalue within ``FLOAT_MARGIN`` of the cut."""
+    _, w, cut = _float_spectrum(space, frames, tol)
+    return _decided(w, cut)
 
 
 def kashiwara_signature(space: SymplecticSpace, frames,
@@ -280,52 +278,7 @@ def kashiwara_signature(space: SymplecticSpace, frames,
     return Signature((t + tau) // 2, 0, (t - tau) // 2)
 
 
-# -- Arnold line-angle formulas ----------------------------------------------
-
-
-def _cyclic_sign(c12: int, c23: int, c13: int) -> int:
-    """Triple index of three lines from their pairwise angle comparisons:
-    0 when two coincide, otherwise +1 for increasing cyclic order."""
-    if 0 in (c12, c23, c13):
-        return 0
-    return -c12 * c23 * c13
-
-
-def _angle_compare(t1: float, t2: float) -> int:
-    """-1, 0, +1 ordering of two line angles in [0, pi]; angles within
-    ANGLE_SNAP of each other mod pi (0 and pi included) are one line."""
-    d = t1 - t2
-    if min(abs(d), math.pi - abs(d)) <= ANGLE_SNAP:
-        return 0
-    return -1 if d < 0 else 1
-
-
-def _diagonal_angles(frame: np.ndarray) -> list[float]:
-    """theta_j = atan2(F[n+j][j], F[j][j]) mod pi of a diagonal float frame F."""
-    n, rows = frame.shape[1], frame.tolist()
-    if any(x for i, row in enumerate(rows) for j, x in enumerate(row)
-           if i % n != j):
-        raise ValueError("the angle index needs diagonal frames")
-    return [math.atan2(rows[n + j][j], rows[j][j]) % math.pi for j in range(n)]
-
-
-def arnold_index_triple(space: SymplecticSpace, frames,
-                        tol: float = DEFAULT_TOL) -> int:
-    """Triple index of three diagonal float Lagrangians of the standard
-    space: the cyclic signs of their angles theta_j summed over the planes
-    span(e_j, e_{n+j}), as the index is additive over symplectic sums
-    (Cappell-Lee-Miller)."""
-    frames = check_lagrangian_frames(space, frames, tol)
-    if not space.is_standard():
-        raise ValueError("the angle index needs one standard space")
-    if len(frames) != 3:
-        raise ValueError("the triple index needs exactly three frames")
-    return sum(_cyclic_sign(_angle_compare(a, b), _angle_compare(b, c),
-                            _angle_compare(a, c))
-               for a, b, c in zip(*map(_diagonal_angles, frames)))
-
-
-# -- Leray function on lifted lines (n = 1 only) -----------------------------
+# -- Leray function and Arnold sign on lines (n = 1 only) --------------------
 
 
 class LerayLift(Value):
@@ -361,7 +314,7 @@ class LerayLift(Value):
         return line_lagrangian(space, self.direction[:2])
 
 
-def _line_angle_compare(d1, d2) -> int:
+def _line_order(d1, d2) -> int:
     """-1, 0, +1 ordering of two upper-half-plane directions by line angle."""
     cross = d1[0] * d2[1] - d1[1] * d2[0]
     if cross == 0:
@@ -378,22 +331,31 @@ def _upper_direction(d) -> tuple:
     return p, q
 
 
+def _cyclic_sign(c12: int, c23: int, c13: int) -> int:
+    """Triple index of three lines from their pairwise angle comparisons:
+    0 when two coincide, otherwise +1 for increasing cyclic order."""
+    if 0 in (c12, c23, c13):
+        return 0
+    return -c12 * c23 * c13
+
+
 def arnold_triple_lines(d1, d2, d3) -> int:
-    """Triple index of three lines in the plane from rational directions.
+    """Triple index of three lines in the plane from rational directions;
+    an oracle for ``kashiwara_index`` (the ``arnold_kashiwara`` selftest
+    suite and criterion 04).
 
     Exact: 0 when two of the lines coincide, otherwise the sign of the
     cyclic order of the three line angles, +1 for increasing angles.
     """
     a, b, c = (_upper_direction(d) for d in (d1, d2, d3))
-    return _cyclic_sign(_line_angle_compare(a, b), _line_angle_compare(b, c),
-                        _line_angle_compare(a, c))
+    return _cyclic_sign(_line_order(a, b), _line_order(b, c), _line_order(a, c))
 
 
 def leray_m(l1: LerayLift, l2: LerayLift, tol: float = DEFAULT_TOL):
     """Leray cochain m = -2 floor((t1 - t2)/pi) - 1, or -2 (t1 - t2)/pi on pi Z."""
     if l1.direction is not None and l2.direction is not None:
         (p1, q1, k1), (p2, q2, k2) = l1.direction, l2.direction
-        cmp = _line_angle_compare((p1, q1), (p2, q2))
+        cmp = _line_order((p1, q1), (p2, q2))
         if cmp == 0:
             return -2 * (k1 - k2)
         flr = (k1 - k2) + (0 if cmp > 0 else -1)

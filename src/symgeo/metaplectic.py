@@ -116,6 +116,7 @@ class Mp1Element(Value):
 
     @staticmethod
     def of(ctx: Mp1Context, w: int, g: Matrix) -> "Mp1Element":
+        """``Mp1Element(ctx, w, g)``; its last caller is perfbench's ``mp1_run``."""
         return Mp1Element(ctx, w, g)
 
     @cached_property
@@ -162,11 +163,12 @@ def mp1_inverse(a: Mp1Element) -> Mp1Element:
 
 def random_mp1(ctx: Mp1Context, rng: Random) -> Mp1Element:
     g = random_symplectic(ctx.space, rng, transvections=5)
-    return Mp1Element.of(ctx, rng.randint(-3, 3), g)
+    return Mp1Element(ctx, rng.randint(-3, 3), g)
 
 
 def mp2_member(a: Mp1Element, base_lift: LerayLift, image_lift: LerayLift) -> bool:
-    """Membership of an Mp1 element (n = 1) in the index-two subgroup.
+    """Membership of an Mp1 element (n = 1) in the index-two subgroup;
+    library API.
 
     Tests w - m(lift of gL, lift of L) against I^2 = 4Z.  The caller fixes
     both lifts; shifting a lift by 2 pi does not change the answer.

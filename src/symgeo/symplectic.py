@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 @lru_cache(maxsize=None)
 def standard_gram(n: int) -> Matrix:
+    """Omega = [[0, I], [-I, 0]] of the standard 2n-space; library API."""
     zero, one = Matrix.zeros(n, n), Matrix.identity(n)
     return zero.hstack(one).vstack((-one).hstack(zero))
 
@@ -121,6 +122,8 @@ def _pairing(cols: Sequence[Sequence], support: Sequence, n: int,
 
 
 class Subspace(Value):
+    """The span of independent frame columns in ``space``; library API."""
+
     _fields = ("space", "frame")
 
     def __init__(self, space: SymplecticSpace, frame: Matrix):
@@ -140,7 +143,8 @@ class Subspace(Value):
 
 
 def classify_subspace(sub: Subspace) -> str:
-    """One of isotropic / coisotropic / lagrangian / symplectic / generic.
+    """Library API: one of isotropic / coisotropic / lagrangian /
+    symplectic / generic.
 
     With k = dim E and r = rank(F^T Omega F), E meet E^perp has dimension
     k - r and E^perp dimension 2n - k, so E is isotropic iff r = 0,
@@ -313,7 +317,7 @@ def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
 def det_squared(space: SymplecticSpace, frame,
                 tol: float = DEFAULT_TOL) -> complex:
     """Coset-invariant squared determinant of a float (2n, n) Lagrangian;
-    e^{2 i theta} on L(theta)."""
+    e^{2 i theta} on L(theta); library API."""
     import numpy as np
     frames = check_lagrangian_frames(space, [frame], tol)
     d2 = np.linalg.det(_polar_unitaries(space, frames, tol)[0]) ** 2

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -210,6 +211,38 @@ def test_arnold_angles_agree_with_kashiwara_at_n2(capsys):
     code, out = run_json(capsys, "maslov", "kashiwara", "--angles", angles)
     assert code == 0
     assert out["index"] == 0
+
+
+def _table_index(capsys, *argv):
+    code, out = run(capsys, *argv, "--table")
+    assert code == 0, argv
+    return next(line for line in out.splitlines() if line.startswith("index: "))
+
+
+def test_arnold_prints_the_index_kashiwara_prints(capsys):
+    # 24 seeded direction triples and 16 angle triples at each n = 1..3, half
+    # of them with --tol; angles are multiples of pi/12 (equal or at least
+    # pi/12 apart mod pi) or random decimals
+    rng = Random(2027)
+    cases = []
+    for _ in range(24):
+        ds = []
+        while len(ds) < 3:
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            if (p, q) != (0, 0):
+                ds.append(f"{p},{q}")
+        cases.append([f"--directions={';'.join(ds)}"])  # '=' keeps a leading '-'
+    for n in (1, 2, 3):
+        for _ in range(16):
+            cases.append(["--angles", ";".join(
+                ",".join(f"{rng.randrange(12)}/12pi" if rng.random() < 0.5
+                         else f"{rng.uniform(0, 3.1):.3f}" for _ in range(n))
+                for _ in range(3))])
+    for i, case in enumerate(cases):
+        if i % 2:
+            case += ["--tol", rng.choice(("1e-12", "1e-6", "1e-4"))]
+        assert _table_index(capsys, "maslov", "arnold", *case) == \
+            _table_index(capsys, "maslov", "kashiwara", *case)
 
 
 def test_wall_agrees_with_kashiwara(capsys, tmp_path):
@@ -815,6 +848,7 @@ _REFUSALS = [
     (["maslov", "kashiwara", "--angles", _NEAR], {}, _NEAR_MESSAGE),
     (["maslov", "wall", "--tuple", "{t}", "--approx"],
      {"t": {"n": 1, "frames": _NEAR_FRAMES}}, _NEAR_MESSAGE),
+    (["maslov", "arnold", "--angles", _NEAR], {}, _NEAR_MESSAGE),
     (["maslov", "leray", "--lifts", "1"], {}, "need at least two lifts"),
     (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
      {"c": {"n": 1}, "a": {"w": 0, "g": _G4}},
@@ -827,6 +861,11 @@ _REFUSALS = [
      "matrix is not symplectic for this space"),
     (["jet", "max-isotropic", "--n", "2", "--m", "1", "--k", "2", "--p", "3"],
      {}, "p must satisfy 0 <= p <= n"),
+    # dim J^2 is 5506 at n = 21, over the 5000 guard; refused before any matrix
+    (["jet", "legendrian-pde", "--n", "21"], {},
+     "model size exceeds the desk-scale guard"),
+    (["jet", "legendrian-pde", "--n", "40"], {},
+     "model size exceeds the desk-scale guard"),
     (["jet", "max-isotropic", "--n", "2", "--m", "1", "--k", "2", "--p", "1",
       "--xi", "{x}"], {"x": {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}},
      "xi must be 2 x 1"),

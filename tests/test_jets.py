@@ -18,6 +18,7 @@ from symgeo.jets import (CovectorSlot, JetSignature, ModelVector, SymTensor,
 from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, span_matrix, unflatten,
                                         vectors_from_matrix)
+from symgeo.jets import pde_audit
 from symgeo.jets.symtensor import _spencer_matrix
 from symgeo.linalg import Matrix, kernel_basis, rank, spans_equal
 from symgeo.symplectic import intersect_frames
@@ -635,3 +636,23 @@ def test_audits_reject_bad_n():
             lagrangian_pde_dims(n)
     with pytest.raises(ValueError):
         legendrian_pde_dims(-1)
+
+
+def test_legendrian_audit_size_guard(monkeypatch):
+    """dim J^2 = (2n + 1) + (n^2 + n) + (n + 1) n (n + 1) / 2 is 4871 at
+    n = 20, under ``SIZE_GUARD`` = 5000, and 5506 at n = 21: n = 20 reaches
+    the matrix builder (a stub here, so no rank runs), n = 21 and n = 40 are
+    refused before it."""
+    built = []
+
+    def stub(n):
+        built.append(n)
+        raise RuntimeError("matrix builder reached")
+
+    monkeypatch.setattr(pde_audit, "_legendrian_matrices", stub)
+    with pytest.raises(RuntimeError, match="^matrix builder reached$"):
+        legendrian_pde_dims(20)
+    for n in (21, 40):
+        with pytest.raises(ValueError, match="^model size exceeds the desk-scale guard$"):
+            legendrian_pde_dims(n)
+    assert built == [20]

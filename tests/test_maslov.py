@@ -13,18 +13,16 @@ from symgeo.linalg import (EXACT, Matrix, _rand_full_rank, _solve,
                            integer_signature, inverse, kernel_basis, rank,
                            sym_signature)
 from symgeo.maslov import (LagrangianTuple, LerayLift, _boundary_columns,
-                           _triple_index, arnold_index_triple,
-                           arnold_triple_lines, kashiwara_index,
+                           _triple_index, arnold_triple_lines, kashiwara_index,
                            kashiwara_index_float, kashiwara_signature,
                            kashiwara_space, leray_cyclic_sum, leray_m,
                            tuple_reduce, wall_invariant)
 from symgeo.metaplectic import (Mp1Context, Mp1Element, mp1_identity,
                                 mp1_inverse, mp1_mul, random_mp1)
 from symgeo.symplectic import (LagrangianFrame, SymplecticSpace, _pairing,
-                               _primitive_column, graph_lagrangian,
-                               lagrangian_from_angles, line_lagrangian,
-                               random_lagrangian, random_symplectic,
-                               standard_gram)
+                               _primitive_column, lagrangian_from_angles,
+                               line_lagrangian, random_lagrangian,
+                               random_symplectic, standard_gram)
 from symgeo.selftest import _rand_line_dir
 from symgeo.witt import witt_of_form_complex, witt_of_form_real
 
@@ -419,8 +417,9 @@ def test_payload_refuses_float_decisions_near_their_cut(monkeypatch):
     rational copies of their floats; the float index reads -1 (an eigenvalue
     -1.09e-9 against the 1e-9 cut) and the float ranks dim T = 0.  Those
     values lie within ``FLOAT_MARGIN`` of their cuts, so the float payload
-    is refused.  Without the margin, |tau| <= t still refuses it.  Gaps of
-    1e-5 and 1e-14 are decided: signed and zero."""
+    and the float index are refused.  Without the margin, |tau| <= t still
+    refuses the payload, and the float index reads -1.  Gaps of 1e-5 and
+    1e-14 are decided: signed and zero."""
     sp = SymplecticSpace.standard(1)
 
     def lines(*angles):
@@ -432,11 +431,16 @@ def test_payload_refuses_float_decisions_near_their_cut(monkeypatch):
     assert kashiwara_index(exact) == 1
     with pytest.raises(ValueError, match="^undecidable at tol: "):
         kashiwara_signature(sp, near)
+    with pytest.raises(ValueError, match="^undecidable at tol: "):
+        kashiwara_index_float(sp, near)
     assert kashiwara_signature(sp, lines(0.0, 1e-5, 2.0)).as_tuple() == (1, 0, 0)
     assert kashiwara_signature(sp, lines(0.0, 1e-14, 2.0)).as_tuple() == (0, 0, 0)
+    assert kashiwara_index_float(sp, lines(0.0, 1e-5, 2.0)) == 1
+    assert kashiwara_index_float(sp, lines(0.0, 1e-14, 2.0)) == 0
     monkeypatch.setattr(maslov, "FLOAT_MARGIN", 1.0)
     with pytest.raises(ValueError, match="^index -1 does not fit dim T = 0"):
         kashiwara_signature(sp, near)
+    assert kashiwara_index_float(sp, near) == -1
 
 
 def test_payload_refuses_exact_members_of_another_space():
@@ -538,6 +542,44 @@ def test_wall_equals_kashiwara_seeded():
                 kashiwara_index([l1, l2, l3])
 
 
+# The float Arnold formula, an oracle for ``kashiwara_index_float`` on
+# diagonal angle frames: the cyclic signs of the line angles theta_j summed
+# over the planes span(e_j, e_{n+j}), where the index adds up
+# (Cappell-Lee-Miller), with angles within _ANGLE_SNAP of each other mod pi
+# read as one line.
+_ANGLE_SNAP = 1e-9
+
+
+def _angle_compare(t1, t2):
+    d = t1 - t2
+    if min(abs(d), math.pi - abs(d)) <= _ANGLE_SNAP:
+        return 0
+    return -1 if d < 0 else 1
+
+
+def _arnold_float(frames):
+    """Triple index of three diagonal float (2n, n) Lagrangians."""
+    n = frames[0].shape[1]
+    angles = [[math.atan2(f[n + j, j], f[j, j]) % math.pi for j in range(n)]
+              for f in frames]
+    total = 0
+    for a, b, c in zip(*angles):
+        signs = _angle_compare(a, b), _angle_compare(b, c), _angle_compare(a, c)
+        total += 0 if 0 in signs else -signs[0] * signs[1] * signs[2]
+    return total
+
+
+def _near_pair(members):
+    """Whether two members' angles in one plane lie a gap between 1e-11 and
+    1e-8 apart mod pi: neither equal nor past the float index's margin."""
+    for column in zip(*members):
+        for a, b in ((a, b) for i, a in enumerate(column) for b in column[i + 1:]):
+            gap = abs(a - b) % math.pi
+            if 1e-11 < min(gap, math.pi - gap) < 1e-8:
+                return True
+    return False
+
+
 def test_arnold_triple_lines_properties():
     rng = Random(6)
     sp = SymplecticSpace.standard(1)
@@ -551,15 +593,17 @@ def test_arnold_triple_lines_properties():
         frames = [line_lagrangian(sp, d) for d in ds]
         assert kashiwara_index(frames) == a
         # exact n = 1 frames read the same sign through their float angles
-        assert arnold_index_triple(sp, [f.frame.to_numpy() for f in frames]) == a
+        assert _arnold_float([f.frame.to_numpy() for f in frames]) == a
 
 
 def test_arnold_float_agrees_on_separated_angles():
     # seeded diagonal triples at n = 1..3: component j of every member lies
     # in the plane span(e_j, e_{n+j}), where the index adds up
     rng = Random(7)
-    # lines within ANGLE_SNAP of 0 and pi are the line at 0
+    # lines 1e-12 from 0 and pi are the line at 0; lines 3e-10 from them
+    # lie within the margin of the cut, and the float index refuses them
     near = [0.0, 1e-12, 3e-10, math.pi - 3e-10, math.pi - 1e-12]
+    refused = 0
     for n in (1, 2, 3):
         sp = SymplecticSpace.standard(n)
         for _ in range(110):
@@ -570,30 +614,21 @@ def test_arnold_float_agrees_on_separated_angles():
                     rng.choice(near + [m[j] for m in members])  # repeats
                     for j in range(n)])
             rng.shuffle(members)
-            frames = [lagrangian_from_angles(sp, t) for t in members]
-            index = arnold_index_triple(sp, frames)
-            assert index == kashiwara_index_float(sp, frames)
             perm = rng.sample(range(n), n)
-            assert arnold_index_triple(sp, [
-                lagrangian_from_angles(sp, [t[j] for j in perm])
-                for t in members]) == index
+            for angles in (members, [[t[j] for j in perm] for t in members]):
+                frames = [lagrangian_from_angles(sp, t) for t in angles]
+                if _near_pair(members):
+                    with pytest.raises(ValueError, match="^undecidable at tol: "):
+                        kashiwara_index_float(sp, frames)
+                else:
+                    assert kashiwara_index_float(sp, frames) == _arnold_float(frames)
+            refused += _near_pair(members)
+    assert 0 < refused < 330
     # plane 1 reads (0.1, 2.5, 1.0), sign -1; plane 2 (2.0, 0.5, 1.5), +1
     sp = SymplecticSpace.standard(2)
     frames = [lagrangian_from_angles(sp, t)
               for t in ((0.1, 2.0), (2.5, 0.5), (1.0, 1.5))]
-    assert arnold_index_triple(sp, frames) == kashiwara_index_float(sp, frames) == 0
-
-
-def test_arnold_refuses_non_diagonal_frames_and_custom_spaces():
-    sp = SymplecticSpace.standard(2)
-    diag = lagrangian_from_angles(sp, [0.5, 1.0])
-    tilted = graph_lagrangian(sp, Matrix.exact([[1, 2], [2, 3]]))
-    with pytest.raises(ValueError, match="^the angle index needs diagonal frames$"):
-        arnold_index_triple(sp, [diag, diag, tilted.frame.to_numpy()])
-    custom = SymplecticSpace(standard_gram(1).scale(2))
-    lines = [line_lagrangian(custom, d) for d in ((1, 0), (1, 1), (0, 1))]
-    with pytest.raises(ValueError, match="^the angle index needs one standard space$"):
-        arnold_index_triple(custom, [line.frame.to_numpy() for line in lines])
+    assert _arnold_float(frames) == kashiwara_index_float(sp, frames) == 0
 
 
 def test_leray_m_antisymmetric():
