@@ -253,6 +253,8 @@ def _mp1_context(args) -> Mp1Context:
     from .metaplectic import Mp1Context
     from .symplectic import LagrangianFrame
     obj = _read_json(args.context)
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{args.context} must be a JSON object")
     space = _space_from_obj(obj, None)
     if "base" not in obj:
         raise ValidationError("context JSON needs a 'base' Lagrangian frame")

@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 
-from ..linalg import Matrix, Value, _set, kernel_basis, rank
+from ..linalg import Matrix, Value, kernel_basis, rank
 from .symtensor import (JetSignature, SymTensor, _delta_terms, lambda_dim,
                         model_dim)
 
@@ -73,11 +73,6 @@ class CovectorSlot(Value):
 
     _fields = ("sig", "coeffs")
 
-    def __init__(self, sig: JetSignature, coeffs: tuple):
-        _set(self, "sig", sig)
-        _set(self, "coeffs", coeffs)
-        self.__post_init__()
-
     def __post_init__(self):
         if len(self.coeffs) != lambda_dim(self.sig):
             raise ValueError("covector slot needs lambda_dim coefficients")
@@ -92,12 +87,6 @@ class ModelVector(Value):
     """A single vector (X, theta) in the model fiber."""
 
     _fields = ("sig", "x", "theta")
-
-    def __init__(self, sig: JetSignature, x: tuple, theta: SymTensor):
-        _set(self, "sig", sig)
-        _set(self, "x", x)
-        _set(self, "theta", theta)
-        self.__post_init__()
 
     def __post_init__(self):
         sig, theta = self.sig, self.theta
@@ -231,10 +220,6 @@ class IntegralPlaneModel(Value):
     """A subspace of the model fiber, spanned by the columns of ``frame``."""
 
     _fields = ("sig", "frame")
-
-    def __init__(self, sig: JetSignature, frame: Matrix):
-        _set(self, "sig", sig)
-        _set(self, "frame", frame)
 
     @property
     def dim(self) -> int:

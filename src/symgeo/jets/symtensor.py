@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from ..linalg import Matrix, Value, _set, rank
+from ..linalg import Matrix, Value, rank
 
 SIZE_GUARD = 5000
 
@@ -27,12 +27,6 @@ class JetSignature(Value):
     """Base dimension n, fiber dimension m, order k."""
 
     _fields = ("n", "m", "k")
-
-    def __init__(self, n: int, m: int, k: int):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "k", k)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.k < 1:
@@ -85,13 +79,6 @@ class SymTensor(Value):
     """Element of S^degree(T*) tensor nu over Q; ``coeffs`` in storage order."""
 
     _fields = ("n", "m", "degree", "coeffs")
-
-    def __init__(self, n: int, m: int, degree: int, coeffs: tuple):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "degree", degree)
-        _set(self, "coeffs", coeffs)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.degree < 0:

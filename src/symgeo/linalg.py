@@ -39,14 +39,26 @@ _set = object.__setattr__
 
 
 class Value:
-    """Frozen record: a subclass's ``__init__`` sets its ``_fields`` with
-    ``_set``, then calls ``self.__post_init__()`` if it has checks.  ``==``
-    (same class only; an instance equals itself at once) and ``hash`` read
-    ``_key()``, the fields by default; ``repr`` shows them all.  Copies and pickles rebuild through
-    ``_trusted``, without the checks, which held for the original."""
+    """Frozen record.  Its one constructor binds a call's arguments to
+    ``_fields`` as a call binds parameters (``_defaults`` fill fields left
+    out), sets them and runs ``__post_init__``, the checks.  ``==`` (same
+    class only; an instance equals itself at once) and ``hash`` read
+    ``_key()``, the fields by default; ``repr`` shows them all.  Copies and
+    pickles rebuild through ``_trusted``, without the checks."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        # hot paths pass every field by position: no binding to do
+        if kwargs or len(args) != len(self._fields):
+            args = _bind(type(self), args, kwargs)
+        _fill(self, args)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -79,10 +91,30 @@ def _trusted(cls, *values):
     """An instance of the ``Value`` class ``cls`` with ``values`` as its
     fields, built without running ``__post_init__``.  Each caller names the
     theorem that makes the skipped checks hold."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
+    return _fill(object.__new__(cls), values)
+
+
+def _fill(obj: Value, values) -> Value:
+    for name, value in zip(obj._fields, values):
         _set(obj, name, value)
     return obj
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """The field values of ``cls(*args, **kwargs)``, or the ``TypeError`` a
+    function with the fields as parameters would raise."""
+    fields, name = cls._fields, cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments, not {len(args)}")
+    for field in kwargs:
+        if field not in fields[len(args):]:
+            got = "multiple values for" if field in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {got} argument {field!r}")
+    given = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+    for field in fields:
+        if field not in given:
+            raise TypeError(f"{name}() missing argument {field!r}")
+    return [given[f] for f in fields]
 
 
 def _rand_fraction(rng: Random) -> Fraction:
@@ -119,6 +151,7 @@ class Matrix(Value):
     __slots__ = _fields = ("rows", "cols", "num", "den")
     mode = EXACT
 
+    # its own constructor: it has no checks, and every product, sum and stack runs it
     def __init__(self, rows: int, cols: int, num: tuple, den: int):
         _set(self, "rows", rows)
         _set(self, "cols", cols)
@@ -363,11 +396,6 @@ def spans_equal(a: Matrix, b: Matrix) -> bool:
 
 class Signature(Value):
     _fields = ("pos", "zero", "neg")
-
-    def __init__(self, pos: int, zero: int, neg: int):
-        _set(self, "pos", pos)
-        _set(self, "zero", zero)
-        _set(self, "neg", neg)
 
     @property
     def dim(self) -> int:

@@ -3,14 +3,15 @@
 One pairing.  The pairing of a tuple (L_1, ..., L_r) with frames F_i is
 the block-lower matrix P whose block (i, j), i > j, is F_i^T Omega F_j, so
 x^T P y = q(x, y) = sum over i > j of omega(x_i, y_j) (Lion-Vergne;
-Cappell-Lee-Miller).  ``symplectic._pairing`` assembles it; the index and
-the oracles read it:
+Cappell-Lee-Miller).
 
 * ``kashiwara_index`` -- pos - neg of P + P^T, the symmetrized q on the
   direct sum L_1 + ... + L_r, as the sum of ``_triple_index`` over
-  (L_1, L_k, L_k+1) (chain rule).  Its blocks pair the primitive integer
-  member columns with their Omega.num images (positive congruences), which
-  each ``LagrangianFrame`` caches once, in its isotropy check.
+  (L_1, L_k, L_k+1) (chain rule).  It builds only the blocks it needs from
+  ``LagrangianFrame._integer_columns``, the primitive integer member columns
+  and their Omega.num images (positive congruences) that each frame's
+  isotropy check caches.  ``symplectic._pairing`` builds P for the float
+  index, the quotient oracles and ``metaplectic.is_symplectic`` (block 1).
 * ``kashiwara_signature`` -- the signature (p, 0, m) of q on the quotient
   T = ker(sum) / im(boundary), p - m the index and p + m = dim T counted
   from r + 1 ranks, with no quotient built.  The CLI reports it.
@@ -49,7 +50,7 @@ from functools import reduce
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _set, _solve,
+from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _solve,
                      integer_signature, kernel_basis, rank, rref)
 from .symplectic import (LagrangianFrame, SymplecticSpace, _float_cut,
                          _pairing, _support, check_lagrangian_frames,
@@ -65,9 +66,6 @@ class LagrangianTuple(Value):
     float frame among them as a mix of scalar modes."""
 
     _fields = ("members",)
-
-    def __init__(self, members: tuple[LagrangianFrame, ...]):
-        _set(self, "members", members)
 
     @staticmethod
     def of(*lags: LagrangianFrame) -> "LagrangianTuple":
@@ -290,11 +288,7 @@ class LerayLift(Value):
     """
 
     _fields = ("theta_tilde", "direction")
-
-    def __init__(self, theta_tilde: float | Fraction,
-                 direction: tuple[Fraction, Fraction, int] | None = None):
-        _set(self, "theta_tilde", theta_tilde)
-        _set(self, "direction", direction)
+    _defaults = {"direction": None}
 
     @staticmethod
     def from_direction(p, q, k: int = 0) -> "LerayLift":

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from random import Random
 
-from .linalg import Matrix, Value, _set, _trusted
+from .linalg import Matrix, Value, _trusted
 from .maslov import LerayLift, _triple_index, leray_m
 # unused here; perfbench's tracer test checks that this binding is wrapped
 from .maslov import kashiwara_index  # noqa: F401
@@ -61,11 +61,6 @@ class Mp1Context(Value):
     """A symplectic space with a fixed base Lagrangian for the cocycle."""
 
     _fields = ("space", "base")
-
-    def __init__(self, space: SymplecticSpace, base: LagrangianFrame):
-        _set(self, "space", space)
-        _set(self, "base", base)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.base.space != self.space:
@@ -99,12 +94,6 @@ def _frame_block(ctx: Mp1Context, g: Matrix) -> list[list[int]]:
 
 class Mp1Element(Value):
     _fields = ("ctx", "w", "g")
-
-    def __init__(self, ctx: Mp1Context, w: int, g: Matrix):
-        _set(self, "ctx", ctx)
-        _set(self, "w", w)
-        _set(self, "g", g)
-        self.__post_init__()
 
     def __post_init__(self):
         if type(self.w) is not int:

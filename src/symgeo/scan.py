@@ -59,19 +59,8 @@ class SampledImmersion(Value):
 
     _fields = ("param_dim", "ambient_dim", "topology", "params", "points",
                "frames", "grid_shape")
+    _defaults = {"frames": None, "grid_shape": None}
     __hash__ = None  # arrays are unhashable
-
-    def __init__(self, param_dim: int, ambient_dim: int, topology: str,
-                 params: np.ndarray, points: np.ndarray,
-                 frames: np.ndarray | None = None, grid_shape: tuple | None = None):
-        _set(self, "param_dim", param_dim)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "topology", topology)
-        _set(self, "params", params)
-        _set(self, "points", points)
-        _set(self, "frames", frames)
-        _set(self, "grid_shape", grid_shape)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.topology not in _TOPOLOGIES:
@@ -264,12 +253,7 @@ class ChiSpec(Value):
     coordinates ordered (x_1..x_n, y_1..y_n, z)."""
 
     _fields = ("n", "scale", "y_coeffs")
-
-    def __init__(self, n: int, scale: float = 1.0, y_coeffs: tuple = ()):
-        _set(self, "n", n)
-        _set(self, "scale", scale)
-        _set(self, "y_coeffs", y_coeffs)
-        self.__post_init__()
+    _defaults = {"scale": 1.0, "y_coeffs": ()}
 
     def __post_init__(self):
         if self.n < 1:

@@ -31,8 +31,8 @@ from operator import mul
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (DEFAULT_TOL, Matrix, Value, _rand_fraction, _set,
-                     inverse, kernel_basis, rank)
+from .linalg import (DEFAULT_TOL, Matrix, Value, _rand_fraction, inverse,
+                     kernel_basis, rank)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,10 +49,6 @@ class SymplecticSpace(Value):
     """R^{2n} with a fixed rational skew nondegenerate Gram matrix."""
 
     _fields = ("omega",)
-
-    def __init__(self, omega: Matrix):
-        _set(self, "omega", omega)
-        self.__post_init__()
 
     def __post_init__(self):
         omega = self.omega
@@ -125,11 +121,6 @@ class Subspace(Value):
     """The span of independent frame columns in ``space``; library API."""
 
     _fields = ("space", "frame")
-
-    def __init__(self, space: SymplecticSpace, frame: Matrix):
-        _set(self, "space", space)
-        _set(self, "frame", frame)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.frame.rows != self.space.dim:

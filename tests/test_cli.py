@@ -855,6 +855,10 @@ _REFUSALS = [
      "context JSON needs a 'base' Lagrangian frame"),
     (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
      {"c": _CTX, "a": {"w": 0}}, "{a} must be an object with 'w' and 'g'"),
+    # JSON text that is no object: a number, true, null, a string, a list
+    *[(["mp1", "mul", "--context", "{c}", "--a", "{a}", "--b", "{a}"],
+       {"c": text, "a": {"w": 0, "g": _G4}}, "{c} must be a JSON object")
+      for text in ("7", "true", "null", '"std:1"', "[1, 2]")],
     # a 4 x 4 g over a space of dimension 2
     (["mp1", "inverse", "--context", "{c}", "--a", "{a}"],
      {"c": _CTX, "a": {"w": 0, "g": _G4}},

@@ -202,3 +202,65 @@ def test_sampled_immersions_compare_arrays_by_entries():
     tilted = copy.deepcopy(framed)
     tilted.frames[1, 0, 0] = 2.0
     assert framed != tilted
+
+
+# the defaults each class declares; every other field must be given
+_DEFAULTS = {
+    "LerayLift": {"direction": None},
+    "ChiSpec": {"scale": 1.0, "y_coeffs": ()},
+    "SampledImmersion": {"frames": None, "grid_shape": None},
+}
+
+
+def _value_classes() -> set:
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return found
+
+
+def test_only_matrix_defines_its_own_constructor():
+    classes = _value_classes() | {type(o) for o in _instances().values()}
+    assert {c for c in classes if "__init__" in vars(c)} == {Matrix}
+
+
+@pytest.mark.parametrize("name", _CONTRACT)
+def test_keyword_and_positional_calls_build_equal_records(name):
+    obj = _instances()[name]
+    cls, values = type(obj), _values(obj)
+    given = dict(zip(obj._fields, values))
+    head, *tail = obj._fields
+    for twin in (cls(*values), cls(**given),
+                 cls(given[head], **{f: given[f] for f in tail})):
+        assert _same(twin, obj) and twin == obj
+
+
+@pytest.mark.parametrize("name", _CONTRACT)
+def test_each_declared_default_fills_a_missing_field(name):
+    obj = _instances()[name]
+    cls, given = type(obj), dict(zip(obj._fields, _values(obj)))
+    assert cls._defaults == _DEFAULTS.get(name, {})
+    for field, default in cls._defaults.items():
+        rest = {f: v for f, v in given.items() if f != field}
+        assert _same(cls(**rest), cls(**rest, **{field: default}))
+    # the trailing fields with defaults may all be left out
+    required = [given[f] for f in obj._fields if f not in cls._defaults]
+    assert _same(cls(*required), cls(*required, *cls._defaults.values()))
+
+
+@pytest.mark.parametrize("name", _CONTRACT)
+def test_a_wrong_call_raises_type_error(name):
+    obj = _instances()[name]
+    cls, values = type(obj), _values(obj)
+    head, *tail = obj._fields
+    wrong = [
+        ((*values, 0), {}, "takes .*arguments"),
+        (values, {"bogus": 0}, "unexpected keyword argument 'bogus'"),
+        (values, {head: values[0]}, f"multiple values for argument '{head}'"),
+        ((), dict(zip(tail, values[1:])), f"missing .*'{head}'"),
+    ]
+    for args, kwargs, message in wrong:
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
