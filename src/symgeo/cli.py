@@ -48,12 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload, ok: bool = True) -> int:
-    """Write ``payload`` as JSON or --table lines; the exit code is 0, or 3
-    when the handler's check ``ok`` failed."""
+    """Write ``payload`` as JSON (``dumps`` ends it in a newline) or --table
+    lines; the exit code is 0, or 3 when the handler's check ``ok`` failed."""
     table = getattr(args, "table", False)
     text = "\n".join(_table_lines(to_jsonable(payload))) if table else dumps(payload)
     try:
-        print(text, flush=True)
+        print(text, end="\n" if table else "", flush=True)
     except OSError as exc:
         raise ValidationError(f"cannot write output: {exc}") from exc
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -668,7 +668,7 @@ def test_failed_check_exits_3_and_prints_the_report_once(capsys, monkeypatch,
     assert code == 3 and captured.err == ""
     report = json.loads(captured.out)
     assert report[key] == value
-    assert captured.out == dumps(report) + "\n"
+    assert captured.out == dumps(report)
 
 
 def test_scan_batch_exits_3_when_any_sample_fails(capsys, tmp_path):

@@ -50,40 +50,40 @@ SELFTEST_FULL_SEED0 = (
 
 README_COMMANDS = {
     'maslov kashiwara --angles "0;1/3pi;2/3pi"':
-        "c97e9ba4eabb226f22f680cc8a9b450e959dfb70844447ed788ddfdc9111defd",
+        "5a280a0e7eda42b9d6b1602db32de008f76355e9023ed2f0dae2a02f1b2b76b3",
     'maslov kashiwara --directions "1,0;1,1;0,1"':
-        "c97e9ba4eabb226f22f680cc8a9b450e959dfb70844447ed788ddfdc9111defd",
+        "5a280a0e7eda42b9d6b1602db32de008f76355e9023ed2f0dae2a02f1b2b76b3",
     'maslov leray --lifts "0,1/3pi,2/3pi"':
-        "30387e10406119293cbbd2b90eb9c49e98d1b37cfa2e69d0165f0ae95e2effc6",
+        "43a252fec4f11ca12e642bfedcfae686cb9a3144476c3642dc4e9eba64d806e3",
     "jet dims --n 2 --m 1 --k 2":
-        "106799e073953b314a9b4556d98a1a5228e154ebf5dcf9bc1b85607086602b2c",
+        "03e3d6707fac28f01939fee7fdc43118af91e167c49249ac128f89628098cd6b",
     "jet spencer-audit --n 2 --m 1 --k 2 --table":
         "53fa54d9345db854ae6daaffd84f7da0b65d6b0f6f9c5e6a1ffaf78cd91cb6bc",
     "jet lagrangian-pde --n 2":
-        "446b91e999a8b7e4466021dae78ecb07ca5e504b4b03f43a811309ce54ce9d0e",
+        "d6eb8aa772c977eeb4c5b4188cd804ea3884c0a8b042c9f6a185bac598e193b8",
     "scan lagrangian --space std:1 --samples circle.json":
-        "5867d1da6150e815b9b180f6bea5d8948aeb614f478db593769a4aa963b8abb9",
+        "180769c227f06cce486e0ff3498c149ff7b19c8ada0855177d83492b481acddd",
     "scan loop-maslov --space std:1 --samples circle.json":
-        "67f2fc67cdd4b9dcd4dc820b3f37f66618b5e44b71c85b960999025bc6f814a8",
+        "51aabbfec6a27c60d14fa133ce5ae0da9128afa966d156c920c959c25f29f0bd",
     "scan legendrian --samples lift.csv --reeb":
-        "2a3abb97b208ccb9818089f82d683802485a27af4236bd8e08600629a8a394b3",
+        "dcaede55cc964c59370ca3e81509c2b2d57da4aacba052c173a5bde2cda6cc91",
     "bordism weak --betti 1,0,0 --n 4":
-        "83e5ba94f4b1bfbe612e41c94ef9aa0a6724d193266e413f39998c0f41d0c9c1",
+        "30b24e9a54707121fee3ebd6c3ec5b948ea455f582f557dfe17bc7373870e9e8",
     "witt class --diag 1,1,-1":
-        "ed5e77c1f3193d6cc5dc840d6d445136e2cb7153679b6096c7b8a2cc501e9c9a",
+        "1aff80e076f067715de824982f1f5a5e58306c5fa52b7de0269c590215838a38",
     "selftest --quick --seed 0":
-        "6b7b70ee7510b886bbc4f8f5bfa6349d87ec274ebb6eb2b912e1a01102b0df2d",
+        "314a30a7416b16c822ad697bb869e766d7ff0633d967281c66c8100ba7caca01",
 }
 
 # scan commands on sample files the README does not show: a grid and an
 # n = 2 loop with analytic frames
 SCAN_COMMANDS = {
     "scan corank --samples torus.json":
-        "c91480bfb1e208100250ee9eab687d889d6b776e0008a18c957af4bc91d110dc",
+        "be4ef719729b66373168c4ee4020495c7649b814daf71fe66a4c2787be47b6fb",
     "scan lagrangian --space std:2 --samples torus.json":
-        "47f20ce62df8281559dbf2c881cdcfd27eb098cf646a9103cfefc6c162c4935d",
+        "b1eace3d4eed36a6a68c090a1025b8ac6459cb1fd762e8c231c3f2b4fdf75e2f",
     "scan loop-maslov --space std:2 --samples loop4.json":
-        "99368e2986a3f546d28f7c7df5c64d4609e8d392c339973b1d2b56812656eeb8",
+        "9a7befad4593fdf75aaf6e38602674a23f8485386ed07d2a0affe8b427335992",
 }
 
 # mp1 products and inverses on the files ``_write_mp1_samples`` makes: the
@@ -91,13 +91,13 @@ SCAN_COMMANDS = {
 # non-vertical base
 MP1_COMMANDS = {
     "mp1 mul --context std.json --a a.json --b b.json":
-        "daaf02af90d9c59d36c7a580ea32d8b55a28d9c040caf87579f56335f0326420",
+        "a2fc6c31c64099d4d27e8f486e2803e198c5701bbf3c6722730c9dacf5045476",
     "mp1 inverse --context std.json --a a.json":
-        "123294c3babf4a84da694831760cec01b3a969412624fdd9f80459e57823eead",
+        "ea37f7349700fd1fca9fa4695e5c4b79eaa70e51db019e980776d81416069f18",
     "mp1 mul --context custom.json --a c.json --b d.json":
-        "2f78634e625cc262234394d83d378c1508763c555e25c052954dec351fa86aeb",
+        "e6b539bfdf5f67cc3014853b3ac4a5fc96e7d3c41b8be227ded4443e198b66a8",
     "mp1 inverse --context custom.json --a c.json":
-        "490e09acd1fde0e058b799595fda70924541cd06096aa1ca64c63cfcc4dc94c8",
+        "54a05ed3c88c4bc3965a9c21b8cda542e7de49b5565ac56bfe8e63ad4d142af9",
 }
 
 # jet commands beyond the README: isotropic planes from a seeded and from a
@@ -105,11 +105,11 @@ MP1_COMMANDS = {
 # Spencer audit at two larger signatures
 JET_COMMANDS = {
     "jet max-isotropic --n 3 --m 2 --k 2 --p 2 --seed 5":
-        "ac7b66b123e71464419e93e01b9061fe1a937bea7d6c6754dde8bee0010ad148",
+        "7e10234c2f705b2219e440cdcab88b8140ba2c4d93e9d41da1e6533bd354015c",
     "jet max-isotropic --n 3 --m 1 --k 3 --p 2 --xi xi.json":
-        "4ff31a1d7802c6ec323634e2eef10454c17d374fbda2e3f3c68b9b8baf69659c",
+        "e65da4405c173c6423a312fe67e37288be27ffb57a92bb92aa28a50fd1b072f4",
     "jet spencer-audit --n 3 --m 2 --k 3":
-        "f7035e0f9ed0e608866d89c5ebeb193c70e245add6ad2d31751ac5f344fa9bcb",
+        "d14ff16d884b8e6c67c6658fefcc4a73f486d6e2a42aa6060fbe674107441ccb",
     "jet spencer-audit --n 4 --m 1 --k 3 --table":
         "a2e5c64734229904fe3807b2d1dcb8bba6a7935ae0c42c3490dcc6fd923be25a",
 }
@@ -119,31 +119,31 @@ JET_COMMANDS = {
 # bordism and Witt verbs, and one of them as --table
 MORE_COMMANDS = {
     'maslov arnold --directions "1,0;1,1;0,1"':
-        "7db188238adaca0827adcaf658b1ed884452c27b1ed31aab914b565eaee9de64",
+        "5ef34bb206ce003c2272a3020418b6ab0355621380bd575293274a9fdbb8e8b8",
     'maslov arnold --angles "0;1/3pi;2/3pi"':
-        "687dd09b4d02986dde058e9bf2e23ed63fe2381da6174b4db25de42ea4cf0b33",
+        "eb769dfc7fcbb4f4389baacbee61c14f844c6fbc538eb2ddff9e574a8c8edb6d",
     "maslov wall --tuple triple.json":
-        "d020794c11e953b5024af66591e18a277e509daeccbdaf721ea6fc17d6a94945",
+        "a88688f9332afa91040e87eb29daee2e4fc4e983dfc9d6250d0bb5e591c84c9d",
     "maslov kashiwara --tuple quad.json":
-        "237355de21a0a6a7aa3279c92563e7c89fa8f8240afe684379cc263c11b4281e",
+        "b4031cabb1fd31a6ef5947a566c3c1a7588c31b4204a5c0d5dde2c8a860bfb98",
     "maslov kashiwara --tuple quad.json --approx":
-        "237355de21a0a6a7aa3279c92563e7c89fa8f8240afe684379cc263c11b4281e",
+        "b4031cabb1fd31a6ef5947a566c3c1a7588c31b4204a5c0d5dde2c8a860bfb98",
     "jet legendrian-pde --n 2 --seed 3":
-        "cc6bb45f1381f3c846ecf03c44cd4d4ee707ca103d113c8c99337ec36430b55a",
+        "649dcf007f46e55ba79c34c09b5354006b8e551514eeac28c4feda56fae8389e",
     "bordism gsingular --homology 1,2,3 --degree 1":
-        "3cec2f20c8ae4cdd76e131280e5491e04c0e89acf3ef687475ede202b355a366",
+        "5cd9f66d1e972ddbb1192b11f78c6921072cb9215db961be933426c65ecb4e95",
     "bordism split-check --closed 1 --bor 3 --cyc 2":
-        "4f89fe0768ee84ea09feb3b1d4fc1dc698cc711142fe8907dbe177f10e346180",
+        "724899e9c3172502bce9b455bb3533640c33892995d970fca21529694f56237c",
     "bordism weak --betti 1 --n 9":
-        "ec0c1f106bf1d872526e832f7a326e284aa13b7dd15484da7dc7c53f0901256b",
+        "1fdc209f3bf2d4e9ea0910189d916ebbecc6305c4027524696e880abfa5324d5",
     "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian":
-        "195a3e0df3b8828e0255982143bdae78717d2ddd056f706ea33959827be41f72",
+        "7a5c24f41c520064187b19840d5b3e8cc45de4060ab77474aed825a135ba4a40",
     "bordism weak --betti 1,1,0,0,1 --n 5 --label legendrian --table":
         "cab2b99549308babd7817ba5990ad456fb4463c1c3a174aa7256e7b6703ae4e0",
     "witt class --form form.json --field C":
-        "34f858261454e3d6bcb2188d634f67304d6e1cdb2dfe19f1ef3882b53a16eb7f",
+        "4821e0ffbda895f931173b848ed3df5ab15f2dbf7dc8c39f7ebef6b07c50032f",
     "witt ideal --value 4 --k 2":
-        "cdce9f4984793b5c506f23949394c237d027f1b46c94623c29d44d0341865bd3",
+        "409ebc660e3d8ebae81f9d6fdb013ccf65f67200311a5a2a9775b72311573084",
 }
 
 JETS_DUMP = (
