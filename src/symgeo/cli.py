@@ -84,8 +84,8 @@ def _read_json(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _space_std(text: str) -> SymplecticSpace:
-    from .symplectic import SymplecticSpace
+def _std_n(text: str) -> int:
+    """The n of a ``std:n`` space, parsed without building the space."""
     if not text.startswith("std:"):
         raise ValidationError(f"space must look like std:n, got {text!r}")
     try:
@@ -94,7 +94,12 @@ def _space_std(text: str) -> SymplecticSpace:
         raise ValidationError(f"space must look like std:n, got {text!r}") from exc
     if n < 1:
         raise ValidationError("space size must be positive")
-    return SymplecticSpace.standard(n)
+    return n
+
+
+def _space_std(text: str) -> SymplecticSpace:
+    from .symplectic import SymplecticSpace
+    return SymplecticSpace.standard(_std_n(text))
 
 
 def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
@@ -124,9 +129,10 @@ def _frames_from_file(args, path: str):
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ValidationError(f"{path} must be an object with a 'frames' list")
     space = _space_from_obj(obj, args.space)
-    if args.space and (std := _space_std(args.space)) != space:
-        what = f"n = {space.n}" if space.n != std.n else "another omega"
-        raise ValidationError(f"tuple file has {what} but space is std:{std.n}")
+    std = args.space and _std_n(args.space)
+    if std and (std != space.n or not space.is_standard()):
+        what = f"n = {space.n}" if space.n != std else "another omega"
+        raise ValidationError(f"tuple file has {what} but space is std:{std}")
     frames = obj["frames"]
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")
@@ -146,16 +152,16 @@ def _line_or_angle_frames(args):
     n = len(groups[0])
     if any(len(g) != n for g in groups):
         raise ValidationError("every angle group must have the same length")
-    space = _space_std(args.space) if args.space else SymplecticSpace.standard(n)
-    if space.n != n:
-        raise ValidationError(f"angle groups have {n} entries but space is std:{space.n}")
+    if args.space and (std := _std_n(args.space)) != n:
+        raise ValidationError(f"angle groups have {n} entries but space is std:{std}")
+    space = SymplecticSpace.standard(n)
     return space, [lagrangian_from_angles(space, [a[0] for a in g], _tol(args))
                    for g in groups]
 
 
 def _parse_direction_list(args) -> list:
     # directions are lines in the plane, so a given --space must be std:1
-    if args.space and (n := _space_std(args.space).n) != 1:
+    if args.space and (n := _std_n(args.space)) != 1:
         raise ValidationError(f"directions are n=1 lines but space is std:{n}")
     out = []
     for part in args.directions.split(";"):

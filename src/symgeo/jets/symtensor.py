@@ -167,20 +167,9 @@ def spencer_sequence_audit(sig: JetSignature) -> dict:
     n, m, k = sig.n, sig.m, sig.k
     top = min(n, k)
     dims = [comb(n, p) * m * comb(n + k - p - 1, k - p) for p in range(top + 1)]
-    ranks = []
-    for p in range(top):
-        ranks.append(rank(_spencer_matrix(n, m, p, k - p)))
-    node_exact = []
-    for p in range(top + 1):
-        incoming = ranks[p - 1] if p > 0 else 0
-        outgoing = ranks[p] if p < top else 0
-        if p == 0:
-            ok = ranks[0] == dims[0] if top > 0 else True
-        elif p == top:
-            ok = incoming == dims[p]
-        else:
-            ok = incoming + outgoing == dims[p]
-        node_exact.append(ok)
+    ranks = [rank(_spencer_matrix(n, m, p, k - p)) for p in range(top)]
+    # node p is exact iff the ranks of maps p - 1 and p (0 past the ends) fill it
+    node_exact = [a + b == d for a, b, d in zip([0, *ranks], [*ranks, 0], dims)]
     return {
         "signature": {"n": n, "m": m, "k": k},
         "node_dims": dims,

@@ -10,8 +10,9 @@ Cappell-Lee-Miller).
   (L_1, L_k, L_k+1) (chain rule).  It builds only the blocks it needs from
   ``LagrangianFrame._integer_columns``, the primitive integer member columns
   and their Omega.num images (positive congruences) that each frame's
-  isotropy check caches.  ``symplectic._pairing`` builds P for the float
-  index, the quotient oracles and ``metaplectic.is_symplectic`` (block 1).
+  isotropy check caches.  ``symplectic._pairing`` builds P of exact
+  columns for the quotient oracles and ``metaplectic.is_symplectic``
+  (block 1); the float index forms P + P^T in numpy.
 * ``kashiwara_signature`` -- the signature (p, 0, m) of q on the quotient
   T = ker(sum) / im(boundary), p - m the index and p + m = dim T counted
   from r + 1 ranks, with no quotient built.  The CLI reports it.
@@ -53,8 +54,7 @@ from typing import TYPE_CHECKING, Sequence
 from .linalg import (DEFAULT_TOL, Matrix, Signature, Value, _solve,
                      integer_signature, kernel_basis, rank, rref)
 from .symplectic import (LagrangianFrame, SymplecticSpace, _float_cut,
-                         _pairing, _support, check_lagrangian_frames,
-                         line_lagrangian)
+                         _pairing, check_lagrangian_frames, line_lagrangian)
 from .witt import witt_of_form_real
 
 if TYPE_CHECKING:
@@ -196,15 +196,19 @@ def _float_spectrum(space: SymplecticSpace, frames, tol: float):
     """The orthonormal Q factors of r >= 2 float Lagrangians, checked by
     ``check_lagrangian_frames``, and the eigenvalues of P + P^T paired from
     them, with their ``_float_cut`` (raw frames with entries near 1e6 lose
-    the signature to rounding)."""
+    the signature to rounding).  Q^T Omega Q is summed in index order from
+    elementwise numpy products, with no BLAS call, so each entry is the same
+    float on every platform."""
     import numpy as np
     frames = check_lagrangian_frames(space, frames, tol)
     if len(frames) < 2:
         raise ValueError("a Lagrangian tuple needs at least two members")
     qs = np.linalg.qr(frames)[0]
-    pair = np.array(_pairing([c for q in qs for c in q.T.tolist()],
-                             _support(space.omega.to_numpy().tolist()),
-                             space.n), dtype=float)
+    cols, omega = np.hstack(qs), space.omega.to_numpy()
+    images = sum(omega[:, j, None] * cols[j] for j in range(len(cols)))
+    gram = sum(np.outer(c, i) for c, i in zip(cols, images))
+    member = np.repeat(np.arange(len(qs)), space.n)
+    pair = (member[:, None] > member) * gram   # P: block (i, j) for i > j
     return qs, np.linalg.eigvalsh(pair + pair.T), _float_cut(pair + pair.T, tol)
 
 
@@ -325,24 +329,18 @@ def _upper_direction(d) -> tuple:
     return p, q
 
 
-def _cyclic_sign(c12: int, c23: int, c13: int) -> int:
-    """Triple index of three lines from their pairwise angle comparisons:
-    0 when two coincide, otherwise +1 for increasing cyclic order."""
-    if 0 in (c12, c23, c13):
-        return 0
-    return -c12 * c23 * c13
-
-
 def arnold_triple_lines(d1, d2, d3) -> int:
     """Triple index of three lines in the plane from rational directions;
     an oracle for ``kashiwara_index`` (the ``arnold_kashiwara`` selftest
     suite and criterion 04).
 
-    Exact: 0 when two of the lines coincide, otherwise the sign of the
-    cyclic order of the three line angles, +1 for increasing angles.
+    Exact: the sign of cross(a, b) cross(b, c) cross(a, c) on the
+    upper-half-plane directions, 0 when two of the lines coincide, otherwise
+    the sign of the cyclic order of the line angles, +1 for increasing angles.
     """
     a, b, c = (_upper_direction(d) for d in (d1, d2, d3))
-    return _cyclic_sign(_line_order(a, b), _line_order(b, c), _line_order(a, c))
+    cross = math.prod(u[0] * v[1] - u[1] * v[0] for u, v in ((a, b), (b, c), (a, c)))
+    return (cross > 0) - (cross < 0)
 
 
 def leray_m(l1: LerayLift, l2: LerayLift, tol: float = DEFAULT_TOL):

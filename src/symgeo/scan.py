@@ -23,8 +23,7 @@ import numpy as np
 
 from .jsonio import ValidationError, is_int
 from .linalg import Value, _set
-from .symplectic import (SymplecticSpace, check_lagrangian_frames,
-                         frames_loop_degree)
+from .symplectic import SymplecticSpace, loop_degree
 
 DEFAULT_SCAN_TOL = 1e-6
 NEAR_SINGULAR_BAND = 10.0
@@ -235,7 +234,8 @@ def corank_profile(s: SampledImmersion, tol: float = DEFAULT_SCAN_TOL,
 
 def loop_maslov(s: SampledImmersion, space: SymplecticSpace,
                 tol: float = DEFAULT_SCAN_TOL) -> int:
-    """Winding index of the loop of tangent Lagrangian planes."""
+    """Winding index of the loop of tangent Lagrangian planes: ``loop_degree``
+    of the frame stack closed by its first frame, at tol max(tol, 1e-7)."""
     if s.topology != "loop":
         raise ValidationError("loop_maslov needs loop topology")
     if s.ambient_dim != 2 * space.n:
@@ -243,9 +243,7 @@ def loop_maslov(s: SampledImmersion, space: SymplecticSpace,
     frames = s.tangent_frames()
     if frames.shape[2] != space.n:
         raise ValidationError("tangent planes must have n columns")
-    tol = max(tol, 1e-7)
-    check_lagrangian_frames(space, frames, tol)
-    return frames_loop_degree(space, np.concatenate([frames, frames[:1]]), tol)
+    return loop_degree(space, np.concatenate([frames, frames[:1]]), max(tol, 1e-7))
 
 
 class ChiSpec(Value):

@@ -20,7 +20,9 @@ Float Lagrangians are (2n, n) numpy arrays, passed as lists or (k, 2n, n)
 stacks to the float routes (frame checks, angle frames, unitary
 representatives and loop winding), which take one ``tol`` per call and
 import numpy inside the function, so exact code never loads it.  Every
-float rank cut is ``_float_cut``.
+float frame refusal is ``check_lagrangian_frames``'s, every float rank cut
+``_float_cut``, and ``loop_degree`` is the one winding route; ``_pairing``
+pairs exact integer columns only.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from operator import mul
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (DEFAULT_TOL, Matrix, Value, _rand_fraction, inverse,
-                     kernel_basis, rank)
+from .linalg import (DEFAULT_TOL, Matrix, Value, _rand_fraction, _trusted,
+                     inverse, kernel_basis, rank)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,7 +71,8 @@ class SymplecticSpace(Value):
         """The space of ``standard_gram(n)``, one shared instance per n."""
         if n < 1:
             raise ValueError("n must be positive")
-        return SymplecticSpace(standard_gram(n))
+        # J^T = -J and J^2 = -I: J is skew and nondegenerate, so no check runs
+        return _trusted(SymplecticSpace, standard_gram(n))
 
     def is_standard(self) -> bool:
         return self == SymplecticSpace.standard(self.n)
@@ -191,61 +194,44 @@ class LagrangianFrame(Subspace):
 # -- float Lagrangians: (2n, n) arrays -------------------------------------
 
 
-def _float_cut(a: np.ndarray, tol: float) -> float:
+def _float_cut(a: np.ndarray, tol: float, axis=None):
     """The zero cut of every float rank, kernel and signature decision:
-    tol * max(max |a|, 1)."""
+    tol * max(max |a|, 1), the max taken over ``axis`` (all of ``a``)."""
     import numpy as np
-    return tol * max(float(np.abs(a).max(initial=0.0)), 1.0)
-
-
-def _float_rank(a: np.ndarray, tol: float) -> int:
-    """The number of singular values of ``a`` above ``_float_cut``."""
-    import numpy as np
-    return int(np.sum(np.linalg.svd(a, compute_uv=False) > _float_cut(a, tol)))
+    return tol * np.maximum(np.abs(a).max(axis=axis, initial=0.0), 1.0)
 
 
 def float_lagrangian(space: SymplecticSpace, frame,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``frame`` as a float (2n, n) array, refused as ``LagrangianFrame``
-    refuses an exact one: rows, dependent columns (by ``_float_rank``), n
-    columns, then ``check_lagrangian_frames``."""
-    import numpy as np
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 2 or frame.shape[0] != space.dim:
-        raise ValueError("frame rows must match the ambient dimension")
-    if _float_rank(frame, tol) != frame.shape[1]:
-        raise ValueError("frame columns are linearly dependent")
-    if frame.shape[1] != space.n:
-        raise ValueError("a Lagrangian frame needs exactly n columns")
-    check_lagrangian_frames(space, frame[None], tol)
-    return frame
+    """``check_lagrangian_frames`` of one frame, returned as a (2n, n) array."""
+    return check_lagrangian_frames(space, [frame], tol)[0]
 
 
 def check_lagrangian_frames(space: SymplecticSpace, frames,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The float Lagrangian checks in one pass over a list or (k, 2n, n)
-    stack of frames, returned as the stack: rank by singular values
-    > tol * max(max|F|, 1), isotropy by max|F^T Omega F| <= tol *
-    max(max|F|^2, 1).  The first failing frame is refused, its rank checked
-    before its size and isotropy."""
+    """Every float Lagrangian refusal of a list or (k, 2n, c) stack of
+    frames, returned as the stack.  The first failing frame is refused in
+    ``LagrangianFrame``'s order: rows, dependent columns (fewer than c
+    singular values above ``_float_cut``), n columns, entries too large,
+    then isotropy by max|F^T Omega F| <= tol * max(max|F|^2, 1)."""
     import numpy as np
     frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 3 or frames.shape[1:] != (space.dim, space.n):
-        raise ValueError("float Lagrangians must be a (k, 2n, n) stack")
-    omega = space.omega.to_numpy()
-    big = np.abs(frames).max(axis=(1, 2))
+    if frames.ndim != 3 or frames.shape[1] != space.dim:
+        raise ValueError("frame rows must match the ambient dimension")
+    cols = frames.shape[2]
     sv = np.linalg.svd(frames, compute_uv=False)
-    dependent = sv[:, -1] <= tol * np.maximum(big, 1.0)
+    dependent = (sv > _float_cut(frames, tol, (1, 2))[:, None]).sum(axis=1) != cols
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(big ** 2, 1.0)
-        gram = np.swapaxes(frames, 1, 2) @ omega @ frames
-        skew = np.abs(gram).max(axis=(1, 2)) > tol * scale
+        scale = np.maximum(np.abs(frames).max(axis=(1, 2), initial=0.0) ** 2, 1.0)
+        gram = np.swapaxes(frames, 1, 2) @ space.omega.to_numpy() @ frames
+        skew = np.abs(gram).max(axis=(1, 2), initial=0.0) > tol * scale
     too_large = np.isinf(scale)
-    failed = dependent | too_large | skew
+    failed = dependent | (cols != space.n) | too_large | skew
     if failed.any():
         k = int(np.argmax(failed))
         raise ValueError(
             "frame columns are linearly dependent" if dependent[k] else
+            "a Lagrangian frame needs exactly n columns" if cols != space.n else
             "frame entries are too large for approx mode" if too_large[k] else
             "frame is not isotropic within tolerance")
     return frames
@@ -317,27 +303,18 @@ def det_squared(space: SymplecticSpace, frame,
 
 def loop_degree(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> int:
     """Winding number of det-squared along a closed loop of float
-    Lagrangians whose first and last members span the same subspace (equal
-    ``_float_rank`` of each and of both; ``frames_loop_degree`` on the
-    stack)."""
+    Lagrangians, checked by ``check_lagrangian_frames``.  The first and last
+    members must span the same subspace ([first | last] has n singular
+    values above ``_float_cut``), each det2 argument jump must stay below
+    pi/2 (sampling guard) and the jumps must close to whole turns."""
     import numpy as np
     frames = check_lagrangian_frames(space, frames, tol)
     if len(frames) < 3:
         raise ValueError("a loop needs at least three samples")
-    first, last = frames[0], frames[-1]
-    if not (_float_rank(np.hstack([first, last]), tol) == _float_rank(first, tol)
-            == _float_rank(last, tol)):
+    ends = np.hstack([frames[0], frames[-1]])
+    sv = np.linalg.svd(ends, compute_uv=False)
+    if (sv > _float_cut(ends, tol)).sum() != space.n:
         raise ValueError("path is not closed (first and last spans differ)")
-    return frames_loop_degree(space, frames, tol)
-
-
-def frames_loop_degree(space: SymplecticSpace, frames: np.ndarray,
-                       tol: float) -> int:
-    """Winding number of det-squared along a (k, 2n, n) stack of Lagrangian
-    frames whose last member closes the loop.  Each det2 argument jump must
-    stay below pi/2 (sampling guard) and the jumps must close to whole turns.
-    """
-    import numpy as np
     d2 = np.linalg.det(_polar_unitaries(space, frames, tol)) ** 2
     d2 /= abs(d2)
     steps = np.angle(d2[1:] / d2[:-1])

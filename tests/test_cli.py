@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -798,6 +799,19 @@ _NEAR_FRAMES = [{"rows": 2, "cols": 1, "entries": [math.cos(t), math.sin(t)]}
 _NEAR_MESSAGE = ("undecidable at tol: a float eigenvalue or singular value "
                  "lies within a factor 10 of its cut")
 
+# (n, frame, message): a dependent, an (n + 1)-column, a (2n - 1)-row and a
+# zero-column frame
+_BAD_FRAMES = (
+    (2, {"rows": 4, "cols": 2, "entries": [1, 2, 0, 0, 0, 0, 0, 0]},
+     "frame columns are linearly dependent"),
+    (1, {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]},
+     "a Lagrangian frame needs exactly n columns"),
+    (2, {"rows": 3, "cols": 2, "entries": [1, 0, 0, 1, 0, 0]},
+     "frame rows must match the ambient dimension"),
+    (1, {"rows": 2, "cols": 0, "entries": []},
+     "a Lagrangian frame needs exactly n columns"),
+)
+
 # (argv, files, message): every "{name}" in argv and message is the path of
 # files[name] under tmp_path, name.csv for text, name.json otherwise; a
 # None content names a file that is not written
@@ -883,6 +897,29 @@ _REFUSALS = [
      "n must be at most 1001"),
     (["witt", "class", "--diag", "1,x"], {}, "bad diagonal entry 'x'"),
     (["witt", "class"], {}, "give --diag or --form"),
+    # bad entries of a tuple file's frames
+    *[(["maslov", "kashiwara", "--tuple", "{t}"],
+       {"t": {"n": 1, "frames": [{"rows": 2, "cols": 1, "entries": [x, 1]}]}},
+       message) for x, message in ((True, "boolean is not a matrix entry"),
+                                   ("1/0", "bad rational entry '1/0'"),
+                                   ({}, "bad matrix entry {{}}"))],
+    (["maslov", "kashiwara", "--tuple", "{t}"], {"t": {"n": 1, "frames": [{"rows": 2}]}},
+     "matrix object needs rows, cols, entries"),
+    (["maslov", "wall", "--tuple", "{t}", "--exact"],
+     {"t": {"n": 1, "frames": [_FLOAT_FRAME, _F2, _FRAME]}},
+     "float entries present but exact mode requested"),
+    (["maslov", "kashiwara", "--angles", "1;;2"], {},
+     "empty member in angle list '1;;2'"),
+    (["maslov", "kashiwara", "--angles", "abc;1;2"], {}, "bad angle 'abc'"),
+    (["maslov", "arnold", "--angles", "4;1;2"], {}, "angles must lie in [0, pi)"),
+    (["jet", "dims", "--n", "0", "--m", "1", "--k", "1"], {}, "need n, m, k >= 1"),
+    # n m C(n + k - 1, k) = 92378 at n = k = 10, m = 1
+    (["jet", "dims", "--n", "10", "--m", "1", "--k", "10"], {},
+     "model size exceeds the desk-scale guard"),
+    # each bad frame, exact and float, with the same message
+    *[(["maslov", "kashiwara", "--tuple", "{t}", mode],
+       {"t": {"n": n, "frames": [frame]}}, message)
+      for mode in ("--exact", "--approx") for n, frame, message in _BAD_FRAMES],
 ]
 
 
@@ -900,6 +937,23 @@ def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv,
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: {message.format(**paths)}\n"
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["--directions", "1,0;1,1;0,1"], {}, "directions are n=1 lines but space is std:5000"),
+    (["--angles", "0;1;2"], {}, "angle groups have 1 entries but space is std:5000"),
+    (["--tuple", "{t}"], {"t": {"n": 1, "frames": [_FRAME] * 3}},
+     "tuple file has n = 1 but space is std:5000"),
+], ids=["directions", "angles", "tuple"])
+def test_mismatched_space_is_refused_before_it_is_built(capsys, tmp_path, argv, files,
+                                                        message):
+    """std:5000 has a 10000 x 10000 Omega: a refusal compares n first."""
+    paths = {name: _write(tmp_path, name + ".json", obj) for name, obj in files.items()}
+    start = time.perf_counter()
+    code = main(["maslov", "kashiwara", "--space", "std:5000"]
+                + [arg.format(**paths) for arg in argv])
+    assert time.perf_counter() - start < 2.0
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 # -- usage errors -------------------------------------------------------------------

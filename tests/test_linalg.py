@@ -1,5 +1,5 @@
 """Exact matrix layer: rref, rank, kernels, span comparisons; and the float
-rank cut of the float routes."""
+rank cut of the float frame check."""
 
 from fractions import Fraction as F
 from random import Random
@@ -11,7 +11,7 @@ import numpy as np
 from symgeo.linalg import (Matrix, Signature, _bareiss, _solve,
                            integer_signature, inverse, kernel_basis, rank, rref,
                            spans_equal, sym_signature)
-from symgeo.symplectic import _float_rank
+from symgeo.symplectic import SymplecticSpace, float_lagrangian
 
 
 def _rand_exact(rng, r, c, lo=-5, hi=5):
@@ -193,10 +193,14 @@ def test_mode_mixing_rejected():
 
 
 def test_approx_threshold_kills_noise():
-    a = np.array([[1.0, 1e-13], [0.0, 1.0]])
-    assert _float_rank(a, 1e-9) == 2
-    noisy = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-    assert _float_rank(noisy, 1e-9) == 1
+    """Two x-plane frames of std:2 (zero y rows): a 1e-13 entry leaves the
+    columns independent, a 1e-13 dependency is refused at tol 1e-9."""
+    space, pad = SymplecticSpace.standard(2), np.zeros((2, 2))
+    clean = np.vstack([[[1.0, 1e-13], [0.0, 1.0]], pad])
+    assert np.array_equal(float_lagrangian(space, clean, 1e-9), clean)
+    noisy = np.vstack([[[1.0, 1.0], [1.0, 1.0 + 1e-13]], pad])
+    with pytest.raises(ValueError, match="^frame columns are linearly dependent$"):
+        float_lagrangian(space, noisy, 1e-9)
 
 
 def span_contains(big, small):
