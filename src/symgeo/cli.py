@@ -384,11 +384,26 @@ def _scan_batch(args, runner) -> int:
                  all(r.get("pass", True) for r in reports))
 
 
+def _scan_at_std(args, audit, loop: bool = False) -> int:
+    """``audit(s, space, tol)`` of every sample at the ``--space`` std:N.  N
+    is parsed before any file is read, and each sample is checked against
+    N, as the audit would, before ``SymplecticSpace.standard(N)`` is built:
+    a mismatched N is refused without its 2N x 2N Omega."""
+    from .scan import _check_space_n
+    from .symplectic import SymplecticSpace
+    n = _std_n(args.space)
+    tol = _scan_tol(args)
+
+    def runner(s):
+        _check_space_n(s, n, loop)
+        return audit(s, SymplecticSpace.standard(n), tol)
+
+    return _scan_batch(args, runner)
+
+
 def _cmd_scan_lagrangian(args) -> int:
     from .scan import check_lagrangian
-    space = _space_std(args.space)
-    tol = _scan_tol(args)
-    return _scan_batch(args, lambda s: check_lagrangian(s, space, tol=tol))
+    return _scan_at_std(args, check_lagrangian)
 
 
 def _cmd_scan_corank(args) -> int:
@@ -400,9 +415,8 @@ def _cmd_scan_corank(args) -> int:
 
 def _cmd_scan_loop_maslov(args) -> int:
     from .scan import loop_maslov
-    space = _space_std(args.space)
-    tol = _scan_tol(args)
-    return _scan_batch(args, lambda s: {"degree": loop_maslov(s, space, tol=tol)})
+    return _scan_at_std(
+        args, lambda s, space, tol: {"degree": loop_maslov(s, space, tol)}, loop=True)
 
 
 def _chi_coeff(text: str) -> float:

@@ -10,6 +10,16 @@ array passes: the isotropy and contact residuals, the coranks and the
 winding.  Corank decisions threshold singular values of the projected
 frame against the largest singular value of the full frame, so complete
 collapse at a sample is still classified.
+
+The JSON and CSV loaders give each field to ``SampledImmersion`` in one
+piece, and it converts params, points and frames with one float-array
+conversion each.  Refusals keep their order: the topology and dimensions,
+then pairing, sample count and row widths before overflow and non-numbers;
+non-finite samples; distinct samples, grid and loop rules; then non-finite
+frame entries, the frame count and the frame shape.  Where a conversion
+raises or gives another shape, the per-row or per-frame rules pick the
+message.  A CSV file names its columns in the header row and is converted
+block by block: params, points, then frames.
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ import csv
 import json
 import math
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,7 +66,9 @@ def _stencil_derivative(ts, fs, te):
 
 class SampledImmersion(Value):
     """An ordered grid of samples of an immersion, with declared topology;
-    params, points and frames are kept as float arrays, one row per sample."""
+    params, points and frames are kept as float arrays, one row per sample,
+    each made by one conversion of the field given (see the module
+    docstring for the order of the refusals)."""
 
     _fields = ("param_dim", "ambient_dim", "topology", "params", "points",
                "frames", "grid_shape")
@@ -66,23 +80,11 @@ class SampledImmersion(Value):
             raise ValidationError(f"unknown topology {self.topology!r}")
         if self.param_dim < 1 or self.ambient_dim <= self.param_dim:
             raise ValidationError("need 1 <= param_dim < ambient_dim")
-        if len(self.params) != len(self.points):
-            raise ValidationError("params and points must pair up")
-        if not len(self.points):
-            raise ValidationError("need at least one sample")
-        if any(len(p) != self.param_dim for p in self.params):
-            raise ValidationError("parameter width mismatch")
-        if any(len(p) != self.ambient_dim for p in self.points):
-            raise ValidationError("ambient width mismatch")
-        try:
-            _set(self, "params", np.asarray(self.params, dtype=float))
-            _set(self, "points", np.asarray(self.points, dtype=float))
-        except OverflowError as exc:
-            raise ValidationError("sample value overflows a float") from exc
-        if self.params.ndim != 2 or self.points.ndim != 2:
-            raise ValidationError("sample values must be numbers")
-        if not (np.isfinite(self.params).all() and np.isfinite(self.points).all()):
+        params, points = self._sample_arrays()
+        if not (np.isfinite(params).all() and np.isfinite(points).all()):
             raise ValidationError("sample values must be finite")
+        _set(self, "params", params)
+        _set(self, "points", points)
         if (self.points[1:] == self.points[:-1]).all(axis=1).any():
             raise ValidationError("consecutive samples must be distinct")
         if self.topology == "grid":
@@ -98,20 +100,70 @@ class SampledImmersion(Value):
         if self.topology == "loop" and len(self.points) < 3:
             raise ValidationError("a loop needs at least 3 samples")
         if self.frames is not None:
+            _set(self, "frames", self._frame_stack())
+
+    def _sample_arrays(self) -> tuple:
+        """params and points as (m, param_dim) and (m, ambient_dim) float
+        arrays, one conversion each.  When a conversion raises or gives
+        another shape, the per-row rules pick the refusal, in their order:
+        pairing, sample count, parameter then ambient widths, overflow, and
+        entries that are no numbers."""
+        try:
+            params = np.asarray(self.params, dtype=float)
+            points = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if (params.ndim == points.ndim == 2 and len(points)
+                    and params.shape == (len(points), self.param_dim)
+                    and points.shape[1] == self.ambient_dim):
+                return params, points
+        if len(self.params) != len(self.points):
+            raise ValidationError("params and points must pair up")
+        if not len(self.points):
+            raise ValidationError("need at least one sample")
+        if any(len(p) != self.param_dim for p in self.params):
+            raise ValidationError("parameter width mismatch")
+        if any(len(p) != self.ambient_dim for p in self.points):
+            raise ValidationError("ambient width mismatch")
+        try:
+            params = np.asarray(self.params, dtype=float)
+            points = np.asarray(self.points, dtype=float)
+        except OverflowError as exc:
+            raise ValidationError("sample value overflows a float") from exc
+        if params.ndim != 2 or points.ndim != 2:
+            raise ValidationError("sample values must be numbers")
+        return params, points
+
+    def _frame_stack(self) -> np.ndarray:
+        """The frames as one (m, ambient_dim, k) float array, k >= param_dim,
+        from one conversion.  Frames that give no 3-D array are converted
+        one by one, so an overflow or a bad entry is the first frame's.
+        Either way the refusals come in one order: non-finite entries, the
+        frame count, then the frame shape."""
+        try:
+            frames = np.asarray(self.frames, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            frames = None
+        if frames is not None and frames.ndim == 3:
+            finite, shapes = np.isfinite(frames).all(), {frames.shape[1:]}
+        else:
             try:
                 frames = [np.asarray(f, dtype=float) for f in self.frames]
             except OverflowError as exc:
                 raise ValidationError("frame entries overflow a float") from exc
-            if not all(np.isfinite(f).all() for f in frames):
-                raise ValidationError("frame entries must be finite")
-            if len(frames) != len(self.points):
-                raise ValidationError("one frame per sample required")
-            # analytic frames may span a plane wider than the sampled path
-            if len({f.shape for f in frames}) > 1 or frames[0].ndim != 2 \
-                    or not self.param_dim <= frames[0].shape[1] \
-                    or frames[0].shape[0] != self.ambient_dim:
-                raise ValidationError("frame shape mismatch")
-            _set(self, "frames", np.stack(frames))
+            finite = all(np.isfinite(f).all() for f in frames)
+            shapes = {f.shape for f in frames}
+        if not finite:
+            raise ValidationError("frame entries must be finite")
+        if len(frames) != len(self.points):
+            raise ValidationError("one frame per sample required")
+        # analytic frames may span a plane wider than the sampled path
+        shape = shapes.pop() if len(shapes) == 1 else ()
+        if len(shape) != 2 or shape[0] != self.ambient_dim \
+                or not self.param_dim <= shape[1]:
+            raise ValidationError("frame shape mismatch")
+        return frames if isinstance(frames, np.ndarray) else np.stack(frames)
 
     def __eq__(self, other):
         # arrays compare by their entries: == on them gives no single truth value
@@ -177,6 +229,16 @@ class SampledImmersion(Value):
         return np.stack([col_u, col_v], axis=-1).reshape(r * c, -1, 2)
 
 
+def _check_space_n(s: SampledImmersion, n: int, loop: bool = False) -> None:
+    """The refusals of an audit at a 2n-space that read only n, in the
+    audit's order: a loop audit of a sample of another topology, then an
+    ambient dimension other than 2n."""
+    if loop and s.topology != "loop":
+        raise ValidationError("loop_maslov needs loop topology")
+    if s.ambient_dim != 2 * n:
+        raise ValidationError("ambient dimension must be twice n")
+
+
 def check_lagrangian(s: SampledImmersion, space: SymplecticSpace,
                      tol: float = DEFAULT_SCAN_TOL) -> dict:
     """Max isotropy residual of the sampled tangent frames.
@@ -185,8 +247,7 @@ def check_lagrangian(s: SampledImmersion, space: SymplecticSpace,
     with a uniform frame scaling; pass iff residual <= tol * |F| at
     every sample.
     """
-    if s.ambient_dim != 2 * space.n:
-        raise ValidationError("ambient dimension must be twice n")
+    _check_space_n(s, space.n)
     omega = space.omega.to_numpy()
     return _residual_report(
         s, lambda points, frames: np.swapaxes(frames, 1, 2) @ omega @ frames, tol)
@@ -236,10 +297,7 @@ def loop_maslov(s: SampledImmersion, space: SymplecticSpace,
                 tol: float = DEFAULT_SCAN_TOL) -> int:
     """Winding index of the loop of tangent Lagrangian planes: ``loop_degree``
     of the frame stack closed by its first frame, at tol max(tol, 1e-7)."""
-    if s.topology != "loop":
-        raise ValidationError("loop_maslov needs loop topology")
-    if s.ambient_dim != 2 * space.n:
-        raise ValidationError("ambient dimension must be twice n")
+    _check_space_n(s, space.n, loop=True)
     frames = s.tangent_frames()
     if frames.shape[2] != space.n:
         raise ValidationError("tangent planes must have n columns")
@@ -362,25 +420,54 @@ def immersion_from_json(text: str) -> SampledImmersion:
 
 def immersion_from_csv(text: str, topology: str,
                        grid_shape: tuple | None = None) -> SampledImmersion:
-    """Columns p1..pn, a1..aK, optional frame columns f<row>_<col>."""
-    rows = list(csv.DictReader(text.splitlines()))
+    """Columns p1..pn, a1..aK, optional frame columns f<row>_<col>, named by
+    the header row; a name given twice is its last column, blank rows are
+    skipped and fields past the header are ignored.  The params, points and
+    frames blocks are converted in that order, each as one array."""
+    lines = csv.reader(text.splitlines())
+    header = next(lines, [])
+    rows = [row for row in lines if row]
     if not rows:
         raise ValidationError("empty sample file")
-    names = list(rows[0].keys())
-    n = sum(1 for c in names if c.startswith("p"))
-    k = sum(1 for c in names if c.startswith("a"))
-    fcols = [c for c in names if c.startswith("f")]
+    column = {name: i for i, name in enumerate(header)}
+    n = sum(1 for c in column if c.startswith("p"))
+    k = sum(1 for c in column if c.startswith("a"))
     if n < 1 or k < 1:
         raise ValidationError("need p* and a* columns")
     try:
-        params = [[float(r[f"p{i + 1}"]) for i in range(n)] for r in rows]
-        points = [[float(r[f"a{i + 1}"]) for i in range(k)] for r in rows]
+        params = _csv_block(rows, column, [f"p{i + 1}" for i in range(n)])
+        points = _csv_block(rows, column, [f"a{i + 1}" for i in range(k)])
         frames = None
-        if fcols:
-            frames = [[[float(r[f"f{i + 1}_{j + 1}"]) for j in range(n)]
-                       for i in range(k)] for r in rows]
+        if any(c.startswith("f") for c in column):
+            frames = _csv_block(rows, column, [f"f{i + 1}_{j + 1}" for i in range(k)
+                                               for j in range(n)]).reshape(-1, k, n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad sample file columns: {exc}") from exc
     return SampledImmersion(param_dim=n, ambient_dim=k, topology=topology,
                             params=params, points=points, frames=frames,
                             grid_shape=grid_shape)
+
+
+def _csv_block(rows: list, column: dict, names: list) -> np.ndarray:
+    """The (len(rows), len(names)) float array of the named columns: ``float``
+    of each field, row by row, so the first bad value raises as it would
+    from a ``DictReader`` row.  A block with a missing column or a short row
+    is read value by value instead, to raise as ``float(row[name])`` would:
+    a missing name as KeyError, a missing field as float(None)."""
+    idx = [column.get(name) for name in names]
+    if None not in idx:
+        get = itemgetter(*idx)
+        fields = map(get, rows) if len(idx) == 1 else chain.from_iterable(map(get, rows))
+        try:
+            values = np.fromiter(map(float, fields), float, len(rows) * len(idx))
+        except IndexError:
+            pass
+        else:
+            return values.reshape(len(rows), len(idx))
+    values = []
+    for row in rows:
+        for name, i in zip(names, idx):
+            if i is None:
+                raise KeyError(name)
+            values.append(float(row[i] if i < len(row) else None))
+    return np.array(values).reshape(len(rows), len(names))

@@ -22,7 +22,11 @@ representatives and loop winding), which take one ``tol`` per call and
 import numpy inside the function, so exact code never loads it.  Every
 float frame refusal is ``check_lagrangian_frames``'s, every float rank cut
 ``_float_cut``, and ``loop_degree`` is the one winding route; ``_pairing``
-pairs exact integer columns only.
+pairs exact integer columns only.  The winding reads det2 of a frame
+(X over Y) as the square of det Z / |det Z| for Z = X + iY, the
+determinant of Z's unitary polar factor, taken from the sign of
+``slogdet``; the guard against ill-conditioned Z compares its singular
+values from an SVD that computes neither U nor V.
 """
 
 from __future__ import annotations
@@ -277,27 +281,31 @@ def graph_lagrangian(space: SymplecticSpace, phi: Matrix) -> LagrangianFrame:
 # -- unitary representatives and the determinant-squared map ---------------
 
 
-def _polar_unitaries(space: SymplecticSpace, frames: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """Unitary polar factors of X + iY for a (k, 2n, n) stack of frames
-    (X over Y)."""
+def _unit_determinants(space: SymplecticSpace, frames: np.ndarray,
+                       tol: float) -> np.ndarray:
+    """det Z / |det Z| for Z = X + iY of each frame of a (k, 2n, n) stack (X
+    over Y): the determinant of Z's unitary polar factor U V^H, read from
+    the sign of ``slogdet`` (det Z itself over- or underflows a float for
+    entries near 1e+-150 at n = 3).  Z is refused when its smallest
+    singular value is at most tol * max(largest, 1); that SVD computes
+    neither U nor V."""
     import numpy as np
     if not space.is_standard():
         raise ValueError("unitary representatives need the standard space")
     n = space.n
-    u, s, vh = np.linalg.svd(frames[:, :n, :] + 1j * frames[:, n:, :])
+    z = frames[:, :n, :] + 1j * frames[:, n:, :]
+    s = np.linalg.svd(z, compute_uv=False)
     if (s[:, -1] <= tol * np.maximum(s[:, 0], 1.0)).any():
         raise ValueError("polar factor ill-conditioned beyond tolerance")
-    return u @ vh
+    return np.linalg.slogdet(z)[0]
 
 
 def det_squared(space: SymplecticSpace, frame,
                 tol: float = DEFAULT_TOL) -> complex:
     """Coset-invariant squared determinant of a float (2n, n) Lagrangian;
     e^{2 i theta} on L(theta); library API."""
-    import numpy as np
     frames = check_lagrangian_frames(space, [frame], tol)
-    d2 = np.linalg.det(_polar_unitaries(space, frames, tol)[0]) ** 2
+    d2 = _unit_determinants(space, frames, tol)[0] ** 2
     return complex(d2 / abs(d2))
 
 
@@ -315,7 +323,7 @@ def loop_degree(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> int
     sv = np.linalg.svd(ends, compute_uv=False)
     if (sv > _float_cut(ends, tol)).sum() != space.n:
         raise ValueError("path is not closed (first and last spans differ)")
-    d2 = np.linalg.det(_polar_unitaries(space, frames, tol)) ** 2
+    d2 = _unit_determinants(space, frames, tol) ** 2
     d2 /= abs(d2)
     steps = np.angle(d2[1:] / d2[:-1])
     if (np.abs(steps) >= math.pi / 2).any():

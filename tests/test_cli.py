@@ -557,6 +557,223 @@ def test_scan_csv_grid(capsys, tmp_path):
     assert code == 0 and out["pass"] and out["max_residual"] == 0.0
 
 
+# -- scan sample-file refusals ------------------------------------------------------
+#
+# Each malformed sample file goes through ``main``: exit 2, no stdout and one
+# exact stderr line.  The tables pin which rule refuses first when a file
+# breaks several: widths before overflow, the frame count before the frame
+# shape, and params before points before frames in a CSV file.
+
+
+def _loop_obj(frames=False, m=16):
+    """A 16-sample unit circle, with its analytic tangent frames if asked."""
+    ts = [2 * math.pi * i / m for i in range(m)]
+    obj = {"param_dim": 1, "ambient_dim": 2, "topology": "loop",
+           "params": [[t] for t in ts],
+           "points": [[math.cos(t), math.sin(t)] for t in ts]}
+    if frames:
+        obj["frames"] = [[[-math.sin(t)], [math.cos(t)]] for t in ts]
+    return obj
+
+
+def _edited(obj, edits):
+    """``obj`` with each (field, index, value) edit applied: entry ``index``
+    of ``field`` becomes ``value``, or, for index None, the whole field
+    becomes ``value(old field)``."""
+    obj = json.loads(json.dumps(obj))
+    for field, index, value in edits:
+        if index is None:
+            obj[field] = value(obj[field])
+        else:
+            obj[field][index] = value
+    return obj
+
+
+def _numpy_refusal(value) -> str:
+    """numpy's own text for a value it cannot convert to a float array."""
+    import numpy as np
+    try:
+        np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{value!r} converts")
+
+
+_RAGGED_FRAME = [[0.0], [1.0, 0.0]]
+
+# (id, frames in the file, edits, message)
+_JSON_SAMPLE_REFUSALS = [
+    ("ragged-params", False, [("params", 3, [0.5, 0.0])], "parameter width mismatch"),
+    ("ragged-points", False, [("points", 3, [1.0])], "ambient width mismatch"),
+    ("string-entry", False, [("points", 3, [1.0, "x"])],
+     "could not convert string to float: 'x'"),
+    ("null-entry", False, [("points", 3, [None, 0.0])], "sample values must be finite"),
+    ("nan-entry", False, [("params", 5, [math.nan])], "sample values must be finite"),
+    ("params-nested-too-deep", False, [("params", None, lambda rows: [[r] for r in rows])],
+     "sample values must be numbers"),
+    ("points-nested-too-deep", False, [("points", None, lambda rows: [[r] for r in rows])],
+     "ambient width mismatch"),
+    ("integer-1e400", False, [("params", 2, [10 ** 400])], "sample value overflows a float"),
+    ("width-before-overflow", False,
+     [("points", 3, [10 ** 400, 0.0]), ("params", 9, [0.5, 0.0])],
+     "parameter width mismatch"),
+    ("unpaired", False, [("points", None, lambda rows: rows[:-1])],
+     "params and points must pair up"),
+    ("params-not-a-list", False, [("params", None, lambda rows: 7)],
+     "object of type 'int' has no len()"),
+    ("frames-ragged-across", True, [("frames", 3, [[0.0, 0.0], [1.0, 0.0]])],
+     "frame shape mismatch"),
+    ("frames-ragged-within", True, [("frames", 3, _RAGGED_FRAME)],
+     _numpy_refusal(_RAGGED_FRAME)),
+    ("frames-too-few", True, [("frames", None, lambda fs: fs[:-1])],
+     "one frame per sample required"),
+    ("frames-wrong-shape", True, [("frames", None, lambda fs: [f + [[0.0]] for f in fs])],
+     "frame shape mismatch"),
+    ("frames-not-matrices", True, [("frames", None, lambda fs: [f[0] for f in fs])],
+     "frame shape mismatch"),
+    ("frames-non-finite", True, [("frames", 3, [[math.inf], [0.0]])],
+     "frame entries must be finite"),
+    ("frames-overflow", True, [("frames", 3, [[10 ** 400], [0.0]])],
+     "frame entries overflow a float"),
+    ("frames-string", True, [("frames", 3, [["x"], [0.0]])],
+     "could not convert string to float: 'x'"),
+    ("frames-not-a-list", True, [("frames", None, lambda fs: 5)],
+     "'int' object is not iterable"),
+    ("non-finite-before-count", True,
+     [("frames", 3, [[math.nan], [0.0]]), ("frames", None, lambda fs: fs[:-1])],
+     "frame entries must be finite"),
+    ("count-before-shape", True,
+     [("frames", None, lambda fs: [f + [[0.0]] for f in fs[:-1]])],
+     "one frame per sample required"),
+]
+
+
+@pytest.mark.parametrize("verb", ["lagrangian", "loop-maslov"])
+@pytest.mark.parametrize("frames, edits, message",
+                         [case[1:] for case in _JSON_SAMPLE_REFUSALS],
+                         ids=[case[0] for case in _JSON_SAMPLE_REFUSALS])
+def test_scan_json_sample_refusals(capsys, tmp_path, verb, frames, edits, message):
+    path = _write(tmp_path, "s.json", _edited(_loop_obj(frames), edits))
+    code = main(["scan", verb, "--space", "std:1", "--samples", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: bad sample file: {message}\n"
+
+
+def _csv_lines(header="p1,a1,a2", m=8):
+    """A line (t, t, t^2) sampled at t = i / 4, columns in header order."""
+    lines = [header]
+    for i in range(m):
+        t = i / 4
+        value = {"p1": t, "a1": t, "a2": t * t, "f1_1": 1.0, "f2_1": 2 * t}
+        lines.append(",".join(str(value[c]) for c in header.split(",")))
+    return lines
+
+
+# (id, file lines, message)
+_CSV_SAMPLE_REFUSALS = [
+    ("short-row", _csv_lines()[:3] + ["0.5,0.5"] + _csv_lines()[4:],
+     "bad sample file columns: float() argument must be a string or a real "
+     "number, not 'NoneType'"),
+    ("missing-a2", ["p1,a1,a3"] + _csv_lines()[1:], "bad sample file columns: 'a2'"),
+    ("missing-p2", ["p1,p3,a1"] + _csv_lines()[1:], "bad sample file columns: 'p2'"),
+    ("bad-value", _csv_lines()[:5] + ["1.0,x,1.0"] + _csv_lines()[6:],
+     "bad sample file columns: could not convert string to float: 'x'"),
+    ("params-before-points", _csv_lines()[:2] + ["0.25,bad,0.0625", "zz,0.5,0.25"]
+     + _csv_lines()[4:], "bad sample file columns: could not convert string to float: 'zz'"),
+    ("bad-value-before-missing", ["p1,a1,a3"] + ["q,0,0"] + _csv_lines()[2:],
+     "bad sample file columns: could not convert string to float: 'q'"),
+    ("bad-frame-value", _csv_lines("p1,a1,a2,f1_1,f2_1")[:4] + ["0.75,0.75,0.5625,1.0,."]
+     + _csv_lines("p1,a1,a2,f1_1,f2_1")[5:],
+     "bad sample file columns: could not convert string to float: '.'"),
+    ("missing-frame-column", _csv_lines("p1,a1,a2,f1_1"),
+     "bad sample file columns: 'f2_1'"),
+    ("no-a-columns", ["p1,b1,b2"] + _csv_lines()[1:], "need p* and a* columns"),
+    ("header-only", _csv_lines()[:1], "empty sample file"),
+    ("nan", _csv_lines()[:3] + ["0.5,nan,0.25"] + _csv_lines()[4:],
+     "sample values must be finite"),
+]
+
+
+@pytest.mark.parametrize("lines, message", [case[1:] for case in _CSV_SAMPLE_REFUSALS],
+                         ids=[case[0] for case in _CSV_SAMPLE_REFUSALS])
+def test_scan_csv_sample_refusals(capsys, tmp_path, lines, message):
+    path = _write(tmp_path, "s.csv", "\n".join(lines) + "\n")
+    code = main(["scan", "corank", "--samples", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
+# (id, file lines): each reads as the plain file _csv_lines() does
+_CSV_SAME_SAMPLES = [
+    ("blank-middle-row", _csv_lines()[:4] + [""] + _csv_lines()[4:]),
+    ("duplicate-column-last-wins", ["p1,a1,a2,a1"]
+     + [f"{t},junk,{a2},{a1}" for t, a1, a2 in
+        (row.split(",") for row in _csv_lines()[1:])]),
+    ("permuted-columns", _csv_lines("a2,p1,a1")),
+]
+
+
+@pytest.mark.parametrize("lines", [case[1] for case in _CSV_SAME_SAMPLES],
+                         ids=[case[0] for case in _CSV_SAME_SAMPLES])
+def test_scan_csv_layouts_read_the_same_samples(capsys, tmp_path, lines):
+    plain = _write(tmp_path, "plain.csv", "\n".join(_csv_lines()) + "\n")
+    path = _write(tmp_path, "s.csv", "\n".join(lines) + "\n")
+    assert run(capsys, "scan", "corank", "--samples", path) \
+        == run(capsys, "scan", "corank", "--samples", plain)
+
+
+def test_scan_csv_frame_columns_are_read(capsys, tmp_path):
+    # f1_1 = 1, f2_1 = 2t: the analytic frames of the line (t, t^2)
+    path = _write(tmp_path, "s.csv", "\n".join(_csv_lines("p1,a1,a2,f1_1,f2_1")))
+    code, out = run_json(capsys, "scan", "corank", "--samples", path)
+    assert code == 0 and out["coranks"] == [0] * 8
+
+
+def test_scan_json_true_reads_as_one(capsys, tmp_path):
+    one = _write(tmp_path, "one.json", _edited(_loop_obj(), [("points", 3, [1, 0.0])]))
+    true = _write(tmp_path, "true.json", _edited(_loop_obj(), [("points", 3, [True, 0.0])]))
+    assert run(capsys, "scan", "lagrangian", "--space", "std:1", "--samples", true) \
+        == run(capsys, "scan", "lagrangian", "--space", "std:1", "--samples", one)
+
+
+def test_scan_csv_overlong_first_row_is_read(capsys, tmp_path):
+    # the header names the columns: a first data row's extra field is ignored,
+    # as it is on every later row
+    long = _csv_lines()
+    long[1] += ",9"
+    plain = _write(tmp_path, "plain.csv", "\n".join(_csv_lines()) + "\n")
+    path = _write(tmp_path, "long.csv", "\n".join(long) + "\n")
+    code, out = run(capsys, "scan", "corank", "--samples", path, "--topology", "line")
+    assert code == 0
+    assert (code, out) == run(capsys, "scan", "corank", "--samples", plain)
+
+
+def test_scan_csv_leading_blank_line_has_no_header(capsys, tmp_path):
+    path = _write(tmp_path, "blank.csv", "\n" + "\n".join(_csv_lines()) + "\n")
+    code = main(["scan", "corank", "--samples", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: need p* and a* columns\n"
+
+
+@pytest.mark.parametrize("verb, topology, message", [
+    ("lagrangian", "loop", "ambient dimension must be twice n"),
+    ("loop-maslov", "loop", "ambient dimension must be twice n"),
+    ("loop-maslov", "line", "loop_maslov needs loop topology"),
+])
+def test_scan_mismatched_space_is_refused_before_it_is_built(capsys, tmp_path, verb,
+                                                             topology, message):
+    """std:5000 has a 10000 x 10000 Omega: the audit compares n first."""
+    path = _write(tmp_path, "s.json", dict(_loop_obj(), topology=topology))
+    start = time.perf_counter()
+    code = main(["scan", verb, "--space", "std:5000", "--samples", path])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 # -- bordism ------------------------------------------------------------------------
 
 

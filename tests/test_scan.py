@@ -16,7 +16,7 @@ from symgeo.scan import (DEFAULT_SCAN_TOL, NEAR_SINGULAR_BAND, ChiSpec,
                          SampledImmersion, check_lagrangian, check_legendrian,
                          corank_profile, immersion_from_csv,
                          immersion_from_json, loop_maslov, reeb_field)
-from symgeo.symplectic import SymplecticSpace
+from symgeo.symplectic import SymplecticSpace, det_squared, loop_degree
 
 
 def _circle(m, turns=1):
@@ -769,6 +769,54 @@ def test_loop_refusals_match_per_sample_route(case, message):
     }[case]
     assert _refusal(loop_maslov, s, sp) == message
     assert _refusal(_old_loop_maslov, s, sp) == message
+
+
+def _unitary_loop(rng, n, m, scale):
+    """m frames (X over Y) of t -> Q diag(e^{i q_j t / 2}), t = 2 pi i / m,
+    for a random unitary Q, columns mixed by a random invertible real
+    matrix, times ``scale``; det2 winds by sum q_j."""
+    q = rng.integers(-2, 3, size=n)
+    unitary = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    mix = np.eye(n) + np.triu(rng.uniform(-1, 1, size=(n, n)), 1)
+    frames = []
+    for i in range(m):
+        u = unitary * np.exp(1j * q * math.pi * i / m)
+        frames.append(np.vstack([u.real, u.imag]) @ mix * scale)
+    return frames, int(q.sum())
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_determinant_matches_polar_factor_route(n, scale):
+    """det Z / |det Z| is the determinant of the polar factor U V^H.  At
+    scales 1e+-150, det Z of an n = 3 frame over- or underflows a float;
+    the sign of slogdet stays a unit complex number."""
+    rng = np.random.default_rng([n, round(math.log10(scale)) + 150])
+    space = SymplecticSpace.standard(n)
+    # below scale 1 the frame cut tol * max(max|F|, 1) must sit under |F|
+    tol = 1e-9 if scale >= 1.0 else 1e-300
+    for _ in range(4):
+        frames, degree = _unitary_loop(rng, n, 40, scale)
+        for f in frames[::3]:
+            z, old = det_squared(space, f, tol), _old_det_squared(space, f, tol)
+            assert abs(z - old) < 1e-12 and abs(abs(z) - 1.0) < 1e-12
+        ts = [2 * math.pi * i / len(frames) for i in range(len(frames))]
+        s = SampledImmersion(1, 2 * n, "loop", [[t] for t in ts],
+                             [[math.cos(t), math.sin(t)] + [t] * (2 * n - 2) for t in ts],
+                             frames=frames)
+        answer = _answer(loop_maslov, s, space)
+        assert answer == _answer(_old_loop_maslov, s, space)
+        if scale >= 1.0:
+            assert answer == degree == loop_degree(space, frames + frames[:1], tol)
+        else:
+            assert answer == "frame columns are linearly dependent"
 
 
 @pytest.mark.parametrize("case,message", [
