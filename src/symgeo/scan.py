@@ -28,8 +28,6 @@ import csv
 import json
 import math
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -107,7 +105,7 @@ class SampledImmersion(Value):
         arrays, one conversion each.  When a conversion raises or gives
         another shape, the per-row rules pick the refusal, in their order:
         pairing, sample count, parameter then ambient widths, overflow, and
-        entries that are no numbers."""
+        entries that are not numbers."""
         try:
             params = np.asarray(self.params, dtype=float)
             points = np.asarray(self.points, dtype=float)
@@ -456,8 +454,7 @@ def _csv_block(rows: list, column: dict, names: list) -> np.ndarray:
     a missing name as KeyError, a missing field as float(None)."""
     idx = [column.get(name) for name in names]
     if None not in idx:
-        get = itemgetter(*idx)
-        fields = map(get, rows) if len(idx) == 1 else chain.from_iterable(map(get, rows))
+        fields = (row[i] for row in rows for i in idx)
         try:
             values = np.fromiter(map(float, fields), float, len(rows) * len(idx))
         except IndexError:
