@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import comb, isfinite
 from random import Random
 from typing import TYPE_CHECKING, Sequence
@@ -97,12 +98,10 @@ def _std_n(text: str) -> int:
     return n
 
 
-def _space_std(text: str) -> SymplecticSpace:
-    from .symplectic import SymplecticSpace
-    return SymplecticSpace.standard(_std_n(text))
-
-
-def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
+def _declared_space(obj: dict, fallback: str | None) -> SymplecticSpace | int:
+    """The space of a tuple or context file: built from its explicit
+    ``"omega"`` (as large as the file), else only the n it declares (its
+    ``"n"``, else ``fallback``'s std:n), left for ``_space_for`` to build."""
     from .symplectic import SymplecticSpace
     if "omega" in obj and obj["omega"] is not None:
         return SymplecticSpace(matrix_from_json(obj["omega"], mode=EXACT))
@@ -110,10 +109,22 @@ def _space_from_obj(obj: dict, fallback: str | None) -> SymplecticSpace:
         n = obj["n"]
         if not is_int(n) or n < 1:
             raise ValidationError("'n' must be a positive integer")
-        return SymplecticSpace.standard(n)
+        return n
     if fallback:
-        return _space_std(fallback)
+        return _std_n(fallback)
     raise ValidationError("no symplectic space given (need 'n', 'omega' or --space)")
+
+
+def _space_for(declared: SymplecticSpace | int, first) -> SymplecticSpace:
+    """The ``_declared_space``, built as std:n only once the first frame has
+    2n rows, so a declared n far past the file's frames builds no Omega;
+    the refusal is the one that frame's check makes."""
+    from .symplectic import SymplecticSpace
+    if not isinstance(declared, int):
+        return declared
+    if (first.rows if isinstance(first, Matrix) else len(first)) != 2 * declared:
+        raise ValidationError("frame rows must match the ambient dimension")
+    return SymplecticSpace.standard(declared)
 
 
 def _tol(args) -> float:
@@ -128,15 +139,19 @@ def _frames_from_file(args, path: str):
     obj = _read_json(path)
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ValidationError(f"{path} must be an object with a 'frames' list")
-    space = _space_from_obj(obj, args.space)
+    declared = _declared_space(obj, args.space)
+    n = declared if isinstance(declared, int) else declared.n
     std = args.space and _std_n(args.space)
-    if std and (std != space.n or not space.is_standard()):
-        what = f"n = {space.n}" if space.n != std else "another omega"
+    if std and (std != n or not isinstance(declared, int)
+                and not declared.is_standard()):
+        what = f"n = {n}" if n != std else "another omega"
         raise ValidationError(f"tuple file has {what} but space is std:{std}")
     frames = obj["frames"]
     if not isinstance(frames, list) or len(frames) < 1:
         raise ValidationError("'frames' must be a nonempty list of matrices")
-    mats = (matrix_from_json(f, args.mode) for f in frames)
+    first = matrix_from_json(frames[0], args.mode)
+    space = _space_for(declared, first)
+    mats = chain([first], (matrix_from_json(f, args.mode) for f in frames[1:]))
     return space, [LagrangianFrame(space, m) if isinstance(m, Matrix)
                    else float_lagrangian(space, m, _tol(args)) for m in mats]
 
@@ -261,11 +276,12 @@ def _mp1_context(args) -> Mp1Context:
     obj = _read_json(args.context)
     if not isinstance(obj, dict):
         raise ValidationError(f"{args.context} must be a JSON object")
-    space = _space_from_obj(obj, None)
+    declared = _declared_space(obj, None)
     if "base" not in obj:
         raise ValidationError("context JSON needs a 'base' Lagrangian frame")
-    base = LagrangianFrame(space, matrix_from_json(obj["base"], mode=EXACT))
-    return Mp1Context(space, base)
+    base = matrix_from_json(obj["base"], mode=EXACT)
+    space = _space_for(declared, base)
+    return Mp1Context(space, LagrangianFrame(space, base))
 
 
 def _mp1_element(ctx: Mp1Context, path: str) -> Mp1Element:

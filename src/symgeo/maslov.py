@@ -255,7 +255,11 @@ def kashiwara_signature(space: SymplecticSpace, frames,
     frames: ``linalg.rank``, or the singular values above ``_float_cut`` of
     the stacked orthonormal Q factors, since the cut on a raw pair grows
     with the larger frame and can swallow a singular value of the smaller
-    one."""
+    one.  Those singular values stay LAPACK's, not the closed form
+    ``symplectic._singular_values`` gives thin stacks: each is ``_decided``
+    at a hard ``FLOAT_MARGIN`` edge, where a 1-ulp change already flipped
+    2 of 5400 seeded cases, so a new kernel waits for a rule that refuses
+    inside the rounding of its cut."""
     r, n = len(frames), space.n
     stacks = [range(r)] + [(k, (k + 1) % r) for k in range(r)]
     if any(isinstance(f, LagrangianFrame) for f in frames):

@@ -9,7 +9,10 @@ m samples give one (m, dim, k) stack of frames, which every audit reads in
 array passes: the isotropy and contact residuals, the coranks and the
 winding.  Corank decisions threshold singular values of the projected
 frame against the largest singular value of the full frame, so complete
-collapse at a sample is still classified.
+collapse at a sample is still classified.  Both sets of singular values
+come from ``symplectic._singular_values``: for frames of one or two
+columns, the column norm or a column-pivoted Gram-Schmidt step on the
+whole stack at once; for wider frames, LAPACK's SVD without U or V.
 
 The JSON and CSV loaders give each field to ``SampledImmersion`` in one
 piece, and it converts params, points and frames with one float-array
@@ -33,7 +36,7 @@ import numpy as np
 
 from .jsonio import ValidationError, is_int
 from .linalg import Value, _set
-from .symplectic import SymplecticSpace, loop_degree
+from .symplectic import SymplecticSpace, _singular_values, loop_degree
 
 DEFAULT_SCAN_TOL = 1e-6
 NEAR_SINGULAR_BAND = 10.0
@@ -273,10 +276,10 @@ def corank_profile(s: SampledImmersion, tol: float = DEFAULT_SCAN_TOL,
     if not keep:
         raise ValidationError("projection must keep at least one slot")
 
-    ref = np.linalg.svd(frames, compute_uv=False)[:, 0]
+    ref = _singular_values(frames)[:, 0]
     if not ref.all():
         raise ValidationError("zero tangent frame")
-    svs = np.linalg.svd(frames[:, keep, :], compute_uv=False)
+    svs = _singular_values(frames[:, keep, :])
     cut = (tol * ref)[:, None]
     kept = svs > cut
     coranks = n - kept.sum(axis=1)

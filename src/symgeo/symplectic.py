@@ -26,7 +26,11 @@ pairs exact integer columns only.  The winding reads det2 of a frame
 (X over Y) as the square of det Z / |det Z| for Z = X + iY, the
 determinant of Z's unitary polar factor, taken from the sign of
 ``slogdet``; the guard against ill-conditioned Z compares its singular
-values from an SVD that computes neither U nor V.
+values.  Every float singular value (the frame check's, the guard's and
+the loop closure's, and ``scan.corank_profile``'s) comes from
+``_singular_values``: closed form on the array for matrices with at most
+two rows or columns, as the thin 2n x n frames of n <= 2 and their n x n
+Z are, and LAPACK's SVD without U or V past that.
 """
 
 from __future__ import annotations
@@ -198,6 +202,57 @@ class LagrangianFrame(Subspace):
 # -- float Lagrangians: (2n, n) arrays -------------------------------------
 
 
+def _singular_values(stack) -> np.ndarray:
+    """The descending singular values of a real or complex (..., r, c)
+    stack, shaped as ``np.linalg.svd(stack, compute_uv=False)`` gives them.
+
+    A transpose puts the short side last (A and A^T have the same singular
+    values).  With one or two columns left it is closed form on the array,
+    else (none, or more than two) that SVD.  Each matrix is scaled by 2^-e,
+    e from ``frexp`` of its max |a| (exact, and the squares of its largest
+    entries stay in range), and scaled back with ``ldexp``, which cannot
+    overflow on the way as a factor 2^e can.  One column: sigma = ||p||.
+    Two columns: column-pivoted Gram-Schmidt, p the longer column, gives
+    R = [[r11, r12], [0, r22]] with r11 = ||p||, |r12| = |p^H q| / ||p||
+    and r22 = ||q - (p^H q / ||p||^2) p||; then sigma_max +- sigma_min = sqrt((r11 +- r22)^2 + |r12|^2) and
+    sigma_min = r11 r22 / sigma_max.  Both roots sum squares, so the
+    difference keeps its digits where sigma_max and sigma_min are close
+    (S - 2 D with S = ||F||_F^2 and D = r11 r22 would keep only sqrt(eps)
+    of it).  The error is a few eps * sigma_max, as LAPACK's is."""
+    import numpy as np
+    a = np.asarray(stack)
+    if a.shape[-1] > a.shape[-2]:
+        a = np.swapaxes(a, -1, -2)
+    cols = a.shape[-1]
+    if cols not in (1, 2):
+        return np.linalg.svd(a, compute_uv=False)
+    # 2^-e with |e| <= 1021 is a normal float, so the scaling is exact
+    e = np.clip(np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1], -1021, 1021)
+    a = a * np.ldexp(1.0, -e)[..., None, None]
+    p = a[..., 0]
+    pp = np.vecdot(p, p).real
+    if cols == 1:
+        values = np.sqrt(pp)[..., None]
+    else:
+        q = a[..., 1]
+        qq = np.vecdot(q, q).real
+        swap = (qq > pp)[..., None]
+        p, q = np.where(swap, q, p), np.where(swap, p, q)
+        pp = np.maximum(pp, qq)
+        r11 = np.sqrt(pp)
+        live = pp > 0.0   # p = 0 only for a zero matrix
+        pq = np.vecdot(p, q)
+        coef = np.divide(pq, pp, out=np.zeros_like(pq), where=live)
+        res = q - coef[..., None] * p
+        r22 = np.sqrt(np.vecdot(res, res).real)
+        r12 = np.divide(np.abs(pq), r11, out=np.zeros_like(r11), where=live)
+        hi = (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12)) / 2
+        lo = np.divide(r11 * r22, hi, out=np.zeros_like(hi), where=live)
+        values = np.stack([hi, lo], axis=-1)
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, e[..., None])
+
+
 def _float_cut(a: np.ndarray, tol: float, axis=None):
     """The zero cut of every float rank, kernel and signature decision:
     tol * max(max |a|, 1), the max taken over ``axis`` (all of ``a``)."""
@@ -223,7 +278,7 @@ def check_lagrangian_frames(space: SymplecticSpace, frames,
     if frames.ndim != 3 or frames.shape[1] != space.dim:
         raise ValueError("frame rows must match the ambient dimension")
     cols = frames.shape[2]
-    sv = np.linalg.svd(frames, compute_uv=False)
+    sv = _singular_values(frames)
     dependent = (sv > _float_cut(frames, tol, (1, 2))[:, None]).sum(axis=1) != cols
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(np.abs(frames).max(axis=(1, 2), initial=0.0) ** 2, 1.0)
@@ -287,14 +342,13 @@ def _unit_determinants(space: SymplecticSpace, frames: np.ndarray,
     over Y): the determinant of Z's unitary polar factor U V^H, read from
     the sign of ``slogdet`` (det Z itself over- or underflows a float for
     entries near 1e+-150 at n = 3).  Z is refused when its smallest
-    singular value is at most tol * max(largest, 1); that SVD computes
-    neither U nor V."""
+    ``_singular_values`` entry is at most tol * max(largest, 1)."""
     import numpy as np
     if not space.is_standard():
         raise ValueError("unitary representatives need the standard space")
     n = space.n
     z = frames[:, :n, :] + 1j * frames[:, n:, :]
-    s = np.linalg.svd(z, compute_uv=False)
+    s = _singular_values(z)
     if (s[:, -1] <= tol * np.maximum(s[:, 0], 1.0)).any():
         raise ValueError("polar factor ill-conditioned beyond tolerance")
     return np.linalg.slogdet(z)[0]
@@ -320,7 +374,7 @@ def loop_degree(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> int
     if len(frames) < 3:
         raise ValueError("a loop needs at least three samples")
     ends = np.hstack([frames[0], frames[-1]])
-    sv = np.linalg.svd(ends, compute_uv=False)
+    sv = _singular_values(ends)
     if (sv > _float_cut(ends, tol)).sum() != space.n:
         raise ValueError("path is not closed (first and last spans differ)")
     d2 = _unit_determinants(space, frames, tol) ** 2

@@ -1173,6 +1173,28 @@ def test_mismatched_space_is_refused_before_it_is_built(capsys, tmp_path, argv, 
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, files", [
+    (["maslov", "kashiwara", "--tuple", "{t}"], {"t": {"n": 5000, "frames": [_FRAME] * 3}}),
+    (["maslov", "kashiwara", "--tuple", "{t}", "--approx"],
+     {"t": {"n": 5000, "frames": [_FRAME] * 3}}),
+    (["maslov", "kashiwara", "--tuple", "{t}", "--space", "std:5000"],
+     {"t": {"frames": [_FRAME] * 3}}),
+    (["mp1", "mul", "--context", "{c}", "--a", "{a}", "--b", "{a}"],
+     {"c": {"n": 5000, "base": _FRAME},
+      "a": {"w": 0, "g": {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}}}),
+], ids=["tuple", "tuple-approx", "tuple-fallback", "mp1-context"])
+def test_declared_n_is_checked_against_the_first_frame_before_it_is_built(
+        capsys, tmp_path, argv, files):
+    """"n": 5000 has a 10000 x 10000 Omega: the first frame's rows come first."""
+    paths = {name: _write(tmp_path, name + ".json", obj) for name, obj in files.items()}
+    start = time.perf_counter()
+    code = main([arg.format(**paths) for arg in argv])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: frame rows must match the ambient dimension\n"
+
+
 # -- usage errors -------------------------------------------------------------------
 
 

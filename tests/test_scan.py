@@ -16,7 +16,8 @@ from symgeo.scan import (DEFAULT_SCAN_TOL, NEAR_SINGULAR_BAND, ChiSpec,
                          SampledImmersion, check_lagrangian, check_legendrian,
                          corank_profile, immersion_from_csv,
                          immersion_from_json, loop_maslov, reeb_field)
-from symgeo.symplectic import SymplecticSpace, det_squared, loop_degree
+from symgeo.symplectic import (SymplecticSpace, check_lagrangian_frames, det_squared,
+                               loop_degree)
 
 
 def _circle(m, turns=1):
@@ -874,3 +875,140 @@ def test_mixed_refusals_match_per_sample_route(first, message):
             got = (_refusal(check_lagrangian, s, space),
                    _refusal(_old_check_lagrangian, s, space))
         assert got == (message, message)
+
+
+# -- closed-form singular values decide as LAPACK does -------------------------
+
+_EDGE = 1e-9   # each case puts a singular value at cut * (1 +- _EDGE)
+# cuts near tol * sigma_max: the edge, 1e-9 of the cut, stays far above the
+# few eps * sigma_max by which LAPACK and the closed form round
+_EDGE_TOLS = (1e-5, 1e-4, 1e-3)
+
+
+def _rotation(rng, k):
+    return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+def _plane(rng, sigmas, phases):
+    """A (4, 2) Lagrangian frame X over Y: Z = X + iY = Q diag(e^{i phase}
+    sigma) O^T with Q, O real orthogonal, so X^T Y is symmetric, F and Z
+    have the singular values ``sigmas`` and det2 is e^{2i(phase sum)}."""
+    q, o = _rotation(rng, 2), _rotation(rng, 2)
+    z = q @ np.diag(np.exp(1j * np.asarray(phases)) * sigmas) @ o.T
+    return np.vstack([z.real, z.imag])
+
+
+def _angle_frame(thetas):
+    n = len(thetas)
+    frame = np.zeros((2 * n, n))
+    for j, th in enumerate(thetas):
+        frame[j, j], frame[n + j, j] = math.cos(th), math.sin(th)
+    return frame
+
+
+def _edge_frame_check(rng, n, tol, side):
+    """Entries below 1 put the dependent-columns cut at tol."""
+    s = tol * (1 + side * _EDGE)
+    if n == 1:
+        th = rng.uniform(0, math.pi)
+        frame = s * np.array([[math.cos(th)], [math.sin(th)]])
+    else:
+        frame = _plane(rng, [rng.uniform(0.5, 1.0), s], rng.uniform(0, math.pi, 2))
+    space = SymplecticSpace.standard(n)
+    return (lambda: check_lagrangian_frames(space, [frame], tol) is not None,
+            True if side > 0 else "frame columns are linearly dependent")
+
+
+def _edge_corank(rng, n, tol, side):
+    """Three samples whose projected frame has its smallest singular value
+    at the corank cut tol * sigma_max(F), or at the near-singular band's
+    top, NEAR_SINGULAR_BAND times it; half the full frames are orthonormal
+    (sigma_max = sigma_min = 1)."""
+    frames, want = [], []
+    for _ in range(3):
+        band = NEAR_SINGULAR_BAND if rng.random() < 0.5 else 1.0
+        a_min = tol * band * (1 + side * _EDGE)
+        scale = 2.0 ** rng.integers(-3, 4)
+        if n == 1:
+            frame = np.array([[a_min], [math.sqrt(1 - a_min ** 2)]]) * rng.choice([-1, 1])
+        else:
+            a = np.array([rng.uniform(0.3, 0.95), a_min])
+            # sigma(F) = (1, 1), or 1 from the first column alone
+            b = np.sqrt(1 - a ** 2) if rng.random() < 0.5 else \
+                np.array([math.sqrt(1 - a[0] ** 2), rng.uniform(0.1, 0.5)])
+            u, v, w = _rotation(rng, 2), _rotation(rng, 2), _rotation(rng, 2)
+            frame = np.vstack([u @ np.diag(a) @ w.T, v @ np.diag(b) @ w.T])
+        frames.append(scale * frame)
+        want.append((0 if side > 0 or band > 1 else 1, (band > 1) != (side > 0)))
+    s = SampledImmersion(1, 2 * n, "line", [[0.0], [1.0], [2.0]],
+                         [[float(j)] + [0.0] * (2 * n - 1) for j in range(3)],
+                         frames=np.stack(frames))
+
+    def audit():
+        rep = corank_profile(s, tol)
+        return rep["coranks"], rep["near_singular"]
+    return audit, ([c for c, _ in want], [j for j, (_, near) in enumerate(want) if near])
+
+
+def _edge_guard(rng, tol, side):
+    """An n = 2 loop of angle frames, one of them replaced by a plane of the
+    same det2 whose Z has sigma_min at the guard's cut tol * sigma_max(Z),
+    with sigma_max > 1 so the frame check's cut lies below it."""
+    theta2, k = rng.uniform(0, math.pi), int(rng.integers(1, 8))
+    frames = [_angle_frame([math.pi * j / 8, theta2]) for j in range(8)]
+    s1 = rng.uniform(2.0, 4.0)
+    frames[k] = _plane(rng, [s1, tol * s1 * (1 + side * _EDGE)], [math.pi * k / 8, theta2])
+    space = SymplecticSpace.standard(2)
+    return (lambda: loop_degree(space, frames + frames[:1], tol),
+            1 if side > 0 else "polar factor ill-conditioned beyond tolerance")
+
+
+def _edge_closure(rng, side):
+    """An n = 1 loop from F0 round to F_last, where [F0 | F_last] has its
+    second singular value at the closure cut, tol = DEFAULT_SCAN_TOL (its
+    entries are below 1).  The two lines then differ by about tol, and a
+    coarser tol would leave the winding off a whole turn by more than 1e-6."""
+    tol = DEFAULT_SCAN_TOL
+    beta = rng.uniform(math.pi / 4, math.pi / 3)
+    w = np.array([[math.cos(beta), -math.sin(beta)], [math.sin(beta), math.cos(beta)]])
+    ends = _rotation(rng, 2) @ np.diag([rng.uniform(0.8, 1.0), tol * (1 + side * _EDGE)]) @ w.T
+    alpha = math.atan2(ends[1, 0], ends[0, 0])
+    frames = ([ends[:, :1]] + [_angle_frame([(alpha + math.pi * j / 8) % math.pi])
+                              for j in range(1, 8)] + [ends[:, 1:]])
+    space = SymplecticSpace.standard(1)
+    return (lambda: loop_degree(space, frames, tol),
+            "path is not closed (first and last spans differ)" if side > 0 else 1)
+
+
+def test_closed_form_decisions_match_a_lapack_oracle(monkeypatch):
+    """2004 seeded cases with a singular value at a cut * (1 +- 1e-9): the
+    frame check's dependent columns, the corank and near-singular cuts, and
+    the winding guard and closure.  Each gives the oracle's answer, with
+    LAPACK in place of the closed form, and the side its placement picks."""
+    import symgeo.symplectic as symplectic
+
+    def outcome(run):
+        try:
+            return run()
+        except ValueError as exc:
+            return str(exc)
+
+    def lapack(a):
+        return np.linalg.svd(a, compute_uv=False)
+
+    cases = []
+    for seed in range(334):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2):
+            for make in (_edge_frame_check, _edge_corank):
+                cases.append(make(rng, n, rng.choice(_EDGE_TOLS), rng.choice([-1, 1])))
+        cases.append(_edge_guard(rng, rng.choice(_EDGE_TOLS), rng.choice([-1, 1])))
+        cases.append(_edge_closure(rng, rng.choice([-1, 1])))
+    got = [outcome(run) for run, _ in cases]
+    with monkeypatch.context() as m:
+        m.setattr(symplectic, "_singular_values", lapack)
+        m.setattr(scan, "_singular_values", lapack)
+        oracle = [outcome(run) for run, _ in cases]
+    assert len(cases) >= 2000
+    assert got == oracle
+    assert got == [want for _, want in cases]

@@ -13,10 +13,10 @@ import pytest
 from symgeo.linalg import (Matrix, _rand_full_rank, _trusted, inverse,
                            kernel_basis, rank)
 from symgeo.symplectic import (LagrangianFrame, Subspace, SymplecticSpace,
-                               classify_subspace, det_squared, graph_lagrangian,
-                               intersect_frames, lagrangian_from_angles,
-                               line_lagrangian, loop_degree, random_lagrangian,
-                               random_symplectic, standard_gram)
+                               _singular_values, classify_subspace, det_squared,
+                               graph_lagrangian, intersect_frames,
+                               lagrangian_from_angles, line_lagrangian, loop_degree,
+                               random_lagrangian, random_symplectic, standard_gram)
 
 
 def test_standard_gram_shape():
@@ -311,3 +311,55 @@ def test_loop_degree_constant_is_zero():
     sp = SymplecticSpace.standard(2)
     lag = lagrangian_from_angles(sp, [0.4, 1.1])
     assert loop_degree(sp, [lag] * 9) == 0
+
+
+# -- closed-form singular values ---------------------------------------------
+
+
+def _lapack(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _two_column_cases(a):
+    """Zero matrices, one zero column, dependent, nearly dependent and
+    orthonormal columns (equal singular values), from a (m, r, 2) stack."""
+    one_zero, dependent, nearly = a.copy(), a.copy(), a.copy()
+    one_zero[: len(a) // 2, :, 0] = 0.0
+    one_zero[len(a) // 2:, :, 1] = 0.0
+    dependent[..., 1] = -0.75 * a[..., 0]
+    nearly[..., 1] = (1 + 1e-12) * a[..., 0] + 1e-13 * a[..., 1]
+    orthonormal = np.linalg.qr(a)[0] * np.abs(a).max()
+    return [np.zeros_like(a), one_zero, dependent, nearly, orthonormal]
+
+
+@pytest.mark.parametrize("shape", [(64, 2, 1), (64, 1, 1), (64, 1, 2), (64, 4, 2),
+                                   (64, 2, 2), (1, 2, 2)])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500, 1e308],
+                         ids=["1", "2^500", "2^-500", "1e308"])
+def test_singular_values_match_lapack(shape, kind, scale):
+    """|sigma - sigma_LAPACK| <= 8 eps sigma_max, in LAPACK's shape; pytest
+    turns a RuntimeWarning into an error, so no step may overflow."""
+    rng = np.random.default_rng([int(abs(math.log2(scale))), kind is complex, *shape])
+    # entries up to 1e308 / sqrt(r c) keep sigma_max a finite float
+    u = rng.uniform(-1.0, 1.0, (2,) + shape) / math.sqrt(shape[1] * shape[2])
+    a = scale * (u[0] + 1j * u[1] if kind is complex else u[0])
+    cases = [a] + (_two_column_cases(a) if 2 in shape[1:] and min(shape[1:]) > 1
+                   else [np.zeros_like(a)])
+    for case in cases:
+        got, ref = _singular_values(case), _lapack(case)
+        assert got.shape == ref.shape
+        assert (np.abs(got - ref) <= 8 * np.finfo(float).eps * ref[..., :1]).all()
+
+
+def test_singular_values_of_1e308_entries_and_empty_stacks():
+    big = np.array([[[1e308], [1e308]], [[1e308], [-1e308]]])
+    wide = np.array([[1e308, 1e308], [0.0, 1e308]])
+    for a in (big, big.swapaxes(1, 2), wide, 1j * wide):
+        np.testing.assert_allclose(_singular_values(a), _lapack(a), rtol=8e-16)
+    for shape in ((3, 4, 0), (3, 0, 2), (0, 2, 1), (0, 4, 2)):
+        a = np.zeros(shape)
+        assert _singular_values(a).shape == _lapack(a).shape
+    # past two columns on both sides the kernel is LAPACK's
+    a = np.random.default_rng(5).standard_normal((8, 4, 4))
+    assert np.array_equal(_singular_values(a), _lapack(a))
