@@ -1,7 +1,8 @@
 """Golden bytes: sha256 pins of the selftest reports, the stdout of every
 README command and of each other CLI verb, every ``--help`` page and seeded
 dumps of the jets layer, the Lagrangian graph audit and the Kashiwara-type
-forms; and the values the README's library example states.
+forms; the Legendrian graph audit's reports for n = 1..10; and the values
+the README's library example states.
 
 A refactor keeps these hashes; a change that means to move them updates
 them in the same commit.  Help pages follow argparse's wording, so they are
@@ -28,7 +29,7 @@ from symgeo.jets import (JetSignature, lambda_basis, max_isotropic,
 from symgeo.jets.metasymplectic import (flatten, meta_orthogonal_frame,
                                         model_dim, unflatten)
 from symgeo.jets.pde_audit import (_jacobian, _LagrangianInstance,
-                                   lagrangian_pde_dims)
+                                   lagrangian_pde_dims, legendrian_pde_dims)
 from symgeo.jsonio import dumps, matrix_to_json
 from symgeo.linalg import Matrix, _rand_full_rank, inverse, sym_signature
 from symgeo.maslov import (LagrangianTuple, kashiwara_signature,
@@ -156,6 +157,40 @@ PDE_DUMP = (
 
 MASLOV_FORMS_DUMP = (
     "3e25a8123ae108456597c607b7246f906096cf0f35abcfc73dd98a873db5cf53")
+
+# sha256 of dumps(legendrian_pde_dims(n, seed)) for n = 1..10, seeds 0..2
+LEGENDRIAN_REPORTS = {
+    (1, 0): "f2b5207c391503e2c6f93443236ea2b06b28ca32c291bb793cf10bd19dd474cb",
+    (1, 1): "218d435855af25698dd127c4bc5c8b11a39d93be9199f3889a46e270a66d2b67",
+    (1, 2): "c0d3b86100ca7d895bcb93fabf667403a87c279bc23ca0ef2e85d07d2b76bdf7",
+    (2, 0): "97e6c929a038063315be8024f3b7c12bd76bc002ad86086b97f17365f241d665",
+    (2, 1): "42b96ba972e9fc7842204a2236f69cc9c51b8b99d0fc2cb4daf3b592209df5b8",
+    (2, 2): "5225662a8c8f728b8125344a040b66b009d8e07122321c1fddd2942e759a8f3e",
+    (3, 0): "2d6511894a1a5338e94a2dde42570e0002c65c33abeac872d3e4e64f4898cda4",
+    (3, 1): "77dbd573e9d0654ac780c9b5c9eb389c14323134fe098900fb57d0f192318be4",
+    (3, 2): "f8004813836336ba45829049ecd3c61ab7fa41d96c5549dde0ef3ce600908a26",
+    (4, 0): "98d8070cf5216c8bb439210d64e956c5bdf9e3c71bce16d7e2bb5c9de57405f4",
+    (4, 1): "b90526a6a0c1a612fb921861555b5806ae93d300c8235b275015cd687b408939",
+    (4, 2): "f41ee660cfa225fb05e99528823ed113dcf32548e1e8d8c3d282bd8464908781",
+    (5, 0): "632276d2070386acc7b72a9514112ed46f3692da07fbebfbdf3edd9a00378304",
+    (5, 1): "e0d1d911ec312d81fe50108a29ace348c72efc132aedb1875209f9538da12072",
+    (5, 2): "6407f7af3efa88d4b48c43b81f332f2697513d105d25516be73a12ef4cf1226e",
+    (6, 0): "5c54a7ed08ae4cd3ea22d75f958f6e641c2d424e91f31425229fa1525745b2d7",
+    (6, 1): "5e87d9fe042414f472fb1e2fafc01cd710c93126d8f340cb2b43172099bc84f7",
+    (6, 2): "38dd8a718630c076d568c1b084e4452e1bd04b50723832f72541168cf45c6022",
+    (7, 0): "1caf2ba6f408d6c5cf4938cbf9a7baed4a2a5a273c7abe502277391bdbdfd49e",
+    (7, 1): "fd2785acc724aadf1cb3972e77f81fedb7923b9ae8721ce8c138cea428a18703",
+    (7, 2): "90d729c57a9752be60d301bae1787e10944626ecb1a2bb2f4eb54a628b691d38",
+    (8, 0): "62bc25195c06ac0750dc8b4d357c30f1565bc7286e121d24757a46502a8dd4f1",
+    (8, 1): "6353b542c17bb6a0a02546a0fc8f3b402cce6e94a3733336c8297f696c43d905",
+    (8, 2): "223ccec8f835332b73191681bb299281b67e17c1150baf773ed099e5347ed8d5",
+    (9, 0): "cfc7f5c85f98847d2035081a816feb743a4525bbb5d33973e696a793b381d93c",
+    (9, 1): "a5dd61d45633ec8a888e6bf3dab0e8cffa4f3f4f46d2ae19be72acc5214e712b",
+    (9, 2): "1e3a3221f81eda7ea133c07ecf9b69cfcee07aaa60f654010088ff49abaed8ed",
+    (10, 0): "3a084b10be518f2180009b182115a3c3fdccbb691cca495f74e7e6c6ebba765b",
+    (10, 1): "52cb503c9d6c3585f0f302772f68026e96137a2a012fe2f69b11a8f7f40846e7",
+    (10, 2): "0752f9deb875c5271e1233e4a7937afae2a9cd43fd60d60d8387dfa96004a0c0",
+}
 
 HELP_PAGES = {
     "":
@@ -482,6 +517,11 @@ def test_pde_dump():
 
 def test_maslov_forms():
     assert _sha(_maslov_forms_dump()) == MASLOV_FORMS_DUMP
+
+
+def test_legendrian_reports():
+    got = {key: _sha(dumps(legendrian_pde_dims(*key))) for key in LEGENDRIAN_REPORTS}
+    assert got == LEGENDRIAN_REPORTS
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
