@@ -16,9 +16,11 @@ n >= 3.
 
 Legendrian side: graphs (y(x), z(x)) with z_beta = y_beta; the audit
 builds the system and prolonged-system matrices explicitly and ranks
-them.  The prolonged equations force the hidden symmetry of the first
-derivatives of y, so the prolongation drops below the naive fiber
-count by n(n-1)/2; both conventions are reported.
+them, on just the jet columns their rows touch: the rest of J^2 would be
+zero columns, which leave every rank unchanged.  The prolonged equations
+force the hidden symmetry of the first derivatives of y, so the
+prolongation drops below the naive fiber count by n(n-1)/2; both
+conventions are reported.
 """
 
 from __future__ import annotations
@@ -241,34 +243,15 @@ def lagrangian_pde_dims(n: int, seed: int = 0) -> dict:
 
 
 def _legendrian_matrices(n: int):
-    """System and prolonged-system matrices for z_beta = y_beta.
-
-    First-order variables are ordered (y derivatives Y[a][al], z
-    derivatives zeta[b]); jet variables ahead of them are (x, y, z).
-    """
-    nv0 = 2 * n + 1
-    nv1 = n * n + n
+    """System and prolonged-system matrices for z_beta = y_beta, on the
+    columns their rows touch: the system is [-I | I] over (y_b, zeta_b), the
+    prolonged system [-I | S] over (Y[b][g], z_bg), S its symbol block.  The
+    other jet coordinates are zero columns, which no rank sees."""
     pairs = _sym_pairs(n)
-    nv2 = (n + 1) * len(pairs)
-    total = nv0 + nv1 + nv2
-
-    sys_rows = []
-    for b in range(n):
-        row = [0] * total
-        row[n + b] = -1                        # -y_b
-        row[nv0 + n * n + b] = 1               # +zeta_b
-        sys_rows.append(row)
-
-    prol_rows = []
-    for b in range(n):
-        for g in range(n):
-            row = [0] * total
-            row[nv0 + b * n + g] = -1                              # -Y[b][g]
-            p = pairs.index((min(b, g), max(b, g)))
-            row[nv0 + nv1 + n * len(pairs) + p] = 1                # +z_{bg}
-            prol_rows.append(row)
-
-    return Matrix.exact(sys_rows), Matrix.exact(prol_rows), (nv0, nv1, nv2)
+    symbol = Matrix.exact([[1 if p == (min(b, g), max(b, g)) else 0
+                            for p in pairs] for b in range(n) for g in range(n)])
+    return ((-Matrix.identity(n)).hstack(Matrix.identity(n)),
+            (-Matrix.identity(n * n)).hstack(symbol))
 
 
 def _symbol_kernel(n: int) -> Matrix:
@@ -280,23 +263,27 @@ def _symbol_kernel(n: int) -> Matrix:
 def _cascade_dim(n: int, g1: Matrix, flag: list[list[Fraction]]) -> int:
     """dim of the symbol subspace annihilating the first i flag vectors.
 
-    A symbol vector is an (n + 1) x n block matrix (the Y rows, then zeta);
-    row o of ``apply`` pairs block row o with one flag vector v."""
+    A first-order vector is an (n + 1) x n block matrix (the Y rows, then
+    zeta); row o of ``apply`` pairs block row o with one flag vector v.
+    g1 = [I; 0] (see ``_symbol_kernel``), so ``apply @ g1`` is the Y columns
+    of ``apply``, where the zeta rows vanish: those are all it ranks."""
     if not flag:
         return g1.cols
     apply = Matrix.exact([[v[k - o * n] if o * n <= k < o * n + n else 0
-                           for k in range(n * n + n)]
-                          for v in flag for o in range(n + 1)])
-    return g1.cols - rank(apply @ g1)
+                           for k in range(n * n)]
+                          for v in flag for o in range(n)])
+    return g1.cols - rank(apply)
 
 
 def legendrian_pde_dims(n: int, seed: int = 0) -> dict:
     """Closed dimension formulas for the Legendrian graph system with
-    exact rank verification and the symbol involutivity cascade; dense
-    matrices with dim J^2 > ``SIZE_GUARD`` columns (n >= 21) are refused."""
+    exact rank verification and the symbol involutivity cascade.  The
+    ranked matrices are at most n^2 x (n^2 + n(n + 1)/2), but the guard
+    still bounds the model: dim J^2 > ``SIZE_GUARD`` (n >= 21) is refused."""
     if n < 1:
         raise ValueError("n must be positive")
-    dim_jet2 = (2 * n + 1) + (n * n + n) + (n + 1) * (n * (n + 1) // 2)
+    dim_jet1 = (2 * n + 1) + (n * n + n)
+    dim_jet2 = dim_jet1 + (n + 1) * (n * (n + 1) // 2)
     if dim_jet2 > SIZE_GUARD:
         raise ValueError("model size exceeds the desk-scale guard")
     dim_system = (n + 1) ** 2
@@ -305,11 +292,10 @@ def legendrian_pde_dims(n: int, seed: int = 0) -> dict:
     dim_symbol = n * n
     dim_symbol_prol = n * n * (n + 1) // 2
 
-    sys_m, prol_m, (nv0, nv1, _) = _legendrian_matrices(n)
-    dim_jet1 = nv0 + nv1
+    sys_m, prol_m = _legendrian_matrices(n)
     rank_system = rank(sys_m)
     rank_prol = rank(prol_m)
-    rank_prol_symbol = rank(prol_m.block(0, prol_m.rows, dim_jet1, prol_m.cols))
+    rank_prol_symbol = rank(prol_m.block(0, prol_m.rows, n * n, prol_m.cols))
 
     g1 = _symbol_kernel(n)
     rng = Random(seed)

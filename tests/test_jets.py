@@ -628,6 +628,14 @@ def test_legendrian_cascade_table():
         assert rep["cascade_sum_ok"]
 
 
+def test_legendrian_symbol_kernel_is_the_y_slots():
+    """g1 = [I; 0]: the symbol is the Y slots, and the cascade ranks only
+    the Y columns of its apply matrix on that fact."""
+    for n in range(1, 7):
+        g1 = pde_audit._symbol_kernel(n)
+        assert g1 == Matrix.identity(n * n).vstack(Matrix.zeros(n, n * n))
+
+
 def test_audits_reject_bad_n():
     with pytest.raises(ValueError):
         lagrangian_pde_dims(0)
