@@ -367,8 +367,10 @@ def loop_degree(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> int
     """Winding number of det-squared along a closed loop of float
     Lagrangians, checked by ``check_lagrangian_frames``.  The first and last
     members must span the same subspace ([first | last] has n singular
-    values above ``_float_cut``), each det2 argument jump must stay below
-    pi/2 (sampling guard) and the jumps must close to whole turns."""
+    values above ``_float_cut``); the det2 argument jumps run over the closed
+    chain, the step from last back to first included, so end members that
+    differ within tol still close.  Each jump must stay below pi/2 (sampling
+    guard) and the jumps must sum to whole turns."""
     import numpy as np
     frames = check_lagrangian_frames(space, frames, tol)
     if len(frames) < 3:
@@ -379,7 +381,7 @@ def loop_degree(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> int
         raise ValueError("path is not closed (first and last spans differ)")
     d2 = _unit_determinants(space, frames, tol) ** 2
     d2 /= abs(d2)
-    steps = np.angle(d2[1:] / d2[:-1])
+    steps = np.angle(np.roll(d2, -1) / d2)
     if (np.abs(steps) >= math.pi / 2).any():
         raise ValueError("undersampled loop: det2 jump of pi/2 or more")
     turns = float(steps.sum()) / (2 * math.pi)

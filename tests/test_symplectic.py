@@ -307,6 +307,19 @@ def test_loop_degree_over_a_space_equal_up_to_tol():
     assert loop_degree(twin, path) == loop_degree(sp, path) == 1
 
 
+def test_loop_degree_closes_through_end_lines_within_tol():
+    """Lines at k pi / 16 (k = 0..15), closed by the line at pi - 9e-6: at
+    tol 1e-5 the second singular value of [first | last] is 0.64 of the
+    closure cut, so the ends span one line, and the closing step from the
+    last line back to the first completes the turn."""
+    sp = SymplecticSpace.standard(1)
+    path = [lagrangian_from_angles(sp, [math.pi * k / 16]) for k in range(16)]
+    path.append(lagrangian_from_angles(sp, [math.pi - 9e-6]))
+    ends = np.hstack([path[0], path[-1]])
+    assert 0.6 < np.linalg.svd(ends, compute_uv=False)[1] / 1e-5 < 0.7
+    assert loop_degree(sp, path, tol=1e-5) == 1
+
+
 def test_loop_degree_constant_is_zero():
     sp = SymplecticSpace.standard(2)
     lag = lagrangian_from_angles(sp, [0.4, 1.1])
