@@ -96,6 +96,8 @@ class SampledImmersion(Value):
             _set(self, "grid_shape", (int(self.grid_shape[0]), int(self.grid_shape[1])))
             if self.grid_shape[0] * self.grid_shape[1] != len(self.points):
                 raise ValidationError("grid_shape does not match sample count")
+            if min(self.grid_shape) < 1:
+                raise ValidationError("grid_shape must be positive")
         elif self.param_dim != 1:
             raise ValidationError(f"{self.topology} topology needs param_dim = 1")
         if self.topology == "loop" and len(self.points) < 3:

@@ -528,6 +528,28 @@ def test_scan_rejects_non_integer_sample_shapes(capsys, tmp_path, fields,
     assert captured.err == f"error: bad sample file: {message}\n"
 
 
+def test_scan_rejects_a_json_grid_with_negative_sides(capsys, tmp_path):
+    """[-3, -3] has the product 9 of the 3 x 3 grid's sample count."""
+    frames = [[[1, 0], [0, 1], [2, 1], [1, 2]]] * 9
+    path = _write(tmp_path, "grid.json",
+                  dict(_plane_grid(), grid_shape=[-3, -3], frames=frames))
+    code = main(["scan", "corank", "--samples", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bad sample file: grid_shape must be positive\n"
+
+
+def test_scan_rejects_a_csv_grid_with_negative_sides(capsys, tmp_path):
+    rows = ["p1,p2,a1,a2,a3,a4"] + [f"{u},{v},{u},{v},{2 * u + v},{u + 2 * v}"
+                                    for u in range(3) for v in range(3)]
+    path = _write(tmp_path, "grid.csv", "\n".join(rows))
+    code = main(["scan", "corank", "--samples", path, "--topology", "grid",
+                 "--grid=-3,-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: grid_shape must be positive\n"
+
+
 def test_scan_rejects_nan_in_a_csv_sample(capsys, tmp_path):
     path = _write(tmp_path, "leg.csv",
                   "p1,a1,a2,a3\n0,0,0,0\n0.5,nan,1,0.25\n1,1,2,1")
