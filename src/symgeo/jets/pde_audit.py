@@ -264,9 +264,9 @@ def _cascade_dim(n: int, g1: Matrix, flag: list[list[Fraction]]) -> int:
     """dim of the symbol subspace annihilating the first i flag vectors.
 
     A first-order vector is an (n + 1) x n block matrix (the Y rows, then
-    zeta); row o of ``apply`` pairs block row o with one flag vector v.
-    g1 = [I; 0] (see ``_symbol_kernel``), so ``apply @ g1`` is the Y columns
-    of ``apply``, where the zeta rows vanish: those are all it ranks."""
+    zeta); row o of ``apply`` pairs block row o with one flag vector v.  As
+    g1 = [I; 0] (see ``_symbol_kernel``), ``apply @ g1`` is ``apply`` on the
+    Y columns, where the zeta rows vanish, so only the Y block is built."""
     if not flag:
         return g1.cols
     apply = Matrix.exact([[v[k - o * n] if o * n <= k < o * n + n else 0

@@ -520,7 +520,8 @@ def test_maslov_forms():
 
 
 def test_legendrian_reports():
-    got = {key: _sha(dumps(legendrian_pde_dims(*key))) for key in LEGENDRIAN_REPORTS}
+    got = {key: _sha(dumps(legendrian_pde_dims(*key)))
+           for key in LEGENDRIAN_REPORTS}
     assert got == LEGENDRIAN_REPORTS
 
 
